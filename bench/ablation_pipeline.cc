@@ -3,9 +3,11 @@
  * Ablation: the streaming chunk pipeline (flash readahead +
  * double-buffered parse + coalesced flush DMA, DESIGN.md §11).
  *
- * The serial MREAD path holds flash, the embedded core, and PCIe each
- * idle while the other two work; the pipeline overlaps the three
- * stages without changing functional results or ParseCost totals. The
+ * With the pipeline off, an MREAD chunk is one sub-buffer: its parse
+ * waits for the last flash page and its flush DMA for the parse, so
+ * flash, the embedded core, and PCIe each idle while the other two
+ * work. The pipeline overlaps the three stages without changing
+ * functional results or ParseCost totals. The
  * overlap is fully exposed at queue depth 1 — deeper queues already
  * overlap across commands via the shared timelines — so the ablation
  * pins queueEntries = 2 (one command in flight).
@@ -16,7 +18,7 @@
  *    and >= 10% on a parse-bound mix (soft-float app on the default
  *    8-channel array);
  *  - pipeline-off is bit-deterministic (two runs, identical ticks) —
- *    the off path is the untouched serial code every figure uses;
+ *    the off path is the single-sub-buffer schedule every figure uses;
  *  - checksums match between pipeline-on and pipeline-off runs.
  */
 

@@ -105,9 +105,6 @@ printPolicyJson(const char *name, const wk::ServingReport &r,
                 r.throughputPerSec);
     // Device-side scheduler counters, federated out of the simulated
     // machine through the metrics registry.
-    std::printf("        \"migrations\": %llu,\n",
-                static_cast<unsigned long long>(
-                    reg.counter("sys.ssd.sched.dispatcher.migrations")));
     std::printf("        \"drr_delays\": %llu,\n",
                 static_cast<unsigned long long>(
                     reg.counter("sys.ssd.sched.arbiter.drrDelays")));

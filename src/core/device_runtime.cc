@@ -227,20 +227,10 @@ MorpheusDeviceRuntime::drainFlushes(
         bool dma_failed = false;
         dma = _ssd.retryOutboundDma(inst.dmaCursor, seg.size(), dma,
                                     &dma_failed);
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _ssd.trackPrefix() + "ssd.dma";
-            s.name = "flush_dma";
-            s.category = "ssd";
-            s.begin = buffered;
-            s.end = dma;
-            s.trace = trace;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            s.bytes = seg.size();
-            sink->record(s);
-        }
+        obs::traceSpan({_ssd.trackPrefix(), "ssd.dma"}, "flush_dma", "ssd",
+                       buffered, dma,
+                       {trace, inst.tenant, inst.id, seg.size(),
+                        inst.coreId});
         inst.dmaCursor += seg.size();
         _objectBytes += seg.size();
         _delivered[inst.id] += seg.size();
@@ -258,62 +248,25 @@ MorpheusDeviceRuntime::drainFlushes(
 }
 
 void
-MorpheusDeviceRuntime::maybeMigrate(Instance &inst, sim::Tick now,
-                                    obs::TraceId trace)
+MorpheusDeviceRuntime::coalesceFlushes(
+    std::vector<std::vector<std::uint8_t>> &segments)
 {
-    auto &dispatcher = _ssd.scheduler().dispatcher();
-    const auto plan = dispatcher.coreForChunk(inst.id, now);
-    if (!plan.migrated)
+    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
+    if (!pl.enabled || !pl.coalesceFlush)
         return;
-    ssd::EmbeddedCore &to = _ssd.core(plan.core);
-    if (!to.loadImage(inst.codeBytes)) {
-        // No I-SRAM room next to the apps already resident there.
-        dispatcher.cancelMigration(inst.id, plan.previous, now);
-        return;
+    std::vector<std::vector<std::uint8_t>> merged;
+    merged.reserve(segments.size());
+    for (auto &seg : segments) {
+        if (!merged.empty() &&
+            merged.back().size() + seg.size() <= pl.maxDescriptorBytes) {
+            merged.back().insert(merged.back().end(), seg.begin(),
+                                 seg.end());
+        } else {
+            merged.push_back(std::move(seg));
+        }
     }
-    if (inst.dsramGranted && !to.reserveDsram(inst.dsramGranted)) {
-        // The target can't honor the instance's D-SRAM grant next to
-        // its co-residents; undo the image load and stay put.
-        to.unloadImage(inst.codeBytes);
-        dispatcher.cancelMigration(inst.id, plan.previous, now);
-        return;
-    }
-    ssd::EmbeddedCore &from = _ssd.core(plan.previous);
-    from.unloadImage(inst.codeBytes);
-    if (inst.dsramGranted)
-        from.releaseDsram(inst.dsramGranted);
-    // Reinstall the code image and move the live staging state — the
-    // bytes actually parked in D-SRAM, not the whole scratchpad —
-    // between the two cores through controller DRAM.
-    const std::uint64_t state_bytes = inst.ctx->dsramUse();
-    const sim::Tick state_moved = _ssd.dramTransfer(state_bytes, now);
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = _ssd.trackPrefix() + "ssd.dram";
-        s.name = "dsram_move";
-        s.category = "ssd";
-        s.begin = now;
-        s.end = state_moved;
-        s.trace = trace;
-        s.tenant = inst.tenant;
-        s.instance = inst.id;
-        s.core = to.id();
-        s.bytes = state_bytes;
-        sink->record(s);
-    }
-    to.execute(static_cast<double>(inst.codeBytes) * 0.5 +
-                   _ssd.config().sched.migrationCycles,
-               state_moved, "isram_reload",
-               {trace, inst.tenant, inst.id, inst.codeBytes});
-    inst.coreId = to.id();
-    if (inst.readahead.valid) {
-        // The readahead buffer is owned by the firmware context that
-        // just moved: drop it rather than carry per-core prefetch
-        // state across the migration. It holds only schedule state, so
-        // the next chunk simply pays a fresh (fully charged) fetch.
-        inst.readahead = Instance::Readahead{};
-        ++_readaheadDropped;
-    }
+    _flushSegmentsCoalesced += segments.size() - merged.size();
+    segments = std::move(merged);
 }
 
 nvme::CommandResult
@@ -326,7 +279,6 @@ MorpheusDeviceRuntime::doMRead(const nvme::Command &cmd, sim::Tick start)
     Instance &inst = it->second;
     if (inst.poisoned)
         return {start, nvme::Status::kAppFault, 0};
-    maybeMigrate(inst, start, cmd.traceId);
 
     const std::uint64_t byte_off = cmd.slba * nvme::kBlockBytes;
     const std::uint64_t valid =
@@ -373,20 +325,10 @@ MorpheusDeviceRuntime::doMRead(const nvme::Command &cmd, sim::Tick start)
                 dma = _ssd.retryOutboundDma(inst.dmaCursor,
                                             hit->payload.size(), dma,
                                             &dma_failed);
-                if (auto *sink = obs::traceSink()) {
-                    obs::Span s;
-                    s.track = _ssd.trackPrefix() + "ssd.dma";
-                    s.name = "cache_hit";
-                    s.category = "ssd";
-                    s.begin = start;
-                    s.end = dma;
-                    s.trace = cmd.traceId;
-                    s.tenant = inst.tenant;
-                    s.instance = inst.id;
-                    s.core = inst.coreId;
-                    s.bytes = hit->payload.size();
-                    sink->record(s);
-                }
+                obs::traceSpan({_ssd.trackPrefix(), "ssd.dma"},
+                               "cache_hit", "ssd", start, dma,
+                               {cmd.traceId, inst.tenant, inst.id,
+                                hit->payload.size(), inst.coreId});
                 inst.dmaCursor += hit->payload.size();
                 _objectBytes += hit->payload.size();
                 _delivered[inst.id] += hit->payload.size();
@@ -399,145 +341,7 @@ MorpheusDeviceRuntime::doMRead(const nvme::Command &cmd, sim::Tick start)
         }
     }
     _rawBytesIn += valid;
-
-    if (_ssd.config().pipeline.enabled)
-        return mreadPipelined(inst, cmd, byte_off, valid, start);
-
-    // Flash -> controller DRAM (timed), then the embedded core parses
-    // the chunk out of D-SRAM.
-    bool media = false;
-    const sim::Tick fetched =
-        _ssd.fetchToDram(byte_off, valid, start, &media);
-    if (media) {
-        // Uncorrectable flash page: the access time was charged but the
-        // chunk never reaches the parser, so a host resubmission of the
-        // same command is exact (read-retry recoverable). Pin the
-        // stream cursor to this chunk so nothing can slip past it.
-        inst.expectedByteOff = byte_off;
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _ssd.trackPrefix() + "ssd.firmware";
-            s.name = "media_error";
-            s.category = "ssd";
-            s.begin = fetched;
-            s.end = fetched;
-            s.instant = true;
-            s.trace = cmd.traceId;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            s.status =
-                static_cast<std::uint32_t>(nvme::Status::kMediaError);
-            sink->record(s);
-        }
-        return {fetched, nvme::Status::kMediaError, 0};
-    }
-    std::vector<std::uint8_t> chunk = _ssd.peekBytes(byte_off, valid);
-
-    // App-fault injection: both streams are drawn every chunk so each
-    // schedule depends only on its own event sequence, regardless of
-    // which (if either) fires. A hang outranks a crash.
-    bool app_hang = false;
-    bool app_crash = false;
-    if (auto *fi = sim::faultInjector()) {
-        app_hang = fi->appHang();
-        app_crash = fi->appCrash();
-    }
-    ssd::EmbeddedCore *core_ptr = &_ssd.core(inst.coreId);
-    if (app_hang) {
-        // The app spins forever; the controller watchdog reclaims the
-        // core at its deadline and force-kills the instance. No CQE is
-        // posted (the host's command timeout covers discovery).
-        auto *fi = sim::faultInjector();
-        const sim::Tick deadline =
-            core_ptr->seize(fetched, fi->plan().watchdogTicks);
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = core_ptr->timeline().name();
-            s.name = "hang";
-            s.category = "ssd";
-            s.begin = fetched;
-            s.end = deadline;
-            s.trace = cmd.traceId;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            sink->record(s);
-            obs::Span k;
-            k.track = _ssd.trackPrefix() + "ssd.firmware";
-            k.name = "watchdog_kill";
-            k.category = "ssd";
-            k.begin = deadline;
-            k.end = deadline;
-            k.instant = true;
-            k.trace = cmd.traceId;
-            k.tenant = inst.tenant;
-            k.instance = inst.id;
-            sink->record(k);
-        }
-        fi->noteWatchdogKill();
-        watchdogKill(cmd.instanceId);
-        return {deadline, nvme::Status::kAppFault, 0,
-                /*dropped=*/true};
-    }
-    inst.expectedByteOff = byte_off + valid;
-    inst.ctx->feedChunk(std::move(chunk));
-    if (app_crash) {
-        // The app dies mid-parse: drop the partial staging and charge
-        // the aborted work to this command (same symmetry as the
-        // MWRITE refusal path), then poison the instance so every
-        // later data command bounces until the host reinstalls it.
-        inst.app->processChunk(*inst.ctx);
-        const serde::ParseCost aborted = inst.ctx->abortCommand();
-        const sim::Tick done = core_ptr->execute(
-            core_ptr->config().parseCycles(aborted) +
-                core_ptr->config().cyclesPerCommand,
-            fetched, "crash",
-            {cmd.traceId, inst.tenant, inst.id, valid});
-        inst.poisoned = true;
-        return {done, nvme::Status::kAppFault, 0};
-    }
-    inst.app->processChunk(*inst.ctx);
-    ++inst.chunksProcessed;
-
-    ssd::EmbeddedCore &core = *core_ptr;
-    const serde::ParseCost delta = inst.ctx->takeCostDelta();
-    auto flushes = inst.ctx->takeFlushes();
-    const double cycles =
-        core.config().parseCycles(delta) +
-        core.config().cyclesPerCommand +
-        core.config().cyclesPerFlush *
-            static_cast<double>(flushes.size());
-    // A pushdown instance's core work is predicate/projection
-    // evaluation, not a parse — name it so stage breakdowns separate
-    // scan (core) from emit (flush_dma).
-    const sim::Tick parsed = core.execute(
-        cycles, fetched, inst.pushdownDigest ? "scan" : "parse",
-        {cmd.traceId, inst.tenant, inst.id, valid});
-
-    // Ship whatever ms_memcpy flushed during this chunk.
-    const sim::Tick done =
-        drainFlushes(inst, std::move(flushes), parsed, cmd.traceId);
-    return {done, nvme::Status::kSuccess, 0};
-}
-
-std::vector<std::vector<std::uint8_t>>
-MorpheusDeviceRuntime::coalesceSegments(
-    std::vector<std::vector<std::uint8_t>> segments,
-    std::uint64_t max_bytes)
-{
-    std::vector<std::vector<std::uint8_t>> merged;
-    merged.reserve(segments.size());
-    for (auto &seg : segments) {
-        if (!merged.empty() &&
-            merged.back().size() + seg.size() <= max_bytes) {
-            merged.back().insert(merged.back().end(), seg.begin(),
-                                 seg.end());
-        } else {
-            merged.push_back(std::move(seg));
-        }
-    }
-    return merged;
+    return mreadStaged(inst, cmd, byte_off, valid, start);
 }
 
 void
@@ -563,36 +367,32 @@ MorpheusDeviceRuntime::issueReadahead(Instance &inst,
     ra.byteOff = byte_off;
     ra.len = len;
     ra.valid = true;
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = _ssd.trackPrefix() + "ssd.dram";
-        s.name = "readahead";
-        s.category = "ssd";
-        s.begin = earliest;
-        s.end = ra.fetch.allReady;
-        s.trace = trace;
-        s.tenant = inst.tenant;
-        s.instance = inst.id;
-        s.core = inst.coreId;
-        s.bytes = len;
-        sink->record(s);
-    }
+    obs::traceSpan({_ssd.trackPrefix(), "ssd.dram"}, "readahead", "ssd",
+                   earliest, ra.fetch.allReady,
+                   {trace, inst.tenant, inst.id, len, inst.coreId});
     inst.readahead = std::move(ra);
     ++_readaheadIssued;
 }
 
 nvme::CommandResult
-MorpheusDeviceRuntime::mreadPipelined(Instance &inst,
-                                      const nvme::Command &cmd,
-                                      std::uint64_t byte_off,
-                                      std::uint64_t valid,
-                                      sim::Tick start)
+MorpheusDeviceRuntime::mreadStaged(Instance &inst,
+                                   const nvme::Command &cmd,
+                                   std::uint64_t byte_off,
+                                   std::uint64_t valid, sim::Tick start)
 {
+    // Each pipeline feature is live only under the master switch. With
+    // the pipeline off the chunk is one sub-buffer, parsed once its
+    // last page is buffered, with no prefetch and no merged flushes.
     const ssd::PipelineConfig &pl = _ssd.config().pipeline;
+    const bool readahead = pl.enabled && pl.readahead;
+    const bool double_buffer = pl.enabled && pl.doubleBuffer;
     const std::uint32_t page_bytes = _ssd.ftl().pageBytes();
+    const obs::SpanCtx ctx{cmd.traceId, inst.tenant, inst.id, valid,
+                           inst.coreId};
 
-    // Stage 1 — fetch. The readahead buffer satisfies the chunk when
-    // the prefetch covered this exact origin cleanly; it is consumed
+    // Stage 1 — fetch. Each flash page is buffered in controller DRAM
+    // as it lands. The readahead buffer satisfies the chunk when the
+    // prefetch covered this exact origin cleanly; it is consumed
     // either way, and a poisoned or mismatched prefetch is discarded
     // (never fed to the parser) in favor of a fresh, fully charged
     // fetch — which keeps a host resubmission after any failure exact.
@@ -600,8 +400,8 @@ MorpheusDeviceRuntime::mreadPipelined(Instance &inst,
     inst.readahead = Instance::Readahead{};
     ssd::PagedFetch fetch;
     bool readahead_hit = false;
-    if (pl.readahead && ra.valid && !ra.media &&
-        ra.byteOff == byte_off && ra.len >= valid) {
+    if (ra.valid && !ra.media && ra.byteOff == byte_off &&
+        ra.len >= valid) {
         fetch = std::move(ra.fetch);
         readahead_hit = true;
         ++_readaheadHits;
@@ -616,42 +416,21 @@ MorpheusDeviceRuntime::mreadPipelined(Instance &inst,
     }
     const sim::Tick all_ready = std::max(start, fetch.allReady);
     if (fetch.mediaError) {
-        // Same contract as the serial path: time was charged, nothing
-        // reaches the parser, and the stream cursor pins this chunk so
-        // only its exact resubmission is accepted.
+        // Uncorrectable flash page: the access time was charged but the
+        // chunk never reaches the parser, so a host resubmission of the
+        // same command is exact (read-retry recoverable). Pin the
+        // stream cursor to this chunk so nothing can slip past it.
         inst.expectedByteOff = byte_off;
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _ssd.trackPrefix() + "ssd.firmware";
-            s.name = "media_error";
-            s.category = "ssd";
-            s.begin = all_ready;
-            s.end = all_ready;
-            s.instant = true;
-            s.trace = cmd.traceId;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            s.status =
-                static_cast<std::uint32_t>(nvme::Status::kMediaError);
-            sink->record(s);
-        }
+        obs::SpanCtx err = ctx;
+        err.bytes = 0;
+        err.status = static_cast<std::uint32_t>(nvme::Status::kMediaError);
+        obs::traceInstant({_ssd.trackPrefix(), "ssd.firmware"},
+                          "media_error", "ssd", all_ready, err);
         return {all_ready, nvme::Status::kMediaError, 0};
     }
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = _ssd.trackPrefix() + "ssd.dram";
-        s.name = readahead_hit ? "fetch_readahead" : "fetch";
-        s.category = "ssd";
-        s.begin = start;
-        s.end = all_ready;
-        s.trace = cmd.traceId;
-        s.tenant = inst.tenant;
-        s.instance = inst.id;
-        s.core = inst.coreId;
-        s.bytes = valid;
-        sink->record(s);
-    }
+    obs::traceSpan({_ssd.trackPrefix(), "ssd.dram"},
+                   readahead_hit ? "fetch_readahead" : "fetch", "ssd",
+                   start, all_ready, ctx);
     std::vector<std::uint8_t> chunk = _ssd.peekBytes(byte_off, valid);
 
     // Tick the sub-buffer ending at chunk-relative byte @p end_rel is
@@ -664,46 +443,44 @@ MorpheusDeviceRuntime::mreadPipelined(Instance &inst,
         return std::max(start, fetch.pageReady[page]);
     };
 
-    // App-fault injection: same draws as the serial path, so each
-    // schedule depends only on its own event sequence.
+    // Stage 2 sizing — double-buffered parse. Sub-buffers are sized
+    // from the instance's partitioned grant (two in-flight sub-buffers
+    // plus the staging/carry share it, hence the quarter), so
+    // parse(sub_i) starts at sub_i's last page arrival instead of the
+    // chunk's. ParseCost is linear, so the per-sub-buffer deltas sum to
+    // the single-buffer total and cost accounting is unchanged.
+    ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
+    const std::uint32_t dsram =
+        inst.dsramGranted ? inst.dsramGranted : core.config().dsramBytes;
+    const std::uint64_t sub_bytes =
+        double_buffer ? std::max<std::uint64_t>(page_bytes, dsram / 4)
+                      : valid;
+
+    // App-fault injection: both streams are drawn every chunk so each
+    // schedule depends only on its own event sequence, regardless of
+    // which (if either) fires. A hang outranks a crash. Either one
+    // strikes once the app is dispatched on its first sub-buffer.
     bool app_hang = false;
     bool app_crash = false;
     if (auto *fi = sim::faultInjector()) {
         app_hang = fi->appHang();
         app_crash = fi->appCrash();
     }
-    ssd::EmbeddedCore *core_ptr = &_ssd.core(inst.coreId);
     if (app_hang) {
-        // The app is dispatched at the first sub-buffer's arrival and
-        // spins; the controller watchdog reclaims the core.
+        // The app spins forever; the controller watchdog reclaims the
+        // core at its deadline and force-kills the instance. No CQE is
+        // posted (the host's command timeout covers discovery).
         auto *fi = sim::faultInjector();
-        const sim::Tick dispatched = std::max(start, fetch.firstReady);
+        const sim::Tick dispatched = ready_at(std::min(sub_bytes, valid));
         const sim::Tick deadline =
-            core_ptr->seize(dispatched, fi->plan().watchdogTicks);
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = core_ptr->timeline().name();
-            s.name = "hang";
-            s.category = "ssd";
-            s.begin = dispatched;
-            s.end = deadline;
-            s.trace = cmd.traceId;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            sink->record(s);
-            obs::Span k;
-            k.track = _ssd.trackPrefix() + "ssd.firmware";
-            k.name = "watchdog_kill";
-            k.category = "ssd";
-            k.begin = deadline;
-            k.end = deadline;
-            k.instant = true;
-            k.trace = cmd.traceId;
-            k.tenant = inst.tenant;
-            k.instance = inst.id;
-            sink->record(k);
-        }
+            core.seize(dispatched, fi->plan().watchdogTicks);
+        obs::SpanCtx hung = ctx;
+        hung.bytes = 0;
+        obs::traceSpan(core.timeline().name(), "hang", "ssd", dispatched,
+                       deadline, hung);
+        hung.core = obs::kNoCore;
+        obs::traceInstant({_ssd.trackPrefix(), "ssd.firmware"},
+                          "watchdog_kill", "ssd", deadline, hung);
         fi->noteWatchdogKill();
         watchdogKill(cmd.instanceId);
         return {deadline, nvme::Status::kAppFault, 0,
@@ -711,65 +488,49 @@ MorpheusDeviceRuntime::mreadPipelined(Instance &inst,
     }
     inst.expectedByteOff = byte_off + valid;
 
-    // Stage 2 — double-buffered parse. Sub-buffers are sized from the
-    // instance's partitioned grant (two in-flight sub-buffers plus the
-    // staging/carry share it, hence the quarter), so parse(sub_i)
-    // starts at sub_i's last page arrival instead of the chunk's.
-    // ParseCost is linear, so the per-sub-buffer deltas sum to the
-    // serial path's total and cost accounting is unchanged.
-    const std::uint32_t dsram = inst.dsramGranted
-                                    ? inst.dsramGranted
-                                    : core_ptr->config().dsramBytes;
-    std::uint64_t sub_bytes = valid;
-    if (pl.doubleBuffer)
-        sub_bytes = std::max<std::uint64_t>(page_bytes, dsram / 4);
-
     sim::Tick parsed = start;
     sim::Tick dma_done = start;
     std::uint64_t pos = 0;
-    bool first = true;
     while (pos < valid) {
         const std::uint64_t take = std::min(sub_bytes, valid - pos);
         std::vector<std::uint8_t> sub(
             chunk.begin() + static_cast<std::ptrdiff_t>(pos),
             chunk.begin() + static_cast<std::ptrdiff_t>(pos + take));
-        const sim::Tick ready = ready_at(pos + take);
+        // max(ready, parsed): the parse is a sequential stream, so
+        // sub_i may not start before sub_{i-1} finished even when its
+        // data landed earlier.
+        const sim::Tick ready = std::max(ready_at(pos + take), parsed);
         inst.ctx->feedChunk(std::move(sub));
+        inst.app->processChunk(*inst.ctx);
         if (app_crash) {
-            // The app dies in its first sub-buffer: drop the partial
-            // staging, charge the aborted work to this command once,
-            // and poison the instance (serial-path semantics).
-            inst.app->processChunk(*inst.ctx);
+            // The app dies mid-parse of its first sub-buffer: drop the
+            // partial staging and charge the aborted work to this
+            // command once (same symmetry as the MWRITE refusal path),
+            // then poison the instance so every later data command
+            // bounces until the host reinstalls it.
             const serde::ParseCost aborted = inst.ctx->abortCommand();
-            const sim::Tick done = core_ptr->execute(
-                core_ptr->config().parseCycles(aborted) +
-                    core_ptr->config().cyclesPerCommand,
-                std::max(ready, parsed), "crash",
+            const sim::Tick done = core.execute(
+                core.config().parseCycles(aborted) +
+                    core.config().cyclesPerCommand,
+                ready, "crash",
                 {cmd.traceId, inst.tenant, inst.id, take});
             inst.poisoned = true;
             return {done, nvme::Status::kAppFault, 0};
         }
-        inst.app->processChunk(*inst.ctx);
         const serde::ParseCost delta = inst.ctx->takeCostDelta();
         auto flushes = inst.ctx->takeFlushes();
-        if (pl.coalesceFlush) {
-            const std::size_t raw = flushes.size();
-            flushes = coalesceSegments(std::move(flushes),
-                                       pl.maxDescriptorBytes);
-            _flushSegmentsCoalesced += raw - flushes.size();
-        }
+        coalesceFlushes(flushes);
         const double cycles =
-            core_ptr->config().parseCycles(delta) +
-            (first ? core_ptr->config().cyclesPerCommand : 0.0) +
-            core_ptr->config().cyclesPerFlush *
+            core.config().parseCycles(delta) +
+            (pos == 0 ? core.config().cyclesPerCommand : 0.0) +
+            core.config().cyclesPerFlush *
                 static_cast<double>(flushes.size());
-        // max(ready, parsed): the parse is a sequential stream, so
-        // sub_i may not start before sub_{i-1} finished even when its
-        // data landed earlier.
-        parsed = core_ptr->execute(
-            cycles, std::max(ready, parsed),
-            inst.pushdownDigest ? "scan" : "parse",
-            {cmd.traceId, inst.tenant, inst.id, take});
+        // A pushdown instance's core work is predicate/projection
+        // evaluation, not a parse — name it so stage breakdowns
+        // separate scan (core) from emit (flush_dma).
+        parsed = core.execute(cycles, ready,
+                              inst.pushdownDigest ? "scan" : "parse",
+                              {cmd.traceId, inst.tenant, inst.id, take});
         // Stage 3 — sub_i's flush DMA proceeds while sub_{i+1}
         // parses; only the command completion waits for the last DMA.
         dma_done = std::max(dma_done,
@@ -777,7 +538,6 @@ MorpheusDeviceRuntime::mreadPipelined(Instance &inst,
                                          parsed, cmd.traceId));
         ++_subBuffersParsed;
         pos += take;
-        first = false;
     }
     ++inst.chunksProcessed;
 
@@ -786,9 +546,8 @@ MorpheusDeviceRuntime::mreadPipelined(Instance &inst,
     // own reads wherever they contend, so it streams in under the
     // parse that is still running and never delays data a deeper queue
     // would have fetched on its own.
-    if (pl.readahead)
-        issueReadahead(inst, byte_off + valid, valid, start,
-                       cmd.traceId);
+    if (readahead)
+        issueReadahead(inst, byte_off + valid, valid, start, cmd.traceId);
     return {std::max(parsed, dma_done), nvme::Status::kSuccess, 0};
 }
 
@@ -866,17 +625,10 @@ MorpheusDeviceRuntime::doMWrite(const nvme::Command &cmd, sim::Tick start)
     inst.ctx->flushResidual();
     sim::Tick done = serialized;
     auto segments = inst.ctx->takeFlushes();
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
-    if (pl.enabled && pl.coalesceFlush) {
-        // Stage 3 for the write path: successive segments land behind
-        // each other on flash (the region cursor advances segment by
-        // segment), so merging them saves the page read-modify-write
-        // at every seam.
-        const std::size_t raw = segments.size();
-        segments =
-            coalesceSegments(std::move(segments), pl.maxDescriptorBytes);
-        _flushSegmentsCoalesced += raw - segments.size();
-    }
+    // Stage 3 for the write path: successive segments land behind each
+    // other on flash (the region cursor advances segment by segment),
+    // so merging them saves the page read-modify-write at every seam.
+    coalesceFlushes(segments);
     const std::uint64_t landed_begin =
         inst.writeSlba * nvme::kBlockBytes + inst.writeCursor;
     for (auto &seg : segments) {
@@ -949,13 +701,7 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
     ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
     const serde::ParseCost delta = inst.ctx->takeCostDelta();
     auto flushes = inst.ctx->takeFlushes();
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
-    if (pl.enabled && pl.coalesceFlush) {
-        const std::size_t raw = flushes.size();
-        flushes =
-            coalesceSegments(std::move(flushes), pl.maxDescriptorBytes);
-        _flushSegmentsCoalesced += raw - flushes.size();
-    }
+    coalesceFlushes(flushes);
     const sim::Tick parsed = core.execute(
         core.config().parseCycles(delta) +
             core.config().cyclesPerCommand +

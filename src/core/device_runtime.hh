@@ -207,21 +207,20 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
                                 sim::Tick start);
 
     /**
-     * Pipelined MREAD data path (SsdConfig::pipeline.enabled): chunk
-     * timing comes from the instance's readahead buffer when the
-     * prefetch covered this range cleanly, the chunk is parsed in
-     * D-SRAM-sized sub-buffers so parse(sub_i) overlaps fetch and
-     * flush DMA of its neighbours, and contiguous flush segments are
-     * coalesced into bounded DMA descriptors. Functional results and
-     * ParseCost cycle totals match the serial path; only the schedule
-     * differs. Called by doMRead after the common admission checks
-     * (instance lookup, poison, migration, sequence guard).
+     * The MREAD data path, after doMRead's shared checks (instance
+     * lookup, poison, sequence guard, cache hit). Flash pages are
+     * buffered in controller DRAM page by page; the chunk is parsed in
+     * sub-buffers that each start once their last page is buffered,
+     * and each sub-buffer's flush DMA overlaps the next one's parse.
+     * With SsdConfig::pipeline on, the chunk may come from the
+     * instance's readahead buffer, sub-buffers are D-SRAM-sized
+     * (double buffering), flush segments are coalesced, and the next
+     * chunk is prefetched. With it off the chunk is one sub-buffer.
      */
-    nvme::CommandResult mreadPipelined(Instance &inst,
-                                       const nvme::Command &cmd,
-                                       std::uint64_t byte_off,
-                                       std::uint64_t valid,
-                                       sim::Tick start);
+    nvme::CommandResult mreadStaged(Instance &inst,
+                                    const nvme::Command &cmd,
+                                    std::uint64_t byte_off,
+                                    std::uint64_t valid, sim::Tick start);
 
     /**
      * Issue the next chunk's flash page reads into the bounded
@@ -235,14 +234,13 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
                         obs::TraceId trace);
 
     /**
-     * Merge address-contiguous flush segments (they are contiguous by
-     * construction: the DMA cursor advances segment by segment) into
-     * descriptors of at most @p max_bytes. One cyclesPerFlush and one
-     * outbound DMA are charged per merged descriptor.
+     * With the pipeline's flush coalescing on, merge address-contiguous
+     * flush segments (they are contiguous by construction: the DMA or
+     * region cursor advances segment by segment) into descriptors of at
+     * most PipelineConfig::maxDescriptorBytes. One cyclesPerFlush and
+     * one DMA are charged per merged descriptor. No-op otherwise.
      */
-    static std::vector<std::vector<std::uint8_t>>
-    coalesceSegments(std::vector<std::vector<std::uint8_t>> segments,
-                     std::uint64_t max_bytes);
+    void coalesceFlushes(std::vector<std::vector<std::uint8_t>> &segments);
     nvme::CommandResult doMWrite(const nvme::Command &cmd,
                                  sim::Tick start);
     nvme::CommandResult doMDeinit(const nvme::Command &cmd,
@@ -254,11 +252,6 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
     sim::Tick drainFlushes(Instance &inst,
                            std::vector<std::vector<std::uint8_t>> segments,
                            sim::Tick earliest, obs::TraceId trace);
-
-    /** Ask the dispatcher whether the instance should move to a less
-     *  loaded core before its next chunk, and commit the move. @p trace
-     *  is the chunk command paying for the move. */
-    void maybeMigrate(Instance &inst, sim::Tick now, obs::TraceId trace);
 
     /**
      * Watchdog force-kill of a hung instance: release its I-SRAM and
@@ -296,7 +289,7 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
     sim::stats::Counter _readaheadHits;
     /** Prefetches discarded because a page came back uncorrectable. */
     sim::stats::Counter _readaheadMediaDiscards;
-    /** Prefetches dropped (migration, or a mismatched next chunk). */
+    /** Prefetches dropped because the next chunk did not match. */
     sim::stats::Counter _readaheadDropped;
     sim::stats::Counter _subBuffersParsed;
     /** Flush segments absorbed into a preceding DMA descriptor. */

@@ -158,14 +158,6 @@ class MsChunkContext
      */
     serde::ParseCost abortCommand();
 
-    /** Bytes currently staged in D-SRAM awaiting a flush — the live
-     *  state a migration actually has to move. */
-    std::uint32_t
-    dsramUse() const
-    {
-        return static_cast<std::uint32_t>(_staging.size());
-    }
-
     /** Total bytes emitted so far (before flushing). */
     std::uint64_t bytesEmitted() const { return _bytesEmitted; }
 

@@ -80,17 +80,8 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
     ++_execs[static_cast<std::size_t>(req.reason)];
     _deliveredBytes += obj_bytes;
 
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = "host.exec";
-        s.name = "host_exec";
-        s.category = "host";
-        s.begin = when;
-        s.end = cpu_cursor;
-        s.tenant = req.tenant;
-        s.trace = req.trace;
-        sink->record(s);
-    }
+    obs::traceSpan("host.exec", "host_exec", "host", when, cpu_cursor,
+                   {.trace = req.trace, .tenant = req.tenant});
     return cpu_cursor;
 }
 

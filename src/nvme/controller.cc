@@ -103,32 +103,21 @@ NvmeController::ringDoorbell(std::uint16_t qid, sim::Tick now)
         }
         ++_commands;
 
-        if (auto *sink = obs::traceSink()) {
-            // Front-end decode/dispatch occupancy (acquireUntil returns
-            // start + commandOverhead, so the begin tick is exact).
-            obs::Span dispatch;
-            dispatch.track = _trackPrefix + "nvme.frontend";
-            dispatch.name = "dispatch";
-            dispatch.category = "nvme";
-            dispatch.begin = dispatched - _config.commandOverhead;
-            dispatch.end = dispatched;
-            dispatch.trace = cmd.traceId;
-            sink->record(dispatch);
-            if (result.done > dispatched) {
-                // Umbrella over the firmware's handling of the command;
-                // the device layers nest their own spans inside it.
-                obs::Span exec;
-                exec.track =
-                    _trackPrefix + "nvme.exec[" + std::to_string(qid) + "]";
-                exec.name = opcodeName(cmd.opcode);
-                exec.category = "nvme";
-                exec.begin = dispatched;
-                exec.end = result.done;
-                exec.trace = cmd.traceId;
-                exec.instance = cmd.instanceId;
-                exec.status = static_cast<std::uint32_t>(result.status);
-                sink->record(exec);
-            }
+        // Front-end decode/dispatch occupancy (acquireUntil returns
+        // start + commandOverhead, so the begin tick is exact).
+        obs::traceSpan({_trackPrefix, "nvme.frontend"}, "dispatch", "nvme",
+                       dispatched - _config.commandOverhead, dispatched,
+                       {.trace = cmd.traceId});
+        const obs::SpanCtx exec_ctx{
+            .trace = cmd.traceId,
+            .instance = cmd.instanceId,
+            .status = static_cast<std::uint32_t>(result.status)};
+        if (result.done > dispatched) {
+            // Umbrella over the firmware's handling of the command; the
+            // device layers nest their own spans inside it.
+            obs::traceSpan({_trackPrefix, "nvme.exec", qid},
+                           opcodeName(cmd.opcode), "nvme", dispatched,
+                           result.done, exec_ctx);
         }
 
         // Dropped-CQE fault: the command executed (and its side effects
@@ -142,20 +131,8 @@ NvmeController::ringDoorbell(std::uint16_t qid, sim::Tick now)
         }
         if (drop) {
             ++_cqesDropped;
-            if (auto *sink = obs::traceSink()) {
-                obs::Span d;
-                d.track = _trackPrefix + "nvme.exec[" +
-                          std::to_string(qid) + "]";
-                d.name = "cqe_dropped";
-                d.category = "nvme";
-                d.begin = result.done;
-                d.end = result.done;
-                d.instant = true;
-                d.trace = cmd.traceId;
-                d.instance = cmd.instanceId;
-                d.status = static_cast<std::uint32_t>(result.status);
-                sink->record(d);
-            }
+            obs::traceInstant({_trackPrefix, "nvme.exec", qid},
+                              "cqe_dropped", "nvme", result.done, exec_ctx);
             last_done = std::max(last_done, result.done);
             cursor = fetched;
             continue;

@@ -103,20 +103,12 @@ NvmeDriver::noteReaped(std::uint16_t qid, const Completion &cqe)
     const auto it = _inflight.find(key(qid, cqe.cid));
     if (it == _inflight.end())
         return;
-    if (auto *sink = obs::traceSink()) {
-        const InflightTrace &t = it->second;
-        obs::Span span;
-        span.track =
-            _trackPrefix + "host.queue[" + std::to_string(qid) + "]";
-        span.name = opcodeName(t.opcode);
-        span.category = "nvme";
-        span.begin = t.rungAt;
-        span.end = cqe.postedAt;
-        span.trace = t.trace;
-        span.bytes = t.bytes;
-        span.status = static_cast<std::uint32_t>(cqe.status);
-        sink->record(span);
-    }
+    const InflightTrace &t = it->second;
+    obs::traceSpan({_trackPrefix, "host.queue", qid}, opcodeName(t.opcode),
+                   "nvme", t.rungAt, cqe.postedAt,
+                   {.trace = t.trace,
+                    .bytes = t.bytes,
+                    .status = static_cast<std::uint32_t>(cqe.status)});
     _inflight.erase(it);
 }
 
@@ -154,22 +146,14 @@ NvmeDriver::wait(const Submitted &token)
             cqe.postedAt = issued->second + _recovery.commandTimeout;
             _issuedAt.erase(issued);
             ++_timeouts;
-            if (auto *sink = obs::traceSink()) {
-                obs::Span s;
-                s.track = _trackPrefix + "host.queue[" +
-                          std::to_string(token.qid) + "]";
-                s.name = "timeout_abort";
-                s.category = "nvme";
-                s.begin = cqe.postedAt;
-                s.end = cqe.postedAt;
-                s.instant = true;
-                const auto t = _inflight.find(key(token.qid, token.cid));
-                if (t != _inflight.end())
-                    s.trace = t->second.trace;
-                s.status = static_cast<std::uint32_t>(cqe.status);
-                sink->record(s);
-            }
-            _inflight.erase(key(token.qid, token.cid));
+            const auto t = _inflight.find(key(token.qid, token.cid));
+            obs::traceInstant(
+                {_trackPrefix, "host.queue", token.qid}, "timeout_abort",
+                "nvme", cqe.postedAt,
+                {.trace = t != _inflight.end() ? t->second.trace : 0,
+                 .status = static_cast<std::uint32_t>(cqe.status)});
+            if (t != _inflight.end())
+                _inflight.erase(t);
             return cqe;
         }
     }
@@ -232,18 +216,10 @@ NvmeDriver::ioRetry(std::uint16_t qid, Command cmd, sim::Tick now)
         } else {
             delay = backoffDelay(attempt);
         }
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track =
-                _trackPrefix + "host.queue[" + std::to_string(qid) + "]";
-            s.name = "retry";
-            s.category = "nvme";
-            s.begin = cqe.postedAt;
-            s.end = cqe.postedAt;
-            s.instant = true;
-            s.status = static_cast<std::uint32_t>(cqe.status);
-            sink->record(s);
-        }
+        obs::traceInstant(
+            {_trackPrefix, "host.queue", qid}, "retry", "nvme",
+            cqe.postedAt,
+            {.status = static_cast<std::uint32_t>(cqe.status)});
         t = cqe.postedAt + delay;
     }
 }

@@ -60,7 +60,7 @@ classifySpan(const Span &span, Stage *stage, int *priority)
     // same core occupancy, distinct name so scan vs. emit (flush_dma)
     // attribution is visible in stage breakdowns.
     if (n == "parse" || n == "scan" || n == "serialize" ||
-        n == "install" || n == "crash" || n == "isram_reload") {
+        n == "install" || n == "crash") {
         *stage = Stage::kParse;
         *priority = 90;
         return true;
@@ -70,8 +70,7 @@ classifySpan(const Span &span, Stage *stage, int *priority)
         *priority = 85;
         return true;
     }
-    if (n == "flush_dma" || n == "dma" || n == "p2p_dma" ||
-        n == "dsram_move") {
+    if (n == "flush_dma" || n == "dma" || n == "p2p_dma") {
         *stage = Stage::kFlush;
         *priority = 80;
         return true;

@@ -7,7 +7,7 @@
  * with its HostSystem. The registry instead *snapshots* values (via
  * StatSet::visit) at collection time, which lets a driver hand the
  * federated metrics of a whole run — per-tenant serving quantiles next
- * to the device's admission/bounce/migration counters — back to its
+ * to the device's admission/bounce/placement counters — back to its
  * caller after the simulated machine is gone.
  *
  * Names are dot-separated paths ("ssd.sched.arbiter.drrDelays");

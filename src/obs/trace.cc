@@ -15,6 +15,41 @@ setTraceSink(TraceSink *sink)
     detail::g_sink = sink;
 }
 
+std::string
+Track::str() const
+{
+    std::string out;
+    for (const std::string_view part : _parts)
+        out += part;
+    if (_indexed) {
+        out += '[';
+        out += std::to_string(_index);
+        out += ']';
+    }
+    return out;
+}
+
+void
+recordSpan(TraceSink &sink, const Track &track, std::string_view name,
+           const char *category, sim::Tick begin, sim::Tick end,
+           const SpanCtx &ctx, bool instant)
+{
+    Span s;
+    s.track = track.str();
+    s.name = name;
+    s.category = category;
+    s.begin = begin;
+    s.end = end;
+    s.instant = instant;
+    s.trace = ctx.trace;
+    s.tenant = ctx.tenant;
+    s.instance = ctx.instance;
+    s.core = ctx.core;
+    s.bytes = ctx.bytes;
+    s.status = ctx.status;
+    sink.record(s);
+}
+
 std::vector<Span>
 InMemoryTraceSink::named(const std::string &name) const
 {

@@ -9,9 +9,10 @@
  * track, attributed to a trace id / tenant / instance — into a
  * process-global TraceSink.
  *
- * Tracing is zero-cost when disabled: call sites guard on
- * `obs::traceSink()`, which compiles to a load and a branch on a null
- * pointer; no strings are built and no containers touched unless a
+ * Tracing is zero-cost when disabled: call sites record through
+ * traceSpan()/traceInstant(), whose only disabled-path work is the
+ * `obs::traceSink()` null check; track names travel as unjoined parts
+ * (Track), so no strings are built and no containers touched unless a
  * sink is attached. Benches verify this stays true (the simulated
  * timing must be bit-identical with and without a sink — tracing
  * observes virtual time, it never perturbs it).
@@ -20,7 +21,7 @@
  * JSON format (loadable in Perfetto / chrome://tracing; one track per
  * core/queue/link, sim ticks converted to microseconds), and
  * InMemoryTraceSink keeps the spans queryable for tests ("this MREAD
- * was never preempted", "that migration charged one I-SRAM reload").
+ * was never preempted", "that media error pinned the stream").
  */
 
 #ifndef MORPHEUS_OBS_TRACE_HH
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hh"
@@ -47,7 +49,7 @@ struct Span
     /** Track (Perfetto thread) the span renders on, e.g. "ssd.core[0]",
      *  "host.queue[1]", "pcie.ssd->host". */
     std::string track;
-    /** Span label, e.g. "parse", "admission_wait", "isram_reload". */
+    /** Span label, e.g. "parse", "admission_wait", "flush_dma". */
     std::string name;
     /** Coarse layer tag: "nvme", "sched", "ssd", "pcie", "host". */
     const char *category = "";
@@ -74,6 +76,35 @@ struct SpanCtx
     std::uint32_t tenant = 0;
     std::uint32_t instance = 0;
     std::uint64_t bytes = 0;
+    std::uint32_t core = kNoCore;
+    std::uint32_t status = 0;
+};
+
+/**
+ * A span's track name, kept as parts and concatenated only when a
+ * span is actually recorded: up to four string parts, then "[index]"
+ * when an index is given ("dev1." + "host.queue" + "[3]").
+ */
+class Track
+{
+  public:
+    Track(std::string_view a, std::string_view b = {},
+          std::string_view c = {}, std::string_view d = {})
+        : _parts{a, b, c, d}
+    {}
+    Track(const char *name) : Track(std::string_view(name)) {}
+    Track(const std::string &name) : Track(std::string_view(name)) {}
+    Track(std::string_view prefix, std::string_view base,
+          std::uint32_t index)
+        : _parts{prefix, base, {}, {}}, _index(index), _indexed(true)
+    {}
+
+    std::string str() const;
+
+  private:
+    std::string_view _parts[4];
+    std::uint32_t _index = 0;
+    bool _indexed = false;
 };
 
 /** Receiver of recorded spans. */
@@ -94,6 +125,32 @@ inline TraceSink *
 traceSink()
 {
     return detail::g_sink;
+}
+
+/** Build one span from its parts and hand it to @p sink. */
+void recordSpan(TraceSink &sink, const Track &track, std::string_view name,
+                const char *category, sim::Tick begin, sim::Tick end,
+                const SpanCtx &ctx = {}, bool instant = false);
+
+/**
+ * Record [@p begin, @p end) on @p track into the attached sink. With
+ * no sink this is one null check: no string is built.
+ */
+inline void
+traceSpan(const Track &track, std::string_view name, const char *category,
+          sim::Tick begin, sim::Tick end, const SpanCtx &ctx = {})
+{
+    if (auto *sink = traceSink())
+        recordSpan(*sink, track, name, category, begin, end, ctx);
+}
+
+/** traceSpan() for a point event at @p at. */
+inline void
+traceInstant(const Track &track, std::string_view name,
+             const char *category, sim::Tick at, const SpanCtx &ctx = {})
+{
+    if (auto *sink = traceSink())
+        recordSpan(*sink, track, name, category, at, at, ctx, true);
 }
 
 /** Attach (or with nullptr, detach) the process-global sink. */

@@ -140,36 +140,19 @@ PcieSwitch::move(PortId src, PortId dst, std::uint64_t bytes,
     // Transient-fault draw, one per payload move. Small control-plane
     // transfers (doorbells, SQEs, CQEs) sit below the plan's size
     // threshold and never consume a draw.
+    const obs::Track track("pcie.", _links[src]->name(), "->",
+                           _links[dst]->name());
     if (auto *fi = sim::faultInjector()) {
         if (fi->dmaFault(bytes)) {
             _dmaFaultPending = true;
-            if (auto *sink = obs::traceSink()) {
-                obs::Span f;
-                f.track = "pcie." + _links[src]->name() + "->" +
-                          _links[dst]->name();
-                f.name = "dma_fault";
-                f.category = "pcie";
-                f.begin = done;
-                f.end = done;
-                f.instant = true;
-                f.bytes = bytes;
-                sink->record(f);
-            }
+            obs::traceInstant(track, "dma_fault", "pcie", done,
+                              {.bytes = bytes});
         }
     }
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = "pcie." + _links[src]->name() + "->" +
-                  _links[dst]->name();
-        // Port 0 is the root complex (host DRAM); everything else is
-        // device-to-device traffic that never crosses the host.
-        s.name = (src != 0 && dst != 0) ? "p2p_dma" : "dma";
-        s.category = "pcie";
-        s.begin = earliest;
-        s.end = done;
-        s.bytes = bytes;
-        sink->record(s);
-    }
+    // Port 0 is the root complex (host DRAM); everything else is
+    // device-to-device traffic that never crosses the host.
+    obs::traceSpan(track, (src != 0 && dst != 0) ? "p2p_dma" : "dma",
+                   "pcie", earliest, done, {.bytes = bytes});
     return done;
 }
 

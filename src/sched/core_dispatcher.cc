@@ -21,29 +21,6 @@ CoreDispatcher::CoreDispatcher(const SchedConfig &config,
     MORPHEUS_ASSERT(num_cores > 0, "dispatcher needs at least one core");
 }
 
-namespace {
-
-/** Dispatcher decisions are point events on one shared track. */
-void
-recordDispatch(const std::string &prefix, const char *name, sim::Tick at,
-               std::uint32_t instance, unsigned core)
-{
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = prefix + "sched.dispatcher";
-        s.name = name;
-        s.category = "sched";
-        s.begin = at;
-        s.end = at;
-        s.instant = true;
-        s.instance = instance;
-        s.core = core;
-        sink->record(s);
-    }
-}
-
-}  // namespace
-
 sim::Tick
 CoreDispatcher::backlog(unsigned core, sim::Tick now) const
 {
@@ -97,7 +74,7 @@ CoreDispatcher::placeInstance(std::uint32_t instance, sim::Tick now,
                               std::uint64_t declared_bytes)
 {
     // A live instance keeps its placement (all packets with one
-    // instance ID go to one core until it migrates or deinits).
+    // instance ID go to one core until it deinits).
     const auto it = _coreOf.find(instance);
     if (it != _coreOf.end())
         return it->second;
@@ -105,12 +82,13 @@ CoreDispatcher::placeInstance(std::uint32_t instance, sim::Tick now,
                               ? instance % _numCores
                               : leastLoadedCore(now, dsram_needed);
     _coreOf[instance] = core;
-    _dsramOf[instance] = dsram_needed;
     _bytesOf[instance] = declared_bytes;
     ++_residents[core];
     _pendingBytes[core] += declared_bytes;
     ++_placements;
-    recordDispatch(_trackPrefix, "place", now, instance, core);
+    // Dispatcher decisions are point events on one shared track.
+    obs::traceInstant({_trackPrefix, "sched.dispatcher"}, "place", "sched",
+                      now, {.instance = instance, .core = core});
     return core;
 }
 
@@ -125,60 +103,6 @@ CoreDispatcher::noteServedBytes(std::uint32_t instance,
     const std::uint64_t served = std::min(it->second, bytes);
     it->second -= served;
     _pendingBytes[coreOf(instance)] -= served;
-}
-
-CoreDispatcher::ChunkPlacement
-CoreDispatcher::coreForChunk(std::uint32_t instance, sim::Tick now)
-{
-    const unsigned current = coreOf(instance);
-    ChunkPlacement placement{current, false, current};
-    if (_config.placement != PlacementPolicy::kLoadAware ||
-        !_config.migration) {
-        return placement;
-    }
-
-    const auto need_it = _dsramOf.find(instance);
-    const std::uint32_t need =
-        need_it != _dsramOf.end() ? need_it->second : 0;
-    const unsigned best = leastLoadedCore(now, need);
-    if (best == current)
-        return placement;
-    // A target without room for the instance's grant would only waste
-    // a cancelled migration (its own reservation stays on `current`,
-    // so the free-bytes probe is accurate for every other core).
-    if (!fitsDsram(best, need))
-        return placement;
-    const sim::Tick here = backlog(current, now);
-    const sim::Tick there = backlog(best, now);
-    if (here <= there || here - there < _config.migrationMinGain)
-        return placement;
-
-    --_residents[current];
-    ++_residents[best];
-    const std::uint64_t pending = _bytesOf[instance];
-    _pendingBytes[current] -= pending;
-    _pendingBytes[best] += pending;
-    _coreOf[instance] = best;
-    ++_migrations;
-    recordDispatch(_trackPrefix, "migrate", now, instance, best);
-    return ChunkPlacement{best, true, current};
-}
-
-void
-CoreDispatcher::cancelMigration(std::uint32_t instance, unsigned previous,
-                                sim::Tick now)
-{
-    const unsigned current = coreOf(instance);
-    MORPHEUS_ASSERT(current != previous,
-                    "cancelMigration without a pending migration");
-    --_residents[current];
-    ++_residents[previous];
-    const std::uint64_t pending = _bytesOf[instance];
-    _pendingBytes[current] -= pending;
-    _pendingBytes[previous] += pending;
-    _coreOf[instance] = previous;
-    ++_migrationsCancelled;
-    recordDispatch(_trackPrefix, "migrate_cancel", now, instance, previous);
 }
 
 void
@@ -198,7 +122,6 @@ CoreDispatcher::releaseInstance(std::uint32_t instance)
         _bytesOf.erase(bytes_it);
     }
     _coreOf.erase(it);
-    _dsramOf.erase(instance);
 }
 
 unsigned
@@ -215,9 +138,6 @@ CoreDispatcher::registerStats(sim::stats::StatSet &set,
                               const std::string &prefix) const
 {
     set.registerCounter(prefix + ".placements", &_placements);
-    set.registerCounter(prefix + ".migrations", &_migrations);
-    set.registerCounter(prefix + ".migrationsCancelled",
-                        &_migrationsCancelled);
 }
 
 }  // namespace morpheus::sched

@@ -8,15 +8,12 @@
  * core's occupancy timeline frees, then core index). Resident count
  * leads because a host session keeps only about one MREAD batch
  * reserved at a time, so timeline backlog alone under-reports the
- * remaining work of long streams. With migration enabled, the
- * dispatcher may move an instance to a less-loaded core between MREAD
- * chunks when the backlog gap exceeds SchedConfig::migrationMinGain;
- * the device runtime charges the I-SRAM reload and D-SRAM state move.
+ * remaining work of long streams. An instance stays on its core from
+ * MINIT to MDEINIT.
  *
  * With D-SRAM partitioning, each instance carries a scratchpad grant:
  * placement prefers cores with room for it (a packing signal alongside
- * resident count and backlog), and migration never proposes a target
- * that cannot hold the instance's grant.
+ * resident count and backlog).
  *
  * The dispatcher reads core load through probe callbacks (the SSD
  * controller passes each core's Timeline::freeAt and free D-SRAM
@@ -69,26 +66,6 @@ class CoreDispatcher
      *  stream: drain the per-core pending-bytes packing signal. */
     void noteServedBytes(std::uint32_t instance, std::uint64_t bytes);
 
-    /** Core serving the next chunk; may carry a migration decision. */
-    struct ChunkPlacement
-    {
-        unsigned core = 0;
-        bool migrated = false;
-        unsigned previous = 0;  ///< Valid when migrated.
-    };
-
-    /**
-     * Core for the instance's next MREAD chunk at @p now. With
-     * migration enabled this may move the instance; the caller either
-     * commits (reloading the image on the new core) or calls
-     * cancelMigration() if the new core cannot take it.
-     */
-    ChunkPlacement coreForChunk(std::uint32_t instance, sim::Tick now);
-
-    /** Undo a migration the caller could not commit. */
-    void cancelMigration(std::uint32_t instance, unsigned previous,
-                         sim::Tick now = 0);
-
     /** The instance finished (MDEINIT or failed MINIT). */
     void releaseInstance(std::uint32_t instance);
 
@@ -105,7 +82,6 @@ class CoreDispatcher
     }
 
     std::uint64_t placements() const { return _placements.value(); }
-    std::uint64_t migrations() const { return _migrations.value(); }
 
     void registerStats(sim::stats::StatSet &set,
                        const std::string &prefix) const;
@@ -125,19 +101,14 @@ class CoreDispatcher
     const std::string _trackPrefix;
 
     std::unordered_map<std::uint32_t, unsigned> _coreOf;
-    /** Scratchpad grant each instance was placed with (packing + the
-     *  migration fit check). */
-    std::unordered_map<std::uint32_t, std::uint32_t> _dsramOf;
-    /** Declared stream bytes not yet served, per instance; follows the
-     *  instance across migrations and drains via noteServedBytes(). */
+    /** Declared stream bytes not yet served, per instance; drains via
+     *  noteServedBytes(). */
     std::unordered_map<std::uint32_t, std::uint64_t> _bytesOf;
     std::vector<unsigned> _residents;
     /** Sum of _bytesOf over each core's residents. */
     std::vector<std::uint64_t> _pendingBytes;
 
     sim::stats::Counter _placements;
-    sim::stats::Counter _migrations;
-    sim::stats::Counter _migrationsCancelled;
 };
 
 }  // namespace morpheus::sched

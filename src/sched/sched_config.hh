@@ -9,8 +9,8 @@
  * individually switchable mechanisms:
  *
  *  - placement: static modulo (the paper's policy, the default) or
- *    load-aware shortest-queue placement, optionally with instance
- *    migration between MREAD chunks;
+ *    load-aware shortest-queue placement at MINIT; an instance stays
+ *    on its core until MDEINIT;
  *  - admission: a bound on in-flight MINIT instances per tenant and
  *    device-wide, with a queue-or-reject policy;
  *  - arbitration: weighted deficit pacing of MREAD/MWRITE streams so
@@ -46,13 +46,6 @@ struct SchedConfig
 {
     PlacementPolicy placement = PlacementPolicy::kStatic;
 
-    /** Allow moving an instance to a less-loaded core between MREADs
-     *  (load-aware placement only). */
-    bool migration = false;
-    /** Fixed embedded-core cycles to move an instance's D-SRAM state
-     *  (the I-SRAM reload is charged separately from the code size). */
-    double migrationCycles = 25000.0;
-
     /**
      * Place new instances by declared stream bytes instead of resident
      * count (load-aware placement only). MINIT carries the stream's
@@ -64,9 +57,6 @@ struct SchedConfig
      * packing among themselves.
      */
     bool backlogAwarePlacement = false;
-    /** Minimum backlog gap (current core minus best core) that
-     *  justifies a migration. */
-    sim::Tick migrationMinGain = 50 * sim::kPsPerUs;
 
     /**
      * Partition each core's D-SRAM between co-resident instances: a

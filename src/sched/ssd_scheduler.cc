@@ -6,46 +6,13 @@ namespace morpheus::sched {
 
 namespace {
 
-/** Per-tenant scheduling track ("sched.tenant[N]", device-prefixed). */
-std::string
-tenantTrack(const std::string &prefix, std::uint32_t tenant)
+/** Attribution of a scheduling span about @p cmd, drawn on the
+ *  tenant's track ("sched.tenant[N]", device-prefixed). */
+obs::SpanCtx
+schedCtx(const nvme::Command &cmd, std::uint32_t tenant)
 {
-    return prefix + "sched.tenant[" + std::to_string(tenant) + "]";
-}
-
-void
-recordSchedInstant(obs::TraceSink &sink, const std::string &prefix,
-                   const nvme::Command &cmd, std::uint32_t tenant,
-                   const char *name, sim::Tick at)
-{
-    obs::Span s;
-    s.track = tenantTrack(prefix, tenant);
-    s.name = name;
-    s.category = "sched";
-    s.begin = at;
-    s.end = at;
-    s.instant = true;
-    s.trace = cmd.traceId;
-    s.tenant = tenant;
-    s.instance = cmd.instanceId;
-    sink.record(s);
-}
-
-void
-recordSchedWait(obs::TraceSink &sink, const std::string &prefix,
-                const nvme::Command &cmd, std::uint32_t tenant,
-                const char *name, sim::Tick arrival, sim::Tick start)
-{
-    obs::Span s;
-    s.track = tenantTrack(prefix, tenant);
-    s.name = name;
-    s.category = "sched";
-    s.begin = arrival;
-    s.end = start;
-    s.trace = cmd.traceId;
-    s.tenant = tenant;
-    s.instance = cmd.instanceId;
-    sink.record(s);
+    return {.trace = cmd.traceId, .tenant = tenant,
+            .instance = cmd.instanceId};
 }
 
 }  // namespace
@@ -73,10 +40,9 @@ SsdScheduler::admitCommand(const nvme::Command &cmd, sim::Tick arrival)
             _arbiter.totalDeclaredBacklog() + cmd.slba >
                 _config.overloadBacklogLimit) {
             ++_overloadBounces;
-            if (auto *sink = obs::traceSink()) {
-                recordSchedInstant(*sink, _trackPrefix, cmd, cmd.cdw15,
-                                   "overload_bounce", arrival);
-            }
+            obs::traceInstant({_trackPrefix, "sched.tenant", cmd.cdw15},
+                              "overload_bounce", "sched", arrival,
+                              schedCtx(cmd, cmd.cdw15));
             return {arrival, nvme::Status::kOverloaded,
                     _arbiter.retryAfterHintUs()};
         }
@@ -84,17 +50,16 @@ SsdScheduler::admitCommand(const nvme::Command &cmd, sim::Tick arrival)
         // length of the upcoming stream (the host knows the extent).
         const AdmitDecision d = _arbiter.admitInstance(
             cmd.cdw15, cmd.instanceId, arrival, cmd.slba);
-        if (auto *sink = obs::traceSink()) {
-            if (d.rejected) {
-                recordSchedInstant(*sink, _trackPrefix, cmd, cmd.cdw15,
-                                   "admission_reject", arrival);
-            } else if (d.retry) {
-                recordSchedInstant(*sink, _trackPrefix, cmd, cmd.cdw15,
-                                   "admission_bounce", arrival);
-            } else if (d.start > arrival) {
-                recordSchedWait(*sink, _trackPrefix, cmd, cmd.cdw15,
-                                "admission_wait", arrival, d.start);
-            }
+        const obs::Track track(_trackPrefix, "sched.tenant", cmd.cdw15);
+        if (d.rejected) {
+            obs::traceInstant(track, "admission_reject", "sched", arrival,
+                              schedCtx(cmd, cmd.cdw15));
+        } else if (d.retry) {
+            obs::traceInstant(track, "admission_bounce", "sched", arrival,
+                              schedCtx(cmd, cmd.cdw15));
+        } else if (d.start > arrival) {
+            obs::traceSpan(track, "admission_wait", "sched", arrival,
+                           d.start, schedCtx(cmd, cmd.cdw15));
         }
         if (d.rejected)
             return {arrival, nvme::Status::kAdmissionDenied};
@@ -110,12 +75,12 @@ SsdScheduler::admitCommand(const nvme::Command &cmd, sim::Tick arrival)
             cmd.cdw13 ? cmd.cdw13 : cmd.dataBytes();
         const sim::Tick start =
             _arbiter.admitData(cmd.instanceId, bytes, arrival);
-        if (auto *sink = obs::traceSink()) {
-            if (start > arrival) {
-                recordSchedWait(*sink, _trackPrefix, cmd,
-                                _arbiter.tenantOf(cmd.instanceId),
-                                "drr_wait", arrival, start);
-            }
+        // The tenant lookup is paid only when the span is recorded.
+        if (start > arrival && obs::traceSink()) {
+            const std::uint32_t tenant = _arbiter.tenantOf(cmd.instanceId);
+            obs::traceSpan({_trackPrefix, "sched.tenant", tenant},
+                           "drr_wait", "sched", arrival, start,
+                           schedCtx(cmd, tenant));
         }
         return {start, nvme::Status::kSuccess};
       }
@@ -133,11 +98,10 @@ SsdScheduler::onCommandDone(const nvme::Command &cmd, sim::Tick start,
         if (result.status != nvme::Status::kSuccess) {
             if (result.status == nvme::Status::kDsramExhausted) {
                 ++_dsramBounces;
-                if (auto *sink = obs::traceSink()) {
-                    recordSchedInstant(*sink, _trackPrefix, cmd,
-                                       cmd.cdw15, "dsram_bounce",
-                                       result.done);
-                }
+                obs::traceInstant(
+                    {_trackPrefix, "sched.tenant", cmd.cdw15},
+                    "dsram_bounce", "sched", result.done,
+                    schedCtx(cmd, cmd.cdw15));
             }
             // The runtime refused the instance after admission (bad
             // image, duplicate ID): free its slot and placement.

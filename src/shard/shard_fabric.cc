@@ -254,15 +254,7 @@ ShardFabric::rebalance(const host::FileExtent &extent,
     }
     moved.readyAt = t;
 
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = "shard.fabric";
-        s.name = "rebalance";
-        s.category = "shard";
-        s.begin = now;
-        s.end = t;
-        sink->record(s);
-    }
+    obs::traceSpan("shard.fabric", "rebalance", "shard", now, t);
     if (done)
         *done = t;
     return moved;

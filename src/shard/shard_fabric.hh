@@ -8,7 +8,7 @@
  * MorpheusRuntime pair per device, a ShardRouter for placement,
  * fleet-wide replication of MINIT applet installs, MREAD fan-out with
  * completion merging, and SSD-to-SSD P2P rebalancing of a hot shard
- * over the switch (reusing the migration machinery's cost model and
+ * over the switch (reusing the controller's flash/DRAM cost model and
  * the nvme_p2p-style BAR windows, here each device's CMB).
  */
 

@@ -127,20 +127,11 @@ class EmbeddedCore
             const obs::SpanCtx &ctx)
     {
         const sim::Tick done = execute(cycles, earliest);
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _timeline.name();
-            s.name = span_name;
-            s.category = "ssd";
-            s.begin = done - sim::cyclesToTicks(cycles, _config.clockHz);
-            s.end = done;
-            s.trace = ctx.trace;
-            s.tenant = ctx.tenant;
-            s.instance = ctx.instance;
-            s.core = _id;
-            s.bytes = ctx.bytes;
-            sink->record(s);
-        }
+        obs::SpanCtx on_core = ctx;
+        on_core.core = _id;
+        obs::traceSpan(_timeline.name(), span_name, "ssd",
+                       done - sim::cyclesToTicks(cycles, _config.clockHz),
+                       done, on_core);
         return done;
     }
 

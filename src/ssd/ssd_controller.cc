@@ -108,7 +108,6 @@ SsdController::fetchToDramPaged(std::uint64_t byte_offset,
                                 std::uint64_t len, sim::Tick earliest)
 {
     PagedFetch fetch;
-    fetch.firstReady = earliest;
     fetch.allReady = earliest;
     if (len == 0)
         return fetch;
@@ -141,7 +140,6 @@ SsdController::fetchToDramPaged(std::uint64_t byte_offset,
                                 std::max(flash_ticks[i], buffered));
         fetch.pageReady.push_back(buffered);
     }
-    fetch.firstReady = fetch.pageReady.front();
     fetch.allReady = fetch.pageReady.back();
     return fetch;
 }
@@ -259,19 +257,11 @@ SsdController::doRead(const nvme::Command &cmd, sim::Tick start)
     if (media) {
         // Uncorrectable page: the access time was charged, but no data
         // leaves the device. The host retries (read-retry recoverable).
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _trackPrefix + "ssd.firmware";
-            s.name = "media_error";
-            s.category = "ssd";
-            s.begin = buffered;
-            s.end = buffered;
-            s.instant = true;
-            s.trace = cmd.traceId;
-            s.status =
-                static_cast<std::uint32_t>(nvme::Status::kMediaError);
-            sink->record(s);
-        }
+        obs::traceInstant(
+            {_trackPrefix, "ssd.firmware"}, "media_error", "ssd", buffered,
+            {.trace = cmd.traceId,
+             .status = static_cast<std::uint32_t>(
+                 nvme::Status::kMediaError)});
         return {buffered, nvme::Status::kMediaError, 0};
     }
     const auto data = peekBytes(off, len);

@@ -28,12 +28,13 @@
 namespace morpheus::ssd {
 
 /**
- * Streaming chunk pipeline knobs (DESIGN.md §11). All stages are off
- * by default so every existing figure reproduces unchanged; with
- * `enabled` set, the firmware overlaps flash readahead, sub-buffer
- * parsing, and outbound flush DMA on the MREAD path. The pipeline is a
- * pure schedule change: functional results and the ParseCost cycle
- * totals are identical either way.
+ * Streaming chunk pipeline knobs (DESIGN.md §11). Every MREAD
+ * buffers flash pages into controller DRAM one by one and parses the
+ * chunk once its last page lands; with `enabled` set, the firmware
+ * also prefetches the next chunk, parses in D-SRAM-sized sub-buffers,
+ * and coalesces outbound flush DMA. Each sub-feature takes effect only
+ * under `enabled`. The pipeline is a pure schedule change: functional
+ * results and the ParseCost cycle totals are identical either way.
  */
 struct PipelineConfig
 {
@@ -79,9 +80,9 @@ struct SsdConfig
 };
 
 /**
- * Timing of a paged (pipelined) flash fetch: per-page DRAM-buffered
- * completion ticks, so a consumer can start on the first page's
- * arrival instead of the last's. Pages are buffered in logical order
+ * Timing of a paged flash fetch: per-page DRAM-buffered completion
+ * ticks, so a consumer can start on any page's arrival instead of the
+ * last's. Pages are buffered in logical order
  * (the parse is a sequential stream), so pageReady is non-decreasing.
  */
 struct PagedFetch
@@ -90,8 +91,7 @@ struct PagedFetch
     std::vector<sim::Tick> pageReady;
     /** First covered logical page (byte_offset / pageBytes). */
     std::uint64_t firstPage = 0;
-    sim::Tick firstReady = 0;  ///< pageReady.front() (or earliest).
-    sim::Tick allReady = 0;    ///< pageReady.back() (or earliest).
+    sim::Tick allReady = 0;  ///< pageReady.back() (or earliest).
     bool mediaError = false;
 };
 
@@ -177,9 +177,10 @@ class SsdController
     /**
      * Timed flash fetch like fetchToDram(), but returns per-page
      * DRAM-buffered completion ticks so the caller can overlap
-     * consumption with the tail of the fetch (the streaming pipeline's
-     * readahead and double-buffered parse stages). Total DRAM
-     * occupancy matches fetchToDram() up to per-page rounding.
+     * consumption with the tail of the fetch: the MREAD path, which
+     * models a controller streaming channel data into DRAM page by
+     * page. Total DRAM occupancy matches fetchToDram() up to per-page
+     * rounding.
      */
     PagedFetch fetchToDramPaged(std::uint64_t byte_offset,
                                 std::uint64_t len, sim::Tick earliest);

@@ -131,17 +131,8 @@ void
 recordServingInstant(const char *name, std::uint32_t tenant,
                      sim::Tick when)
 {
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = "host.serving";
-        s.name = name;
-        s.category = "serving";
-        s.begin = when;
-        s.end = when;
-        s.instant = true;
-        s.tenant = tenant;
-        sink->record(s);
-    }
+    obs::traceInstant("host.serving", name, "serving", when,
+                      {.tenant = tenant});
 }
 
 struct ActiveSession
@@ -201,7 +192,7 @@ drawWrite(const TenantSpec &tenant, sim::Rng &rng)
            rng.nextDouble() < tenant.writeFraction;
 }
 
-/** Poisson (or on/off-modulated) arrival trace for one tenant. */
+/** Poisson arrival trace for one tenant. */
 std::vector<Request>
 genArrivals(const ServingOptions &opts, unsigned tenant_idx,
             const ZipfianGenerator *obj_zipf, sim::Rng &rng)
@@ -209,35 +200,12 @@ genArrivals(const ServingOptions &opts, unsigned tenant_idx,
     const TenantSpec &tenant = opts.tenants[tenant_idx];
     const sim::Tick horizon = static_cast<sim::Tick>(
         opts.durationSec * static_cast<double>(sim::kPsPerSec));
-    const sim::Tick period = static_cast<sim::Tick>(
-        opts.burstPeriodSec * static_cast<double>(sim::kPsPerSec));
-    const sim::Tick on_window = static_cast<sim::Tick>(
-        static_cast<double>(period) * opts.burstOnFraction);
-
-    // The off-phase rate that keeps the long-run mean at
-    // arrivalsPerSec given the boosted on-phase rate.
-    const double on_rate = tenant.arrivalsPerSec * opts.burstFactor;
-    const double off_rate = std::max(
-        0.0, (tenant.arrivalsPerSec -
-              on_rate * opts.burstOnFraction) /
-                 (1.0 - opts.burstOnFraction));
 
     std::vector<Request> out;
     double t_ps = 0.0;
     while (true) {
-        double rate = tenant.arrivalsPerSec;
-        if (opts.bursty) {
-            const auto phase = static_cast<sim::Tick>(t_ps) %
-                               std::max<sim::Tick>(period, 1);
-            rate = phase < on_window ? on_rate : off_rate;
-            if (rate <= 0.0) {
-                // Skip to the next burst window.
-                t_ps += static_cast<double>(period - phase);
-                continue;
-            }
-        }
         const double gap_sec =
-            -std::log(1.0 - rng.nextDouble()) / rate;
+            -std::log(1.0 - rng.nextDouble()) / tenant.arrivalsPerSec;
         t_ps += gap_sec * static_cast<double>(sim::kPsPerSec);
         if (t_ps >= static_cast<double>(horizon))
             break;
@@ -673,15 +641,10 @@ runServing(const ServingOptions &opts)
             req_traces[req_idx].empty()) {
             return;
         }
-        obs::Span s;
-        s.track = "host.serving";
-        s.name = "retry_wait";
-        s.category = "serving";
-        s.begin = begin;
-        s.end = end;
-        s.tenant = opts.tenants[requests[req_idx].tenantIdx].id;
-        s.trace = req_traces[req_idx].back();
-        recorder->record(s);
+        obs::recordSpan(
+            *recorder, "host.serving", "retry_wait", "serving", begin, end,
+            {.trace = req_traces[req_idx].back(),
+             .tenant = opts.tenants[requests[req_idx].tenantIdx].id});
     };
 
     // Terminal outcome: pull the request's spans out of the ring,
@@ -1380,8 +1343,6 @@ runServing(const ServingOptions &opts)
                    static_cast<double>(sim::kPsPerSec))
             : 0.0;
     for (unsigned d = 0; d < num_ssds; ++d) {
-        report.migrations +=
-            sys.ssd(d).scheduler().dispatcher().migrations();
         report.drrDelays +=
             sys.ssd(d).scheduler().arbiter().dataDelays();
         report.driverRetries += sys.nvmeDriver(d).retriesIssued();
@@ -1507,7 +1468,6 @@ runServing(const ServingOptions &opts)
         reg.setCounter("serving.cacheHits", report.cacheHits);
         reg.setCounter("serving.driverRetries", report.driverRetries);
         reg.setCounter("serving.driverTimeouts", report.driverTimeouts);
-        reg.setCounter("serving.migrations", report.migrations);
         reg.setCounter("serving.drrDelays", report.drrDelays);
         reg.setCounter("serving.makespan_ticks", report.makespan);
         reg.setScalar("serving.mean_us", report.meanUs);

@@ -4,8 +4,8 @@
  *
  * Where runner.hh measures one invocation end-to-end, this driver
  * subjects the device to *traffic*: several tenants submit StorageApp
- * requests at Poisson (or bursty on/off) arrival times, independent of
- * completions — the open-loop discipline of serving benchmarks, so
+ * requests at Poisson arrival times, independent of completions —
+ * the open-loop discipline of serving benchmarks, so
  * queueing delay shows up in the measured latency instead of being
  * absorbed by a closed loop's self-throttling. A closed-loop mode
  * (ServingOptions::closedLoop) provides that complementary discipline
@@ -131,12 +131,6 @@ struct ServingOptions
     unsigned closedLoopConcurrency = 4;
     /** Requests each tenant issues in total (closed loop). */
     std::uint64_t closedLoopRequests = 64;
-
-    /** On/off burst modulation instead of plain Poisson (open loop). */
-    bool bursty = false;
-    double burstFactor = 4.0;      ///< Rate multiplier inside a burst.
-    double burstOnFraction = 0.25; ///< Fraction of time bursting.
-    double burstPeriodSec = 2e-3;  ///< One on+off cycle.
 
     /** MREAD chunk in 512 B blocks (0 = MDTS). */
     std::uint32_t chunkBlocks = 0;
@@ -377,7 +371,6 @@ struct ServingReport
     double jainFairness = 0.0;
     double throughputPerSec = 0.0;
     sim::Tick makespan = 0;
-    std::uint64_t migrations = 0;
     std::uint64_t drrDelays = 0;
 
     /** All-tenant critical-path breakdown (opts.breakdown). */

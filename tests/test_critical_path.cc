@@ -48,10 +48,9 @@ TEST(ClassifySpan, MapsPipelineNamesToStagesWithPriorities)
     const Case cases[] = {
         {"ssd.core[2]", "parse", ob::Stage::kParse},
         {"ssd.core[0]", "install", ob::Stage::kParse},
-        {"ssd.core[1]", "isram_reload", ob::Stage::kParse},
+        {"ssd.core[1]", "crash", ob::Stage::kParse},
         {"ssd.dma", "cache_hit", ob::Stage::kCacheHit},
         {"ssd.dma", "flush_dma", ob::Stage::kFlush},
-        {"ssd.dma", "dsram_move", ob::Stage::kFlush},
         {"ssd.dram", "fetch", ob::Stage::kFetch},
         {"ssd.dram", "fetch_readahead", ob::Stage::kFetch},
         {"nvme.frontend", "dispatch", ob::Stage::kDispatch},

@@ -856,6 +856,120 @@ TEST(DeviceRuntime, WatchdogKillsHungInstanceAndHostTimesOut)
     ASSERT_TRUE(rig.mdeinit(2, good.postedAt).ok());
 }
 
+namespace {
+
+/** Spans named @p name attributed to trace @p id. */
+std::vector<morpheus::obs::Span>
+spansNamed(const morpheus::obs::InMemoryTraceSink &sink,
+           const std::string &name, morpheus::obs::TraceId id)
+{
+    std::vector<morpheus::obs::Span> out;
+    for (const auto &s : sink.forTrace(id)) {
+        if (s.name == name)
+            out.push_back(s);
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(DeviceRuntime, MultiPageMReadParsesAtLastPagesBufferedTick)
+{
+    // Pipeline off: the chunk is one sub-buffer, so its parse starts
+    // once the last flash page is buffered in controller DRAM, page by
+    // page, exactly as fetchToDramPaged times it.
+    const auto a = wk::genIntArray(80, 20000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const std::uint64_t chunk = 64 * 1024;
+
+    Rig rig;
+    Rig twin;
+    const auto extent = rig.sys.createFile("ints", w.bytes());
+    twin.sys.createFile("ints", w.bytes());
+    ASSERT_GT(extent.sizeBytes, chunk);
+    const auto target = co::DmaTarget{rig.sys.allocHost(a.objectBytes()),
+                                      false};
+    ASSERT_TRUE(rig.minit(1, rig.images.intArray, target).ok());
+    ASSERT_TRUE(twin.minit(1, twin.images.intArray, target).ok());
+
+    morpheus::obs::InMemoryTraceSink sink;
+    morpheus::sim::Tick cqe_at = 0;
+    {
+        const morpheus::obs::ScopedTraceSink attach(sink);
+        const auto cqe = rig.mread(1, extent, 0, chunk, 0);
+        ASSERT_TRUE(cqe.ok());
+        cqe_at = cqe.postedAt;
+    }
+    const auto mreads = sink.named("MREAD");
+    ASSERT_FALSE(mreads.empty());
+    const auto fetches = spansNamed(sink, "fetch", mreads[0].trace);
+    ASSERT_EQ(fetches.size(), 1u);
+    const auto parses = spansNamed(sink, "parse", mreads[0].trace);
+    ASSERT_EQ(parses.size(), 1u);
+    EXPECT_EQ(rig.device.subBuffersParsed(), 1u);
+
+    const auto paged = twin.sys.ssd().fetchToDramPaged(
+        extent.startByte, chunk, fetches[0].begin);
+    ASSERT_EQ(paged.pageReady.size(), chunk / rig.sys.ssd().ftl().pageBytes());
+    EXPECT_EQ(fetches[0].end, paged.pageReady.back());
+    EXPECT_EQ(parses[0].begin, paged.pageReady.back());
+    EXPECT_LT(parses[0].end, cqe_at);
+}
+
+TEST(DeviceRuntime, HangStrikesAtFirstSubBufferReadyTick)
+{
+    // With double buffering a chunk spans several sub-buffers. A hung
+    // app is dispatched where its parse would have begun — when the
+    // first sub-buffer is buffered — not at the first page's arrival
+    // and not at the whole chunk's.
+    const auto a = wk::genIntArray(81, 30000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const std::uint64_t chunk = 128 * 1024;  // MDTS: two sub-buffers
+
+    // Returns {first parse-or-hang span, fetch span} of one MREAD.
+    auto run = [&](bool hang) {
+        Rig rig(pipelineConfig());
+        const auto extent = rig.sys.createFile("ints", w.bytes());
+        EXPECT_GT(extent.sizeBytes, chunk);
+        EXPECT_TRUE(rig.minit(1, rig.images.intArray,
+                              co::DmaTarget{rig.sys.allocHost(
+                                                a.objectBytes()),
+                                            false})
+                        .ok());
+        nv::DriverRecoveryConfig rec;
+        rec.enabled = true;
+        rig.sys.nvmeDriver().setRecovery(rec);
+
+        morpheus::sim::FaultPlan plan;
+        plan.hangRate = hang ? 1.0 : 0.0;
+        morpheus::sim::FaultInjector fi(plan);
+        morpheus::sim::ScopedFaultInjector scope(&fi);
+        morpheus::obs::InMemoryTraceSink sink;
+        const morpheus::obs::ScopedTraceSink attach(sink);
+        const auto cqe = rig.mread(1, extent, 0, chunk, 0);
+        EXPECT_EQ(cqe.ok(), !hang);
+        const auto mreads = sink.named("MREAD");
+        EXPECT_FALSE(mreads.empty());
+        const auto trace = mreads.at(0).trace;
+        const auto work = spansNamed(sink, hang ? "hang" : "parse", trace);
+        const auto fetch = spansNamed(sink, "fetch", trace);
+        EXPECT_FALSE(work.empty());
+        EXPECT_EQ(fetch.size(), 1u);
+        return std::make_pair(work.at(0), fetch.at(0));
+    };
+
+    const auto [parse, clean_fetch] = run(false);
+    const auto [hang, fetch] = run(true);
+    // The hang starts exactly where the clean run's first sub-buffer
+    // parse started, strictly inside the chunk's fetch window.
+    EXPECT_EQ(hang.begin, parse.begin);
+    EXPECT_GT(hang.begin, fetch.begin);
+    EXPECT_LT(hang.begin, fetch.end);
+    EXPECT_EQ(fetch.end, clean_fetch.end);
+}
+
 TEST(DeviceRuntime, TransientImageFetchFaultIsRetryable)
 {
     Rig rig;
@@ -1029,7 +1143,7 @@ TEST(DeviceRuntime, PipelinedCrashChargesAbortedWorkOnce)
 {
     // The crash manifests in the first sub-buffer of the pipelined
     // parse: the aborted work is charged once, nothing is shipped, and
-    // the instance is poisoned exactly as on the serial path.
+    // the instance is poisoned exactly as with the pipeline off.
     Rig rig(pipelineConfig());
     const auto a = wk::genIntArray(93, 8000);
     sd::TextWriter w;
@@ -1064,54 +1178,6 @@ TEST(DeviceRuntime, PipelinedCrashChargesAbortedWorkOnce)
     const auto good = rig.mread(3, extent, 0, extent.sizeBytes, t);
     ASSERT_TRUE(good.ok());
     const auto fin = rig.mdeinit(3, good.postedAt);
-    ASSERT_TRUE(fin.ok());
-    EXPECT_EQ(fin.dw0, a.values.size());
-    const auto bin = rig.sys.mem().store().readVec(
-        target_addr, static_cast<std::size_t>(a.objectBytes()));
-    EXPECT_EQ(sd::IntArrayObject::fromBinary(bin), a);
-}
-
-TEST(DeviceRuntime, PipelinedMigrationDropsReadaheadBuffer)
-{
-    // A migration moves the instance between cores while a readahead
-    // buffer is live in controller DRAM: the buffer is dropped (pure
-    // timing state — re-fetched on use), never carried stale.
-    ho::SystemConfig cfg = pipelineConfig();
-    cfg.ssd.sched.placement =
-        morpheus::sched::PlacementPolicy::kLoadAware;
-    cfg.ssd.sched.migration = true;
-    Rig rig(cfg);
-    const auto a = wk::genIntArray(94, 20000);
-    sd::TextWriter w;
-    a.serialize(w);
-    const auto extent = rig.sys.createFile("ints", w.bytes());
-    const auto target_addr = rig.sys.allocHost(a.objectBytes());
-    const auto init = rig.minit(1, rig.images.intArray,
-                                co::DmaTarget{target_addr, false});
-    ASSERT_TRUE(init.ok());
-
-    // Both chunks submitted at the same instant: the first leaves a
-    // 64 KiB parse backlog on its core (and a live readahead buffer),
-    // so the second migrates to an idle core.
-    const morpheus::sim::Tick t0 = init.postedAt;
-    ASSERT_TRUE(rig.mread(1, extent, 0, 64 * 1024, t0).ok());
-    const auto c2 = rig.mread(1, extent, 64 * 1024, 16 * 1024, t0);
-    ASSERT_TRUE(c2.ok());
-    EXPECT_GE(rig.sys.ssd().scheduler().dispatcher().migrations(), 1u);
-    EXPECT_GE(rig.device.readaheadDropped(), 1u);
-
-    // The stream still completes bit-exactly after the drop.
-    morpheus::sim::Tick t = c2.postedAt;
-    std::uint64_t off = 80 * 1024;
-    while (off < extent.sizeBytes) {
-        const std::uint64_t len =
-            std::min<std::uint64_t>(16 * 1024, extent.sizeBytes - off);
-        const auto cqe = rig.mread(1, extent, off, len, t);
-        ASSERT_TRUE(cqe.ok());
-        t = cqe.postedAt;
-        off += len;
-    }
-    const auto fin = rig.mdeinit(1, t);
     ASSERT_TRUE(fin.ok());
     EXPECT_EQ(fin.dw0, a.values.size());
     const auto bin = rig.sys.mem().store().readVec(

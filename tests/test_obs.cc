@@ -1,9 +1,9 @@
 /**
  * @file
  * Observability tests: the in-memory trace sink against real device
- * runs (span nesting and attribution for MREAD, a D-SRAM bounce, a
- * live migration), the Chrome trace-event serialization, and the
- * metrics registry federation.
+ * runs (span nesting and attribution for MREAD, a D-SRAM bounce), the
+ * Chrome trace-event serialization, and the metrics registry
+ * federation.
  */
 
 #include <gtest/gtest.h>
@@ -246,48 +246,6 @@ TEST(Tracing, DsramBounceEmitsInstantAndFailedHostSpan)
                       nv::Status::kDsramExhausted));
     }
     EXPECT_TRUE(found);
-}
-
-TEST(Tracing, MigrationEmitsMoveAndReloadSpans)
-{
-    ho::SystemConfig cfg;
-    cfg.ssd.sched.placement = morpheus::sched::PlacementPolicy::kLoadAware;
-    cfg.ssd.sched.migration = true;
-    // Default migrationMinGain (50 us): the MINIT install backlog is
-    // too small to justify a move, the 64 KiB parse backlog is not —
-    // so exactly the second chunk migrates.
-    Rig rig(cfg);
-    const auto extent = rig.intFile(33, 20000);
-    const auto init = rig.minit(1, rig.images.intArray);
-    ASSERT_TRUE(init.ok());
-
-    ob::InMemoryTraceSink sink;
-    const ob::ScopedTraceSink attach(sink);
-
-    // First chunk arrives on an idle core (no backlog, no migration)
-    // and leaves its timeline busy parsing 64 KiB; the second chunk,
-    // submitted at the same instant, sees that backlog and migrates to
-    // an idle core.
-    const Tick t0 = init.postedAt;
-    ASSERT_TRUE(rig.mread(1, extent, 0, 64 * 1024, t0).ok());
-    ASSERT_TRUE(rig.mread(1, extent, 64 * 1024, 16 * 1024, t0).ok());
-
-    EXPECT_EQ(sink.count("dsram_move"), 1u);
-    const auto reloads = sink.named("isram_reload");
-    ASSERT_EQ(reloads.size(), 1u);
-    EXPECT_EQ(reloads.front().instance, 1u);
-    EXPECT_GT(reloads.front().trace, 0u);
-
-    const auto migrates = sink.named("migrate");
-    ASSERT_EQ(migrates.size(), 1u);
-    EXPECT_EQ(migrates.front().core, reloads.front().core);
-
-    // The two parse spans ran on different cores, and the reload landed
-    // on the second chunk's core.
-    const auto parses = sink.named("parse");
-    ASSERT_EQ(parses.size(), 2u);
-    EXPECT_NE(parses[0].core, parses[1].core);
-    EXPECT_EQ(reloads.front().core, parses[1].core);
 }
 
 TEST(Tracing, NoSinkLeavesResultsIdentical)
@@ -594,34 +552,6 @@ TEST(CriticalPath, RetryBackoffShapeChargesRetryWait)
         spansOf(sink, ids), window_begin, r2.done);
     EXPECT_EQ(attr.total(), r2.done - window_begin);
     EXPECT_EQ(attr[ob::Stage::kRetry], r1.done - bounced);
-    EXPECT_GT(attr[ob::Stage::kParse], 0u);
-}
-
-TEST(CriticalPath, MigrationShapeStaysFullyAttributed)
-{
-    ho::SystemConfig cfg;
-    cfg.ssd.sched.placement =
-        morpheus::sched::PlacementPolicy::kLoadAware;
-    cfg.ssd.sched.migration = true;
-    RuntimeRig rig(cfg);
-    const auto file = rig.intFile(94, 20000);
-    ob::InMemoryTraceSink sink;
-    const ob::ScopedTraceSink attach(sink);
-
-    const auto stream = rig.runtime.streamCreate(file, file.readyAt);
-    const auto target = rig.runtime.hostTarget(1 << 20);
-    co::InvokeOptions opts;
-    opts.chunkBlocks = 128;  // 64 KiB chunks, batched: backlog builds
-    const auto res = rig.runtime.invoke(rig.images.intArray, stream,
-                                        target, stream.readyAt, opts);
-
-    // The shape really contains a migration.
-    EXPECT_GE(sink.count("dsram_move"), 1u);
-    EXPECT_GE(sink.count("isram_reload"), 1u);
-
-    const ob::Attribution attr =
-        ob::attributeSpans(sink.spans(), res.start, res.done);
-    EXPECT_EQ(attr.total(), res.done - res.start);
     EXPECT_GT(attr[ob::Stage::kParse], 0u);
 }
 

@@ -84,50 +84,6 @@ TEST(CoreDispatcher, ReleaseFreesTheSlot)
     d.releaseInstance(99);  // unknown instance: no-op
 }
 
-TEST(CoreDispatcher, MigrationNeedsGainAboveThreshold)
-{
-    sched::SchedConfig cfg = loadAwareConfig();
-    cfg.migration = true;
-    cfg.migrationMinGain = 50 * kUs;
-    sim::Tick busy = 0;
-    sched::CoreDispatcher d(cfg, 2, [&](unsigned c) {
-        return c == 0 ? busy : sim::Tick{0};
-    });
-    // All cores idle: ties break by index, so the instance lands on 0.
-    ASSERT_EQ(d.placeInstance(0, 0), 0u);
-
-    // Core 0's backlog grows past the threshold; the next chunk must
-    // migrate to core 1.
-    busy = 200 * kUs;
-    const auto plan = d.coreForChunk(0, 0);
-    EXPECT_TRUE(plan.migrated);
-    EXPECT_EQ(plan.core, 1u);
-    EXPECT_EQ(plan.previous, 0u);
-    EXPECT_EQ(d.residents(1), 1u);
-    EXPECT_EQ(d.migrations(), 1u);
-
-    // Caller could not commit: the reversal restores the old state.
-    d.cancelMigration(0, 0);
-    EXPECT_EQ(d.coreOf(0), 0u);
-    EXPECT_EQ(d.residents(1), 0u);
-}
-
-TEST(CoreDispatcher, NoMigrationBelowThreshold)
-{
-    sched::SchedConfig cfg = loadAwareConfig();
-    cfg.migration = true;
-    cfg.migrationMinGain = 50 * kUs;
-    sim::Tick busy = 0;
-    sched::CoreDispatcher d(cfg, 2, [&](unsigned c) {
-        return c == 0 ? busy : sim::Tick{0};
-    });
-    ASSERT_EQ(d.placeInstance(0, 0), 0u);
-    busy = 20 * kUs;  // gap below migrationMinGain
-    const auto plan = d.coreForChunk(0, 0);
-    EXPECT_FALSE(plan.migrated);
-    EXPECT_EQ(plan.core, 0u);
-}
-
 TEST(CoreDispatcher, DsramPackingPrefersCoresWithRoom)
 {
     // Core 0 is nearly out of D-SRAM: an instance carrying a grant
@@ -189,35 +145,6 @@ TEST(CoreDispatcher, BacklogAwareOffIgnoresDeclaredBytes)
     ASSERT_EQ(d.placeInstance(1, 0, 0, 1 << 20), 0u);
     ASSERT_EQ(d.placeInstance(2, 0, 0, 1 << 10), 1u);
     EXPECT_EQ(d.placeInstance(3, 0, 0, 1 << 10), 0u);
-}
-
-TEST(CoreDispatcher, MigrationSkipsTargetsWithoutDsramRoom)
-{
-    sched::SchedConfig cfg = loadAwareConfig();
-    cfg.migration = true;
-    cfg.migrationMinGain = 50 * kUs;
-    sim::Tick busy = 0;
-    std::uint32_t free1 = 256 * 1024;
-    sched::CoreDispatcher d(
-        cfg, 2,
-        [&](unsigned c) { return c == 0 ? busy : sim::Tick{0}; },
-        [&](unsigned c) { return c == 0 ? 256u * 1024u : free1; });
-    ASSERT_EQ(d.placeInstance(0, 0, 64 * 1024), 0u);
-
-    // Core 0 backs up past the gain threshold, but core 1 cannot hold
-    // the instance's grant: the dispatcher must not propose the move.
-    busy = 200 * kUs;
-    free1 = 1024;
-    const auto stay = d.coreForChunk(0, 0);
-    EXPECT_FALSE(stay.migrated);
-    EXPECT_EQ(stay.core, 0u);
-    EXPECT_EQ(d.migrations(), 0u);
-
-    // Once room frees on the target the same gap migrates.
-    free1 = 256 * 1024;
-    const auto move = d.coreForChunk(0, 0);
-    EXPECT_TRUE(move.migrated);
-    EXPECT_EQ(move.core, 1u);
 }
 
 // ------------------------------------------------------------- arbiter
@@ -412,7 +339,6 @@ TEST(Serving, IdenticalSeededRunsAreDeterministic)
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.rejected, b.rejected);
     EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.migrations, b.migrations);
     EXPECT_EQ(a.drrDelays, b.drrDelays);
     EXPECT_DOUBLE_EQ(a.p99Us, b.p99Us);
     EXPECT_DOUBLE_EQ(a.jainFairness, b.jainFairness);
