@@ -133,19 +133,13 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
     setup.pushdown = opts.pushdown;
     _device.stageInstance(s.instance, setup);
 
-    // Stage the code image bytes in host memory for the device to
-    // fetch (content is a placeholder; the size is what matters). A
-    // pushdown descriptor rides behind the image in the same buffer.
-    const std::uint32_t desc_bytes =
-        static_cast<std::uint32_t>(opts.pushdown.size() * 4);
-    const pcie::Addr image_addr =
-        _sys.allocHost(image.textBytes + desc_bytes);
-    std::vector<std::uint8_t> image_bytes(image.textBytes, 0x90);
-    for (const std::uint32_t dw : opts.pushdown) {
-        const auto *p = reinterpret_cast<const std::uint8_t *>(&dw);
-        image_bytes.insert(image_bytes.end(), p, p + 4);
-    }
-    _sys.mem().store().writeVec(image_addr, image_bytes);
+    // The host buffer the device fetches the code image from, with a
+    // pushdown descriptor behind it. The fetch is timing-only (the
+    // program itself reaches firmware through the staged setup), so
+    // only the buffer's size matters and no bytes are written.
+    const std::uint64_t image_buf_bytes =
+        image.textBytes + opts.pushdown.size() * 4;
+    const pcie::Addr image_addr = _sys.allocHost(image_buf_bytes);
 
     s.now = _sys.os().syscall(core, s.now);  // ioctl into the driver
     nvme::Command minit;
@@ -185,6 +179,9 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
             minit_cqe = driver.io(s.qid, minit, at);
         }
     }
+    // The MINIT has settled (no further fetch of the image): the
+    // buffer goes back to the host allocator on every path below.
+    _sys.freeHost(image_addr, image_buf_bytes);
     s.minitStatus = minit_cqe.status;
     if (s.minitStatus == nvme::Status::kAdmissionDenied ||
         s.minitStatus == nvme::Status::kInstanceBusy ||

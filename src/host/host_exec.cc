@@ -46,7 +46,7 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
 
     // Raw staging buffer X and the object buffer Y.
     const pcie::Addr buf_x = _sys.allocHost(kChunkBytes);
-    _sys.allocHost(obj_bytes);
+    const pcie::Addr buf_y = _sys.allocHost(obj_bytes);
     const sim::Tick opened = os.syscall(core, when);  // open()
     sim::Tick cpu_cursor = os.pageFaults(
         core, os.faultsForBytes(obj_bytes), opened);
@@ -76,6 +76,9 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
         _sys.mem().cpuAccess(len, obj_bytes * len / range, fs_done);
         offset += len;
     }
+
+    _sys.freeHost(buf_x, kChunkBytes);
+    _sys.freeHost(buf_y, obj_bytes);
 
     ++_execs[static_cast<std::size_t>(req.reason)];
     _deliveredBytes += obj_bytes;

@@ -87,6 +87,8 @@ class HostMemory : public pcie::BusTarget
         set.registerCounter(prefix + ".busBytesRead", &_busBytesRead);
         set.registerCounter(prefix + ".busBytesWritten",
                             &_busBytesWritten);
+        set.registerGauge(prefix + ".residentBytes",
+                          [this] { return _store.residentBytes(); });
     }
 
   private:

@@ -17,6 +17,13 @@ constexpr pcie::Addr kAllocBase = 9ULL * sim::kGiB;
 constexpr pcie::Addr kCmbBase = 1ULL << 44;
 constexpr std::uint64_t kCmbStride = 16 * sim::kMiB;
 
+/** Host allocations are whole 4 KiB pages. */
+std::uint64_t
+pageRound(std::uint64_t bytes)
+{
+    return (bytes + 4095) & ~std::uint64_t(4095);
+}
+
 }  // namespace
 
 ssd::SsdConfig
@@ -118,17 +125,35 @@ HostSystem::cmbBase(unsigned device) const
 pcie::Addr
 HostSystem::allocHost(std::uint64_t bytes)
 {
+    const std::uint64_t size = pageRound(bytes);
+    const auto it = _hostFree.find(size);
+    if (it != _hostFree.end() && !it->second.empty()) {
+        const pcie::Addr addr = it->second.back();
+        it->second.pop_back();
+        return addr;
+    }
     const pcie::Addr addr = _hostAllocTop;
-    _hostAllocTop += (bytes + 4095) & ~std::uint64_t(4095);
+    _hostAllocTop += size;
     MORPHEUS_ASSERT(_hostAllocTop <= _mem.config().size,
                     "host memory allocator exhausted");
     return addr;
 }
 
 void
+HostSystem::freeHost(pcie::Addr addr, std::uint64_t bytes)
+{
+    const std::uint64_t size = pageRound(bytes);
+    MORPHEUS_ASSERT(addr >= _hostAllocBase && addr + size <= _hostAllocTop,
+                    "freeHost of a buffer allocHost never returned");
+    if (size > 0)
+        _hostFree[size].push_back(addr);
+}
+
+void
 HostSystem::resetHostAllocator()
 {
     _hostAllocTop = _hostAllocBase;
+    _hostFree.clear();
 }
 
 FileExtent

@@ -11,6 +11,7 @@
 #define MORPHEUS_HOST_HOST_SYSTEM_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -109,10 +110,22 @@ class HostSystem
      */
     pcie::Addr cmbBase(unsigned device) const;
 
-    /** Bump-allocate @p bytes of host DRAM. @return bus address. */
+    /**
+     * Allocate @p bytes of host DRAM, rounded up to whole pages: the
+     * most recently freed buffer of the same rounded size if there is
+     * one, else fresh space from the bump pointer. @return bus address.
+     */
     pcie::Addr allocHost(std::uint64_t bytes);
 
-    /** Reset the host allocator (between benchmark runs). */
+    /**
+     * Return a buffer from allocHost(@p bytes) for reuse. Its bytes
+     * stay in place; the next allocHost of the same rounded size gets
+     * it back (LIFO, so allocation stays deterministic).
+     */
+    void freeHost(pcie::Addr addr, std::uint64_t bytes);
+
+    /** Reset the host allocator and drop its free lists (between
+     *  benchmark runs). */
     void resetHostAllocator();
 
     /**
@@ -181,6 +194,8 @@ class HostSystem
 
     pcie::Addr _hostAllocTop;
     pcie::Addr _hostAllocBase;
+    /** Freed host buffers by page-rounded size, reused LIFO. */
+    std::map<std::uint64_t, std::vector<pcie::Addr>> _hostFree;
     /** Per-device file-placement cursor (page aligned). */
     std::vector<std::uint64_t> _nextFileByte;
     std::unordered_map<std::string, FileExtent> _files;

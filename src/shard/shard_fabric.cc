@@ -1,6 +1,7 @@
 #include "shard/shard_fabric.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.hh"
 #include "sim/logging.hh"
@@ -143,6 +144,9 @@ ShardFabric::fleetInvoke(const core::StorageAppImage &image,
     FleetInvokeResult fleet;
     fleet.perDevice.resize(numDevices());
     std::vector<bool> participated(numDevices(), false);
+    // Per-device object buffers, returned to the host allocator once
+    // the merge has read the results.
+    std::vector<std::pair<pcie::Addr, std::uint64_t>> buffers;
     const unsigned cores = _sys.cpu().config().cores;
     for (unsigned d = 0; d < numDevices(); ++d) {
         const host::FileExtent &ext = f.extents[d];
@@ -162,8 +166,9 @@ ShardFabric::fleetInvoke(const core::StorageAppImage &image,
             rt.streamCreate(ext, now, dev_opts.hostCore);
         // Object-size upper bound: int-heavy text parses to at most a
         // few binary bytes per text char; 4x + a page is conservative.
-        const core::DmaTarget target =
-            rt.hostTarget(4 * ext.sizeBytes + 4096);
+        const std::uint64_t target_bytes = 4 * ext.sizeBytes + 4096;
+        const core::DmaTarget target = rt.hostTarget(target_bytes);
+        buffers.emplace_back(target.addr, target_bytes);
         fleet.perDevice[d] =
             rt.invoke(image, stream, target, now, dev_opts);
         // Fleet-level recovery mirrors runner.cc: a shard invocation
@@ -208,6 +213,8 @@ ShardFabric::fleetInvoke(const core::StorageAppImage &image,
     }
     fleet.merged.accepted = fleet.accepted;
     fleet.merged.failed = fleet.failed;
+    for (const auto &[addr, bytes] : buffers)
+        _sys.freeHost(addr, bytes);
     return fleet;
 }
 

@@ -1,6 +1,7 @@
 #include "sim/stats.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -83,7 +84,14 @@ void
 StatSet::registerCounter(const std::string &name, const Counter *c)
 {
     MORPHEUS_ASSERT(c != nullptr, "null counter: ", name);
-    const bool inserted = _counters.emplace(name, c).second;
+    registerGauge(name, [c] { return c->value(); });
+}
+
+void
+StatSet::registerGauge(const std::string &name,
+                       std::function<std::uint64_t()> read)
+{
+    const bool inserted = _counters.emplace(name, std::move(read)).second;
     MORPHEUS_ASSERT(inserted, "duplicate counter name: ", name);
 }
 
@@ -107,14 +115,14 @@ std::uint64_t
 StatSet::counterValue(const std::string &name) const
 {
     const auto it = _counters.find(name);
-    return it == _counters.end() ? 0 : it->second->value();
+    return it == _counters.end() ? 0 : it->second();
 }
 
 void
 StatSet::report(std::ostream &os) const
 {
-    for (const auto &[name, c] : _counters)
-        os << name << " " << c->value() << "\n";
+    for (const auto &[name, read] : _counters)
+        os << name << " " << read() << "\n";
     for (const auto &[name, a] : _accumulators) {
         os << name << ".mean " << a->mean() << "\n";
         os << name << ".count " << a->count() << "\n";
@@ -129,8 +137,8 @@ StatSet::visit(
         &counter_fn,
     const std::function<void(const std::string &, double)> &scalar_fn) const
 {
-    for (const auto &[name, c] : _counters)
-        counter_fn(name, c->value());
+    for (const auto &[name, read] : _counters)
+        counter_fn(name, read());
     for (const auto &[name, a] : _accumulators) {
         scalar_fn(name + ".mean", a->mean());
         counter_fn(name + ".count", a->count());

@@ -116,6 +116,10 @@ class StatSet
 {
   public:
     void registerCounter(const std::string &name, const Counter *c);
+    /** A counter-typed value read through @p read at report time
+     *  (e.g. a level such as resident bytes, not an event count). */
+    void registerGauge(const std::string &name,
+                       std::function<std::uint64_t()> read);
     void registerAccumulator(const std::string &name, const Accumulator *a);
     void registerScalar(const std::string &name, const double *v);
 
@@ -139,7 +143,8 @@ class StatSet
         const;
 
   private:
-    std::map<std::string, const Counter *> _counters;
+    /** Counters and gauges, both read by value. */
+    std::map<std::string, std::function<std::uint64_t()>> _counters;
     std::map<std::string, const Accumulator *> _accumulators;
     std::map<std::string, const double *> _scalars;
 };

@@ -1,16 +1,45 @@
 #include "sim/timeline.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace morpheus::sim {
 
+namespace {
+
+/** The reservation floor; 0 outside a ScopedReservationFloor. */
+Tick g_floor = 0;
+
+}  // namespace
+
+ScopedReservationFloor::ScopedReservationFloor() : _prev(g_floor)
+{
+    g_floor = 0;
+}
+
+ScopedReservationFloor::~ScopedReservationFloor() { g_floor = _prev; }
+
+void
+ScopedReservationFloor::raise(Tick t)
+{
+    MORPHEUS_ASSERT(t >= g_floor, "reservation floor moved backwards: ",
+                    t, " < ", g_floor);
+    g_floor = t;
+}
+
 Tick
 Timeline::acquire(Tick earliest, Tick duration)
 {
+    MORPHEUS_ASSERT(earliest >= g_floor, _name,
+                    ": reservation below the floor: ", earliest, " < ",
+                    g_floor);
     ++_ops;
     if (duration == 0)
         return earliest;
     _busyTicks += duration;
+    if (_busy.size() >= _pruneAt)
+        prune(g_floor);
 
     // Candidate start: after any interval covering `earliest`.
     Tick t = earliest;
@@ -42,6 +71,21 @@ Timeline::acquire(Tick earliest, Tick duration)
     }
     _busy.emplace(start, end);
     return t;
+}
+
+void
+Timeline::prune(Tick floor)
+{
+    // Ends ascend with starts, so the dead intervals form a prefix: it
+    // stops at the first interval ending past the floor, or at the last
+    // one, which freeAt() reads.
+    auto keep = _busy.lower_bound(floor);
+    if (keep != _busy.begin() && std::prev(keep)->second > floor)
+        --keep;
+    if (keep == _busy.end())
+        --keep;
+    _busy.erase(_busy.begin(), keep);
+    _pruneAt = std::max(kMinPruneIntervals, 2 * _busy.size());
 }
 
 TimelineBank::TimelineBank(std::string name, unsigned count)

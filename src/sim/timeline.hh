@@ -63,7 +63,8 @@ class Timeline
     /** Number of reservations made. */
     std::uint64_t ops() const { return _ops; }
 
-    /** Number of distinct busy intervals currently tracked. */
+    /** Number of distinct busy intervals currently tracked (pruned
+     *  intervals below the reservation floor are not counted). */
     std::size_t intervals() const { return _busy.size(); }
 
     /** Fraction of [0, window) spent busy (clamped to [0, 1]). */
@@ -86,14 +87,44 @@ class Timeline
         _busy.clear();
         _busyTicks = 0;
         _ops = 0;
+        _pruneAt = kMinPruneIntervals;
     }
 
   private:
+    /** Interval count below which acquire() never prunes. */
+    static constexpr std::size_t kMinPruneIntervals = 64;
+
+    /** Drop intervals ending at or before @p floor, keeping the last. */
+    void prune(Tick floor);
+
     std::string _name;
     /** Busy spans: start -> end, non-overlapping, non-adjacent. */
     std::map<Tick, Tick> _busy;
     Tick _busyTicks = 0;
     std::uint64_t _ops = 0;
+    /** Prune when the map reaches this size (double the last result). */
+    std::size_t _pruneAt = kMinPruneIntervals;
+};
+
+/**
+ * RAII: a reservation floor for a scope. It starts at 0, may only be
+ * raised, and the previous floor is restored on exit.
+ */
+class ScopedReservationFloor
+{
+  public:
+    ScopedReservationFloor();
+    ~ScopedReservationFloor();
+
+    ScopedReservationFloor(const ScopedReservationFloor &) = delete;
+    ScopedReservationFloor &
+    operator=(const ScopedReservationFloor &) = delete;
+
+    /** Promise that no later reservation starts before @p t. */
+    void raise(Tick t);
+
+  private:
+    Tick _prev;
 };
 
 /**

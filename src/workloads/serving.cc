@@ -24,6 +24,7 @@
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "sim/timeline.hh"
 #include "workloads/generators.hh"
 #include "workloads/objects.hh"
 
@@ -901,6 +902,10 @@ runServing(const ServingOptions &opts)
         core::InvokeSession s = runtime.beginInvoke(
             image_for(tenant, req.write), stream, target, when, iopts);
         if (!s.accepted) {
+            // A refused MINIT never wrote the target; a re-offer
+            // allocates afresh.
+            if (!req.write)
+                sys.freeHost(target.addr, inst.objectBytes);
             note_traces(req_idx, s.traceIds);
             if (s.failed) {
                 // MINIT died on an injected fault with the retry
@@ -1040,9 +1045,14 @@ runServing(const ServingOptions &opts)
         return v;
     };
 
+    // Events pop in time order and every reservation a handler makes
+    // starts at or after its event, so the popped time is a floor below
+    // which the component timelines may forget their intervals.
+    sim::ScopedReservationFloor reservation_floor;
     while (!events.empty()) {
         const Event ev = events.top();
         events.pop();
+        reservation_floor.raise(ev.time);
         if (tl != nullptr) {
             // Catch the cadence up to this event: rows land at exact
             // interval boundaries with the state as of the boundary.
@@ -1066,6 +1076,13 @@ runServing(const ServingOptions &opts)
         const core::InvokeResult result =
             as.session.failed ? runtime.abortInvoke(as.session)
                               : runtime.finishInvoke(as.session);
+        const Request &done_req = requests[req_idx];
+        if (!done_req.write) {
+            sys.freeHost(as.session.target.addr,
+                         classes[done_req.tenantIdx][done_req.classIdx]
+                             .objects[done_req.objIdx]
+                             .objectBytes);
+        }
         note_traces(req_idx, as.session.traceIds);
         free_slots.push_back(ev.idx);
         sched::CircuitBreaker &br =

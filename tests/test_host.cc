@@ -213,6 +213,69 @@ TEST(HostSystem, HostAllocatorAdvancesAndResets)
     EXPECT_EQ(sys.allocHost(1), a);
 }
 
+TEST(HostSystem, FreedBufferIsReusedAtTheSameSize)
+{
+    ho::HostSystem sys;
+    const auto a = sys.allocHost(100);
+    const auto b = sys.allocHost(100);
+    sys.freeHost(a, 100);
+    sys.freeHost(b, 100);
+    // LIFO: the last buffer freed comes back first. Sizes round to
+    // whole pages, so 4000 bytes fits the same one-page list.
+    EXPECT_EQ(sys.allocHost(4000), b);
+    EXPECT_EQ(sys.allocHost(1), a);
+}
+
+TEST(HostSystem, FreedBufferNeverAliasesADifferentSize)
+{
+    ho::HostSystem sys;
+    const auto small = sys.allocHost(4096);
+    sys.freeHost(small, 4096);
+    const auto big = sys.allocHost(8192);
+    EXPECT_NE(big, small);
+    EXPECT_GE(big, small + 4096);  // fresh space past the freed page
+    EXPECT_EQ(sys.allocHost(4096), small);
+}
+
+TEST(HostSystem, ResetClearsTheFreeLists)
+{
+    ho::HostSystem sys;
+    const auto a = sys.allocHost(4096);
+    const auto b = sys.allocHost(4096);
+    sys.freeHost(b, 4096);
+    sys.resetHostAllocator();
+    // Back to the bump base: b's stale free-list entry is gone, so the
+    // second page comes from the bump pointer, not from the list.
+    EXPECT_EQ(sys.allocHost(4096), a);
+    EXPECT_EQ(sys.allocHost(4096), b);
+    EXPECT_EQ(sys.allocHost(4096), b + 4096);
+}
+
+TEST(HostSystem, AllocFreeCyclesStayFlat)
+{
+    // 1M cycles of three written buffers would need ~90 GB of bump
+    // space without reuse; with it they neither exhaust the allocator
+    // nor grow the host DRAM's resident set.
+    ho::HostSystem sys;
+    const std::uint64_t sizes[] = {4 * ms::kKiB, 24 * ms::kKiB,
+                                   64 * ms::kKiB};
+    const std::vector<std::uint8_t> bytes(64, 0xAB);
+    auto cycle = [&] {
+        morpheus::pcie::Addr addrs[3];
+        for (int i = 0; i < 3; ++i) {
+            addrs[i] = sys.allocHost(sizes[i]);
+            sys.mem().store().writeVec(addrs[i] + sizes[i] - 64, bytes);
+        }
+        for (int i = 0; i < 3; ++i)
+            sys.freeHost(addrs[i], sizes[i]);
+    };
+    cycle();
+    const std::uint64_t resident = sys.mem().store().residentBytes();
+    for (int n = 0; n < 1000000; ++n)
+        cycle();
+    EXPECT_EQ(sys.mem().store().residentBytes(), resident);
+}
+
 TEST(HostSystem, RegisterStatsDumpsTheWholeMachine)
 {
     ho::HostSystem sys;
@@ -230,4 +293,7 @@ TEST(HostSystem, RegisterStatsDumpsTheWholeMachine)
     EXPECT_GT(set.counterValue("ssd.flash.programs"), 0u);
     EXPECT_GT(set.counterValue("ssd.nvme.commands"), 0u);
     EXPECT_GT(set.counterValue("pcie.fabricBytes"), 0u);
+    // Host DRAM's resident set is a gauge read at report time.
+    EXPECT_EQ(set.counterValue("host.mem.residentBytes"),
+              sys.mem().store().residentBytes());
 }

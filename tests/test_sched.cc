@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "sched/core_dispatcher.hh"
 #include "sched/tenant_arbiter.hh"
 #include "workloads/serving.hh"
@@ -693,4 +694,72 @@ TEST(Serving, BreakerOpenTenantIsNotDoubleRoutedByOverload)
                                    t.fallbackProbe)
             << "tenant " << t.id;
     }
+}
+
+// ------------------------------------------------ bounded host memory
+
+namespace {
+
+/**
+ * A closed loop of tiny int-array requests, @p per_tenant per tenant.
+ * @return the run's host DRAM resident bytes from the registry.
+ */
+std::uint64_t
+residentAfter(std::uint64_t per_tenant, bool hybrid,
+              wk::ServingReport *report)
+{
+    wk::ServingOptions opts =
+        skewedServing(sched::PlacementPolicy::kLoadAware, true);
+    opts.closedLoop = true;
+    opts.closedLoopConcurrency = 4;
+    opts.closedLoopRequests = per_tenant;
+    for (wk::TenantSpec &t : opts.tenants) {
+        t.sizeClassValues = {64, 512};
+        t.sizeClassProb = {0.8, 0.2};
+    }
+    if (hybrid) {
+        // Spill from the first declared byte: the host-execution
+        // engine's staging and object buffers carry much of the load.
+        opts.hybrid.enabled = true;
+        opts.hybrid.spillEnterBytes = 1;
+    }
+    obs::MetricsRegistry reg;
+    opts.metrics = &reg;
+    *report = wk::runServing(opts);
+    return reg.counter("sys.host.mem.residentBytes");
+}
+
+void
+expectClosed(const wk::ServingReport &r)
+{
+    EXPECT_EQ(r.submitted, r.completed + r.rejected + r.lost);
+    EXPECT_EQ(r.lost, 0u);
+}
+
+}  // namespace
+
+TEST(Serving, HostMemoryIsFlatInTheRequestCount)
+{
+    // Every DMA target and MINIT image buffer goes back to the host
+    // allocator at its request's terminal outcome, so four times the
+    // requests touch exactly the same host DRAM.
+    wk::ServingReport small, large;
+    const std::uint64_t n = residentAfter(64, false, &small);
+    const std::uint64_t n4 = residentAfter(256, false, &large);
+    EXPECT_GT(n, 0u);
+    EXPECT_EQ(n4, n);
+    expectClosed(small);
+    expectClosed(large);
+    EXPECT_EQ(large.submitted, 4 * small.submitted);
+}
+
+TEST(Serving, HybridHostMemoryIsFlatInTheRequestCount)
+{
+    wk::ServingReport small, large;
+    const std::uint64_t n = residentAfter(64, true, &small);
+    const std::uint64_t n4 = residentAfter(256, true, &large);
+    EXPECT_GT(large.fallbackOverload + large.splitRequests, 0u);
+    EXPECT_EQ(n4, n);
+    expectClosed(small);
+    expectClosed(large);
 }

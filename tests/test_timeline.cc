@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "sim/rng.hh"
 #include "sim/timeline.hh"
 
 namespace ms = morpheus::sim;
@@ -133,4 +137,140 @@ TEST(Timeline, BusyTicksAccumulateAcrossGapFills)
     EXPECT_EQ(t.busyTicks(), 30u);
     EXPECT_EQ(t.ops(), 3u);
     EXPECT_EQ(t.intervals(), 3u);
+}
+
+// ------------------------------------------------- reservation floor
+
+namespace {
+
+/** What one reservation observed, for pruned-vs-unpruned comparison. */
+struct Step
+{
+    ms::Tick start;
+    ms::Tick freeAt;
+    ms::Tick busy;
+    std::uint64_t ops;
+    bool operator==(const Step &) const = default;
+};
+
+/**
+ * A seeded stream of reservations under a rising floor: each one asks
+ * for a tick at or above the floor, often inside gaps earlier ones
+ * left, with some zero-length ones. Returns what each observed and the
+ * largest interval count the timeline held. With @p floor null the
+ * floor stays 0 (nothing is pruned).
+ */
+std::vector<Step>
+runStream(ms::Timeline &t, ms::ScopedReservationFloor *floor,
+          std::size_t *max_intervals)
+{
+    ms::Rng rng(1234);
+    std::vector<Step> steps;
+    ms::Tick now = 0;
+    *max_intervals = 0;
+    for (int i = 0; i < 20000; ++i) {
+        now += rng.nextBelow(40);
+        if (floor != nullptr)
+            floor->raise(now);
+        const ms::Tick earliest = now + rng.nextBelow(400);
+        const ms::Tick duration =
+            rng.nextBool(0.05) ? 0 : 1 + rng.nextBelow(30);
+        const ms::Tick start = t.acquire(earliest, duration);
+        steps.push_back({start, t.freeAt(), t.busyTicks(), t.ops()});
+        *max_intervals = std::max(*max_intervals, t.intervals());
+    }
+    return steps;
+}
+
+}  // namespace
+
+TEST(TimelineFloor, PruningNeverChangesAPlacement)
+{
+    ms::Timeline unpruned("ref");
+    std::size_t unpruned_max = 0;
+    const std::vector<Step> ref =
+        runStream(unpruned, nullptr, &unpruned_max);
+
+    ms::Timeline pruned("pruned");
+    std::size_t pruned_max = 0;
+    std::vector<Step> got;
+    {
+        ms::ScopedReservationFloor floor;
+        got = runStream(pruned, &floor, &pruned_max);
+    }
+    pruned.acquire(0, 1);  // the scope restored floor 0 on exit
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(got[i], ref[i]) << "reservation " << i;
+    // The stream leaves thousands of gaps behind it; below the floor
+    // they are forgotten, so the map stays small.
+    EXPECT_GT(unpruned_max, 2000u);
+    EXPECT_LT(pruned_max, 200u);
+}
+
+TEST(TimelineFloor, ResetRestoresTheInitialState)
+{
+    ms::Timeline t("t");
+    std::size_t first_max = 0;
+    std::vector<Step> first;
+    {
+        ms::ScopedReservationFloor floor;
+        first = runStream(t, &floor, &first_max);
+    }
+    t.reset();
+    EXPECT_EQ(t.freeAt(), 0u);
+    EXPECT_EQ(t.busyTicks(), 0u);
+    EXPECT_EQ(t.ops(), 0u);
+    EXPECT_EQ(t.intervals(), 0u);
+    // The prune threshold is reset too: a replay prunes on the same
+    // schedule and peaks at the same interval count.
+    std::size_t second_max = 0;
+    std::vector<Step> second;
+    {
+        ms::ScopedReservationFloor floor;
+        second = runStream(t, &floor, &second_max);
+    }
+    EXPECT_EQ(second, first);
+    EXPECT_EQ(second_max, first_max);
+}
+
+TEST(TimelineFloor, TrailingFloorKeepsTheMapSmall)
+{
+    ms::Timeline t("t");
+    ms::ScopedReservationFloor floor;
+    // Disjoint reservations [10i, 10i + 5), the floor trailing each.
+    for (ms::Tick i = 0; i < 200; ++i) {
+        floor.raise(i * 10);
+        t.acquire(i * 10, 5);
+    }
+    EXPECT_EQ(t.freeAt(), 1995u);
+    EXPECT_EQ(t.ops(), 200u);
+    EXPECT_EQ(t.busyTicks(), 1000u);
+    EXPECT_LE(t.intervals(), 64u);
+    // The interval ending past the floor is kept: a reservation at the
+    // floor still queues behind it.
+    EXPECT_EQ(t.acquire(1990, 3), 1995u);
+}
+
+TEST(TimelineFloorDeath, AcquireBelowTheFloorPanics)
+{
+    EXPECT_DEATH(
+        {
+            ms::Timeline t("t");
+            ms::ScopedReservationFloor floor;
+            floor.raise(100);
+            t.acquire(99, 1);
+        },
+        "reservation below the floor");
+}
+
+TEST(TimelineFloorDeath, FloorNeverMovesBackwards)
+{
+    EXPECT_DEATH(
+        {
+            ms::ScopedReservationFloor floor;
+            floor.raise(100);
+            floor.raise(50);
+        },
+        "floor moved backwards");
 }

@@ -87,7 +87,7 @@ serveUsage()
         stderr,
         "usage: morpheus-run serve [--tenants N] [--rate R] [--skew S]\n"
         "                    [--duration-sec S] [--closed-loop]\n"
-        "                    [--seed N] [--ssds N]\n"
+        "                    [--requests N] [--seed N] [--ssds N]\n"
         "                    [--shard-policy hash|range]\n"
         "                    [--breakdown] [--slow-traces FILE.json]\n"
         "                    [--slow-k N] [--timeline FILE.json]\n"
@@ -102,8 +102,11 @@ serveUsage()
         "                    [--no-pushdown] [--write-fraction F]\n"
         "Runs the multi-tenant serving driver once and prints the\n"
         "report. --rate is total arrivals/s split S:1:...:1 across the\n"
-        "tenants (tenant 1 gets the S share). --breakdown attributes\n"
-        "every request's latency to pipeline stages; --slow-traces\n"
+        "tenants (tenant 1 gets the S share). --closed-loop ignores\n"
+        "--rate and --duration-sec: each tenant keeps 4 requests in\n"
+        "flight until it has issued --requests (default 64).\n"
+        "--breakdown attributes every request's latency to pipeline\n"
+        "stages; --slow-traces\n"
         "writes the flight recorder's retained slowest-K/failed traces\n"
         "as Chrome JSON (open in Perfetto); --timeline samples gauges\n"
         "every --timeline-interval-us (default 100) into JSON/CSV;\n"
@@ -168,6 +171,9 @@ serveMain(int argc, char **argv)
             opts.durationSec = std::atof(next("--duration-sec"));
         } else if (arg == "--closed-loop") {
             opts.closedLoop = true;
+        } else if (arg == "--requests") {
+            opts.closedLoopRequests = static_cast<std::uint64_t>(
+                std::atoll(next("--requests")));
         } else if (arg == "--seed") {
             opts.seed = static_cast<std::uint64_t>(
                 std::atoll(next("--seed")));
