@@ -53,7 +53,6 @@ makeOptions()
     for (std::uint32_t t = 0; t < 3; ++t) {
         wk::TenantSpec spec;
         spec.id = t + 1;
-        spec.weight = 1.0;
         spec.arrivalsPerSec = (t == 0) ? skew * base : base;
         opts.tenants.push_back(spec);
     }

@@ -53,7 +53,6 @@ makeOptions(bool cache_on)
     for (std::uint32_t t = 0; t < 3; ++t) {
         wk::TenantSpec spec;
         spec.id = t + 1;
-        spec.weight = 1.0;
         opts.tenants.push_back(spec);
     }
     // Several distinct objects per size class with Zipf-skewed

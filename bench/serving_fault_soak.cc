@@ -65,7 +65,6 @@ makeOptions(bool faults, bool recover)
     for (std::uint32_t t = 0; t < 3; ++t) {
         wk::TenantSpec spec;
         spec.id = t + 1;
-        spec.weight = 1.0;
         spec.arrivalsPerSec = 4000.0;
         opts.tenants.push_back(spec);
     }

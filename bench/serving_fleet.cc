@@ -52,7 +52,6 @@ makeOptions(unsigned ssds, double zipf_skew)
     for (std::uint32_t t = 0; t < 3; ++t) {
         wk::TenantSpec spec;
         spec.id = t + 1;
-        spec.weight = 1.0;
         opts.tenants.push_back(spec);
     }
     opts.sys.numSsds = ssds;

@@ -47,7 +47,6 @@ makeOptions(const Point &p, sched::PlacementPolicy placement)
     for (std::uint32_t t = 0; t < 3; ++t) {
         wk::TenantSpec spec;
         spec.id = t + 1;
-        spec.weight = 1.0;
         spec.arrivalsPerSec = (t == 0) ? p.skew * base : base;
         opts.tenants.push_back(spec);
     }
@@ -103,11 +102,8 @@ printPolicyJson(const char *name, const wk::ServingReport &r,
     std::printf("        \"jain_fairness\": %.4f,\n", r.jainFairness);
     std::printf("        \"throughput_per_sec\": %.0f,\n",
                 r.throughputPerSec);
-    // Device-side scheduler counters, federated out of the simulated
+    // Device-side scheduler counter, federated out of the simulated
     // machine through the metrics registry.
-    std::printf("        \"drr_delays\": %llu,\n",
-                static_cast<unsigned long long>(
-                    reg.counter("sys.ssd.sched.arbiter.drrDelays")));
     std::printf("        \"dsram_bounces\": %llu,\n",
                 static_cast<unsigned long long>(
                     reg.counter("sys.ssd.sched.dsramBounces")));

@@ -135,8 +135,17 @@ MorpheusDeviceRuntime::doMInit(const nvme::Command &cmd, sim::Tick start)
     ssd::EmbeddedCore &core = _ssd.coreFor(cmd.instanceId, start, granted);
     const std::uint32_t code_bytes =
         cmd.cdw13 ? cmd.cdw13 : setup.image->textBytes;
-    if (!core.loadImage(code_bytes))
-        return {start, nvme::Status::kAppLoadFailed, 0};
+    if (!core.loadImage(code_bytes)) {
+        // Only an image larger than the whole I-SRAM can never load. A
+        // core whose I-SRAM is full of resident images bounces the
+        // MINIT like a full instance table; with no retry-after hint
+        // the host waits for a completion before resubmitting.
+        return {start,
+                code_bytes > core.config().isramBytes
+                    ? nvme::Status::kAppLoadFailed
+                    : nvme::Status::kInstanceBusy,
+                0};
+    }
     if (granted && !core.reserveDsram(granted)) {
         // No data budget next to the co-resident grants: release the
         // I-SRAM image too (the scheduler front end frees the arbiter

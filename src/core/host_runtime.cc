@@ -183,19 +183,15 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
     // buffer goes back to the host allocator on every path below.
     _sys.freeHost(image_addr, image_buf_bytes);
     s.minitStatus = minit_cqe.status;
-    if (s.minitStatus == nvme::Status::kAdmissionDenied ||
-        s.minitStatus == nvme::Status::kInstanceBusy ||
-        s.minitStatus == nvme::Status::kDsramExhausted ||
-        s.minitStatus == nvme::Status::kOverloaded) {
-        // Refused before the instance came up: admission quota (front
-        // end), no D-SRAM budget on the core (engine), or the overload
-        // valve's backlog limit. Either way discard the staged setup
-        // and report back to the caller. D-SRAM exhaustion and
-        // overload, like a busy slot, clear as resident instances
-        // finish, so they are retryable.
+    if (s.minitStatus == nvme::Status::kInstanceBusy ||
+        s.minitStatus == nvme::Status::kDsramExhausted) {
+        // Bounced before the instance came up: the device-wide
+        // admission cap (front end), or no I-SRAM or D-SRAM room on
+        // the core (engine). All of them clear as resident instances
+        // finish, so discard the staged setup and let the caller begin
+        // again later.
         _device.unstageInstance(s.instance);
-        s.retry = s.minitStatus != nvme::Status::kAdmissionDenied;
-        s.retryAfterUs = s.retry ? minit_cqe.dw0 : 0;
+        s.retryAfterUs = minit_cqe.dw0;
         s.result.accepted = false;
         s.result.done = std::max(s.now, minit_cqe.postedAt);
         return s;
@@ -214,7 +210,6 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
         mdeinit.instanceId = s.instance;
         const nvme::Completion cleanup = driver.io(
             s.qid, mdeinit, std::max(s.now, minit_cqe.postedAt));
-        s.retry = true;  // transient by nature: try again later
         s.failed = true;
         s.failStatus = s.minitStatus;
         s.result.accepted = false;

@@ -119,11 +119,10 @@ struct InvokeSession
     std::uint16_t qid = 0;
     /** MINIT completion status (admission refusals land here). */
     nvme::Status minitStatus = nvme::Status::kSuccess;
-    /** MINIT succeeded; the stream may proceed. */
+    /** MINIT succeeded; the stream may proceed. Refused and not
+     *  failed = bounced (admission cap, I-SRAM or D-SRAM full): begin
+     *  again later. */
     bool accepted = false;
-    /** Refused with a retry indication (slot held by open instances):
-     *  begin again later. */
-    bool retry = false;
     /** NVMe-style retry-after hint from the refusing completion's DW0
      *  (microseconds, derived from the arbiter's backlog); 0 = no hint,
      *  wait for a completion instead. */
@@ -186,9 +185,10 @@ class MorpheusRuntime
 
     /**
      * Start an invocation: stage the instance and issue MINIT. Check
-     * session.accepted — a scheduler refusal (admission quota) comes
-     * back with accepted=false and retry saying whether trying again
-     * later can succeed. A failed image load still asserts, as with
+     * session.accepted — a bounce (admission cap, full I-SRAM or
+     * D-SRAM) comes back with accepted=false and may be begun again
+     * later; with driver recovery on, an exhausted MINIT comes back
+     * failed. An image larger than the I-SRAM asserts, as with
      * invoke().
      */
     InvokeSession beginInvoke(const StorageAppImage &image,

@@ -119,11 +119,9 @@ statusName(Status s)
       case Status::kNoSuchInstance: return "NoSuchInstance";
       case Status::kAppLoadFailed: return "AppLoadFailed";
       case Status::kInstanceBusy: return "InstanceBusy";
-      case Status::kAdmissionDenied: return "AdmissionDenied";
       case Status::kDsramExhausted: return "DsramExhausted";
       case Status::kAppFault: return "AppFault";
       case Status::kSequenceError: return "SequenceError";
-      case Status::kOverloaded: return "Overloaded";
       case Status::kMediaError: return "MediaError";
       case Status::kCommandTimeout: return "CommandTimeout";
     }
@@ -135,9 +133,8 @@ isRetryable(Status s)
 {
     switch (s) {
       case Status::kTransientTransferError:  // link glitch; resubmit
-      case Status::kInstanceBusy:            // table full; wait + retry
+      case Status::kInstanceBusy:            // no room yet; wait + retry
       case Status::kDsramExhausted:          // budget pressure; wait + retry
-      case Status::kOverloaded:              // backlog drains; wait + retry
       case Status::kMediaError:              // read-retry recoverable
       case Status::kSequenceError:           // gap fills, then resubmit
         return true;

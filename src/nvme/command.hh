@@ -72,8 +72,7 @@ enum class Status : std::uint16_t {
     kLbaOutOfRange = 0x80,
     kNoSuchInstance = 0x1C0,   // Morpheus: unknown instance ID
     kAppLoadFailed = 0x1C1,    // Morpheus: image too big for I-SRAM
-    kInstanceBusy = 0x1C2,     // Morpheus: instance table full / retry
-    kAdmissionDenied = 0x1C3,  // Morpheus: tenant over instance quota
+    kInstanceBusy = 0x1C2,     // Morpheus: no room for the instance / retry
     kDsramExhausted = 0x1C4,   // Morpheus: no D-SRAM budget on the core
     kAppFault = 0x1C5,         // Morpheus: StorageApp crashed mid-command
     /** Morpheus: MREAD chunk arrived out of stream order. The parse is
@@ -82,12 +81,6 @@ enum class Status : std::uint16_t {
      *  parser across the gap. Retryable: resubmit once the missing
      *  chunk has landed. */
     kSequenceError = 0x1C6,
-    /** Morpheus: the scheduler front end's overload valve refused the
-     *  MINIT — the device-wide declared backlog already exceeds the
-     *  configured limit, so admitting more work would only grow the
-     *  queue. Retryable; the completion's DW0 carries a retry-after
-     *  hint derived from the backlog drain rate. */
-    kOverloaded = 0x1C7,
     kMediaError = 0x281,       // uncorrectable flash read; retryable
     /** Host-synthesized: no CQE arrived before the command deadline.
      *  Never produced by the device; the driver fabricates it when it

@@ -85,7 +85,7 @@ classifySpan(const Span &span, Stage *stage, int *priority)
         *priority = 60;
         return true;
     }
-    if (n == "admission_wait" || n == "drr_wait") {
+    if (n == "admission_wait") {
         *stage = Stage::kAdmission;
         *priority = 50;
         return true;

@@ -36,7 +36,7 @@ namespace morpheus::obs {
 enum class Stage : std::uint8_t {
     kHost = 0,   ///< Residual host-side time not covered by any span.
     kQueue,      ///< SQ residency before the controller dispatches.
-    kAdmission,  ///< Scheduler admission / DRR arbitration wait.
+    kAdmission,  ///< Scheduler admission wait.
     kDispatch,   ///< Controller frontend decode + exec bookkeeping.
     kFetch,      ///< Flash reads into controller DRAM (incl. readahead).
     kParse,      ///< Embedded-core app execution (parse/serialize/...).

@@ -10,7 +10,7 @@
  * to the device's admission/bounce/placement counters — back to its
  * caller after the simulated machine is gone.
  *
- * Names are dot-separated paths ("ssd.sched.arbiter.drrDelays");
+ * Names are dot-separated paths ("ssd.sched.arbiter.instancesAdmitted");
  * report() dumps them flat in sorted order, writeJson() nests them
  * into one JSON object per path segment.
  */

@@ -15,8 +15,7 @@ CoreDispatcher::CoreDispatcher(const SchedConfig &config,
                                std::string track_prefix)
     : _config(config), _numCores(num_cores), _probe(std::move(probe)),
       _dsramProbe(std::move(dsram_probe)),
-      _trackPrefix(std::move(track_prefix)), _residents(num_cores, 0),
-      _pendingBytes(num_cores, 0)
+      _trackPrefix(std::move(track_prefix)), _residents(num_cores, 0)
 {
     MORPHEUS_ASSERT(num_cores > 0, "dispatcher needs at least one core");
 }
@@ -40,26 +39,19 @@ CoreDispatcher::leastLoadedCore(sim::Tick now,
                                 std::uint32_t dsram_needed) const
 {
     // A core without room for the instance's D-SRAM grant would bounce
-    // the MINIT, so fit leads. With backlog-aware placement the
-    // declared-but-unserved stream bytes come next: residency counts a
-    // 4 GB stream and a 4 KB one as equal load, pending bytes do not.
-    // Resident-instance count follows (and leads when the knob is off
-    // or nothing was declared): a host session only keeps about one
-    // MREAD batch reserved on its core's timeline at a time, so
-    // between batches a core hosting a huge in-flight stream reports a
-    // near-zero backlog. The instantaneous timeline backlog only
-    // breaks ties.
+    // the MINIT, so fit leads. Resident-instance count follows: a host
+    // session only keeps about one MREAD batch reserved on its core's
+    // timeline at a time, so between batches a core hosting a huge
+    // in-flight stream reports a near-zero backlog. The instantaneous
+    // timeline backlog only breaks ties.
     unsigned best = 0;
     auto best_key = std::make_tuple(
-        true, std::numeric_limits<std::uint64_t>::max(),
-        std::numeric_limits<unsigned>::max(),
+        true, std::numeric_limits<unsigned>::max(),
         std::numeric_limits<sim::Tick>::max(), 0u);
     for (unsigned c = 0; c < _numCores; ++c) {
-        const std::uint64_t pending =
-            _config.backlogAwarePlacement ? _pendingBytes[c] : 0;
         const auto key = std::make_tuple(!fitsDsram(c, dsram_needed),
-                                         pending, _residents[c],
-                                         backlog(c, now), c);
+                                         _residents[c], backlog(c, now),
+                                         c);
         if (key < best_key) {
             best_key = key;
             best = c;
@@ -70,8 +62,7 @@ CoreDispatcher::leastLoadedCore(sim::Tick now,
 
 unsigned
 CoreDispatcher::placeInstance(std::uint32_t instance, sim::Tick now,
-                              std::uint32_t dsram_needed,
-                              std::uint64_t declared_bytes)
+                              std::uint32_t dsram_needed)
 {
     // A live instance keeps its placement (all packets with one
     // instance ID go to one core until it deinits).
@@ -82,27 +73,12 @@ CoreDispatcher::placeInstance(std::uint32_t instance, sim::Tick now,
                               ? instance % _numCores
                               : leastLoadedCore(now, dsram_needed);
     _coreOf[instance] = core;
-    _bytesOf[instance] = declared_bytes;
     ++_residents[core];
-    _pendingBytes[core] += declared_bytes;
     ++_placements;
     // Dispatcher decisions are point events on one shared track.
     obs::traceInstant({_trackPrefix, "sched.dispatcher"}, "place", "sched",
                       now, {.instance = instance, .core = core});
     return core;
-}
-
-void
-CoreDispatcher::noteServedBytes(std::uint32_t instance,
-                                std::uint64_t bytes)
-{
-    const auto it = _bytesOf.find(instance);
-    if (it == _bytesOf.end() || it->second == 0)
-        return;
-    // Hosts may stream more than they declared; never underflow.
-    const std::uint64_t served = std::min(it->second, bytes);
-    it->second -= served;
-    _pendingBytes[coreOf(instance)] -= served;
 }
 
 void
@@ -114,13 +90,6 @@ CoreDispatcher::releaseInstance(std::uint32_t instance)
     MORPHEUS_ASSERT(_residents[it->second] > 0,
                     "resident count underflow");
     --_residents[it->second];
-    const auto bytes_it = _bytesOf.find(instance);
-    if (bytes_it != _bytesOf.end()) {
-        // A stream may end before serving its full declaration (errors,
-        // early MDEINIT): clear the residue from the packing signal.
-        _pendingBytes[it->second] -= bytes_it->second;
-        _bytesOf.erase(bytes_it);
-    }
     _coreOf.erase(it);
 }
 

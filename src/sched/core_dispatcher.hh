@@ -12,7 +12,7 @@
  * MINIT to MDEINIT.
  *
  * With D-SRAM partitioning, each instance carries a scratchpad grant:
- * placement prefers cores with room for it (a packing signal alongside
+ * placement prefers cores with room for it (a packing signal ahead of
  * resident count and backlog).
  *
  * The dispatcher reads core load through probe callbacks (the SSD
@@ -54,17 +54,9 @@ class CoreDispatcher
      * Pick the core for a new instance (MINIT). @p dsram_needed is the
      * instance's scratchpad grant (0 = unpartitioned): cores that can
      * hold it are preferred over cores that would bounce the MINIT.
-     * @p declared_bytes is the stream length the MINIT declared
-     * in-band (SLBA); with SchedConfig::backlogAwarePlacement it packs
-     * instances by pending bytes instead of resident count.
      */
     unsigned placeInstance(std::uint32_t instance, sim::Tick now,
-                           std::uint32_t dsram_needed = 0,
-                           std::uint64_t declared_bytes = 0);
-
-    /** A data command served @p bytes of @p instance's declared
-     *  stream: drain the per-core pending-bytes packing signal. */
-    void noteServedBytes(std::uint32_t instance, std::uint64_t bytes);
+                           std::uint32_t dsram_needed = 0);
 
     /** The instance finished (MDEINIT or failed MINIT). */
     void releaseInstance(std::uint32_t instance);
@@ -74,12 +66,6 @@ class CoreDispatcher
 
     /** Live instances currently assigned to @p core. */
     unsigned residents(unsigned core) const { return _residents.at(core); }
-
-    /** Declared-but-unserved bytes pending on @p core. */
-    std::uint64_t pendingBytes(unsigned core) const
-    {
-        return _pendingBytes.at(core);
-    }
 
     std::uint64_t placements() const { return _placements.value(); }
 
@@ -101,12 +87,7 @@ class CoreDispatcher
     const std::string _trackPrefix;
 
     std::unordered_map<std::uint32_t, unsigned> _coreOf;
-    /** Declared stream bytes not yet served, per instance; drains via
-     *  noteServedBytes(). */
-    std::unordered_map<std::uint32_t, std::uint64_t> _bytesOf;
     std::vector<unsigned> _residents;
-    /** Sum of _bytesOf over each core's residents. */
-    std::vector<std::uint64_t> _pendingBytes;
 
     sim::stats::Counter _placements;
 };

@@ -17,9 +17,9 @@
  *  - a split of the two (the device streams+parses a prefix while the
  *    host converts the remainder concurrently).
  *
- * The decision is driven by the dispatcher's live signals — declared
- * backlog bytes, per-core queue depth, the kDsramExhausted bounce
- * rate — against the modeled host CPU backlog. A two-watermark
+ * The decision is driven by the scheduler's live signals — the
+ * arbiter's declared backlog bytes, per-core queue depth, the
+ * kDsramExhausted bounce rate — against the modeled host CPU backlog. A two-watermark
  * hysteresis (spill entered at the high watermark, left at the low
  * one) keeps placement from flapping, and when *both* resources are
  * saturated a shed valve bounces the request with an explicit
@@ -129,16 +129,16 @@ struct HybridConfig
     std::uint32_t shedRetryUs = 200;
 
     /** Shed bounces one request absorbs before it is terminally
-     *  rejected (kOverloaded semantics: deterministic shedding instead
-     *  of an unbounded retry loop). */
+     *  rejected (deterministic shedding instead of an unbounded retry
+     *  loop). */
     unsigned shedMaxBounces = 8;
 };
 
 /** Live load signals one decision reads. */
 struct HybridSignals
 {
-    /** Declared-but-unserved bytes across the target device's cores
-     *  (CoreDispatcher::pendingBytes summed). */
+    /** Declared-but-unserved stream bytes on the target device
+     *  (TenantArbiter::totalDeclaredBacklog). */
     std::uint64_t backlogBytes = 0;
     /** Resident instances across the target device's cores. */
     unsigned queueDepth = 0;

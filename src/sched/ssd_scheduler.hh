@@ -4,8 +4,8 @@
  * Morpheus command.
  *
  * SsdScheduler composes the two mechanisms of the subsystem: the
- * TenantArbiter (admission of MINIT instances, weighted pacing of the
- * data path) and the CoreDispatcher (instance placement on embedded
+ * TenantArbiter (admission of MINIT instances and the declared-backlog
+ * ledger) and the CoreDispatcher (instance placement on embedded
  * cores). The SSD controller calls admitCommand() before handing an M*
  * command to the device runtime and onCommandDone() with the result,
  * so the runtime itself only needs the dispatcher for placement.
@@ -29,14 +29,14 @@ struct FrontEndDecision
     /** Tick the command may start executing (>= its arrival). */
     sim::Tick start = 0;
     /** kSuccess to proceed; any other status completes the command
-     *  immediately (kAdmissionDenied, or kInstanceBusy for retry). */
+     *  immediately (kInstanceBusy: retry). */
     nvme::Status status = nvme::Status::kSuccess;
     /** Completion DW0 payload for refusals: the retry-after hint in
      *  microseconds on kInstanceBusy (0 = no hint). */
     std::uint32_t dw0 = 0;
 };
 
-/** Admission + arbitration + placement for the Morpheus command path. */
+/** Admission + placement for the Morpheus command path. */
 class SsdScheduler
 {
   public:
@@ -48,14 +48,14 @@ class SsdScheduler
                  CoreDispatcher::DsramProbe dsram_probe = {},
                  std::string track_prefix = {});
 
-    const SchedConfig &config() const { return _config; }
     TenantArbiter &arbiter() { return _arbiter; }
     CoreDispatcher &dispatcher() { return _dispatcher; }
 
     /**
      * Gate one M* command arriving at @p arrival. MINIT goes through
-     * admission (the tenant ID rides in cdw15); MREAD/MWRITE through
-     * the weighted-deficit pacer; MDEINIT always passes.
+     * admission (the tenant ID rides in cdw15, for tracing); MREAD and
+     * MWRITE drain their instance's declared backlog and, like
+     * MDEINIT, always pass.
      */
     FrontEndDecision admitCommand(const nvme::Command &cmd,
                                   sim::Tick arrival);
@@ -63,7 +63,7 @@ class SsdScheduler
     /**
      * Report the execution result of a command previously admitted at
      * @p start. Feeds completion ticks back into admission and the
-     * pacer's service-rate estimate, and releases placement and
+     * service-rate estimate, and releases placement and
      * admission state for finished or failed instances.
      */
     void onCommandDone(const nvme::Command &cmd, sim::Tick start,
@@ -76,22 +76,13 @@ class SsdScheduler
      *  layer's scratchpad-pressure signal). */
     std::uint64_t dsramBounces() const { return _dsramBounces.value(); }
 
-    /** MINITs bounced by the overload valve so far. */
-    std::uint64_t overloadBounces() const
-    {
-        return _overloadBounces.value();
-    }
-
   private:
-    const SchedConfig _config;
     /** Span-track prefix ("" for device 0, "dev1." etc. in a fleet). */
     const std::string _trackPrefix;
     TenantArbiter _arbiter;
     CoreDispatcher _dispatcher;
     /** MINITs the runtime bounced for lack of D-SRAM budget. */
     sim::stats::Counter _dsramBounces;
-    /** MINITs the overload valve refused with kOverloaded. */
-    sim::stats::Counter _overloadBounces;
 };
 
 }  // namespace morpheus::sched

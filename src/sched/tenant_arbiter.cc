@@ -10,148 +10,85 @@ TenantArbiter::TenantArbiter(const SchedConfig &config) : _config(config)
 {
 }
 
-TenantArbiter::Tenant &
-TenantArbiter::tenant(std::uint32_t id)
-{
-    return _tenants[id];
-}
-
-void
-TenantArbiter::setTenantWeight(std::uint32_t id, double weight)
-{
-    tenant(id).weight = std::max(weight, 1e-6);
-}
-
-void
-TenantArbiter::prune(std::multiset<sim::Tick> &done, sim::Tick arrival)
-{
-    done.erase(done.begin(), done.upper_bound(arrival));
-}
-
 AdmitDecision
-TenantArbiter::admitInstance(std::uint32_t tenant_id,
-                             std::uint32_t instance, sim::Tick arrival,
+TenantArbiter::admitInstance(std::uint32_t instance, sim::Tick arrival,
                              std::uint64_t backlog_bytes)
 {
     // A MINIT reusing a live instance ID would fail in the runtime
     // anyway; bouncing it here keeps the live instance's admission
     // state intact.
-    if (_instanceTenant.count(instance))
-        return AdmitDecision{arrival, false, true};
+    if (_instanceBacklog.count(instance))
+        return AdmitDecision{arrival, true};
 
-    Tenant &t = tenant(tenant_id);
-    prune(t.closedDone, arrival);
-    prune(_closedDoneAll, arrival);
-
-    const unsigned cap_t = _config.maxInflightPerTenant;
-    const unsigned cap_all = _config.maxInflightTotal;
-    const auto inflight_t =
-        t.open + static_cast<unsigned>(t.closedDone.size());
-    const auto inflight_all =
-        _openTotal + static_cast<unsigned>(_closedDoneAll.size());
+    _closedDone.erase(_closedDone.begin(),
+                      _closedDone.upper_bound(arrival));
 
     sim::Tick start = arrival;
-    const bool over_t = cap_t != 0 && inflight_t >= cap_t;
-    const bool over_all = cap_all != 0 && inflight_all >= cap_all;
-    if (over_t || over_all) {
-        if (_config.admission == AdmissionPolicy::kReject) {
-            ++_rejected;
-            return AdmitDecision{arrival, true, false};
-        }
+    const unsigned cap = _config.maxInflightTotal;
+    const auto inflight =
+        _openTotal + static_cast<unsigned>(_closedDone.size());
+    if (cap != 0 && inflight >= cap) {
         // Queue: the MINIT starts when enough remembered completions
         // free the slot. Open instances have unknown completion ticks,
         // so a slot held only by them means the host must retry.
-        if ((over_t && t.open >= cap_t) ||
-            (over_all && _openTotal >= cap_all)) {
-            return AdmitDecision{arrival, false, true};
-        }
-        if (over_t) {
-            // The (inflight_t - cap_t + 1)-th remembered completion
-            // brings the count below the cap.
-            const unsigned need = inflight_t - cap_t + 1;
-            auto it = t.closedDone.begin();
-            std::advance(it, need - 1);
-            start = std::max(start, *it);
-        }
-        if (over_all) {
-            const unsigned need = inflight_all - cap_all + 1;
-            auto it = _closedDoneAll.begin();
-            std::advance(it, need - 1);
-            start = std::max(start, *it);
-        }
+        if (_openTotal >= cap)
+            return AdmitDecision{arrival, true};
+        // The (inflight - cap + 1)-th remembered completion brings the
+        // count below the cap.
+        auto it = _closedDone.begin();
+        std::advance(it, inflight - cap);
+        start = *it;
         ++_queued;
         _queuedDelayTicks += start - arrival;
     }
 
-    _instanceTenant[instance] = tenant_id;
     _instanceBacklog[instance] = backlog_bytes;
-    t.backlogBytes += static_cast<std::int64_t>(backlog_bytes);
-    ++t.open;
+    _totalBacklog += backlog_bytes;
     ++_openTotal;
     ++_admitted;
-    return AdmitDecision{start, false, false};
+    return AdmitDecision{start, false};
 }
 
-void
+bool
 TenantArbiter::releaseInstance(std::uint32_t instance)
 {
     // Clear any declared backlog the stream never submitted.
-    const auto bl = _instanceBacklog.find(instance);
-    if (bl != _instanceBacklog.end()) {
-        const auto owner = _instanceTenant.find(instance);
-        if (owner != _instanceTenant.end()) {
-            Tenant &t = tenant(owner->second);
-            t.backlogBytes = std::max<std::int64_t>(
-                0, t.backlogBytes -
-                       static_cast<std::int64_t>(bl->second));
-        }
-        _instanceBacklog.erase(bl);
-    }
-    _instanceTenant.erase(instance);
+    const auto it = _instanceBacklog.find(instance);
+    if (it == _instanceBacklog.end())
+        return false;
+    _totalBacklog -= it->second;
+    _instanceBacklog.erase(it);
+    return true;
 }
 
 void
 TenantArbiter::onInstanceDone(std::uint32_t instance, sim::Tick done)
 {
-    const auto it = _instanceTenant.find(instance);
-    if (it == _instanceTenant.end())
+    if (!releaseInstance(instance))
         return;
-    Tenant &t = tenant(it->second);
-    MORPHEUS_ASSERT(t.open > 0 && _openTotal > 0,
+    MORPHEUS_ASSERT(_openTotal > 0,
                     "instance completion without an open instance");
-    --t.open;
     --_openTotal;
-    t.closedDone.insert(done);
-    _closedDoneAll.insert(done);
-    releaseInstance(instance);
+    _closedDone.insert(done);
 }
 
 void
 TenantArbiter::dropInstance(std::uint32_t instance)
 {
-    const auto it = _instanceTenant.find(instance);
-    if (it == _instanceTenant.end())
-        return;
-    Tenant &t = tenant(it->second);
-    if (t.open > 0)
-        --t.open;
-    if (_openTotal > 0)
+    if (releaseInstance(instance) && _openTotal > 0)
         --_openTotal;
-    releaseInstance(instance);
 }
 
-std::uint32_t
-TenantArbiter::tenantOf(std::uint32_t instance) const
+void
+TenantArbiter::onDataArrival(std::uint32_t instance, std::uint64_t bytes)
 {
-    const auto it = _instanceTenant.find(instance);
-    return it == _instanceTenant.end() ? kNoTenant : it->second;
-}
-
-std::int64_t
-TenantArbiter::backlogOf(std::uint32_t tenant_id) const
-{
-    const auto it = _tenants.find(tenant_id);
-    return it == _tenants.end() ? 0 : it->second.backlogBytes;
+    const auto it = _instanceBacklog.find(instance);
+    if (it == _instanceBacklog.end())
+        return;
+    // Hosts may stream more than they declared; never underflow.
+    const std::uint64_t served = std::min(it->second, bytes);
+    it->second -= served;
+    _totalBacklog -= served;
 }
 
 std::uint64_t
@@ -161,23 +98,13 @@ TenantArbiter::declaredBacklog(std::uint32_t instance) const
     return it == _instanceBacklog.end() ? 0 : it->second;
 }
 
-std::uint64_t
-TenantArbiter::totalDeclaredBacklog() const
-{
-    std::uint64_t backlog = 0;
-    for (const auto &[inst, bytes] : _instanceBacklog)
-        backlog += bytes;
-    return backlog;
-}
-
 std::uint32_t
 TenantArbiter::retryAfterHintUs() const
 {
-    const std::uint64_t backlog = totalDeclaredBacklog();
     const unsigned open = std::max(1u, _openTotal);
     double ticks;
-    if (_ewmaBytesPerTick > 0.0 && backlog > 0) {
-        ticks = static_cast<double>(backlog) / _ewmaBytesPerTick /
+    if (_ewmaBytesPerTick > 0.0 && _totalBacklog > 0) {
+        ticks = static_cast<double>(_totalBacklog) / _ewmaBytesPerTick /
                 static_cast<double>(open);
     } else {
         // No service-rate observation (or nothing declared) yet: a
@@ -187,69 +114,6 @@ TenantArbiter::retryAfterHintUs() const
     }
     const double us = ticks / static_cast<double>(sim::kPsPerUs);
     return static_cast<std::uint32_t>(std::clamp(us, 1.0, 65535.0));
-}
-
-sim::Tick
-TenantArbiter::admitData(std::uint32_t instance, std::uint64_t bytes,
-                         sim::Tick arrival)
-{
-    const std::uint32_t tid = tenantOf(instance);
-    if (tid == kNoTenant)
-        return arrival;
-    Tenant &t = tenant(tid);
-    // Drain this stream's declared backlog as its data shows up.
-    const auto bl = _instanceBacklog.find(instance);
-    if (bl != _instanceBacklog.end()) {
-        const std::uint64_t served = std::min(bl->second, bytes);
-        bl->second -= served;
-        t.backlogBytes = std::max<std::int64_t>(
-            0, t.backlogBytes - static_cast<std::int64_t>(served));
-    }
-    if (!_config.arbitration)
-        return arrival;
-
-    // The backlogged set: every tenant with queued work, plus the
-    // requester (whose declared backlog may already be drained).
-    std::vector<std::uint32_t> backlogged;
-    double sum_w = 0.0;
-    for (const auto &[id, state] : _tenants) {
-        if (state.backlogBytes > 0 || id == tid) {
-            backlogged.push_back(id);
-            sum_w += state.weight;
-        }
-    }
-    if (backlogged != _backloggedSet) {
-        // New contention epoch: forget served history so a tenant is
-        // judged only against the tenants it currently competes with.
-        _backloggedSet = backlogged;
-        _totalServedBytes = 0;
-        for (auto &[id, state] : _tenants)
-            state.servedBytes = 0;
-    }
-
-    sim::Tick start = arrival;
-    if (backlogged.size() > 1 && sum_w > 0.0) {
-        const double share = t.weight / sum_w;
-        const double fair =
-            share * static_cast<double>(_totalServedBytes);
-        const double slack =
-            static_cast<double>(_config.drrQuantumBytes) * t.weight;
-        const double excess =
-            static_cast<double>(t.servedBytes) - fair - slack;
-        if (excess > 0.0 && _ewmaBytesPerTick > 0.0) {
-            const auto delay = static_cast<sim::Tick>(
-                std::min(excess / _ewmaBytesPerTick,
-                         static_cast<double>(_config.drrMaxDelay)));
-            if (delay > 0) {
-                start += delay;
-                ++_drrDelays;
-                _drrDelayTicks += delay;
-            }
-        }
-    }
-    t.servedBytes += bytes;
-    _totalServedBytes += bytes;
-    return start;
 }
 
 void
@@ -270,12 +134,9 @@ TenantArbiter::registerStats(sim::stats::StatSet &set,
                              const std::string &prefix) const
 {
     set.registerCounter(prefix + ".instancesAdmitted", &_admitted);
-    set.registerCounter(prefix + ".instancesRejected", &_rejected);
     set.registerCounter(prefix + ".instancesQueued", &_queued);
     set.registerCounter(prefix + ".queuedDelayTicks",
                         &_queuedDelayTicks);
-    set.registerCounter(prefix + ".drrDelays", &_drrDelays);
-    set.registerCounter(prefix + ".drrDelayTicks", &_drrDelayTicks);
 }
 
 }  // namespace morpheus::sched

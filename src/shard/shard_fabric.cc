@@ -35,22 +35,10 @@ ShardFabric::setRecovery(const nvme::DriverRecoveryConfig &cfg)
         _sys.nvmeDriver(d).setRecovery(cfg);
 }
 
-void
-ShardFabric::setTenantWeight(std::uint32_t tenant, double weight)
-{
-    for (unsigned d = 0; d < numDevices(); ++d)
-        _sys.ssd(d).scheduler().arbiter().setTenantWeight(tenant,
-                                                          weight);
-}
-
 std::uint64_t
 ShardFabric::deviceBacklogBytes(unsigned device)
 {
-    auto &ssd = _sys.ssd(device);
-    std::uint64_t bytes = 0;
-    for (unsigned c = 0; c < ssd.numCores(); ++c)
-        bytes += ssd.scheduler().dispatcher().pendingBytes(c);
-    return bytes;
+    return _sys.ssd(device).scheduler().arbiter().totalDeclaredBacklog();
 }
 
 unsigned

@@ -83,12 +83,10 @@ class ShardFabric
     /** Enable driver recovery on every device's driver. */
     void setRecovery(const nvme::DriverRecoveryConfig &cfg);
 
-    /** Set a tenant's DRR weight on every device's arbiter. */
-    void setTenantWeight(std::uint32_t tenant, double weight);
-
     // --- live per-device load signals (hybrid placement) -------------
 
-    /** Declared-but-unserved bytes across @p device's cores. */
+    /** Declared-but-unserved stream bytes on @p device (its
+     *  arbiter's ledger). */
     std::uint64_t deviceBacklogBytes(unsigned device);
 
     /** Resident StorageApp instances across @p device's cores. */

@@ -50,11 +50,9 @@ SsdController::coreFor(std::uint32_t instance_id, sim::Tick now,
 {
     // Paper §IV-B statically sends all packets with one instance ID to
     // core `id % numCores`; the dispatcher generalizes that to the
-    // configured placement policy. The stream length the MINIT
-    // declared in-band (SLBA) rides along as the byte-packing signal.
-    return *_cores[_sched->dispatcher().placeInstance(
-        instance_id, now, dsram_needed,
-        _sched->arbiter().declaredBacklog(instance_id))];
+    // configured placement policy.
+    return *_cores[_sched->dispatcher().placeInstance(instance_id, now,
+                                                      dsram_needed)];
 }
 
 std::uint64_t
@@ -221,7 +219,7 @@ SsdController::handleCommand(const nvme::Command &cmd, sim::Tick start)
             return nvme::CommandResult{start,
                                        nvme::Status::kInvalidOpcode, 0};
         }
-        // Scheduler front end: admission, pacing, placement release.
+        // Scheduler front end: admission, placement release.
         const sched::FrontEndDecision fe =
             _sched->admitCommand(cmd, start);
         if (fe.status != nvme::Status::kSuccess)

@@ -272,9 +272,6 @@ runServing(const ServingOptions &opts)
     fabric.setRecovery(opts.recovery);
     core::StandardImages images = core::StandardImages::make();
 
-    for (const TenantSpec &t : opts.tenants)
-        fabric.setTenantWeight(t.id, t.weight);
-
     const unsigned num_ssds = sys.numSsds();
     const unsigned objs_per_class = std::max(1u, opts.objectsPerClass);
     std::optional<ZipfianGenerator> obj_zipf;
@@ -556,7 +553,6 @@ runServing(const ServingOptions &opts)
         bool shedRejected = false;
         std::uint64_t retries = 0;
         std::uint64_t dsramBounces = 0;
-        std::uint64_t overloadBounces = 0;
         std::uint64_t shedBounces = 0;
         std::uint64_t deviceFailures = 0;
         bool servedFromCache = false;
@@ -913,43 +909,23 @@ runServing(const ServingOptions &opts)
                 device_failure(req_idx, s.result.done);
                 return;
             }
-            if (s.retry) {
-                ++outcomes[req_idx].retries;
-                if (s.minitStatus == nvme::Status::kDsramExhausted)
-                    ++outcomes[req_idx].dsramBounces;
-                if (s.minitStatus == nvme::Status::kOverloaded) {
-                    ++outcomes[req_idx].overloadBounces;
-                    if (opts.hybrid.enabled) {
-                        // The device named its condition with an
-                        // explicit kOverloaded: spill to the host now
-                        // instead of re-queueing on the device.
-                        fallback_request(
-                            req_idx, s.result.done,
-                            host::HostExecReason::kOverload);
-                        return;
-                    }
-                }
-                if (s.retryAfterUs > 0) {
-                    // Honor the completion's retry-after hint instead
-                    // of waiting for an unrelated completion.
-                    const sim::Tick resume =
-                        s.result.done +
-                        sim::Tick(s.retryAfterUs) * sim::kPsPerUs;
-                    record_retry_wait(req_idx, s.result.done, resume);
-                    events.push(
-                        Event{resume, seq++, Event::kArrival, req_idx});
-                } else {
-                    if (recorder != nullptr)
-                        park_begin[req_idx] = s.result.done;
-                    parked.push_back(req_idx);
-                }
+            // Every other refusal is a bounce that clears as resident
+            // instances finish.
+            ++outcomes[req_idx].retries;
+            if (s.minitStatus == nvme::Status::kDsramExhausted)
+                ++outcomes[req_idx].dsramBounces;
+            if (s.retryAfterUs > 0) {
+                // Honor the completion's retry-after hint instead of
+                // waiting for an unrelated completion.
+                const sim::Tick resume =
+                    s.result.done +
+                    sim::Tick(s.retryAfterUs) * sim::kPsPerUs;
+                record_retry_wait(req_idx, s.result.done, resume);
+                events.push(Event{resume, seq++, Event::kArrival, req_idx});
             } else {
-                outcomes[req_idx].rejected = true;
-                last_done = std::max(last_done, s.result.done);
-                ++rejected_run;
-                finish_observability(req_idx, /*failed=*/true,
-                                     s.result.done);
-                issue_next(req.tenantIdx, s.result.done);
+                if (recorder != nullptr)
+                    park_begin[req_idx] = s.result.done;
+                parked.push_back(req_idx);
             }
             return;
         }
@@ -1019,10 +995,9 @@ runServing(const ServingOptions &opts)
                       retries = 0, timeouts = 0;
         for (unsigned d = 0; d < num_ssds; ++d) {
             auto &ssd = sys.ssd(d);
-            for (unsigned c = 0; c < ssd.numCores(); ++c) {
-                backlog += ssd.scheduler().dispatcher().pendingBytes(c);
+            backlog += ssd.scheduler().arbiter().totalDeclaredBacklog();
+            for (unsigned c = 0; c < ssd.numCores(); ++c)
                 dsram += ssd.core(c).dsramUsed();
-            }
             hits += ssd.objectCache().hits();
             misses += ssd.objectCache().misses();
             retries += sys.nvmeDriver(d).retriesIssued();
@@ -1193,7 +1168,6 @@ runServing(const ServingOptions &opts)
         const TenantSpec &tenant = opts.tenants[ti];
         TenantReport tr;
         tr.id = tenant.id;
-        tr.weight = tenant.weight;
         tr.format = tenant.format;
         if (opts.slo.enabled) {
             tr.sloTargetUs = tenant.sloTargetUs > 0.0
@@ -1213,7 +1187,6 @@ runServing(const ServingOptions &opts)
             ++tr.submitted;
             tr.retries += outcomes[i].retries;
             tr.dsramBounces += outcomes[i].dsramBounces;
-            tr.overloadBounces += outcomes[i].overloadBounces;
             tr.shedBounces += outcomes[i].shedBounces;
             tr.deviceFailures += outcomes[i].deviceFailures;
             if (outcomes[i].fellBack) {
@@ -1311,15 +1284,13 @@ runServing(const ServingOptions &opts)
         report.fallbackOverload += tr.fallbackOverload;
         report.fallbackProbe += tr.fallbackProbe;
         report.splitRequests += tr.splitRequests;
-        report.overloadBounces += tr.overloadBounces;
         report.shedBounces += tr.shedBounces;
         report.shedRejected += tr.shedRejected;
         report.lost += tr.lost;
         report.writes += tr.writes;
         report.writeBytes += tr.writeBytes;
         report.cacheHits += tr.cacheHits;
-        fairness_x.push_back(static_cast<double>(tr.servedBytes) /
-                             tenant.weight);
+        fairness_x.push_back(static_cast<double>(tr.servedBytes));
         report.tenants.push_back(tr);
     }
 
@@ -1360,8 +1331,6 @@ runServing(const ServingOptions &opts)
                    static_cast<double>(sim::kPsPerSec))
             : 0.0;
     for (unsigned d = 0; d < num_ssds; ++d) {
-        report.drrDelays +=
-            sys.ssd(d).scheduler().arbiter().dataDelays();
         report.driverRetries += sys.nvmeDriver(d).retriesIssued();
         report.driverTimeouts +=
             sys.nvmeDriver(d).timeoutsSynthesized();
@@ -1485,7 +1454,6 @@ runServing(const ServingOptions &opts)
         reg.setCounter("serving.cacheHits", report.cacheHits);
         reg.setCounter("serving.driverRetries", report.driverRetries);
         reg.setCounter("serving.driverTimeouts", report.driverTimeouts);
-        reg.setCounter("serving.drrDelays", report.drrDelays);
         reg.setCounter("serving.makespan_ticks", report.makespan);
         reg.setScalar("serving.mean_us", report.meanUs);
         reg.setScalar("serving.p50_us", report.p50Us);
@@ -1506,8 +1474,6 @@ runServing(const ServingOptions &opts)
             }
             reg.setCounter("sched.hybrid.flips", report.hybridFlips);
             reg.setCounter("serving.split", report.splitRequests);
-            reg.setCounter("serving.overloadBounces",
-                           report.overloadBounces);
             reg.setCounter("serving.shed.bounces", report.shedBounces);
             reg.setCounter("serving.shed.rejected",
                            report.shedRejected);

@@ -16,9 +16,9 @@
  * pre-ingested file drawn from a heavy-tailed size mix. Requests are
  * interleaved at MREAD-batch granularity through the InvokeSession
  * API; the device-side scheduler (ssd.sched in the SystemConfig)
- * decides placement, admission, and pacing. The report carries
- * per-tenant latency percentiles (sim::stats::Histogram) and the Jain
- * fairness index over weight-normalized served bytes.
+ * decides placement and admission. The report carries per-tenant
+ * latency percentiles (sim::stats::Histogram) and the Jain fairness
+ * index over served bytes.
  */
 
 #ifndef MORPHEUS_WORKLOADS_SERVING_HH
@@ -60,8 +60,6 @@ bool tenantFormatFromName(const std::string &name, TenantFormat *out);
 struct TenantSpec
 {
     std::uint32_t id = 0;
-    /** Relative service weight (DRR share). */
-    double weight = 1.0;
     /** Mean request arrival rate (open loop). */
     double arrivalsPerSec = 2000.0;
     /** Request size classes, in int-array values per request (rows
@@ -240,12 +238,11 @@ struct ServingOptions
 struct TenantReport
 {
     std::uint32_t id = 0;
-    double weight = 1.0;
     /** Object format the tenant's requests used. */
     TenantFormat format = TenantFormat::kIntArray;
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
-    std::uint64_t rejected = 0;   ///< Terminal admission refusals.
+    std::uint64_t rejected = 0;   ///< Terminal refusals (shed valve).
     std::uint64_t retries = 0;    ///< Bounced-and-reparked attempts.
     /** Retries whose MINIT bounced for lack of D-SRAM budget. */
     std::uint64_t dsramBounces = 0;
@@ -263,9 +260,6 @@ struct TenantReport
     /** Requests served by the split path (device prefix + host
      *  remainder, hybrid only; not counted in fallbacks). */
     std::uint64_t splitRequests = 0;
-    /** MINITs bounced by the device's admission-level overload valve
-     *  (SchedConfig::overloadBacklogLimit). */
-    std::uint64_t overloadBounces = 0;
     /** Hybrid shed-valve bounces (retry-after re-submissions). */
     std::uint64_t shedBounces = 0;
     /** Requests terminally rejected by the shed valve (counted in
@@ -344,7 +338,6 @@ struct ServingReport
     std::uint64_t fallbackProbe = 0;
     /** Hybrid execution outcome counters (all zero when disabled). */
     std::uint64_t splitRequests = 0;
-    std::uint64_t overloadBounces = 0;
     std::uint64_t shedBounces = 0;
     std::uint64_t shedRejected = 0;
     /** Placement decisions the hybrid policy handed out, indexed by
@@ -367,11 +360,10 @@ struct ServingReport
     double p99Us = 0.0;
     double p999Us = 0.0;
     double maxUs = 0.0;
-    /** Jain index over servedBytes/weight (1.0 = perfectly fair). */
+    /** Jain index over servedBytes (1.0 = perfectly fair). */
     double jainFairness = 0.0;
     double throughputPerSec = 0.0;
     sim::Tick makespan = 0;
-    std::uint64_t drrDelays = 0;
 
     /** All-tenant critical-path breakdown (opts.breakdown). */
     std::uint64_t attributed = 0;

@@ -55,7 +55,6 @@ TEST(ClassifySpan, MapsPipelineNamesToStagesWithPriorities)
         {"ssd.dram", "fetch_readahead", ob::Stage::kFetch},
         {"nvme.frontend", "dispatch", ob::Stage::kDispatch},
         {"sched.tenant[1]", "admission_wait", ob::Stage::kAdmission},
-        {"sched.tenant[0]", "drr_wait", ob::Stage::kAdmission},
         {"host.serving", "retry_wait", ob::Stage::kRetry},
     };
     for (const Case &c : cases) {

@@ -300,9 +300,9 @@ TEST(NvmeStatus, EveryStatusHasAUniqueName)
         nv::Status::kInvalidField,    nv::Status::kTransientTransferError,
         nv::Status::kLbaOutOfRange,   nv::Status::kNoSuchInstance,
         nv::Status::kAppLoadFailed,   nv::Status::kInstanceBusy,
-        nv::Status::kAdmissionDenied, nv::Status::kDsramExhausted,
-        nv::Status::kAppFault,        nv::Status::kSequenceError,
-        nv::Status::kMediaError,      nv::Status::kCommandTimeout};
+        nv::Status::kDsramExhausted,  nv::Status::kAppFault,
+        nv::Status::kSequenceError,   nv::Status::kMediaError,
+        nv::Status::kCommandTimeout};
     std::set<std::string> names;
     for (const nv::Status s : all) {
         const char *name = nv::statusName(s);
@@ -328,7 +328,6 @@ TEST(NvmeStatus, RetryabilityClassification)
     EXPECT_FALSE(nv::isRetryable(nv::Status::kLbaOutOfRange));
     EXPECT_FALSE(nv::isRetryable(nv::Status::kNoSuchInstance));
     EXPECT_FALSE(nv::isRetryable(nv::Status::kAppLoadFailed));
-    EXPECT_FALSE(nv::isRetryable(nv::Status::kAdmissionDenied));
     EXPECT_FALSE(nv::isRetryable(nv::Status::kAppFault));
     EXPECT_FALSE(nv::isRetryable(nv::Status::kCommandTimeout));
 }
@@ -340,9 +339,9 @@ TEST(NvmeCompletion, WireFormatRoundTripsEveryStatus)
         nv::Status::kInvalidField,    nv::Status::kTransientTransferError,
         nv::Status::kLbaOutOfRange,   nv::Status::kNoSuchInstance,
         nv::Status::kAppLoadFailed,   nv::Status::kInstanceBusy,
-        nv::Status::kAdmissionDenied, nv::Status::kDsramExhausted,
-        nv::Status::kAppFault,        nv::Status::kSequenceError,
-        nv::Status::kMediaError,      nv::Status::kCommandTimeout};
+        nv::Status::kDsramExhausted,  nv::Status::kAppFault,
+        nv::Status::kSequenceError,   nv::Status::kMediaError,
+        nv::Status::kCommandTimeout};
     std::uint32_t dw0 = 0x1000;
     for (const nv::Status s : all) {
         nv::Completion e;

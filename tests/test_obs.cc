@@ -519,7 +519,7 @@ TEST(CriticalPath, RetryBackoffShapeChargesRetryWait)
     auto s2 = rig.runtime.beginInvoke(rig.images.intArray, stream, t2,
                                       stream.readyAt);
     ASSERT_FALSE(s2.accepted);
-    ASSERT_TRUE(s2.retry);
+    ASSERT_FALSE(s2.failed);
     ASSERT_FALSE(s2.traceIds.empty());
     const Tick window_begin = s2.result.start;
     const Tick bounced = s2.result.done;

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the multi-tenant scheduler (sched/) plus end-to-end
  * serving-driver properties: determinism across identical seeded runs
- * and starvation freedom under weighted deficit arbitration.
+ * and starvation freedom under skewed load.
  */
 
 #include <gtest/gtest.h>
@@ -98,65 +98,14 @@ TEST(CoreDispatcher, DsramPackingPrefersCoresWithRoom)
     EXPECT_EQ(d.placeInstance(1, 0, 0), 0u);
 }
 
-TEST(CoreDispatcher, BacklogAwarePlacementPacksByBytes)
-{
-    sched::SchedConfig cfg = loadAwareConfig();
-    cfg.backlogAwarePlacement = true;
-    sched::CoreDispatcher d(cfg, 2,
-                            [](unsigned) { return sim::Tick{0}; });
-    // A declares a 1 MB stream and lands on core 0 (index tie-break);
-    // B declares 1 KB and lands on core 1 (fewer residents).
-    ASSERT_EQ(d.placeInstance(1, 0, 0, 1 << 20), 0u);
-    ASSERT_EQ(d.placeInstance(2, 0, 0, 1 << 10), 1u);
-    // Resident-count packing would tie 1-vs-1 and send C to core 0;
-    // byte packing sees 1 MB vs 1 KB pending and picks core 1.
-    EXPECT_EQ(d.placeInstance(3, 0, 0, 1 << 10), 1u);
-    EXPECT_EQ(d.pendingBytes(0), std::uint64_t{1} << 20);
-    EXPECT_EQ(d.pendingBytes(1), std::uint64_t{2} << 10);
-}
-
-TEST(CoreDispatcher, ServedBytesDrainThePackingSignal)
-{
-    sched::SchedConfig cfg = loadAwareConfig();
-    cfg.backlogAwarePlacement = true;
-    sched::CoreDispatcher d(cfg, 2,
-                            [](unsigned) { return sim::Tick{0}; });
-    ASSERT_EQ(d.placeInstance(1, 0, 0, 1 << 20), 0u);
-    ASSERT_EQ(d.placeInstance(2, 0, 0, 512 << 10), 1u);
-    // Instance 1's stream is mostly served: core 0 now has the
-    // smaller pending-byte load, so the next declaration packs there.
-    d.noteServedBytes(1, 900 << 10);
-    EXPECT_EQ(d.pendingBytes(0), (std::uint64_t{1} << 20) - (900 << 10));
-    EXPECT_EQ(d.placeInstance(3, 0, 0, 1 << 10), 0u);
-    // Over-serving (host streamed more than declared) clamps at zero,
-    // and release clears any residue.
-    d.noteServedBytes(2, 10 << 20);
-    EXPECT_EQ(d.pendingBytes(1), 0u);
-    d.releaseInstance(1);
-    d.releaseInstance(3);
-    EXPECT_EQ(d.pendingBytes(0), 0u);
-}
-
-TEST(CoreDispatcher, BacklogAwareOffIgnoresDeclaredBytes)
-{
-    // Knob off: the declaration is tracked but does not steer
-    // placement — resident count ties break by index as before.
-    sched::CoreDispatcher d(loadAwareConfig(), 2,
-                            [](unsigned) { return sim::Tick{0}; });
-    ASSERT_EQ(d.placeInstance(1, 0, 0, 1 << 20), 0u);
-    ASSERT_EQ(d.placeInstance(2, 0, 0, 1 << 10), 1u);
-    EXPECT_EQ(d.placeInstance(3, 0, 0, 1 << 10), 0u);
-}
-
 // ------------------------------------------------------------- arbiter
 
 TEST(TenantArbiter, UnlimitedAdmissionByDefault)
 {
-    sched::SchedConfig cfg;  // caps at 0 = unlimited
+    sched::SchedConfig cfg;  // maxInflightTotal 0 = unlimited
     sched::TenantArbiter a(cfg);
     for (std::uint32_t i = 0; i < 64; ++i) {
-        const auto d = a.admitInstance(/*tenant=*/1, i, /*arrival=*/i);
-        EXPECT_FALSE(d.rejected);
+        const auto d = a.admitInstance(i, /*arrival=*/i);
         EXPECT_FALSE(d.retry);
         EXPECT_EQ(d.start, i);
     }
@@ -168,50 +117,68 @@ TEST(TenantArbiter, DeclaredBacklogDrainsWithDataCommands)
 {
     sched::SchedConfig cfg;
     sched::TenantArbiter a(cfg);
-    a.admitInstance(/*tenant=*/1, /*instance=*/7, /*arrival=*/0,
+    a.admitInstance(/*instance=*/7, /*arrival=*/0,
                     /*backlog_bytes=*/1 << 20);
     EXPECT_EQ(a.declaredBacklog(7), std::uint64_t{1} << 20);
     EXPECT_EQ(a.declaredBacklog(8), 0u);  // unknown instance
-    a.admitData(7, 256 << 10, 100);
+    a.onDataArrival(7, 256 << 10);
     EXPECT_EQ(a.declaredBacklog(7), std::uint64_t{768} << 10);
     a.onInstanceDone(7, 1000);
     EXPECT_EQ(a.declaredBacklog(7), 0u);
 }
 
-TEST(TenantArbiter, RejectPolicyDeniesOverQuota)
+TEST(TenantArbiter, DeclaredBacklogClampsAndClearsOnEveryExit)
 {
     sched::SchedConfig cfg;
-    cfg.admission = sched::AdmissionPolicy::kReject;
-    cfg.maxInflightPerTenant = 2;
     sched::TenantArbiter a(cfg);
-    EXPECT_FALSE(a.admitInstance(1, 10, 100).rejected);
-    EXPECT_FALSE(a.admitInstance(1, 11, 200).rejected);
-    EXPECT_TRUE(a.admitInstance(1, 12, 300).rejected);
-    // The quota is per tenant: another tenant still gets in.
-    EXPECT_FALSE(a.admitInstance(2, 13, 400).rejected);
-    EXPECT_EQ(a.instancesRejected(), 1u);
-    // A completion frees the slot for the next arrival.
-    a.onInstanceDone(10, 500);
-    EXPECT_FALSE(a.admitInstance(1, 14, 600).rejected);
+    a.admitInstance(50, 0, /*backlog_bytes=*/1000);
+    a.admitInstance(51, 0, /*backlog_bytes=*/512 << 10);
+    a.admitInstance(52, 0, /*backlog_bytes=*/300);
+    EXPECT_EQ(a.totalDeclaredBacklog(), 1300u + (512u << 10));
+
+    // A host that streams more than it declared drains its own entry
+    // to zero and never underflows the device total.
+    a.onDataArrival(50, 400);
+    a.onDataArrival(51, 10 << 20);
+    a.onDataArrival(99, 4096);  // unknown instance: no-op
+    EXPECT_EQ(a.declaredBacklog(50), 600u);
+    EXPECT_EQ(a.declaredBacklog(51), 0u);
+    EXPECT_EQ(a.totalDeclaredBacklog(), 900u);
+
+    // The residue clears at MDEINIT even when the stream was cut
+    // short, and at a dropped instance (failed MINIT, watchdog kill).
+    a.onInstanceDone(50, 100);
+    EXPECT_EQ(a.totalDeclaredBacklog(), 300u);
+    a.dropInstance(52);
+    EXPECT_EQ(a.declaredBacklog(52), 0u);
+    EXPECT_EQ(a.totalDeclaredBacklog(), 0u);
+    EXPECT_EQ(a.openInstances(), 1u);
+    a.onInstanceDone(51, 200);
+    EXPECT_EQ(a.openInstances(), 0u);
 }
 
 TEST(TenantArbiter, QueuePolicyDelaysBehindClosedInstances)
 {
     sched::SchedConfig cfg;
-    cfg.maxInflightPerTenant = 2;  // kQueue is the default policy
+    cfg.maxInflightTotal = 2;
     sched::TenantArbiter a(cfg);
-    ASSERT_FALSE(a.admitInstance(1, 20, 0).retry);
-    ASSERT_FALSE(a.admitInstance(1, 21, 0).retry);
+    ASSERT_FALSE(a.admitInstance(20, 0).retry);
+    ASSERT_FALSE(a.admitInstance(21, 0).retry);
     a.onInstanceDone(20, 700);
     a.onInstanceDone(21, 900);
 
     // Both slots are held by *closed* instances whose completion ticks
     // are known: the third MINIT is queued to the earliest free tick.
-    const auto d = a.admitInstance(1, 22, 100);
-    EXPECT_FALSE(d.rejected);
+    const auto d = a.admitInstance(22, 100);
     EXPECT_FALSE(d.retry);
     EXPECT_EQ(d.start, 700u);
     EXPECT_EQ(a.instancesQueued(), 1u);
+
+    // A fourth arrival needs the second remembered completion too.
+    const auto d2 = a.admitInstance(23, 200);
+    EXPECT_FALSE(d2.retry);
+    EXPECT_EQ(d2.start, 900u);
+    EXPECT_EQ(a.instancesQueued(), 2u);
 }
 
 TEST(TenantArbiter, QueuePolicyBouncesBehindOpenInstances)
@@ -219,85 +186,26 @@ TEST(TenantArbiter, QueuePolicyBouncesBehindOpenInstances)
     sched::SchedConfig cfg;
     cfg.maxInflightTotal = 1;
     sched::TenantArbiter a(cfg);
-    ASSERT_FALSE(a.admitInstance(1, 30, 0).retry);
+    ASSERT_FALSE(a.admitInstance(30, 0).retry);
     // The slot is held by an open instance (completion unknown): the
     // arbiter cannot pick a start tick, so the host must retry.
-    const auto d = a.admitInstance(2, 31, 50);
+    const auto d = a.admitInstance(31, 50, /*backlog_bytes=*/4096);
     EXPECT_TRUE(d.retry);
-    EXPECT_FALSE(d.rejected);
-    EXPECT_EQ(a.tenantOf(31), sched::TenantArbiter::kNoTenant);
+    EXPECT_EQ(a.openInstances(), 1u);
+    EXPECT_EQ(a.totalDeclaredBacklog(), 0u);  // nothing registered
     a.onInstanceDone(30, 500);
-    EXPECT_FALSE(a.admitInstance(2, 31, 600).retry);
+    EXPECT_FALSE(a.admitInstance(31, 600).retry);
 }
 
 TEST(TenantArbiter, DuplicateLiveInstanceBounces)
 {
     sched::SchedConfig cfg;
     sched::TenantArbiter a(cfg);
-    ASSERT_FALSE(a.admitInstance(1, 40, 0).retry);
-    EXPECT_TRUE(a.admitInstance(2, 40, 10).retry);
-    EXPECT_EQ(a.tenantOf(40), 1u);  // live registration untouched
-}
-
-TEST(TenantArbiter, BacklogDrainsWithDataAndClearsOnDone)
-{
-    sched::SchedConfig cfg;
-    sched::TenantArbiter a(cfg);
-    a.admitInstance(1, 50, 0, /*backlog_bytes=*/1000);
-    EXPECT_EQ(a.backlogOf(1), 1000);
-    a.admitData(50, 400, 10);
-    EXPECT_EQ(a.backlogOf(1), 600);
-    // MDEINIT clears the residue even when the stream was cut short.
-    a.onInstanceDone(50, 100);
-    EXPECT_EQ(a.backlogOf(1), 0);
-}
-
-TEST(TenantArbiter, DrrPacesTheTenantRunningAhead)
-{
-    sched::SchedConfig cfg;
-    cfg.arbitration = true;
-    cfg.drrQuantumBytes = 4096;
-    sched::TenantArbiter a(cfg);
-    a.admitInstance(1, 60, 0, 1 << 20);
-    a.admitInstance(2, 61, 0, 1 << 20);
-
-    // Teach the rate estimator: 4 KiB per 10 us.
-    a.onDataDone(4096, 0, 10 * kUs);
-
-    // Tenant 1 streams far ahead while tenant 2 stays backlogged.
-    sim::Tick now = 10 * kUs;
-    bool paced = false;
-    for (int i = 0; i < 16; ++i) {
-        const sim::Tick start = a.admitData(60, 8192, now);
-        a.onDataDone(8192, start, start + 10 * kUs);
-        paced = paced || start > now;
-        now = start + 10 * kUs;
-    }
-    EXPECT_TRUE(paced);
-    EXPECT_GT(a.dataDelays(), 0u);
-
-    // The starved tenant is never delayed.
-    EXPECT_EQ(a.admitData(61, 8192, now), now);
-}
-
-TEST(TenantArbiter, DrrDelayIsClamped)
-{
-    sched::SchedConfig cfg;
-    cfg.arbitration = true;
-    cfg.drrQuantumBytes = 64;
-    cfg.drrMaxDelay = 100 * kUs;
-    sched::TenantArbiter a(cfg);
-    a.admitInstance(1, 70, 0, 1 << 20);
-    a.admitInstance(2, 71, 0, 1 << 20);
-    a.onDataDone(64, 0, 1000 * kUs);  // glacial service rate
-
-    sim::Tick now = 0;
-    for (int i = 0; i < 8; ++i) {
-        const sim::Tick start = a.admitData(70, 1 << 16, now);
-        EXPECT_LE(start, now + cfg.drrMaxDelay);  // starvation freedom
-        a.onDataDone(1 << 16, start, start + 10 * kUs);
-        now = start + 10 * kUs;
-    }
+    ASSERT_FALSE(a.admitInstance(40, 0, /*backlog_bytes=*/100).retry);
+    EXPECT_TRUE(a.admitInstance(40, 10, /*backlog_bytes=*/999).retry);
+    // The live registration is untouched.
+    EXPECT_EQ(a.declaredBacklog(40), 100u);
+    EXPECT_EQ(a.openInstances(), 1u);
 }
 
 // ----------------------------------------------- end-to-end properties
@@ -305,7 +213,7 @@ TEST(TenantArbiter, DrrDelayIsClamped)
 namespace {
 
 wk::ServingOptions
-skewedServing(sched::PlacementPolicy placement, bool arbitration)
+skewedServing(sched::PlacementPolicy placement)
 {
     wk::ServingOptions opts;
     opts.durationSec = 0.01;
@@ -314,13 +222,11 @@ skewedServing(sched::PlacementPolicy placement, bool arbitration)
     for (std::uint32_t t = 0; t < 3; ++t) {
         wk::TenantSpec spec;
         spec.id = t + 1;
-        spec.weight = 1.0;
         spec.arrivalsPerSec = rates[t];
         opts.tenants.push_back(spec);
     }
     opts.sys.ssd.sched.placement = placement;
     opts.sys.ssd.sched.maxInflightTotal = 12;
-    opts.sys.ssd.sched.arbitration = arbitration;
     // Partition each core's scratchpad between co-residents so the
     // end-to-end runs also exercise grants, bounces, and retries.
     opts.sys.ssd.sched.dsramPartitioning = true;
@@ -331,8 +237,7 @@ skewedServing(sched::PlacementPolicy placement, bool arbitration)
 
 TEST(Serving, IdenticalSeededRunsAreDeterministic)
 {
-    const auto opts = skewedServing(sched::PlacementPolicy::kLoadAware,
-                                    /*arbitration=*/true);
+    const auto opts = skewedServing(sched::PlacementPolicy::kLoadAware);
     const wk::ServingReport a = wk::runServing(opts);
     const wk::ServingReport b = wk::runServing(opts);
 
@@ -340,7 +245,6 @@ TEST(Serving, IdenticalSeededRunsAreDeterministic)
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.rejected, b.rejected);
     EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.drrDelays, b.drrDelays);
     EXPECT_DOUBLE_EQ(a.p99Us, b.p99Us);
     EXPECT_DOUBLE_EQ(a.jainFairness, b.jainFairness);
     ASSERT_EQ(a.tenants.size(), b.tenants.size());
@@ -354,7 +258,7 @@ TEST(Serving, IdenticalSeededRunsAreDeterministic)
 TEST(Serving, NoTenantStarvesUnderSkewedLoad)
 {
     const wk::ServingReport r = wk::runServing(
-        skewedServing(sched::PlacementPolicy::kLoadAware, true));
+        skewedServing(sched::PlacementPolicy::kLoadAware));
 
     ASSERT_EQ(r.tenants.size(), 3u);
     EXPECT_GT(r.completed, 0u);
@@ -367,16 +271,41 @@ TEST(Serving, NoTenantStarvesUnderSkewedLoad)
         EXPECT_GT(t.completed, 0u) << "tenant " << t.id;
         EXPECT_GT(t.servedBytes, 0u) << "tenant " << t.id;
     }
-    // The 16:2:1 demand skew must not collapse weight-normalized
-    // service entirely: Jain stays above the single-tenant-hogging
+    // The 16:2:1 demand skew must not collapse served bytes
+    // entirely: Jain stays above the single-tenant-hogging
     // floor of 1/n ~= 0.33.
     EXPECT_GT(r.jainFairness, 0.4);
+}
+
+TEST(Serving, DefaultPostureBouncesOnFullIsram)
+{
+    // The CLI's default serve posture at 40k req/s: static placement
+    // and no admission cap stack more resident int-array images on one
+    // core than its I-SRAM holds. Those MINITs must bounce and retry,
+    // not fail the run.
+    wk::ServingOptions opts;
+    opts.durationSec = 0.01;
+    opts.seed = 42;
+    for (std::uint32_t t = 0; t < 3; ++t) {
+        wk::TenantSpec spec;
+        spec.id = t + 1;
+        spec.arrivalsPerSec = 40000.0 / 3.0;
+        opts.tenants.push_back(spec);
+    }
+    const wk::ServingReport r = wk::runServing(opts);
+    EXPECT_GT(r.completed, 0u);
+    EXPECT_EQ(r.lost, 0u);
+    EXPECT_EQ(r.submitted, r.completed + r.rejected + r.lost);
+    std::uint64_t retries = 0;
+    for (const wk::TenantReport &t : r.tenants)
+        retries += t.retries;
+    EXPECT_GT(retries, 0u);  // the I-SRAM bounces did happen
 }
 
 TEST(Serving, StaticPlacementStillWorksEndToEnd)
 {
     const wk::ServingReport r = wk::runServing(
-        skewedServing(sched::PlacementPolicy::kStatic, false));
+        skewedServing(sched::PlacementPolicy::kStatic));
     EXPECT_GT(r.completed, 0u);
     EXPECT_EQ(r.completed + r.rejected, r.submitted);
 }
@@ -384,7 +313,7 @@ TEST(Serving, StaticPlacementStillWorksEndToEnd)
 TEST(Serving, ClosedLoopCompletesTheQuotaDeterministically)
 {
     wk::ServingOptions opts =
-        skewedServing(sched::PlacementPolicy::kLoadAware, true);
+        skewedServing(sched::PlacementPolicy::kLoadAware);
     opts.closedLoop = true;
     opts.closedLoopConcurrency = 3;
     opts.closedLoopRequests = 24;
@@ -411,7 +340,7 @@ TEST(Serving, ClosedLoopConcurrencyTradesThroughputForLatency)
     // The defining closed-loop property: more in-flight requests per
     // tenant raises throughput (until saturation) and mean latency.
     wk::ServingOptions opts =
-        skewedServing(sched::PlacementPolicy::kLoadAware, true);
+        skewedServing(sched::PlacementPolicy::kLoadAware);
     opts.closedLoop = true;
     opts.closedLoopRequests = 24;
 
@@ -628,7 +557,7 @@ TEST(HybridPolicy, SplitsWhenLoadsComparableRoutesLighterOtherwise)
 TEST(Serving, HybridSplitEngagesAndEveryRequestResolves)
 {
     wk::ServingOptions opts =
-        skewedServing(sched::PlacementPolicy::kLoadAware, true);
+        skewedServing(sched::PlacementPolicy::kLoadAware);
     opts.hybrid.enabled = true;
     // Spill immediately and split everything splittable: the point is
     // exercising the split machinery, not a realistic posture.
@@ -648,7 +577,7 @@ TEST(Serving, HybridSplitEngagesAndEveryRequestResolves)
 TEST(Serving, HybridRunsAreDeterministic)
 {
     wk::ServingOptions opts =
-        skewedServing(sched::PlacementPolicy::kLoadAware, true);
+        skewedServing(sched::PlacementPolicy::kLoadAware);
     opts.hybrid.enabled = true;
     opts.hybrid.shed = true;
     opts.hybrid.shedFactor = 1.0;
@@ -672,7 +601,7 @@ TEST(Serving, BreakerOpenTenantIsNotDoubleRoutedByOverload)
     // carries exactly one reason, and the per-reason counters close
     // the accounting.
     wk::ServingOptions opts =
-        skewedServing(sched::PlacementPolicy::kLoadAware, true);
+        skewedServing(sched::PlacementPolicy::kLoadAware);
     opts.hybrid.enabled = true;
     opts.hybrid.spillEnterBytes = 64 * sim::kKiB;
     opts.recovery.enabled = true;
@@ -709,7 +638,7 @@ residentAfter(std::uint64_t per_tenant, bool hybrid,
               wk::ServingReport *report)
 {
     wk::ServingOptions opts =
-        skewedServing(sched::PlacementPolicy::kLoadAware, true);
+        skewedServing(sched::PlacementPolicy::kLoadAware);
     opts.closedLoop = true;
     opts.closedLoopConcurrency = 4;
     opts.closedLoopRequests = per_tenant;

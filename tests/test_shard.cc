@@ -356,6 +356,44 @@ TEST(ShardFabric, FleetInvokeMergesPerDeviceResults)
     EXPECT_GT(r.merged.objectBytes, 0u);
 }
 
+TEST(ShardFabric, DeviceBacklogReadsTheArbiterLedger)
+{
+    // The hybrid layer's device-load signal is the arbiter's declared
+    // backlog: the MINIT's declaration, drained as MREADs arrive,
+    // cleared at MDEINIT.
+    ho::SystemConfig cfg = fleetConfig(2);
+    cfg.queueEntries = 4;  // three 4 KiB MREADs per batch
+    ho::HostSystem sys(cfg);
+    sh::ShardFabric fabric(sys, sh::ShardPolicy::kRange);
+    co::StandardImages images = co::StandardImages::make();
+    const auto a = wk::genIntArray(11, 4000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const auto ext = sys.createFileOn(1, "ints", w.bytes());
+    auto &arbiter = sys.ssd(1).scheduler().arbiter();
+
+    co::MorpheusRuntime &rt = fabric.runtime(1);
+    const auto stream = rt.streamCreate(ext, ext.readyAt);
+    co::InvokeOptions opts;
+    opts.chunkBlocks = 8;
+    auto s = rt.beginInvoke(images.intArray, stream,
+                            rt.hostTarget(a.objectBytes()),
+                            stream.readyAt, opts);
+    ASSERT_TRUE(s.accepted);
+    EXPECT_EQ(fabric.deviceBacklogBytes(0), 0u);
+    EXPECT_EQ(fabric.deviceBacklogBytes(1), ext.sizeBytes);
+    rt.stepInvoke(s);
+    ASSERT_FALSE(s.streamDone());  // one batch in: part drained
+    EXPECT_EQ(fabric.deviceBacklogBytes(1),
+              arbiter.totalDeclaredBacklog());
+    EXPECT_LT(fabric.deviceBacklogBytes(1), ext.sizeBytes);
+    while (!s.streamDone())
+        rt.stepInvoke(s);
+    rt.finishInvoke(s);
+    EXPECT_EQ(fabric.deviceBacklogBytes(1), 0u);
+    EXPECT_EQ(arbiter.totalDeclaredBacklog(), 0u);
+}
+
 TEST(ShardFabric, FleetInvokeRetriesAttributeOnce)
 {
     // Reference: the same workload on a clean fleet.

@@ -251,21 +251,11 @@ serveMain(int argc, char **argv)
     }
 
     opts.shardPolicy = shard_policy;
-    // Non-default mixes (text parsers, MWRITE traffic) hold instances
-    // longer than the classic binary int-array read; bound concurrent
-    // instances so overload queues host-side instead of overflowing
-    // I-SRAM into hard MINIT failures. The default mix keeps the
-    // unbounded legacy posture (and its exact output).
-    if ((format != wk::TenantFormat::kIntArray ||
-         write_fraction > 0.0) &&
-        opts.sys.ssd.sched.maxInflightTotal == 0)
-        opts.sys.ssd.sched.maxInflightTotal = 12;
     const double base =
         rate / (skew + static_cast<double>(tenants - 1));
     for (std::uint32_t t = 0; t < tenants; ++t) {
         wk::TenantSpec spec;
         spec.id = t + 1;
-        spec.weight = 1.0;
         spec.arrivalsPerSec = (t == 0) ? skew * base : base;
         spec.format = format;
         spec.selectivity = selectivity;
