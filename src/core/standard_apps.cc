@@ -1,6 +1,28 @@
 #include "core/standard_apps.hh"
 
+#include <algorithm>
+
 namespace morpheus::core {
+
+namespace {
+
+/** Tokens one run reads at most (a stack buffer of int64 values). */
+constexpr std::size_t kRunTokens = 512;
+
+/**
+ * Tokens for the next run of @p width-byte values: at most @p left,
+ * and no more than reach the next flush, so the run's last value is the
+ * one that would have cut the segment had it been emitted alone.
+ */
+std::size_t
+runLength(const MsChunkContext &ctx, std::size_t width, std::uint64_t left)
+{
+    const std::size_t to_flush = (ctx.msFlushRoom() + width - 1) / width;
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>({kRunTokens, to_flush, left}));
+}
+
+}  // namespace
 
 void
 EdgeListApp::processChunk(MsChunkContext &ctx)
@@ -20,37 +42,29 @@ EdgeListApp::processChunk(MsChunkContext &ctx)
                 return;
             _edgesExpected = static_cast<std::uint32_t>(v);
             ctx.msEmitValue<std::uint32_t>(_edgesExpected);
-            _state = State::kSrc;
+            _state = State::kEdgeTokens;
             break;
-          case State::kSrc:
-            if (_edgesDone >= _edgesExpected)
+          case State::kEdgeTokens: {
+            // src, dst[, weight] per edge, each staged as its low 32
+            // bits (the int32 weight has the same bits as a uint32).
+            const std::uint64_t width = _weighted ? 3 : 2;
+            const std::uint64_t left =
+                std::uint64_t(_edgesExpected) * width - _tokensDone;
+            if (left == 0)
                 return;  // trailing junk is ignored
-            if (!ctx.msScanfInt(&v))
+            std::int64_t run[kRunTokens];
+            std::uint32_t words[kRunTokens];
+            const std::size_t want = runLength(ctx, sizeof(words[0]), left);
+            const std::size_t got = ctx.msScanfInts(run, want);
+            for (std::size_t i = 0; i < got; ++i)
+                words[i] = static_cast<std::uint32_t>(run[i]);
+            ctx.msEmit(words, got * sizeof(words[0]));
+            _tokensDone += got;
+            _edgesDone = static_cast<std::uint32_t>(_tokensDone / width);
+            if (got < want)
                 return;
-            ctx.msEmitValue<std::uint32_t>(
-                static_cast<std::uint32_t>(v));
-            _state = State::kDst;
             break;
-          case State::kDst:
-            if (!ctx.msScanfInt(&v))
-                return;
-            ctx.msEmitValue<std::uint32_t>(
-                static_cast<std::uint32_t>(v));
-            if (_weighted) {
-                _state = State::kWeight;
-            } else {
-                ++_edgesDone;
-                _state = State::kSrc;
-            }
-            break;
-          case State::kWeight:
-            if (!ctx.msScanfInt(&v))
-                return;
-            ctx.msEmitValue<std::int32_t>(
-                static_cast<std::int32_t>(v));
-            ++_edgesDone;
-            _state = State::kSrc;
-            break;
+          }
         }
     }
 }
@@ -97,22 +111,25 @@ MatrixApp::processChunk(MsChunkContext &ctx)
 void
 IntArrayApp::processChunk(MsChunkContext &ctx)
 {
-    std::int64_t v = 0;
+    std::int64_t run[kRunTokens];
     for (;;) {
         if (!_haveCount) {
-            if (!ctx.msScanfInt(&v))
+            if (!ctx.msScanfInt(&run[0]))
                 return;
-            _count = static_cast<std::uint32_t>(v);
+            _count = static_cast<std::uint32_t>(run[0]);
             ctx.msEmitValue<std::uint32_t>(_count);
             _haveCount = true;
             continue;
         }
         if (_valuesDone >= _count)
             return;
-        if (!ctx.msScanfInt(&v))
+        const std::size_t want =
+            runLength(ctx, sizeof(run[0]), _count - _valuesDone);
+        const std::size_t got = ctx.msScanfInts(run, want);
+        ctx.msEmit(run, got * sizeof(run[0]));
+        _valuesDone += static_cast<std::uint32_t>(got);
+        if (got < want)
             return;
-        ctx.msEmitValue<std::int64_t>(v);
-        ++_valuesDone;
     }
 }
 

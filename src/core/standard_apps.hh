@@ -36,12 +36,14 @@ class EdgeListApp : public StorageApp
     std::uint32_t returnValue() const override { return _edgesDone; }
 
   private:
-    enum class State { kVertices, kEdges, kSrc, kDst, kWeight };
+    enum class State { kVertices, kEdges, kEdgeTokens };
 
     bool _weighted;
     State _state = State::kVertices;
     std::uint32_t _edgesExpected = 0;
     std::uint32_t _edgesDone = 0;
+    /** Edge tokens (src, dst and weight values) read so far. */
+    std::uint64_t _tokensDone = 0;
 };
 
 /** Dense matrices (Gaussian, LUD). */

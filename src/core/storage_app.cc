@@ -40,22 +40,22 @@ MsChunkContext::refill(std::uint8_t *dst, std::size_t capacity)
 }
 
 void
-MsChunkContext::msEmit(const void *data, std::size_t n)
+MsChunkContext::flushStaging()
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    _staging.insert(_staging.end(), p, p + n);
-    _bytesEmitted += n;
-    noteDsram();
-    while (_staging.size() >= _flushThreshold) {
-        std::vector<std::uint8_t> seg(
-            _staging.begin(),
-            _staging.begin() +
-                static_cast<std::ptrdiff_t>(_flushThreshold));
-        _staging.erase(_staging.begin(),
-                       _staging.begin() +
-                           static_cast<std::ptrdiff_t>(_flushThreshold));
-        _flushes.push_back(std::move(seg));
+    // Staging stays below the threshold (<= D-SRAM) between emits, so
+    // only an emit that reaches the threshold can overrun D-SRAM.
+    MORPHEUS_ASSERT(_staging.size() <= _dsramBytes,
+                    "StorageApp working set exceeds D-SRAM (",
+                    _dsramBytes, " bytes); lower the flush threshold");
+    std::size_t cut = 0;
+    while (_staging.size() - cut >= _flushThreshold) {
+        const auto first =
+            _staging.begin() + static_cast<std::ptrdiff_t>(cut);
+        _flushes.emplace_back(first, first + _flushThreshold);
+        cut += _flushThreshold;
     }
+    _staging.erase(_staging.begin(),
+                   _staging.begin() + static_cast<std::ptrdiff_t>(cut));
 }
 
 bool
@@ -129,18 +129,6 @@ MsChunkContext::abortCommand()
     _staging.clear();
     _flushes.clear();
     return delta;
-}
-
-void
-MsChunkContext::noteDsram()
-{
-    const auto used = static_cast<std::uint32_t>(
-        std::min<std::size_t>(_staging.size() + 8 * 1024,
-                              ~std::uint32_t(0)));
-    _peakDsram = std::max(_peakDsram, used);
-    MORPHEUS_ASSERT(_staging.size() <= _dsramBytes,
-                    "StorageApp working set exceeds D-SRAM (",
-                    _dsramBytes, " bytes); lower the flush threshold");
 }
 
 }  // namespace morpheus::core

@@ -56,6 +56,17 @@ class MsChunkContext
     /** ms_scanf("%ld"): next integer token, false at end of chunk. */
     bool msScanfInt(std::int64_t *out) { return _scanner.nextInt64(out); }
 
+    /**
+     * ms_scanf("%ld") over a run: up to @p max integer tokens into
+     * @p out, exactly as that many msScanfInt() calls would read them.
+     * @return the count read; fewer than @p max means the chunk ran dry.
+     */
+    std::size_t
+    msScanfInts(std::int64_t *out, std::size_t max)
+    {
+        return _scanner.nextInt64s(out, max);
+    }
+
     /** ms_scanf("%lf"): next floating-point token. */
     bool msScanfDouble(double *out) { return _scanner.nextDouble(out); }
 
@@ -67,7 +78,26 @@ class MsChunkContext
     }
 
     /** ms_memcpy: stage @p n bytes of binary output for DMA. */
-    void msEmit(const void *data, std::size_t n);
+    void
+    msEmit(const void *data, std::size_t n)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        _staging.insert(_staging.end(), p, p + n);
+        _bytesEmitted += n;
+        if (_staging.size() >= _flushThreshold)
+            flushStaging();
+    }
+
+    /**
+     * Bytes msEmit() can stage before it cuts the next flush segment
+     * (at least 1). An app that stages a run of values sizes it to end
+     * on the value that crosses this, so D-SRAM use and segment
+     * cadence match emitting the values one by one.
+     */
+    std::size_t msFlushRoom() const
+    {
+        return _flushThreshold - _staging.size();
+    }
 
     /** Stage one binary value (little endian). */
     template <typename T>
@@ -161,12 +191,11 @@ class MsChunkContext
     /** Total bytes emitted so far (before flushing). */
     std::uint64_t bytesEmitted() const { return _bytesEmitted; }
 
-    /** Peak D-SRAM footprint observed (carry + staging). */
-    std::uint32_t peakDsramUse() const { return _peakDsram; }
-
   private:
     std::size_t refill(std::uint8_t *dst, std::size_t capacity);
-    void noteDsram();
+
+    /** Check staging against D-SRAM, then cut full flush segments. */
+    void flushStaging();
 
     std::uint32_t _dsramBytes;
     std::uint32_t _flushThreshold;
@@ -184,7 +213,6 @@ class MsChunkContext
     std::vector<std::uint8_t> _staging;
     std::vector<std::vector<std::uint8_t>> _flushes;
     std::uint64_t _bytesEmitted = 0;
-    std::uint32_t _peakDsram = 0;
 };
 
 /** User code executed inside the Morpheus-SSD. */

@@ -16,29 +16,6 @@ skipSeparators(const std::uint8_t *p, const std::uint8_t *end,
 }
 
 const std::uint8_t *
-parseInt64(const std::uint8_t *p, const std::uint8_t *end,
-           std::int64_t *out, ParseCost &cost)
-{
-    const std::uint8_t *start = p;
-    bool negative = false;
-    if (p < end && (*p == '-' || *p == '+')) {
-        negative = (*p == '-');
-        ++p;
-    }
-    if (p >= end || !isDigit(*p))
-        return nullptr;
-    std::int64_t value = 0;
-    while (p < end && isDigit(*p)) {
-        value = value * 10 + (*p - '0');
-        ++p;
-    }
-    *out = negative ? -value : value;
-    cost.bytes += static_cast<std::uint64_t>(p - start);
-    ++cost.intValues;
-    return p;
-}
-
-const std::uint8_t *
 parseDouble(const std::uint8_t *p, const std::uint8_t *end, double *out,
             ParseCost &cost)
 {

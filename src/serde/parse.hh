@@ -76,7 +76,8 @@ const std::uint8_t *skipSeparators(const std::uint8_t *p,
                                    ParseCost &cost);
 
 /**
- * Parse one signed decimal integer at @p p.
+ * Parse one signed decimal integer at @p p. Inline: the scanners call
+ * it once per token.
  *
  * @param p     First byte of the token (no leading separators).
  * @param end   One past the end of the range.
@@ -85,9 +86,45 @@ const std::uint8_t *skipSeparators(const std::uint8_t *p,
  * @return Pointer just past the consumed token, or nullptr if no valid
  *         integer starts at @p p.
  */
-const std::uint8_t *parseInt64(const std::uint8_t *p,
-                               const std::uint8_t *end, std::int64_t *out,
-                               ParseCost &cost);
+inline const std::uint8_t *
+parseInt64(const std::uint8_t *p, const std::uint8_t *end,
+           std::int64_t *out, ParseCost &cost)
+{
+    const std::uint8_t *start = p;
+    bool negative = false;
+    if (p < end && (*p == '-' || *p == '+')) {
+        negative = (*p == '-');
+        ++p;
+    }
+    if (p >= end || !isDigit(*p))
+        return nullptr;
+    // Accumulate the magnitude unsigned. 18 digits always fit in
+    // int64_t; a longer run is summed again with a range check, and a
+    // value outside int64_t is a malformed token.
+    const std::uint8_t *digits = p;
+    std::uint64_t mag = 0;
+    while (p < end && isDigit(*p)) {
+        mag = mag * 10 + static_cast<std::uint64_t>(*p - '0');
+        ++p;
+    }
+    if (p - digits > 18) {
+        // Past kCut no digit fits; at kCut only one up to 7 (8 for
+        // -2^63).
+        constexpr std::uint64_t kCut = (std::uint64_t(1) << 63) / 10;
+        const std::uint64_t last_digit = negative ? 8 : 7;
+        mag = 0;
+        for (const std::uint8_t *q = digits; q < p; ++q) {
+            const auto d = static_cast<std::uint64_t>(*q - '0');
+            if (mag > kCut || (mag == kCut && d > last_digit))
+                return nullptr;
+            mag = mag * 10 + d;
+        }
+    }
+    *out = static_cast<std::int64_t>(negative ? 0 - mag : mag);
+    cost.bytes += static_cast<std::uint64_t>(p - start);
+    ++cost.intValues;
+    return p;
+}
 
 /**
  * Parse one decimal floating-point number (optional sign, fraction and

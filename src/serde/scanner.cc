@@ -119,8 +119,9 @@ StreamingScanner::pull()
     return true;
 }
 
+template <typename Parse>
 bool
-StreamingScanner::ensureToken()
+StreamingScanner::nextToken(Parse parse)
 {
     for (;;) {
         // Consume leading separators.
@@ -128,96 +129,108 @@ StreamingScanner::ensureToken()
             ++_pos;
             ++_cost.bytes;
         }
-        if (_pos < _buf.size()) {
-            // A token starts here; make sure it ends inside the buffer
-            // (or the stream is exhausted, so it ends at buffer end).
-            std::size_t i = _pos;
-            while (i < _buf.size() && !isSeparator(_buf[i]))
-                ++i;
-            if (i < _buf.size() || _exhausted)
-                return true;
-            if (!pull()) {
-                // Stream truly ended: the trailing token is complete.
-                // Incremental and still open: the token may continue in
-                // a later chunk; leave it buffered and report no token.
-                return _exhausted;
-            }
+        if (_pos == _buf.size()) {
+            if (!pull())
+                return false;  // nothing available (now or ever)
             continue;
         }
-        if (!pull())
-            return false;  // nothing available (now or ever)
+        const std::uint8_t *start = _buf.data() + _pos;
+        const std::uint8_t *end = _buf.data() + _buf.size();
+        ParseCost cost;
+        const std::uint8_t *next = parse(start, end, cost);
+        // The token closes at the next separator; a parsed value
+        // usually stops right on it.
+        const std::uint8_t *stop = next ? next : start;
+        while (stop < end && !isSeparator(*stop))
+            ++stop;
+        if (stop == end && !_exhausted) {
+            // The token may continue in data not yet pulled. If the
+            // stream just ended, parse the token again as complete;
+            // if it is open but dry, leave the token buffered.
+            if (!pull() && !_exhausted)
+                return false;
+            continue;
+        }
+        if (next) {
+            _cost += cost;
+            _pos += static_cast<std::size_t>(next - start);
+            return true;
+        }
+        // Malformed token: skip it.
+        _cost.bytes += static_cast<std::uint64_t>(stop - start);
+        _pos += static_cast<std::size_t>(stop - start);
     }
 }
 
 bool
 StreamingScanner::nextInt64(std::int64_t *out)
 {
-    for (;;) {
-        if (!ensureToken())
-            return false;
-        const std::uint8_t *start = _buf.data() + _pos;
-        const std::uint8_t *end = _buf.data() + _buf.size();
-        const std::uint8_t *next = parseInt64(start, end, out, _cost);
-        if (next) {
-            _pos += static_cast<std::size_t>(next - start);
-            return true;
-        }
-        const std::uint8_t *skipped = skipToken(start, end, _cost);
-        _pos += static_cast<std::size_t>(skipped - start);
-    }
+    std::int64_t v = 0;
+    if (!nextToken([&v](const std::uint8_t *p, const std::uint8_t *end,
+                        ParseCost &cost) {
+            return parseInt64(p, end, &v, cost);
+        }))
+        return false;
+    *out = v;
+    return true;
+}
+
+std::size_t
+StreamingScanner::nextInt64s(std::int64_t *out, std::size_t max)
+{
+    std::size_t n = 0;
+    while (n < max &&
+           nextToken([out, n](const std::uint8_t *p, const std::uint8_t *end,
+                              ParseCost &cost) {
+               return parseInt64(p, end, out + n, cost);
+           }))
+        ++n;
+    return n;
 }
 
 bool
 StreamingScanner::nextDouble(double *out)
 {
-    for (;;) {
-        if (!ensureToken())
-            return false;
-        const std::uint8_t *start = _buf.data() + _pos;
-        const std::uint8_t *end = _buf.data() + _buf.size();
-        const std::uint8_t *next = parseDouble(start, end, out, _cost);
-        if (next) {
-            _pos += static_cast<std::size_t>(next - start);
-            return true;
-        }
-        const std::uint8_t *skipped = skipToken(start, end, _cost);
-        _pos += static_cast<std::size_t>(skipped - start);
-    }
+    double v = 0.0;
+    if (!nextToken([&v](const std::uint8_t *p, const std::uint8_t *end,
+                        ParseCost &cost) {
+            return parseDouble(p, end, &v, cost);
+        }))
+        return false;
+    *out = v;
+    return true;
 }
 
 bool
 StreamingScanner::nextNumber(double *out, bool *is_float)
 {
-    for (;;) {
-        if (!ensureToken())
-            return false;
-        const std::uint8_t *start = _buf.data() + _pos;
-        const std::uint8_t *end = _buf.data() + _buf.size();
-        const bool looks_float = tokenLooksFloat(start, end);
-        const std::uint8_t *next;
-        if (looks_float) {
-            next = parseDouble(start, end, out, _cost);
-        } else {
-            std::int64_t v = 0;
-            next = parseInt64(start, end, &v, _cost);
-            if (next)
-                *out = static_cast<double>(v);
-        }
-        if (next) {
-            if (is_float)
-                *is_float = looks_float;
-            _pos += static_cast<std::size_t>(next - start);
-            return true;
-        }
-        const std::uint8_t *skipped = skipToken(start, end, _cost);
-        _pos += static_cast<std::size_t>(skipped - start);
-    }
+    double v = 0.0;
+    bool looks_float = false;
+    if (!nextToken([&v, &looks_float](const std::uint8_t *p,
+                                      const std::uint8_t *end,
+                                      ParseCost &cost) {
+            looks_float = tokenLooksFloat(p, end);
+            if (looks_float)
+                return parseDouble(p, end, &v, cost);
+            std::int64_t i = 0;
+            const std::uint8_t *next = parseInt64(p, end, &i, cost);
+            v = static_cast<double>(i);
+            return next;
+        }))
+        return false;
+    *out = v;
+    if (is_float)
+        *is_float = looks_float;
+    return true;
 }
 
 bool
 StreamingScanner::atEnd()
 {
-    return !ensureToken();
+    // A zero-length "parse" accepts any complete token, consuming
+    // nothing.
+    return !nextToken([](const std::uint8_t *p, const std::uint8_t *,
+                         ParseCost &) { return p; });
 }
 
 }  // namespace morpheus::serde

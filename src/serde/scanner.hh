@@ -86,6 +86,16 @@ class StreamingScanner
     bool nextInt64(std::int64_t *out);
     bool nextDouble(double *out);
     bool nextNumber(double *out, bool *is_float);
+
+    /**
+     * Read up to @p max integer tokens into @p out: the same tokens and
+     * cost as that many nextInt64() calls, stopping where one would
+     * return false. @return the number read; slots past it may be
+     * overwritten.
+     */
+    std::size_t nextInt64s(std::int64_t *out, std::size_t max);
+
+    /** True when no complete token is available (now, if incremental). */
     bool atEnd();
 
     const ParseCost &cost() const { return _cost; }
@@ -95,11 +105,16 @@ class StreamingScanner
 
   private:
     /**
-     * Ensure the buffer holds a complete leading token (or the final
-     * bytes of the stream). @return false when the stream is exhausted
-     * and the buffer is empty.
+     * Skip separators and parse the next token in place with
+     * @p parse(start, end, cost), which returns the end of the value or
+     * nullptr for a malformed token. The result is kept only once a
+     * separator or the end of the stream closes the token; a token that
+     * runs to the buffer end pulls more data and is parsed again.
+     * Malformed tokens are skipped. @return false when no complete
+     * token is available.
      */
-    bool ensureToken();
+    template <typename Parse>
+    bool nextToken(Parse parse);
 
     /** Pull one chunk, appending after the carried tail. */
     bool pull();

@@ -41,35 +41,43 @@ Timeline::acquire(Tick earliest, Tick duration)
     if (_busy.size() >= _pruneAt)
         prune(g_floor);
 
-    // Candidate start: after any interval covering `earliest`.
+    // Candidate start: after any interval covering `earliest`. `i` is
+    // the first interval starting after `earliest`; a reservation at or
+    // past the last interval's start needs no search.
     Tick t = earliest;
-    auto it = _busy.upper_bound(t);
-    if (it != _busy.begin()) {
-        const auto prev = std::prev(it);
-        if (prev->second > t)
-            t = prev->second;
+    std::size_t i = _busy.size();
+    if (i > 0 && _busy.back().first > t) {
+        i = static_cast<std::size_t>(
+            std::upper_bound(_busy.begin(), _busy.end(), t,
+                             [](Tick v, const std::pair<Tick, Tick> &b) {
+                                 return v < b.first;
+                             }) -
+            _busy.begin());
     }
+    if (i > 0 && _busy[i - 1].second > t)
+        t = _busy[i - 1].second;
     // Slide over intervals until a gap of `duration` opens.
-    while (it != _busy.end() && it->first < t + duration) {
-        t = it->second;
-        ++it;
+    while (i < _busy.size() && _busy[i].first < t + duration) {
+        t = _busy[i].second;
+        ++i;
     }
 
-    // Insert [t, t + duration), merging with adjacent spans.
-    Tick start = t;
-    Tick end = t + duration;
-    if (!_busy.empty() && it != _busy.begin()) {
-        const auto prev = std::prev(it);
-        if (prev->second == start) {
-            start = prev->first;
-            it = _busy.erase(prev);
-        }
+    // Insert [t, t + duration) before interval i, merging in place with
+    // the spans it touches.
+    const Tick end = t + duration;
+    const bool join_prev = i > 0 && _busy[i - 1].second == t;
+    const bool join_next = i < _busy.size() && _busy[i].first == end;
+    if (join_prev && join_next) {
+        _busy[i - 1].second = _busy[i].second;
+        _busy.erase(_busy.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (join_prev) {
+        _busy[i - 1].second = end;
+    } else if (join_next) {
+        _busy[i].first = t;
+    } else {
+        _busy.emplace(_busy.begin() + static_cast<std::ptrdiff_t>(i), t,
+                      end);
     }
-    if (it != _busy.end() && it->first == end) {
-        end = it->second;
-        it = _busy.erase(it);
-    }
-    _busy.emplace(start, end);
     return t;
 }
 
@@ -79,12 +87,11 @@ Timeline::prune(Tick floor)
     // Ends ascend with starts, so the dead intervals form a prefix: it
     // stops at the first interval ending past the floor, or at the last
     // one, which freeAt() reads.
-    auto keep = _busy.lower_bound(floor);
-    if (keep != _busy.begin() && std::prev(keep)->second > floor)
-        --keep;
-    if (keep == _busy.end())
-        --keep;
-    _busy.erase(_busy.begin(), keep);
+    std::size_t keep = 0;
+    while (keep + 1 < _busy.size() && _busy[keep].second <= floor)
+        ++keep;
+    _busy.erase(_busy.begin(),
+                _busy.begin() + static_cast<std::ptrdiff_t>(keep));
     _pruneAt = std::max(kMinPruneIntervals, 2 * _busy.size());
 }
 

@@ -12,16 +12,21 @@
  * logically-concurrent activities (host threads, StorageApp instances)
  * one after another in program order, so a later-walked activity must
  * be able to claim an idle gap that an earlier-walked activity left
- * behind. Interval bookkeeping (an ordered map of busy spans, merged
- * on insert) makes that exact rather than approximate.
+ * behind. Interval bookkeeping (a sorted vector of busy spans, merged
+ * in place on insert) makes that exact rather than approximate.
+ *
+ * Most reservations land at or after the last busy span, and the few
+ * that fill a gap slide past almost no spans, so a flat vector with a
+ * tail check beats a node-based map: no allocation per reservation and
+ * no search for the common case.
  */
 
 #ifndef MORPHEUS_SIM_TIMELINE_HH
 #define MORPHEUS_SIM_TIMELINE_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -54,7 +59,7 @@ class Timeline
     /** End of the last reservation (0 when never used). */
     Tick freeAt() const
     {
-        return _busy.empty() ? 0 : _busy.rbegin()->second;
+        return _busy.empty() ? 0 : _busy.back().second;
     }
 
     /** Total busy time accumulated. */
@@ -98,11 +103,12 @@ class Timeline
     void prune(Tick floor);
 
     std::string _name;
-    /** Busy spans: start -> end, non-overlapping, non-adjacent. */
-    std::map<Tick, Tick> _busy;
+    /** Busy spans [start, end), sorted by start, non-overlapping and
+     *  non-adjacent. */
+    std::vector<std::pair<Tick, Tick>> _busy;
     Tick _busyTicks = 0;
     std::uint64_t _ops = 0;
-    /** Prune when the map reaches this size (double the last result). */
+    /** Prune when _busy reaches this size (double the last result). */
     std::size_t _pruneAt = kMinPruneIntervals;
 };
 

@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "serde/scanner.hh"
+#include "serde/writer.hh"
 #include "sim/rng.hh"
 
 namespace sd = morpheus::serde;
@@ -34,6 +38,70 @@ scanAll(const std::vector<std::uint8_t> &data)
     while (s.nextInt64(&v))
         out.push_back(v);
     return out;
+}
+
+/** A refill serving @p data in pieces of at most @p piece bytes. */
+sd::StreamingScanner::Refill
+chunked(const std::vector<std::uint8_t> &data, std::size_t piece)
+{
+    return [&data, piece, pos = std::size_t(0)](
+               std::uint8_t *dst, std::size_t cap) mutable {
+        const std::size_t take = std::min({cap, piece, data.size() - pos});
+        std::copy(data.begin() + static_cast<std::ptrdiff_t>(pos),
+                  data.begin() + static_cast<std::ptrdiff_t>(pos + take),
+                  dst);
+        pos += take;
+        return take;
+    };
+}
+
+/** Drain @p s with nextInt64s() runs of at most @p max tokens. */
+std::vector<std::int64_t>
+drainRuns(sd::StreamingScanner &s, std::size_t max)
+{
+    std::vector<std::int64_t> out;
+    std::vector<std::int64_t> run(max);
+    for (;;) {
+        const std::size_t n = s.nextInt64s(run.data(), max);
+        out.insert(out.end(), run.begin(),
+                   run.begin() + static_cast<std::ptrdiff_t>(n));
+        if (n < max)
+            return out;
+    }
+}
+
+void
+expectSameCost(const sd::ParseCost &a, const sd::ParseCost &b)
+{
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.intValues, b.intValues);
+    EXPECT_EQ(a.floatValues, b.floatValues);
+    EXPECT_EQ(a.floatOps, b.floatOps);
+}
+
+/**
+ * Ints with every separator, malformed tokens (letters, bare signs,
+ * trailing junk, values outside int64_t) and long digit runs that
+ * split across small chunks.
+ */
+std::vector<std::uint8_t>
+mixedTokens()
+{
+    morpheus::sim::Rng rng(5);
+    static const char *const kJunk[] = {
+        "abc", "-", "+", "12x", "x9", "99999999999999999999",
+        "-9223372036854775809", "9223372036854775808",
+        "000000000000000000000000042", "-0"};
+    std::string text;
+    for (int i = 0; i < 400; ++i) {
+        if (rng.nextBool(0.2))
+            text += kJunk[rng.nextBelow(std::size(kJunk))];
+        else
+            text += std::to_string(rng.nextInRange(-1000000000, 1000000000));
+        static const char *const kSep[] = {" ", "\n", ", ", "\t", "\r\n"};
+        text += kSep[rng.nextBelow(std::size(kSep))];
+    }
+    return bytes(text);
 }
 
 }  // namespace
@@ -145,6 +213,40 @@ TEST_P(ChunkSizeProperty, TokenStreamInvariantUnderChunking)
     EXPECT_EQ(out, expected);
 }
 
+TEST_P(ChunkSizeProperty, OutOfRangeTokensAreSkipped)
+{
+    const auto data = bytes("1 99999999999999999999 2\n"
+                            "-9223372036854775809 3 9223372036854775808,4 "
+                            "123456789012345678901234567890");
+    sd::StreamingScanner s(chunked(data, GetParam()), GetParam());
+    std::vector<std::int64_t> out;
+    std::int64_t v = 0;
+    while (s.nextInt64(&v))
+        out.push_back(v);
+    EXPECT_EQ(out, (std::vector<std::int64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(out, scanAll(data));
+    sd::TextScanner ref(data.data(), data.size());
+    while (ref.nextInt64(&v)) {
+    }
+    expectSameCost(s.cost(), ref.cost());
+}
+
+TEST_P(ChunkSizeProperty, RunsMatchSingleTokens)
+{
+    const auto data = mixedTokens();
+    sd::StreamingScanner single(chunked(data, GetParam()), GetParam());
+    std::vector<std::int64_t> want;
+    std::int64_t v = 0;
+    while (single.nextInt64(&v))
+        want.push_back(v);
+    for (const std::size_t max : {1, 2, 3, 7, 64, 1000}) {
+        sd::StreamingScanner runs(chunked(data, GetParam()), GetParam());
+        EXPECT_EQ(drainRuns(runs, max), want) << "max " << max;
+        expectSameCost(runs.cost(), single.cost());
+        EXPECT_EQ(runs.refills(), single.refills()) << "max " << max;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, ChunkSizeProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 64, 511,
                                            4096));
@@ -200,6 +302,89 @@ TEST(StreamingScanner, IncrementalResumesAfterDryRefill)
     pending = bytes("42 ");
     ASSERT_TRUE(s.nextInt64(&v));   // resumes after data arrives
     EXPECT_EQ(v, 42);
+}
+
+TEST(StreamingScanner, Int64ExtremesRoundTrip)
+{
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    sd::TextWriter w;
+    for (const std::int64_t v : {kMin, kMax, kMin + 1, std::int64_t(0)}) {
+        w.appendInt64(v);
+        w.appendLiteral(" ");
+    }
+    const std::vector<std::int64_t> want = {kMin, kMax, kMin + 1, 0};
+    EXPECT_EQ(scanAll(w.bytes()), want);
+    for (const std::size_t piece : {1, 5, 4096}) {
+        sd::StreamingScanner s(chunked(w.bytes(), piece), piece);
+        std::vector<std::int64_t> got;
+        std::int64_t v = 0;
+        while (s.nextInt64(&v))
+            got.push_back(v);
+        EXPECT_EQ(got, want) << "piece " << piece;
+    }
+}
+
+TEST(StreamingScanner, IncrementalRunsMatchSingleTokens)
+{
+    // Deliver the text in uneven pieces, with the source running dry
+    // between them; read runs until one comes up short, then deliver
+    // more. Tokens split at a piece boundary wait for the next piece.
+    const auto data = mixedTokens();
+    struct Side
+    {
+        std::vector<std::uint8_t> pending;
+        std::unique_ptr<sd::StreamingScanner> s;
+        std::vector<std::int64_t> got;
+    };
+    for (const std::size_t max : {1, 2, 5, 64}) {
+        Side single, runs;
+        for (Side *side : {&single, &runs}) {
+            side->s = std::make_unique<sd::StreamingScanner>(
+                [side](std::uint8_t *dst, std::size_t cap) {
+                    const std::size_t take =
+                        std::min(cap, side->pending.size());
+                    std::copy(side->pending.begin(),
+                              side->pending.begin() +
+                                  static_cast<std::ptrdiff_t>(take),
+                              dst);
+                    side->pending.erase(
+                        side->pending.begin(),
+                        side->pending.begin() +
+                            static_cast<std::ptrdiff_t>(take));
+                    return take;
+                },
+                16, /*incremental=*/true);
+        }
+        morpheus::sim::Rng rng(max);
+        std::size_t pos = 0;
+        bool ended = false;
+        while (!ended) {
+            const std::size_t take =
+                std::min<std::size_t>(1 + rng.nextBelow(40),
+                                      data.size() - pos);
+            for (Side *side : {&single, &runs})
+                side->pending.insert(
+                    side->pending.end(),
+                    data.begin() + static_cast<std::ptrdiff_t>(pos),
+                    data.begin() + static_cast<std::ptrdiff_t>(pos + take));
+            pos += take;
+            if (pos == data.size()) {
+                single.s->setEndOfStream();
+                runs.s->setEndOfStream();
+                ended = true;
+            }
+            std::int64_t v = 0;
+            while (single.s->nextInt64(&v))
+                single.got.push_back(v);
+            const auto run = drainRuns(*runs.s, max);
+            runs.got.insert(runs.got.end(), run.begin(), run.end());
+            ASSERT_EQ(runs.got, single.got) << "max " << max;
+            expectSameCost(runs.s->cost(), single.s->cost());
+            ASSERT_EQ(runs.s->refills(), single.s->refills());
+        }
+        EXPECT_EQ(single.got, scanAll(data));
+    }
 }
 
 TEST(StreamingScanner, CostMatchesContiguous)
@@ -277,5 +462,11 @@ TEST(ScannerFuzz, StreamingMatchesContiguousOnRandomBytes)
         while (s.nextInt64(&v))
             got.push_back(v);
         EXPECT_EQ(got, ref) << "round " << round;
+
+        // The same stream read in runs of a random length.
+        const std::size_t max = rng.nextBelow(16) + 1;
+        sd::StreamingScanner runs(chunked(junk, chunk), 128);
+        EXPECT_EQ(drainRuns(runs, max), ref) << "round " << round;
+        expectSameCost(runs.cost(), s.cost());
     }
 }

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "core/standard_apps.hh"
+#include "serde/writer.hh"
 #include "workloads/generators.hh"
 #include "sim/rng.hh"
 #include "workloads/objects.hh"
@@ -50,6 +51,136 @@ runApp(co::StorageApp &app, const std::vector<std::uint8_t> &text,
     return out;
 }
 
+/** What an app hands the engine after each processChunk() call. */
+struct AppTrace
+{
+    std::vector<std::vector<std::vector<std::uint8_t>>> flushes;
+    std::vector<sd::ParseCost> costs;
+    std::uint32_t returnValue = 0;
+};
+
+/**
+ * runApp(), recording the flush segments and cost per call. D-SRAM is
+ * the threshold plus @p width - 1: what staging reaches when a
+ * @p width-byte value crosses the threshold, so an app that staged
+ * more before flushing would trip the D-SRAM assert.
+ */
+AppTrace
+traceApp(co::StorageApp &app, const std::vector<std::uint8_t> &text,
+         std::size_t chunk_size, std::uint32_t flush_threshold,
+         std::uint32_t width)
+{
+    co::MsChunkContext ctx(flush_threshold + width - 1, flush_threshold, 0);
+    AppTrace trace;
+    auto record = [&] {
+        trace.flushes.push_back(ctx.takeFlushes());
+        trace.costs.push_back(ctx.takeCostDelta());
+    };
+    for (std::size_t pos = 0; pos < text.size(); pos += chunk_size) {
+        const std::size_t take = std::min(chunk_size, text.size() - pos);
+        ctx.feedChunk(std::vector<std::uint8_t>(
+            text.begin() + static_cast<std::ptrdiff_t>(pos),
+            text.begin() + static_cast<std::ptrdiff_t>(pos + take)));
+        app.processChunk(ctx);
+        record();
+    }
+    ctx.signalEndOfStream();
+    app.processChunk(ctx);
+    ctx.flushResidual();
+    record();
+    trace.returnValue = app.returnValue();
+    return trace;
+}
+
+void
+expectSameTrace(const AppTrace &got, const AppTrace &want)
+{
+    ASSERT_EQ(got.flushes.size(), want.flushes.size());
+    for (std::size_t i = 0; i < want.flushes.size(); ++i) {
+        ASSERT_EQ(got.flushes[i], want.flushes[i]) << "call " << i;
+        EXPECT_EQ(got.costs[i].bytes, want.costs[i].bytes) << "call " << i;
+        EXPECT_EQ(got.costs[i].intValues, want.costs[i].intValues)
+            << "call " << i;
+    }
+    EXPECT_EQ(got.returnValue, want.returnValue);
+}
+
+/** IntArrayApp as one ms_scanf and one ms_memcpy per value. */
+class PerValueIntArrayApp : public co::StorageApp
+{
+  public:
+    void
+    processChunk(co::MsChunkContext &ctx) override
+    {
+        std::int64_t v = 0;
+        for (;;) {
+            if (!_haveCount) {
+                if (!ctx.msScanfInt(&v))
+                    return;
+                _count = static_cast<std::uint32_t>(v);
+                ctx.msEmitValue<std::uint32_t>(_count);
+                _haveCount = true;
+                continue;
+            }
+            if (_valuesDone >= _count || !ctx.msScanfInt(&v))
+                return;
+            ctx.msEmitValue<std::int64_t>(v);
+            ++_valuesDone;
+        }
+    }
+    std::uint32_t returnValue() const override { return _valuesDone; }
+
+  private:
+    bool _haveCount = false;
+    std::uint32_t _count = 0;
+    std::uint32_t _valuesDone = 0;
+};
+
+/** EdgeListApp as one ms_scanf and one ms_memcpy per value. */
+class PerValueEdgeListApp : public co::StorageApp
+{
+  public:
+    explicit PerValueEdgeListApp(bool weighted) : _weighted(weighted) {}
+
+    void
+    processChunk(co::MsChunkContext &ctx) override
+    {
+        std::int64_t v = 0;
+        for (;;) {
+            if (_header < 2) {
+                if (!ctx.msScanfInt(&v))
+                    return;
+                if (_header++ == 1)
+                    _edges = static_cast<std::uint32_t>(v);
+                ctx.msEmitValue<std::uint32_t>(
+                    static_cast<std::uint32_t>(v));
+                continue;
+            }
+            if (_field == 0 && _edgesDone >= _edges)
+                return;
+            if (!ctx.msScanfInt(&v))
+                return;
+            if (_field == 2)
+                ctx.msEmitValue<std::int32_t>(static_cast<std::int32_t>(v));
+            else
+                ctx.msEmitValue<std::uint32_t>(
+                    static_cast<std::uint32_t>(v));
+            if (++_field == (_weighted ? 3 : 2)) {
+                _field = 0;
+                ++_edgesDone;
+            }
+        }
+    }
+    std::uint32_t returnValue() const override { return _edgesDone; }
+
+  private:
+    bool _weighted;
+    int _header = 0;
+    int _field = 0;
+    std::uint32_t _edges = 0;
+    std::uint32_t _edgesDone = 0;
+};
+
 }  // namespace
 
 TEST(MsChunkContext, EmitStagesAndFlushesAtThreshold)
@@ -67,6 +198,16 @@ TEST(MsChunkContext, EmitStagesAndFlushesAtThreshold)
     ASSERT_EQ(rest.size(), 1u);
     EXPECT_EQ(rest[0].size(), 4u);
     EXPECT_EQ(ctx.bytesEmitted(), 20u);
+}
+
+TEST(MsChunkContextDeath, EmitPastDsramPanics)
+{
+    // Filling D-SRAM exactly is fine; one byte more is not.
+    co::MsChunkContext ctx(64, 64, 0);
+    const std::uint8_t block[65] = {};
+    ctx.msEmit(block, 64);
+    EXPECT_EQ(ctx.takeFlushes().size(), 1u);
+    EXPECT_DEATH(ctx.msEmit(block, 65), "exceeds D-SRAM");
 }
 
 TEST(MsChunkContext, CostDeltaResetsBetweenChunks)
@@ -181,6 +322,41 @@ TEST_P(AppChunkProperty, EdgeListOutputInvariant)
     g.serialize(w);
     co::EdgeListApp app(0);
     EXPECT_EQ(runApp(app, w.bytes(), GetParam()), g.toBinary());
+}
+
+TEST_P(AppChunkProperty, RunsMatchPerValueApps)
+{
+    // Flush thresholds off the 8- and 4-byte value widths, so segments
+    // split values; trailing tokens past the counts are ignored.
+    const auto ints = wk::genIntArray(29, 10000);
+    const auto edges = wk::genEdgeList(30, 500, 8200, false);
+    const auto weighted = wk::genEdgeList(31, 500, 6000, true);
+    auto text = [](const auto &obj) {
+        sd::TextWriter w;
+        obj.serialize(w);
+        w.appendLiteral("\n12 abc 34\n");
+        return w.bytes();
+    };
+    for (const std::uint32_t threshold : {13u, 60u * 1024 + 3}) {
+        SCOPED_TRACE(threshold);
+        {
+            co::IntArrayApp app(0);
+            PerValueIntArrayApp ref;
+            expectSameTrace(
+                traceApp(app, text(ints), GetParam(), threshold, 8),
+                traceApp(ref, text(ints), GetParam(), threshold, 8));
+        }
+        for (const bool w : {false, true}) {
+            const auto &g = w ? weighted : edges;
+            co::EdgeListApp app(w ? 1 : 0);
+            PerValueEdgeListApp ref(w);
+            const AppTrace got =
+                traceApp(app, text(g), GetParam(), threshold, 4);
+            expectSameTrace(got,
+                            traceApp(ref, text(g), GetParam(), threshold, 4));
+            EXPECT_EQ(got.returnValue, g.numEdges());
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, AppChunkProperty,

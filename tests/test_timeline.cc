@@ -208,6 +208,130 @@ TEST(TimelineFloor, PruningNeverChangesAPlacement)
     EXPECT_LT(pruned_max, 200u);
 }
 
+// ------------------------------------------------- reference model
+
+namespace {
+
+/**
+ * Brute-force occupancy: one flag per tick. A reservation takes the
+ * first run of @c duration free ticks at or after @c earliest.
+ */
+class TickModel
+{
+  public:
+    ms::Tick
+    acquire(ms::Tick earliest, ms::Tick duration)
+    {
+        ++_ops;
+        if (duration == 0)
+            return earliest;
+        ms::Tick t = earliest;
+        for (ms::Tick k = t; k < t + duration; ++k) {
+            if (busy(k))
+                t = k + 1;  // restart the run past the busy tick
+        }
+        if (_busy.size() < t + duration)
+            _busy.resize(t + duration, false);
+        std::fill(_busy.begin() + static_cast<std::ptrdiff_t>(t),
+                  _busy.begin() + static_cast<std::ptrdiff_t>(t + duration),
+                  true);
+        _busyTicks += duration;
+        return t;
+    }
+
+    bool busy(ms::Tick k) const { return k < _busy.size() && _busy[k]; }
+
+    /** Length of the free run starting at @p k (ticks to the next busy
+     *  one; 0 when @p k is busy or past the last reservation). */
+    ms::Tick
+    freeRun(ms::Tick k) const
+    {
+        ms::Tick n = 0;
+        while (k + n < _busy.size() && !_busy[k + n])
+            ++n;
+        return k + n < _busy.size() ? n : 0;
+    }
+
+    /** Maximal busy runs: what a merged interval list must hold. */
+    std::size_t
+    runs() const
+    {
+        std::size_t n = 0;
+        for (std::size_t k = 0; k < _busy.size(); ++k)
+            n += _busy[k] && (k == 0 || !_busy[k - 1]);
+        return n;
+    }
+
+    ms::Tick freeAt() const { return _busy.size(); }
+    ms::Tick busyTicks() const { return _busyTicks; }
+    std::uint64_t ops() const { return _ops; }
+
+  private:
+    std::vector<bool> _busy;
+    ms::Tick _busyTicks = 0;
+    std::uint64_t _ops = 0;
+};
+
+/**
+ * Replay runStream's reservations against @p t and the tick model.
+ * With @p bridge, about a third of them instead ask for exactly the
+ * free run that starts at their tick, so the reservation closes a gap
+ * between two busy spans and the spans on both sides merge.
+ */
+void
+checkAgainstModel(ms::Timeline &t, ms::ScopedReservationFloor *floor,
+                  bool bridge)
+{
+    ms::Rng rng(bridge ? 4321 : 1234);
+    TickModel model;
+    ms::Tick now = 0;
+    for (int i = 0; i < 20000; ++i) {
+        now += rng.nextBelow(40);
+        if (floor != nullptr)
+            floor->raise(now);
+        const ms::Tick earliest = now + rng.nextBelow(400);
+        ms::Tick duration = rng.nextBool(0.05) ? 0 : 1 + rng.nextBelow(30);
+        if (bridge && rng.nextBool(0.3)) {
+            ms::Tick k = earliest;
+            while (model.busy(k))
+                ++k;
+            if (const ms::Tick gap = model.freeRun(k); gap > 0)
+                duration = gap;
+        }
+        const ms::Tick want = model.acquire(earliest, duration);
+        ASSERT_EQ(t.acquire(earliest, duration), want) << "reservation " << i;
+        ASSERT_EQ(t.freeAt(), model.freeAt()) << "reservation " << i;
+        ASSERT_EQ(t.busyTicks(), model.busyTicks()) << "reservation " << i;
+        ASSERT_EQ(t.ops(), model.ops()) << "reservation " << i;
+        if (floor == nullptr && i % 1000 == 0) {
+            ASSERT_EQ(t.intervals(), model.runs()) << "reservation " << i;
+        }
+    }
+}
+
+}  // namespace
+
+TEST(TimelineModel, MatchesPerTickOccupancy)
+{
+    ms::Timeline t("t");
+    checkAgainstModel(t, nullptr, false);
+}
+
+TEST(TimelineModel, MatchesPerTickOccupancyWithBridgingMerges)
+{
+    ms::Timeline t("t");
+    checkAgainstModel(t, nullptr, true);
+}
+
+TEST(TimelineModel, MatchesPerTickOccupancyUnderAFloor)
+{
+    for (const bool bridge : {false, true}) {
+        ms::Timeline t("t");
+        ms::ScopedReservationFloor floor;
+        checkAgainstModel(t, &floor, bridge);
+    }
+}
+
 TEST(TimelineFloor, ResetRestoresTheInitialState)
 {
     ms::Timeline t("t");
