@@ -125,7 +125,7 @@ printRunJson(const char *name, const wk::ServingReport &r, bool last)
     std::printf("      \"shed\": {\"bounces\": %llu, "
                 "\"rejected\": %llu},\n",
                 static_cast<unsigned long long>(r.shedBounces),
-                static_cast<unsigned long long>(r.shedRejected));
+                static_cast<unsigned long long>(r.rejected));
     std::printf("      \"placements\": {\"device\": %llu, "
                 "\"host\": %llu, \"split\": %llu, \"shed\": %llu, "
                 "\"flips\": %llu},\n",

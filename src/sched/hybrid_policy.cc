@@ -4,6 +4,41 @@
 
 namespace morpheus::sched {
 
+namespace {
+
+/** Low watermark as a fraction of the high one: spill mode is left
+ *  when the device load score falls below it (hysteresis). */
+constexpr double kSpillExitFraction = 0.5;
+
+/** Bytes one resident instance counts for in the device load score,
+ *  so queue depth matters even for undeclared streams. */
+constexpr std::uint64_t kResidentBytes = 16 * sim::kKiB;
+
+/** How long a fresh kDsramExhausted bounce pins the device load score
+ *  at (at least) the high watermark: scratchpad pressure is saturation
+ *  even when the byte backlog looks shallow. */
+constexpr sim::Tick kDsramBounceHold = 200 * sim::kPsPerUs;
+
+/** Split only when the busier side's load is within this factor of
+ *  the other's: splitting a request across a 10x-lopsided pair just
+ *  straggles on the loaded half. */
+constexpr double kSplitBalance = 4.0;
+
+/** Smallest stream worth splitting. */
+constexpr std::uint64_t kSplitMinBytes = 16 * sim::kKiB;
+
+/** Fraction of the stream the device parses in a split. */
+constexpr double kSplitDeviceShare = 0.5;
+
+}  // namespace
+
+std::uint64_t
+splitPrefixBytes(std::uint64_t stream_bytes)
+{
+    return static_cast<std::uint64_t>(static_cast<double>(stream_bytes) *
+                                      kSplitDeviceShare);
+}
+
 const char *
 placementName(ExecPlacement p)
 {
@@ -50,11 +85,11 @@ HybridPlacementPolicy::decide(const HybridSignals &sig, sim::Tick now)
     double device_load =
         (static_cast<double>(sig.backlogBytes) +
          static_cast<double>(sig.queueDepth) *
-             static_cast<double>(_config.residentBytes)) /
+             static_cast<double>(kResidentBytes)) /
         denom;
     if (sig.dsramBounces > _lastDsramBounces) {
         _lastDsramBounces = sig.dsramBounces;
-        _bounceHotUntil = now + _config.dsramBounceHold;
+        _bounceHotUntil = now + kDsramBounceHold;
     }
     if (now < _bounceHotUntil)
         device_load = std::max(device_load, 1.0);
@@ -69,8 +104,7 @@ HybridPlacementPolicy::decide(const HybridSignals &sig, sim::Tick now)
     if (!_spill && device_load >= 1.0) {
         _spill = true;
         ++_flips;
-    } else if (_spill &&
-               device_load < _config.spillExitFraction) {
+    } else if (_spill && device_load < kSpillExitFraction) {
         _spill = false;
         ++_flips;
     }
@@ -83,16 +117,14 @@ HybridPlacementPolicy::decide(const HybridSignals &sig, sim::Tick now)
         // instead of queueing on either.
         d.placement = ExecPlacement::kShed;
         d.retryAfterUs = _config.shedRetryUs;
-    } else if (_config.split &&
-               sig.requestBytes >= _config.splitMinBytes &&
+    } else if (sig.requestBytes >= kSplitMinBytes &&
                std::max(device_load, host_load) <=
-                   _config.splitBalance *
+                   kSplitBalance *
                        std::max(1e-9,
                                 std::min(device_load, host_load))) {
         // Comparable pressure on both sides: run them concurrently on
         // one request instead of picking the (barely) lighter one.
         d.placement = ExecPlacement::kSplit;
-        d.deviceShare = _config.splitDeviceShare;
     } else {
         d.placement = host_load < device_load ? ExecPlacement::kHost
                                               : ExecPlacement::kDevice;

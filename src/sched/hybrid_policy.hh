@@ -19,18 +19,18 @@
  *
  * The decision is driven by the scheduler's live signals — the
  * arbiter's declared backlog bytes, per-core queue depth, the
- * kDsramExhausted bounce rate — against the modeled host CPU backlog. A two-watermark
- * hysteresis (spill entered at the high watermark, left at the low
- * one) keeps placement from flapping, and when *both* resources are
- * saturated a shed valve bounces the request with an explicit
- * retry-after instead of building an unbounded queue.
+ * kDsramExhausted bounce rate — against the modeled host CPU backlog.
+ * A two-watermark hysteresis (spill entered at the high watermark,
+ * left at the low one) keeps placement from flapping, and when *both*
+ * resources are saturated a shed valve bounces the request with an
+ * explicit retry-after instead of building an unbounded queue.
  *
  * The CircuitBreaker below is the per-tenant availability state
- * machine the serving driver used to keep inline: consecutive
- * device-path failures open it, every Nth routed request while open is
- * a half-open probe, and a probe success closes it. It is consulted
- * *before* the placement policy — a breaker-open tenant is already
- * host-routed for availability, never double-routed by overload.
+ * machine: consecutive device-path failures open it, every Nth routed
+ * request while open is a half-open probe, and a probe success closes
+ * it. It is consulted *before* the placement policy — a breaker-open
+ * tenant is already host-routed for availability, never double-routed
+ * by overload.
  *
  * Everything here is deterministic and allocation-free per decision;
  * with HybridConfig::enabled false, decide() degenerates to kDevice
@@ -62,7 +62,13 @@ constexpr std::size_t kNumPlacements = 4;
 /** Short stable name ("device", "host", "split", "shed"). */
 const char *placementName(ExecPlacement p);
 
-/** Knobs of the hybrid layer (all off by default). */
+/** Bytes of an @p stream_bytes stream the device parses in a split
+ *  (the prefix; the host converts the rest). */
+std::uint64_t splitPrefixBytes(std::uint64_t stream_bytes);
+
+/** Knobs of the hybrid layer (all off by default). The hysteresis
+ *  exit, D-SRAM bounce hold and split shape are fixed constants of the
+ *  policy (hybrid_policy.cc). */
 struct HybridConfig
 {
     /** Master switch; false keeps every request on the device path. */
@@ -79,36 +85,9 @@ struct HybridConfig
      */
     std::uint64_t spillEnterBytes = 256 * sim::kKiB;
 
-    /** Low watermark as a fraction of the high one: spill mode is left
-     *  when the device load score falls below this (hysteresis). */
-    double spillExitFraction = 0.5;
-
-    /** Bytes one resident instance counts for in the device load
-     *  score, so queue depth matters even for undeclared streams. */
-    std::uint64_t residentBytes = 16 * sim::kKiB;
-
-    /** How long a fresh kDsramExhausted bounce pins the device load
-     *  score at (at least) the high watermark: scratchpad pressure is
-     *  saturation even when the byte backlog looks shallow. */
-    sim::Tick dsramBounceHold = 200 * sim::kPsPerUs;
-
     /** Host backlog (µs of queued work on the least-loaded core) at
      *  which the host load score reaches 1.0. */
     double hostHighUs = 1000.0;
-
-    /** Allow the split placement. */
-    bool split = true;
-
-    /** Split only when the busier side's load is within this factor of
-     *  the other's — splitting a request across a 10x-lopsided pair
-     *  just straggles on the loaded half. */
-    double splitBalance = 4.0;
-
-    /** Smallest stream worth splitting. */
-    std::uint64_t splitMinBytes = 16 * sim::kKiB;
-
-    /** Fraction of the stream the device parses in a split. */
-    double splitDeviceShare = 0.5;
 
     /** Multiplier on the host path's modeled conversion cycles (> 1
      *  models a slower host; the serving driver passes it through to
@@ -155,8 +134,6 @@ struct HybridSignals
 struct PlacementDecision
 {
     ExecPlacement placement = ExecPlacement::kDevice;
-    /** Device share of a kSplit (config's splitDeviceShare). */
-    double deviceShare = 1.0;
     /** Retry-after hint of a kShed bounce, microseconds. */
     std::uint32_t retryAfterUs = 0;
     /** The load scores behind the verdict (1.0 = watermark). */

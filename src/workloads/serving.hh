@@ -12,13 +12,18 @@
  * explicitly: fixed per-tenant concurrency, next request issued on
  * completion, for throughput-vs-latency saturation sweeps.
  *
- * Each request is one invocation of the int-array deserializer over a
- * pre-ingested file drawn from a heavy-tailed size mix. Requests are
- * interleaved at MREAD-batch granularity through the InvokeSession
- * API; the device-side scheduler (ssd.sched in the SystemConfig)
- * decides placement and admission. The report carries per-tenant
- * latency percentiles (sim::stats::Histogram) and the Jain fairness
- * index over served bytes.
+ * Each tenant's requests read one object format (int array, CSV,
+ * JSON, or a columnar scan with optional predicate pushdown) from
+ * pre-ingested files drawn from a heavy-tailed size mix, or write
+ * (MWRITE) binary values through the on-device serializer. Requests
+ * are interleaved at MREAD-batch granularity through the
+ * InvokeSession API; the device-side scheduler (ssd.sched in the
+ * SystemConfig) decides placement and admission, and the breaker and
+ * hybrid policy may route a request to the host path instead. Every
+ * request ends in one terminal state that folds into the outcome
+ * ledger (OutcomeCounts); the report carries per-tenant exact latency
+ * tallies (LatencySummary) and the Jain fairness index over served
+ * bytes.
  */
 
 #ifndef MORPHEUS_WORKLOADS_SERVING_HH
@@ -114,16 +119,11 @@ struct ServingOptions
     double durationSec = 0.02;
     std::uint64_t seed = 1;
 
-    /**
-     * Closed-loop mode: instead of the open-loop Poisson trace, each
-     * tenant keeps a fixed number of requests in flight and issues the
-     * next one the moment one finishes — the self-throttling
-     * throughput-vs-latency discipline of closed-loop load generators
-     * (queueing never builds beyond the concurrency, so the report's
-     * throughputPerSec and percentiles trace the saturation curve as
-     * closedLoopConcurrency sweeps). durationSec is ignored; every
-     * tenant issues exactly closedLoopRequests requests.
-     */
+    /** Closed-loop mode: each tenant keeps closedLoopConcurrency
+     *  requests in flight and issues the next one the moment one
+     *  finishes, closedLoopRequests in total (durationSec is ignored).
+     *  Queueing never builds beyond the concurrency, so a concurrency
+     *  sweep traces the throughput-vs-latency saturation curve. */
     bool closedLoop = false;
     /** Requests each tenant keeps in flight (closed loop). */
     unsigned closedLoopConcurrency = 4;
@@ -141,12 +141,8 @@ struct ServingOptions
      *  sys.numSsds (> 1 turns on fleet serving). */
     host::SystemConfig sys{};
 
-    /**
-     * Fleet serving: distinct object files per (tenant, size class),
-     * placed across the SSDs by shardPolicy. 1 (the default) keeps the
-     * classic one-object-per-class request stream — and the Rng draw
-     * sequence — bit-identical to pre-fleet runs.
-     */
+    /** Fleet serving: distinct object files per (tenant, size class),
+     *  placed across the SSDs by shardPolicy (1 draws no object). */
     unsigned objectsPerClass = 1;
 
     /** Zipfian skew of per-class object popularity (0 = uniform); with
@@ -157,12 +153,8 @@ struct ServingOptions
     /** Placement of object files across the fleet (sys.numSsds > 1). */
     shard::ShardPolicy shardPolicy = shard::ShardPolicy::kHash;
 
-    /**
-     * Fault-injection plan, installed (scoped) around the measured
-     * event loop only — ingest always runs clean. An inactive plan
-     * (all rates zero, the default) installs nothing and leaves the
-     * run bit-identical to a fault-free build.
-     */
+    /** Fault-injection plan, installed around the measured event loop
+     *  only (ingest runs clean); an inactive plan installs nothing. */
     sim::FaultPlan faults{};
 
     /** Driver-side recovery: per-command timeouts, bounded retries
@@ -170,77 +162,60 @@ struct ServingOptions
      *  default (faults then assert, as before). */
     nvme::DriverRecoveryConfig recovery{};
 
-    /**
-     * Per-tenant circuit breaker: after this many consecutive
-     * device-path failures the tenant's requests are served by the
-     * baseline host-read + host-deserialize path until a half-open
-     * probe succeeds. 0 disables the breaker AND the per-request
-     * fallback — failed requests are simply lost (the recovery-off
-     * ablation).
-     */
+    /** Per-tenant circuit breaker: after this many consecutive
+     *  device-path failures the tenant's requests take the baseline
+     *  host-read + host-deserialize path until a half-open probe
+     *  succeeds. 0 disables the breaker AND the per-request fallback:
+     *  failed requests are lost (the recovery-off ablation). */
     unsigned breakerThreshold = 3;
 
     /** While open, every Nth request is a half-open probe down the
      *  device path; success closes the breaker. */
     unsigned breakerProbeEvery = 8;
 
-    /**
-     * Overload-aware hybrid execution (sched::HybridPlacementPolicy):
-     * per request, choose the embedded core, the host CPU, or a split
-     * of the two by live device pressure vs. modeled host backlog,
-     * with hysteresis and an optional shed valve. Off by default —
-     * disabled runs are bit-identical to pre-hybrid builds. The
-     * breaker always outranks it: a breaker-open tenant is host-routed
-     * (reason "breaker"), never double-routed by overload.
-     */
+    /** Overload-aware hybrid execution (sched::HybridPlacementPolicy,
+     *  off by default): per request, the embedded core, the host CPU,
+     *  a split of the two, or a shed bounce, by live device pressure
+     *  vs. modeled host backlog. The breaker always outranks it. */
     sched::HybridConfig hybrid{};
 
-    /**
-     * Optional federation target. When set, runServing() snapshots the
-     * whole system StatSet (under "sys.") plus per-tenant serving
-     * outcomes (under "serving.") into it before the simulated machine
-     * is torn down.
-     */
+    /** Optional federation target: runServing() snapshots the system
+     *  StatSet (under "sys.") and the report (under "serving.",
+     *  "shard." and "fleet.") into it before the machine is torn down. */
     obs::MetricsRegistry *metrics = nullptr;
 
-    /**
-     * Tail-based flight recorder. When set, runServing() attaches it
-     * as the trace sink around the measured event loop (tee-ing to its
-     * configured downstream, so an already-attached full-trace sink
-     * still sees everything), collects each request's spans at its
-     * terminal outcome, and offers them for slowest-K / failed
-     * retention. Purely observational: sim results stay bit-identical.
-     */
+    /** Tail-based flight recorder, attached as the trace sink around
+     *  the event loop (tee-ing to its downstream). Each request's spans
+     *  are collected at its terminal outcome and offered for slowest-K
+     *  / failed retention. Purely observational. */
     obs::FlightRecorder *flightRecorder = nullptr;
 
-    /**
-     * Critical-path attribution: decompose each completed request's
-     * latency into pipeline stages and report per-tenant stage
-     * breakdowns. Needs span data; when no flightRecorder is given, a
-     * private recorder is attached for the duration of the run.
-     */
+    /** Critical-path attribution: decompose each completed request's
+     *  latency into pipeline stages (StageBreakdown). Needs span data:
+     *  without a flightRecorder a private one is attached. */
     bool breakdown = false;
 
-    /**
-     * Time-series telemetry. When set, the event loop samples gauges
-     * (in-flight, backlog bytes, D-SRAM occupancy, cache hits, fault
-     * and retry counters, per-tenant throughput) into it on the
-     * timeline's simulated-time cadence. runServing() defines the
-     * columns and starts the cadence at the first arrival.
-     */
+    /** Time-series telemetry: the event loop samples loop state, the
+     *  outcome ledger and device gauges into it on the timeline's
+     *  simulated-time cadence, starting at the first arrival. */
     obs::Timeline *timeline = nullptr;
 
     /** Per-tenant latency-SLO burn tracking (see SloOptions). */
     SloOptions slo{};
 };
 
-/** Per-tenant outcome. */
-struct TenantReport
+/**
+ * Terminal-outcome counters: the one ledger of a serving run. Each
+ * request folds into its tenant's counts once, at its terminal
+ * transition (completed, fallback, rejected or lost); the run total is
+ * the sum over tenants. Every request that was submitted ends in
+ * exactly one terminal state, so submitted == completed + rejected +
+ * lost, and the fallback reasons sum to fallbacks.
+ */
+struct OutcomeCounts
 {
-    std::uint32_t id = 0;
-    /** Object format the tenant's requests used. */
-    TenantFormat format = TenantFormat::kIntArray;
     std::uint64_t submitted = 0;
+    /** Served requests: device path plus host fallbacks. */
     std::uint64_t completed = 0;
     std::uint64_t rejected = 0;   ///< Terminal refusals (shed valve).
     std::uint64_t retries = 0;    ///< Bounced-and-reparked attempts.
@@ -262,114 +237,112 @@ struct TenantReport
     std::uint64_t splitRequests = 0;
     /** Hybrid shed-valve bounces (retry-after re-submissions). */
     std::uint64_t shedBounces = 0;
-    /** Requests terminally rejected by the shed valve (counted in
-     *  rejected as well). */
-    std::uint64_t shedRejected = 0;
     /** Requests neither completed nor terminally rejected (recovery
      *  and fallback both off while faults fire). */
     std::uint64_t lost = 0;
     /** Device-path completions answered by the object cache. */
     std::uint64_t cacheHits = 0;
-    /** cacheHits / completed (0 when nothing completed). */
-    double cacheHitRate = 0.0;
     std::uint64_t servedBytes = 0;
     /** Completed MWRITE (serialization) requests and the binary bytes
      *  they streamed host -> device (a subset of completed /
      *  servedBytes). */
     std::uint64_t writes = 0;
     std::uint64_t writeBytes = 0;
+
+    OutcomeCounts &operator+=(const OutcomeCounts &o);
+};
+
+/** Registry scopes an OutcomeCounts member is federated under. */
+constexpr unsigned kTenantScope = 1;  ///< serving.tenant.<id>.<name>
+constexpr unsigned kTotalScope = 2;   ///< serving.<name>
+constexpr unsigned kHybridScope = 4;  ///< serving.<name>, hybrid only
+
+/** One ledger member and its registry name. */
+struct OutcomeField
+{
+    const char *name;
+    std::uint64_t OutcomeCounts::*member;
+    unsigned scopes;  ///< k*Scope bits.
+};
+
+/** The ledger's registry table: the serving.* federation is a loop
+ *  over it, and nothing else names an outcome counter. */
+extern const std::array<OutcomeField, 17> kOutcomeFields;
+
+/** Exact latency summary of a set of completed requests (µs). */
+struct LatencySummary
+{
     double meanUs = 0.0;
     double p50Us = 0.0;
     double p95Us = 0.0;
     double p99Us = 0.0;
     double p999Us = 0.0;
     double maxUs = 0.0;
+};
 
-    // --- critical-path breakdown (opts.breakdown) --------------------
+/** Critical-path breakdown of a set of requests (opts.breakdown). */
+struct StageBreakdown
+{
     /** Completed requests with a span-derived stage decomposition. */
     std::uint64_t attributed = 0;
     /** Mean µs per stage over attributed requests (index by
      *  obs::Stage; sums to ~meanUs). */
     std::array<double, obs::kNumStages> stageMeanUs{};
     /** Stage decomposition of the p99-ranked attributed request —
-     *  sums exactly to that request's latency, i.e. to p99Us within
-     *  the histogram's bucket error. */
+     *  sums exactly to that request's latency, i.e. to p99Us. */
     std::array<double, obs::kNumStages> stageP99Us{};
+};
+
+/** Per-tenant outcome. */
+struct TenantReport : OutcomeCounts, LatencySummary, StageBreakdown
+{
+    std::uint32_t id = 0;
+    /** Object format the tenant's requests used. */
+    TenantFormat format = TenantFormat::kIntArray;
+    /** cacheHits / completed (0 when nothing completed). */
+    double cacheHitRate = 0.0;
 
     // --- SLO burn tracking (opts.slo.enabled) ------------------------
     double sloTargetUs = 0.0;     ///< Effective target for this tenant.
     std::uint64_t sloViolations = 0;  ///< Completions over the target.
+    /** Burn windows (SloOptions::windowUs > 0 only); bad = violation
+     *  fraction over the error budget. */
     std::uint64_t sloGoodWindows = 0;
-    std::uint64_t sloBadWindows = 0;  ///< Violation fraction > budget.
+    std::uint64_t sloBadWindows = 0;
     /** (violations/completed) / (1 - objective); > 1 burns error
      *  budget faster than the objective allows. */
     double sloBurnRate = 0.0;
 };
 
 /** Per-device outcome of a fleet run (sys.numSsds > 1). */
-struct ShardReport
+struct ShardReport : LatencySummary
 {
     unsigned device = 0;
-    std::uint64_t requests = 0;   ///< Device-path requests routed here.
-    std::uint64_t completed = 0;  ///< ...that completed on the device.
+    /** Requests whose object lives here, whatever served them. */
+    std::uint64_t requests = 0;
+    std::uint64_t completed = 0;  ///< ...that completed.
     std::uint64_t servedBytes = 0;
-    double meanUs = 0.0;
-    double p50Us = 0.0;
-    double p95Us = 0.0;
-    double p99Us = 0.0;
-    double p999Us = 0.0;
-    double maxUs = 0.0;
 };
 
-/** Whole-experiment outcome. */
-struct ServingReport
+/** Whole-experiment outcome: the tenants' ledgers summed, and the
+ *  all-tenant latency and breakdown. */
+struct ServingReport : OutcomeCounts, LatencySummary, StageBreakdown
 {
     std::vector<TenantReport> tenants;
     /** One entry per SSD in fleet runs; empty for single-SSD runs. */
     std::vector<ShardReport> shards;
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t deviceFailures = 0;
-    std::uint64_t fallbacks = 0;
-    /** fallbacks split by trigger (sums to fallbacks). */
-    std::uint64_t fallbackBreaker = 0;
-    std::uint64_t fallbackOverload = 0;
-    std::uint64_t fallbackProbe = 0;
-    /** Hybrid execution outcome counters (all zero when disabled). */
-    std::uint64_t splitRequests = 0;
-    std::uint64_t shedBounces = 0;
-    std::uint64_t shedRejected = 0;
     /** Placement decisions the hybrid policy handed out, indexed by
      *  sched::ExecPlacement. */
     std::array<std::uint64_t, sched::kNumPlacements> hybridDecisions{};
     /** Spill-mode transitions (hysteresis flips). */
     std::uint64_t hybridFlips = 0;
-    std::uint64_t lost = 0;
-    /** Completed MWRITE requests / streamed bytes (all tenants). */
-    std::uint64_t writes = 0;
-    std::uint64_t writeBytes = 0;
-    /** Completions served from the device object cache (all tenants). */
-    std::uint64_t cacheHits = 0;
     /** Host-side driver recovery activity during the run. */
     std::uint64_t driverRetries = 0;
     std::uint64_t driverTimeouts = 0;
-    double meanUs = 0.0;
-    double p50Us = 0.0;
-    double p95Us = 0.0;
-    double p99Us = 0.0;
-    double p999Us = 0.0;
-    double maxUs = 0.0;
     /** Jain index over servedBytes (1.0 = perfectly fair). */
     double jainFairness = 0.0;
     double throughputPerSec = 0.0;
     sim::Tick makespan = 0;
-
-    /** All-tenant critical-path breakdown (opts.breakdown). */
-    std::uint64_t attributed = 0;
-    std::array<double, obs::kNumStages> stageMeanUs{};
-    /** Decomposition of the overall p99-ranked attributed request. */
-    std::array<double, obs::kNumStages> stageP99Us{};
     /** Fleet runs: device whose shard p99 is worst (0 otherwise). */
     unsigned stragglerShard = 0;
 };

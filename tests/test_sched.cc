@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -466,8 +467,9 @@ TEST(HybridPolicy, ForceHostRoutesEverything)
 
 TEST(HybridPolicy, HysteresisEntersAtHighExitsAtLowWatermark)
 {
+    // The host side stays idle throughout, so no load pair is balanced
+    // enough to split.
     sched::HybridConfig h = hybridOn();
-    h.split = false;
     sched::HybridPlacementPolicy pol(h);
     const std::uint64_t high = h.spillEnterBytes;
 
@@ -496,16 +498,17 @@ TEST(HybridPolicy, HysteresisEntersAtHighExitsAtLowWatermark)
 
 TEST(HybridPolicy, DsramBouncePinsDeviceLoadForTheHoldWindow)
 {
-    sched::HybridConfig h = hybridOn();
-    h.split = false;
-    sched::HybridPlacementPolicy pol(h);
+    sched::HybridPlacementPolicy pol(hybridOn());
+    const sim::Tick hold = 200 * sim::kPsPerUs;  // the policy's hold
     sched::HybridSignals sig = signals(0, 0.0);
     sig.dsramBounces = 1;  // a fresh bounce, empty byte backlog
     EXPECT_EQ(pol.decide(sig, 0).placement,
               sched::ExecPlacement::kHost);
     EXPECT_TRUE(pol.spilling());
-    // Past the hold window (and no new bounce) pressure decays.
-    const auto d = pol.decide(sig, h.dsramBounceHold + 1);
+    // Inside the hold window the score stays pinned...
+    EXPECT_GE(pol.decide(sig, hold - 1).deviceLoad, 1.0);
+    // ...and past it (and no new bounce) pressure decays.
+    const auto d = pol.decide(sig, hold + 1);
     EXPECT_LT(d.deviceLoad, 1.0);
     EXPECT_FALSE(pol.spilling());
 }
@@ -513,7 +516,6 @@ TEST(HybridPolicy, DsramBouncePinsDeviceLoadForTheHoldWindow)
 TEST(HybridPolicy, ShedsOnlyWhenBothSidesSaturated)
 {
     sched::HybridConfig h = hybridOn();
-    h.split = false;
     h.shed = true;
     h.shedFactor = 2.0;
     sched::HybridPlacementPolicy pol(h);
@@ -535,21 +537,27 @@ TEST(HybridPolicy, SplitsWhenLoadsComparableRoutesLighterOtherwise)
     sched::HybridPlacementPolicy pol(h);
     const std::uint64_t high = h.spillEnterBytes;
 
-    // Comparable pressure (within splitBalance): split.
+    // Comparable pressure (within the 4x split balance): split, the
+    // device taking the first half of the stream.
     const auto split =
         pol.decide(signals(2 * high, 2.0 * h.hostHighUs), 0);
     EXPECT_EQ(split.placement, sched::ExecPlacement::kSplit);
-    EXPECT_DOUBLE_EQ(split.deviceShare, h.splitDeviceShare);
+    EXPECT_EQ(sched::splitPrefixBytes(64 * sim::kKiB), 32 * sim::kKiB);
 
     // Lopsided toward the device: the host is the lighter side.
     EXPECT_EQ(pol.decide(signals(16 * high, 0.1), 0).placement,
               sched::ExecPlacement::kHost);
 
-    // Tiny requests never split — lighter side instead.
+    // Requests under the 16 KiB split minimum never split — lighter
+    // side instead.
     EXPECT_EQ(pol.decide(signals(2 * high, 1.0 * h.hostHighUs,
-                                 h.splitMinBytes - 1), 0)
+                                 16 * sim::kKiB - 1), 0)
                   .placement,
               sched::ExecPlacement::kHost);
+    EXPECT_EQ(pol.decide(signals(2 * high, 1.0 * h.hostHighUs,
+                                 16 * sim::kKiB), 0)
+                  .placement,
+              sched::ExecPlacement::kSplit);
 }
 
 // ------------------------------------------------- hybrid serving runs
@@ -558,12 +566,11 @@ TEST(Serving, HybridSplitEngagesAndEveryRequestResolves)
 {
     wk::ServingOptions opts =
         skewedServing(sched::PlacementPolicy::kLoadAware);
+    // Default knobs: the skewed mix drives the device past the spill
+    // watermark, spill loads the host until the two sides are within
+    // the split balance, and the large size classes clear the split
+    // minimum.
     opts.hybrid.enabled = true;
-    // Spill immediately and split everything splittable: the point is
-    // exercising the split machinery, not a realistic posture.
-    opts.hybrid.spillEnterBytes = 1;
-    opts.hybrid.splitBalance = 1e12;
-    opts.hybrid.splitMinBytes = 1;
 
     const wk::ServingReport r = wk::runServing(opts);
     EXPECT_GT(r.splitRequests, 0u);
@@ -691,4 +698,168 @@ TEST(Serving, HybridHostMemoryIsFlatInTheRequestCount)
     EXPECT_EQ(n4, n);
     expectClosed(small);
     expectClosed(large);
+}
+
+// ------------------------------------------------- one outcome ledger
+
+namespace {
+
+/** One terminal kind the ledger test drives: how to configure a run
+ *  that reaches it, and the check that the run did. */
+struct LedgerRow
+{
+    const char *name;
+    void (*setup)(wk::ServingOptions &);
+    bool (*engaged)(const wk::ServingReport &);
+};
+
+void
+faulty(wk::ServingOptions &o)
+{
+    sim::FaultPlan plan;
+    plan.mediaRate = 8e-3;
+    plan.crashRate = 0.2;  // so often that half-open probes fail too
+    plan.seed = 9;
+    o.faults = plan;
+    o.recovery.enabled = true;
+}
+
+const LedgerRow kLedgerRows[] = {
+    {"device completion, cache hit and MWRITE",
+     [](wk::ServingOptions &o) {
+         o.closedLoop = true;
+         o.closedLoopRequests = 48;
+         o.objectsPerClass = 4;
+         o.zipfSkew = 1.1;
+         o.sys.ssd.cache.enabled = true;
+         for (wk::TenantSpec &t : o.tenants)
+             t.writeFraction = 0.2;
+     },
+     [](const wk::ServingReport &r) {
+         return r.completed > r.fallbacks && r.cacheHits > 0 &&
+                r.writes > 0;
+     }},
+    {"breaker and probe fallbacks",
+     [](wk::ServingOptions &o) {
+         faulty(o);
+         o.breakerThreshold = 1;
+         o.breakerProbeEvery = 2;
+     },
+     [](const wk::ServingReport &r) {
+         return r.fallbackBreaker > 0 && r.fallbackProbe > 0;
+     }},
+    {"overload fallback, split and shed reject",
+     [](wk::ServingOptions &o) {
+         for (wk::TenantSpec &t : o.tenants)
+             t.arrivalsPerSec *= 8.0;
+         o.hybrid.enabled = true;
+         o.hybrid.shed = true;
+         o.hybrid.shedFactor = 1.0;
+         o.hybrid.hostCostScale = 4.0;
+     },
+     [](const wk::ServingReport &r) {
+         return r.fallbackOverload > 0 && r.splitRequests > 0 &&
+                r.shedBounces > 0 && r.rejected > 0;
+     }},
+    {"lost",
+     [](wk::ServingOptions &o) {
+         faulty(o);
+         o.breakerThreshold = 0;
+     },
+     [](const wk::ServingReport &r) { return r.lost > 0; }},
+    {"2-SSD fleet",
+     [](wk::ServingOptions &o) {
+         o.sys.numSsds = 2;
+         o.objectsPerClass = 4;
+     },
+     [](const wk::ServingReport &r) {
+         return r.shards.size() == 2 && r.shards[0].requests > 0 &&
+                r.shards[1].requests > 0;
+     }},
+};
+
+}  // namespace
+
+TEST(Serving, OutcomeLedgerIsTheOnlyReportingChannel)
+{
+    for (const LedgerRow &row : kLedgerRows) {
+        SCOPED_TRACE(row.name);
+        wk::ServingOptions opts =
+            skewedServing(sched::PlacementPolicy::kLoadAware);
+        row.setup(opts);
+        obs::MetricsRegistry reg;
+        opts.metrics = &reg;
+        const wk::ServingReport r = wk::runServing(opts);
+        EXPECT_TRUE(row.engaged(r));
+
+        // Every ledger counter reaches the registry under its name,
+        // tenant by tenant and in total, and the total is the sum.
+        for (const wk::OutcomeField &f : wk::kOutcomeFields) {
+            SCOPED_TRACE(f.name);
+            std::uint64_t sum = 0;
+            for (const wk::TenantReport &t : r.tenants) {
+                sum += t.*f.member;
+                const std::string key = "serving.tenant." +
+                                        std::to_string(t.id) + "." +
+                                        f.name;
+                if (f.scopes & wk::kTenantScope) {
+                    EXPECT_EQ(reg.counter(key), t.*f.member);
+                }
+            }
+            EXPECT_EQ(r.*f.member, sum);
+            if (f.scopes & (wk::kTotalScope | wk::kHybridScope)) {
+                const bool federated =
+                    (f.scopes & wk::kTotalScope) || opts.hybrid.enabled;
+                EXPECT_EQ(reg.counter(std::string("serving.") + f.name),
+                          federated ? r.*f.member : 0);
+            }
+        }
+
+        // Closure: every request ends in exactly one terminal state,
+        // and every fallback carries exactly one reason.
+        for (const wk::OutcomeCounts &c :
+             {static_cast<const wk::OutcomeCounts &>(r),
+              static_cast<const wk::OutcomeCounts &>(r.tenants.front())}) {
+            EXPECT_EQ(c.submitted, c.completed + c.rejected + c.lost);
+            EXPECT_EQ(c.fallbacks, c.fallbackBreaker + c.fallbackOverload +
+                                       c.fallbackProbe);
+        }
+        std::uint64_t shard_requests = 0, shard_completed = 0;
+        for (const wk::ShardReport &s : r.shards) {
+            shard_requests += s.requests;
+            shard_completed += s.completed;
+            EXPECT_EQ(reg.counter("shard." + std::to_string(s.device) +
+                                  ".requests"),
+                      s.requests);
+        }
+        if (!r.shards.empty()) {
+            EXPECT_EQ(shard_requests, r.submitted);
+            EXPECT_EQ(shard_completed, r.completed);
+        }
+    }
+}
+
+TEST(Serving, SloCountsViolationsWithoutBurnWindows)
+{
+    // Burn windows are an extra view: turning them off must not stop
+    // violations and the burn rate from being counted.
+    wk::ServingOptions opts =
+        skewedServing(sched::PlacementPolicy::kLoadAware);
+    opts.slo.enabled = true;
+    opts.slo.targetUs = 100.0;
+    const wk::ServingReport windowed = wk::runServing(opts);
+    opts.slo.windowUs = 0.0;
+    const wk::ServingReport plain = wk::runServing(opts);
+
+    std::uint64_t violations = 0;
+    for (std::size_t i = 0; i < plain.tenants.size(); ++i) {
+        const wk::TenantReport &w = windowed.tenants[i];
+        const wk::TenantReport &p = plain.tenants[i];
+        EXPECT_EQ(p.sloViolations, w.sloViolations) << "tenant " << p.id;
+        EXPECT_DOUBLE_EQ(p.sloBurnRate, w.sloBurnRate) << "tenant " << p.id;
+        EXPECT_EQ(p.sloGoodWindows + p.sloBadWindows, 0u);
+        EXPECT_GT(w.sloGoodWindows + w.sloBadWindows, 0u);
+        violations += p.sloViolations;
+    }
+    EXPECT_GT(violations, 0u);
 }

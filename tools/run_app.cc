@@ -111,7 +111,8 @@ serveUsage()
         "as Chrome JSON (open in Perfetto); --timeline samples gauges\n"
         "every --timeline-interval-us (default 100) into JSON/CSV;\n"
         "--slo tracks per-tenant burn rate against TARGET_US at\n"
-        "--slo-objective (default 0.99) over --slo-window-us windows.\n"
+        "--slo-objective in (0, 1) (default 0.99), with good/bad\n"
+        "--slo-window-us windows (default 5000; 0 = no windows).\n"
         "Hybrid execution (all off by default):\n"
         "  --hybrid             place each request on the device, the\n"
         "                       host CPU, or a split of the two by live\n"
@@ -245,7 +246,9 @@ serveMain(int argc, char **argv)
     if (tenants == 0 || rate <= 0.0 || skew <= 0.0 ||
         timeline_interval == 0 || opts.hybrid.hostCostScale <= 0.0 ||
         selectivity <= 0.0 || selectivity > 1.0 ||
-        write_fraction < 0.0 || write_fraction > 1.0) {
+        write_fraction < 0.0 || write_fraction > 1.0 ||
+        opts.slo.objective <= 0.0 || opts.slo.objective >= 1.0 ||
+        opts.slo.windowUs < 0.0) {
         serveUsage();
         return 2;
     }
@@ -357,7 +360,7 @@ serveMain(int argc, char **argv)
             static_cast<unsigned long long>(r.fallbackBreaker),
             static_cast<unsigned long long>(r.fallbackOverload),
             static_cast<unsigned long long>(r.fallbackProbe),
-            static_cast<unsigned long long>(r.shedRejected));
+            static_cast<unsigned long long>(r.rejected));
     }
     for (const wk::TenantReport &t : r.tenants) {
         std::printf("tenant %-2u              completed %llu  "
