@@ -60,7 +60,6 @@ makeOptions(unsigned ssds, double zipf_skew)
     // on whichever shards own the hot objects.
     opts.objectsPerClass = 8;
     opts.zipfSkew = zipf_skew;
-    opts.shardPolicy = shard::ShardPolicy::kHash;
     // Same per-device scheduler posture as the tail-latency bench:
     // bounded in-flight instances and partitioned D-SRAM grants.
     opts.sys.ssd.sched.maxInflightTotal = 12;

@@ -11,11 +11,11 @@ namespace {
  *  device's rings occupy a disjoint 1 MiB stripe. */
 constexpr pcie::Addr kQueueRingBase = 1 * sim::kMiB;
 constexpr pcie::Addr kQueueRingStride = 1 * sim::kMiB;
+static_assert(kQueueRingBase + kMaxSsds * kQueueRingStride <
+                  8ULL * sim::kGiB,
+              "queue rings collide with the ingest scratch area");
 /** General allocations start above the ingest scratch area. */
 constexpr pcie::Addr kAllocBase = 9ULL * sim::kGiB;
-/** Fleet-only controller-memory-buffer BAR windows (P2P rebalance). */
-constexpr pcie::Addr kCmbBase = 1ULL << 44;
-constexpr std::uint64_t kCmbStride = 16 * sim::kMiB;
 
 /** Host allocations are whole 4 KiB pages. */
 std::uint64_t
@@ -52,9 +52,12 @@ HostSystem::HostSystem(const SystemConfig &config)
       _hostAllocTop(kAllocBase),
       _hostAllocBase(kAllocBase)
 {
+    const unsigned num_ssds = config.numSsds;
+    MORPHEUS_ASSERT(num_ssds >= 1 && num_ssds <= kMaxSsds,
+                    "numSsds = ", num_ssds, " outside [1, ", kMaxSsds,
+                    "]");
     MORPHEUS_ASSERT(_hostPort == 0,
                     "host root complex must be port 0 by convention");
-    const unsigned num_ssds = config.numSsds == 0 ? 1 : config.numSsds;
     // Host DRAM window at bus address 0.
     _fabric.mapWindow(0, _mem.config().size, _hostPort, "host-dram",
                       &_mem);
@@ -63,19 +66,13 @@ HostSystem::HostSystem(const SystemConfig &config)
     // host/ssd/gpu numbering (and every single-SSD trace) is
     // untouched.
     for (unsigned d = 1; d < num_ssds; ++d) {
-        const pcie::LinkConfig link = d - 1 < config.ssdLinks.size()
-                                          ? config.ssdLinks[d - 1]
-                                          : config.ssdLink;
         _ssdPorts.push_back(
-            _fabric.addPort("ssd" + std::to_string(d), link));
+            _fabric.addPort("ssd" + std::to_string(d), config.ssdLink));
     }
 
     const unsigned queues = config.ioQueues == 0 ? 1 : config.ioQueues;
     MORPHEUS_ASSERT(queues <= 8,
                     "queue rings overflow their per-device stripe");
-    MORPHEUS_ASSERT(kQueueRingBase + num_ssds * kQueueRingStride <
-                        8ULL * sim::kGiB,
-                    "queue rings collide with the ingest scratch area");
     for (unsigned d = 0; d < num_ssds; ++d) {
         _ssds.push_back(std::make_unique<ssd::SsdController>(
             _eq, _fabric, _ssdPorts[d], deviceConfig(d)));
@@ -103,23 +100,6 @@ HostSystem::HostSystem(const SystemConfig &config)
             *_drivers[d], _ioQueues[d].front(), _mem));
         _nextFileByte.push_back(0);
     }
-
-    if (num_ssds > 1) {
-        // Controller-memory-buffer windows: a timed DMA target on each
-        // device for SSD-to-SSD shard rebalancing over the switch.
-        // Mapped only for fleets so the single-SSD address map (and
-        // every routing decision) is unchanged.
-        for (unsigned d = 0; d < num_ssds; ++d) {
-            _fabric.mapWindow(cmbBase(d), kCmbStride, _ssdPorts[d],
-                              "ssd" + std::to_string(d) + "-cmb");
-        }
-    }
-}
-
-pcie::Addr
-HostSystem::cmbBase(unsigned device) const
-{
-    return kCmbBase + device * kCmbStride;
 }
 
 pcie::Addr
@@ -167,16 +147,6 @@ FileExtent
 HostSystem::createFileOn(unsigned device, const std::string &name,
                          const std::vector<std::uint8_t> &data)
 {
-    FileExtent extent = reserveExtent(device, name, data.size());
-    extent.readyAt = _ssdBackends[device]->ingest(extent.startByte, data);
-    _files[name] = extent;
-    return extent;
-}
-
-FileExtent
-HostSystem::reserveExtent(unsigned device, const std::string &name,
-                          std::uint64_t size_bytes)
-{
     MORPHEUS_ASSERT(_files.find(name) == _files.end(),
                     "file already exists: ", name);
     MORPHEUS_ASSERT(device < numSsds(), "no such device: ", device);
@@ -186,9 +156,10 @@ HostSystem::reserveExtent(unsigned device, const std::string &name,
     extent.name = name;
     extent.deviceId = device;
     extent.startByte = _nextFileByte[device];
-    extent.sizeBytes = size_bytes;
+    extent.sizeBytes = data.size();
     _nextFileByte[device] +=
-        ((size_bytes + page - 1) / page) * std::uint64_t(page);
+        ((data.size() + page - 1) / page) * std::uint64_t(page);
+    extent.readyAt = _ssdBackends[device]->ingest(extent.startByte, data);
     _files.emplace(name, extent);
     return extent;
 }

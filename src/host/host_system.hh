@@ -104,13 +104,6 @@ class HostSystem
     }
 
     /**
-     * Bus address of SSD @p device's controller memory buffer window
-     * (mapped only in fleet configurations): the DMA target another
-     * SSD writes for device-to-device shard rebalancing.
-     */
-    pcie::Addr cmbBase(unsigned device) const;
-
-    /**
      * Allocate @p bytes of host DRAM, rounded up to whole pages: the
      * most recently freed buffer of the same rounded size if there is
      * one, else fresh space from the bump pointer. @return bus address.
@@ -138,14 +131,6 @@ class HostSystem
     /** createFile() on a specific SSD (shard placement). */
     FileExtent createFileOn(unsigned device, const std::string &name,
                             const std::vector<std::uint8_t> &data);
-
-    /**
-     * Reserve an extent on @p device without ingesting any bytes —
-     * the caller delivers them device-side (P2P shard rebalance
-     * writes through the destination controller, not the host path).
-     */
-    FileExtent reserveExtent(unsigned device, const std::string &name,
-                             std::uint64_t size_bytes);
 
     /** Look up a previously created file. */
     const FileExtent &file(const std::string &name) const;

@@ -24,6 +24,14 @@
 
 namespace morpheus::host {
 
+/**
+ * Largest fleet HostSystem builds. Device d >= 1 draws trace ids from
+ * the block d << 24 of the 32-bit TraceId, so 256 devices would wrap
+ * onto device 0's block, and block 0xFF is the serving driver's
+ * host-trace block.
+ */
+constexpr unsigned kMaxSsds = 255;
+
 /** Everything needed to build a HostSystem. */
 struct SystemConfig
 {
@@ -52,7 +60,7 @@ struct SystemConfig
      * platform: same port numbering, queue rings, trace tracks, and
      * trace ids. Devices beyond the first get ports after the GPU's,
      * labels "dev1", "dev2", ... and their own NVMe driver + queue
-     * pairs + trace-id block.
+     * pairs + trace-id block. Must be in [1, kMaxSsds].
      */
     unsigned numSsds = 1;
 
@@ -60,10 +68,6 @@ struct SystemConfig
      *  JSON). Device d uses ssdConfigs[d] when present, else the
      *  template `ssd` above. */
     std::vector<ssd::SsdConfig> ssdConfigs;
-
-    /** Link overrides for extra SSD ports: device d >= 1 uses
-     *  ssdLinks[d-1] when present, else `ssdLink`. */
-    std::vector<pcie::LinkConfig> ssdLinks;
 
     /** Bus address where the GPU BAR window is mapped by NVMe-P2P. */
     pcie::Addr gpuBarBase = 1ULL << 40;

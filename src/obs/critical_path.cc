@@ -184,45 +184,4 @@ attributeSpans(const std::vector<Span> &spans, sim::Tick lo, sim::Tick hi)
     return out;
 }
 
-std::vector<FanoutLeg>
-fanoutLegs(const std::vector<Span> &spans)
-{
-    std::vector<FanoutLeg> legs;
-    for (const Span &s : spans) {
-        if (s.instant || !isOpcodeUmbrella(s.name))
-            continue;
-        if (s.track.find("host.queue[") == std::string::npos)
-            continue;
-        const std::uint32_t dev = deviceOfTrace(s.trace);
-        auto it = std::find_if(
-            legs.begin(), legs.end(),
-            [dev](const FanoutLeg &l) { return l.device == dev; });
-        if (it == legs.end()) {
-            legs.push_back({dev, s.begin, s.end});
-        } else {
-            it->begin = std::min(it->begin, s.begin);
-            it->end = std::max(it->end, s.end);
-        }
-    }
-    std::sort(legs.begin(), legs.end(),
-              [](const FanoutLeg &a, const FanoutLeg &b) {
-                  return a.device < b.device;
-              });
-    return legs;
-}
-
-std::uint32_t
-stragglerDevice(const std::vector<FanoutLeg> &legs)
-{
-    std::uint32_t dev = 0;
-    sim::Tick latest = 0;
-    for (const FanoutLeg &l : legs) {
-        if (l.end > latest) {
-            latest = l.end;
-            dev = l.device;
-        }
-    }
-    return dev;
-}
-
 }  // namespace morpheus::obs

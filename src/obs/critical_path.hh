@@ -8,8 +8,7 @@
  * retry backoff, or residual host time). The decomposition mirrors
  * Morpheus's Fig. 2 methodology — the object-creation breakdown that
  * motivates offloading — but per request, so a serving report can say
- * "this tenant's p99 is 62% parse, 21% admission wait" and a fleet run
- * can name the straggler shard behind a slow fan-out.
+ * "this tenant's p99 is 62% parse, 21% admission wait".
  *
  * Attribution is a pure function of already-recorded spans: it never
  * touches the simulator, so enabling it cannot perturb timing.
@@ -102,34 +101,6 @@ bool classifySpan(const Span &span, Stage *stage, int *priority);
  */
 Attribution attributeSpans(const std::vector<Span> &spans, sim::Tick lo,
                            sim::Tick hi);
-
-/** Device that issued a trace id (fleet ids are device << 24 | seq). */
-inline std::uint32_t
-deviceOfTrace(TraceId id)
-{
-    return id >> 24;
-}
-
-/** One per-device leg of a fleet fan-out (host queue umbrella hull). */
-struct FanoutLeg
-{
-    std::uint32_t device = 0;
-    sim::Tick begin = 0;
-    sim::Tick end = 0;
-};
-
-/**
- * Group host-queue umbrella spans by issuing device: the convex hull
- * [min begin, max end] per device is that shard's leg of the fan-out.
- * Legs are returned sorted by device id.
- */
-std::vector<FanoutLeg> fanoutLegs(const std::vector<Span> &spans);
-
-/**
- * The straggler: device whose leg finishes last (ties to the lower
- * id). Returns 0 on an empty leg list.
- */
-std::uint32_t stragglerDevice(const std::vector<FanoutLeg> &legs);
 
 }  // namespace morpheus::obs
 

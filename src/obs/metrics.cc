@@ -23,13 +23,9 @@ void
 MetricsRegistry::absorb(const sim::stats::StatSet &set,
                         const std::string &prefix)
 {
-    set.visit(
-        [&](const std::string &name, std::uint64_t v) {
-            setCounter(prefix + name, v);
-        },
-        [&](const std::string &name, double v) {
-            setScalar(prefix + name, v);
-        });
+    set.visit([&](const std::string &name, std::uint64_t v) {
+        setCounter(prefix + name, v);
+    });
 }
 
 std::uint64_t

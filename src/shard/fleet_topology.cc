@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -9,6 +10,10 @@
 namespace morpheus::shard {
 
 namespace {
+
+constexpr std::uint64_t kU64Max =
+    std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
 
 /**
  * Minimal recursive-descent parser for the topology's JSON subset:
@@ -79,8 +84,10 @@ class TinyJson
         return out;
     }
 
+    /** A non-negative integer for field @p key, refused when it
+     *  overflows 64 bits or exceeds @p max (the field's range). */
     std::uint64_t
-    parseUint()
+    parseUint(const std::string &key, std::uint64_t max)
     {
         skipWs();
         MORPHEUS_ASSERT(_pos < _s.size() &&
@@ -90,8 +97,16 @@ class TinyJson
                         _pos);
         std::uint64_t v = 0;
         while (_pos < _s.size() &&
-               std::isdigit(static_cast<unsigned char>(_s[_pos])))
-            v = v * 10 + static_cast<std::uint64_t>(_s[_pos++] - '0');
+               std::isdigit(static_cast<unsigned char>(_s[_pos]))) {
+            const auto digit =
+                static_cast<std::uint64_t>(_s[_pos++] - '0');
+            MORPHEUS_ASSERT(v <= (kU64Max - digit) / 10,
+                            "fleet topology: \"", key,
+                            "\" overflows 64 bits");
+            v = v * 10 + digit;
+        }
+        MORPHEUS_ASSERT(v <= max, "fleet topology: \"", key, "\" = ", v,
+                        " exceeds ", max);
         return v;
     }
 
@@ -159,13 +174,17 @@ parseDevice(TinyJson &j)
         const std::string key = j.parseString();
         j.expect(':');
         if (key == "cores") {
-            dev.cores = static_cast<unsigned>(j.parseUint());
+            dev.cores =
+                static_cast<unsigned>(j.parseUint(key, kUnsignedMax));
         } else if (key == "channels") {
-            dev.channels = static_cast<unsigned>(j.parseUint());
+            dev.channels =
+                static_cast<unsigned>(j.parseUint(key, kUnsignedMax));
         } else if (key == "diesPerChannel") {
-            dev.diesPerChannel = static_cast<unsigned>(j.parseUint());
+            dev.diesPerChannel =
+                static_cast<unsigned>(j.parseUint(key, kUnsignedMax));
         } else if (key == "dramMiB") {
-            dev.dramBytes = j.parseUint() * (1ull << 20);
+            dev.dramBytes =
+                j.parseUint(key, kU64Max / sim::kMiB) * sim::kMiB;
         } else if (key == "label") {
             dev.label = j.parseString();
         } else {
@@ -191,11 +210,8 @@ FleetTopology::fromJson(const std::string &text)
             const std::string key = j.parseString();
             j.expect(':');
             if (key == "ssds") {
-                topo.numSsds = static_cast<unsigned>(j.parseUint());
-            } else if (key == "policy") {
-                topo.policy = shardPolicyFromString(j.parseString());
-            } else if (key == "stripeKiB") {
-                topo.stripeBytes = j.parseUint() * 1024;
+                topo.numSsds =
+                    static_cast<unsigned>(j.parseUint(key, host::kMaxSsds));
             } else if (key == "devices") {
                 j.expect('[');
                 if (!j.consume(']')) {
@@ -217,8 +233,6 @@ FleetTopology::fromJson(const std::string &text)
     MORPHEUS_ASSERT(j.atEnd(),
                     "fleet topology: trailing JSON content");
     MORPHEUS_ASSERT(topo.numSsds > 0, "fleet topology: ssds = 0");
-    MORPHEUS_ASSERT(topo.stripeBytes > 0,
-                    "fleet topology: zero stripe");
     return topo;
 }
 

@@ -1,16 +1,13 @@
 /**
  * @file
- * Fleet topology: how many SSDs sit behind the switch, how requests
- * shard across them, and (optionally) per-device geometry — loadable
- * from a small JSON file so device count and fan-out are runtime
- * configuration rather than a hardcode.
+ * Fleet topology: how many SSDs sit behind the switch and (optionally)
+ * per-device geometry — loadable from a small JSON file so the device
+ * count is runtime configuration rather than a hardcode.
  *
  * JSON shape (every key optional):
  *
  *   {
- *     "ssds": 4,
- *     "policy": "hash",            // or "range"
- *     "stripeKiB": 1024,
+ *     "ssds": 4,                   // 1 .. host::kMaxSsds
  *     "devices": [                 // per-device overrides, in order
  *       {"cores": 4, "channels": 8, "diesPerChannel": 4,
  *        "dramMiB": 2048, "label": "rack0"},
@@ -18,8 +15,10 @@
  *     ]
  *   }
  *
- * Unknown keys are ignored (forward compatibility); malformed JSON is
- * a fatal configuration error.
+ * Unknown keys are ignored (forward compatibility; files that still
+ * carry the retired "policy"/"stripeKiB" keys load unchanged).
+ * Malformed JSON, and integers that overflow 64 bits or their
+ * destination field, are fatal configuration errors.
  */
 
 #ifndef MORPHEUS_SHARD_FLEET_TOPOLOGY_HH
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "host/system_config.hh"
-#include "shard/shard_router.hh"
 
 namespace morpheus::shard {
 
@@ -48,8 +46,6 @@ struct DeviceSpec
 struct FleetTopology
 {
     unsigned numSsds = 1;
-    ShardPolicy policy = ShardPolicy::kHash;
-    std::uint64_t stripeBytes = ShardRouter::kDefaultStripeBytes;
     /** Per-device overrides; devices beyond the list inherit the
      *  SystemConfig's template SSD. */
     std::vector<DeviceSpec> devices;
@@ -57,12 +53,6 @@ struct FleetTopology
     /** Stamp the topology into @p sys: numSsds plus one SsdConfig per
      *  overridden device (template-derived, overrides applied). */
     void apply(host::SystemConfig &sys) const;
-
-    /** A router configured with this topology's policy and stripe. */
-    ShardRouter makeRouter() const
-    {
-        return ShardRouter(numSsds, policy, stripeBytes);
-    }
 
     /** Parse the JSON text above (fatal on malformed input). */
     static FleetTopology fromJson(const std::string &text);

@@ -1,7 +1,5 @@
 #include "shard/shard_router.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace morpheus::shard {
@@ -12,21 +10,8 @@ shardPolicyName(ShardPolicy policy)
     switch (policy) {
       case ShardPolicy::kHash:
         return "hash";
-      case ShardPolicy::kRange:
-        return "range";
     }
     return "?";
-}
-
-ShardPolicy
-shardPolicyFromString(const std::string &name)
-{
-    if (name == "hash")
-        return ShardPolicy::kHash;
-    if (name == "range")
-        return ShardPolicy::kRange;
-    MORPHEUS_FATAL("unknown shard policy: ", name,
-                   " (expected hash|range)");
 }
 
 std::uint64_t
@@ -41,84 +26,12 @@ fnv1a(const void *data, std::size_t len, std::uint64_t seed)
     return h;
 }
 
-ShardRouter::ShardRouter(unsigned num_shards, ShardPolicy policy,
-                         std::uint64_t stripe_bytes)
-    : _numShards(num_shards), _policy(policy),
-      _stripeBytes(stripe_bytes)
-{
-    MORPHEUS_ASSERT(num_shards > 0, "router with no shards");
-    MORPHEUS_ASSERT(stripe_bytes > 0, "zero stripe size");
-}
-
 unsigned
-ShardRouter::shardForKey(const std::string &key) const
+shardForKey(const std::string &key, unsigned num_shards)
 {
+    MORPHEUS_ASSERT(num_shards > 0, "placement with no shards");
     return static_cast<unsigned>(fnv1a(key.data(), key.size()) %
-                                 _numShards);
-}
-
-unsigned
-ShardRouter::shardForStripe(std::uint64_t nsid,
-                            std::uint64_t stripe) const
-{
-    if (_policy == ShardPolicy::kRange)
-        return static_cast<unsigned>(stripe % _numShards);
-    const std::uint64_t words[2] = {nsid, stripe};
-    return static_cast<unsigned>(fnv1a(words, sizeof(words)) %
-                                 _numShards);
-}
-
-unsigned
-ShardRouter::shardForByte(std::uint64_t nsid,
-                          std::uint64_t global_byte) const
-{
-    return shardForStripe(nsid, global_byte / _stripeBytes);
-}
-
-std::vector<ShardSlice>
-ShardRouter::splitRange(std::uint64_t nsid, std::uint64_t offset,
-                        std::uint64_t len) const
-{
-    std::vector<ShardSlice> out;
-    if (len == 0)
-        return out;
-    const std::uint64_t last_stripe = (offset + len - 1) / _stripeBytes;
-
-    // Local offsets mirror a sequential stripe-by-stripe placement of
-    // the namespace from byte 0: stripe s lands on its device after
-    // every earlier stripe routed there. O(stripes) — fine at
-    // simulation scale and valid for both policies.
-    std::vector<std::uint64_t> local_cursor(_numShards, 0);
-    for (std::uint64_t s = 0; s <= last_stripe; ++s) {
-        const unsigned dev = shardForStripe(nsid, s);
-        const std::uint64_t stripe_begin = s * _stripeBytes;
-        const std::uint64_t stripe_end = stripe_begin + _stripeBytes;
-        const std::uint64_t begin = std::max(stripe_begin, offset);
-        const std::uint64_t end = std::min(stripe_end, offset + len);
-        if (begin < end) {
-            ShardSlice slice;
-            slice.device = dev;
-            slice.globalOffset = begin;
-            slice.localOffset =
-                local_cursor[dev] + (begin - stripe_begin);
-            slice.bytes = end - begin;
-            if (!out.empty()) {
-                ShardSlice &prev = out.back();
-                if (prev.device == dev &&
-                    prev.globalOffset + prev.bytes ==
-                        slice.globalOffset &&
-                    prev.localOffset + prev.bytes ==
-                        slice.localOffset) {
-                    prev.bytes += slice.bytes;
-                    slice.bytes = 0;
-                }
-            }
-            if (slice.bytes > 0)
-                out.push_back(slice);
-        }
-        local_cursor[dev] += _stripeBytes;
-    }
-    return out;
+                                 num_shards);
 }
 
 }  // namespace morpheus::shard

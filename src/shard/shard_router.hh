@@ -1,99 +1,36 @@
 /**
  * @file
- * Host-side shard routing for the multi-SSD fleet.
+ * Host-side object placement for the multi-SSD fleet.
  *
- * The router answers one question: which device owns a given piece of
- * the sharded namespace? Two pluggable policies:
- *  - kHash: FNV-1a over (namespace, stripe index) — pseudo-random
- *    stripe placement, robust to skewed access patterns;
- *  - kRange: round-robin striping by stripe index — deterministic
- *    contiguous layout per device, cheap local-offset arithmetic.
- *
- * Whole objects are placed with shardForKey(); byte ranges are split
- * into per-device slices with splitRange(), which also computes each
- * slice's local (on-device) offset so callers can reassemble.
+ * One question: which device owns a whole keyed object? The answer is
+ * FNV-1a over the key, modulo the fleet size — pseudo-random placement
+ * that spreads a skewed object mix across the shards.
  */
 
 #ifndef MORPHEUS_SHARD_SHARD_ROUTER_HH
 #define MORPHEUS_SHARD_SHARD_ROUTER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace morpheus::shard {
 
-/** How the router maps the namespace onto devices. */
+/** How objects map onto devices: key hashing is the only placement. */
 enum class ShardPolicy
 {
-    kHash,   ///< FNV-1a stripe placement.
-    kRange,  ///< Round-robin (striped) ranges.
+    kHash,  ///< FNV-1a key placement.
 };
 
 const char *shardPolicyName(ShardPolicy policy);
 
-/** Parse "hash" / "range" (fatal on anything else). */
-ShardPolicy shardPolicyFromString(const std::string &name);
-
-/** FNV-1a 64-bit over @p data (the router's hash primitive). */
+/** FNV-1a 64-bit over @p data (the placement hash primitive). */
 std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t seed = 0xcbf29ce484222325ull);
 
-/** One device's piece of a fanned-out byte range. */
-struct ShardSlice
-{
-    unsigned device = 0;
-    /** Byte offset of the slice in the sharded (global) namespace. */
-    std::uint64_t globalOffset = 0;
-    /** Byte offset on the owning device, relative to the start of the
-     *  sharded object's per-device extent. */
-    std::uint64_t localOffset = 0;
-    std::uint64_t bytes = 0;
-};
-
-/** Maps (namespace, LBA/byte range) -> device. */
-class ShardRouter
-{
-  public:
-    static constexpr std::uint64_t kDefaultStripeBytes = 1 << 20;
-
-    ShardRouter(unsigned num_shards,
-                ShardPolicy policy = ShardPolicy::kHash,
-                std::uint64_t stripe_bytes = kDefaultStripeBytes);
-
-    unsigned numShards() const { return _numShards; }
-    ShardPolicy policy() const { return _policy; }
-    std::uint64_t stripeBytes() const { return _stripeBytes; }
-
-    /** Owning device for a whole keyed object (FNV-1a, both
-     *  policies — object placement has no range structure). */
-    unsigned shardForKey(const std::string &key) const;
-
-    /** Owning device of stripe @p stripe of namespace @p nsid. */
-    unsigned shardForStripe(std::uint64_t nsid,
-                            std::uint64_t stripe) const;
-
-    /** Owning device of byte @p global_byte of namespace @p nsid. */
-    unsigned shardForByte(std::uint64_t nsid,
-                          std::uint64_t global_byte) const;
-
-    /**
-     * Split [offset, offset+len) of namespace @p nsid into per-device
-     * slices in global order, stripe-granular, with local offsets
-     * consistent with a sequential stripe-by-stripe placement of the
-     * namespace from byte 0 (what ShardFabric::ingestSharded does).
-     * Adjacent slices on the same device with contiguous local bytes
-     * are merged.
-     */
-    std::vector<ShardSlice> splitRange(std::uint64_t nsid,
-                                       std::uint64_t offset,
-                                       std::uint64_t len) const;
-
-  private:
-    unsigned _numShards;
-    ShardPolicy _policy;
-    std::uint64_t _stripeBytes;
-};
+/** Owning device of the object named @p key in a fleet of
+ *  @p num_shards devices (FNV-1a mod N). */
+unsigned shardForKey(const std::string &key, unsigned num_shards);
 
 }  // namespace morpheus::shard
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -390,39 +389,30 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     m.validated = objectsEqual(produced, reference) &&
                   ref_kernel.checksum == kres.checksum;
 
-    if (opts.collectStats || opts.metrics != nullptr) {
+    if (opts.metrics != nullptr) {
         sim::stats::StatSet set;
         sys.registerStats(set);
         device.registerStats(set, "morpheus");
-        if (opts.collectStats) {
-            std::ostringstream os;
-            set.report(os);
-            m.statsReport = os.str();
-        }
-        if (opts.metrics != nullptr) {
-            obs::MetricsRegistry &reg = *opts.metrics;
-            reg.absorb(set, "sys.");
-            reg.setCounter("run.deser_ticks", m.deserTime);
-            reg.setCounter("run.gpu_copy_ticks", m.gpuCopyTime);
-            reg.setCounter("run.kernel_ticks", m.kernelTime);
-            reg.setCounter("run.other_cpu_ticks", m.otherCpuTime);
-            reg.setCounter("run.total_ticks", m.totalTime);
-            reg.setCounter("run.pcie_bytes_deser", m.pcieBytesDeser);
-            reg.setCounter("run.membus_bytes_deser", m.membusBytesDeser);
-            reg.setCounter("run.pcie_bytes_total", m.pcieBytesTotal);
-            reg.setCounter("run.membus_bytes_total", m.membusBytesTotal);
-            reg.setCounter("run.p2p_bytes", m.p2pBytes);
-            reg.setCounter("run.raw_text_bytes", m.rawTextBytes);
-            reg.setCounter("run.object_bytes", m.objectBytesProduced);
-            reg.setCounter("run.validated", m.validated ? 1 : 0);
-            reg.setCounter("run.retries",
-                           sys.nvmeDriver().retriesIssued());
-            reg.setCounter("run.timeouts",
-                           sys.nvmeDriver().timeoutsSynthesized());
-            reg.setScalar("run.deser_power_watts", m.deserPowerWatts);
-            reg.setScalar("run.deser_energy_joules",
-                          m.deserEnergyJoules);
-        }
+        obs::MetricsRegistry &reg = *opts.metrics;
+        reg.absorb(set, "sys.");
+        reg.setCounter("run.deser_ticks", m.deserTime);
+        reg.setCounter("run.gpu_copy_ticks", m.gpuCopyTime);
+        reg.setCounter("run.kernel_ticks", m.kernelTime);
+        reg.setCounter("run.other_cpu_ticks", m.otherCpuTime);
+        reg.setCounter("run.total_ticks", m.totalTime);
+        reg.setCounter("run.pcie_bytes_deser", m.pcieBytesDeser);
+        reg.setCounter("run.membus_bytes_deser", m.membusBytesDeser);
+        reg.setCounter("run.pcie_bytes_total", m.pcieBytesTotal);
+        reg.setCounter("run.membus_bytes_total", m.membusBytesTotal);
+        reg.setCounter("run.p2p_bytes", m.p2pBytes);
+        reg.setCounter("run.raw_text_bytes", m.rawTextBytes);
+        reg.setCounter("run.object_bytes", m.objectBytesProduced);
+        reg.setCounter("run.validated", m.validated ? 1 : 0);
+        reg.setCounter("run.retries", sys.nvmeDriver().retriesIssued());
+        reg.setCounter("run.timeouts",
+                       sys.nvmeDriver().timeoutsSynthesized());
+        reg.setScalar("run.deser_power_watts", m.deserPowerWatts);
+        reg.setScalar("run.deser_energy_joules", m.deserEnergyJoules);
     }
     return m;
 }

@@ -47,8 +47,6 @@ struct RunOptions
     std::uint64_t seed = 42;
     /** Morpheus MREAD chunk in 512 B blocks (0 = MDTS). */
     std::uint32_t chunkBlocks = 0;
-    /** Fill RunMetrics::statsReport with the component counters. */
-    bool collectStats = false;
     /** Optional federation target: runWorkload() snapshots the system
      *  StatSet ("sys.") and the phase breakdown ("run.") into it. */
     obs::MetricsRegistry *metrics = nullptr;
@@ -94,9 +92,6 @@ struct RunMetrics
     // Functional outcome.
     std::uint64_t kernelChecksum = 0;
     bool validated = false;
-
-    /** Component-counter dump (only when RunOptions::collectStats). */
-    std::string statsReport;
 
     double deserSeconds() const { return sim::ticksToSeconds(deserTime); }
     double totalSeconds() const { return sim::ticksToSeconds(totalTime); }

@@ -382,8 +382,7 @@ ingestWriteTarget(host::HostSystem &sys, const std::string &name,
 
 /** Ingest the object files of every (tenant, size class, object). */
 Corpus
-ingest(const ServingOptions &opts, host::HostSystem &sys,
-       shard::ShardFabric &fabric)
+ingest(const ServingOptions &opts, host::HostSystem &sys)
 {
     const unsigned objs_per_class = std::max(1u, opts.objectsPerClass);
     Corpus c;
@@ -420,7 +419,7 @@ ingest(const ServingOptions &opts, host::HostSystem &sys,
                 if (objs_per_class > 1)
                     name += ".o" + std::to_string(o);
                 if (sys.numSsds() > 1)
-                    inst.device = fabric.router().shardForKey(name);
+                    inst.device = shard::shardForKey(name, sys.numSsds());
                 inst.extent = sys.createFileOn(inst.device, name, text);
                 c.ready = std::max(c.ready, inst.extent.readyAt);
                 if (tenant.writeFraction > 0.0) {
@@ -1394,10 +1393,10 @@ runServing(const ServingOptions &opts)
     host::HostSystem sys(opts.sys);
     // One MorpheusRuntime per SSD; the fabric degrades to exactly the
     // classic single-runtime construction when sys.numSsds == 1.
-    shard::ShardFabric fabric(sys, opts.shardPolicy);
+    shard::ShardFabric fabric(sys);
     fabric.setRecovery(opts.recovery);
     const core::StandardImages images = core::StandardImages::make();
-    const Corpus corpus = ingest(opts, sys, fabric);
+    const Corpus corpus = ingest(opts, sys);
     std::vector<Request> requests = generateTrace(opts, corpus.ready);
 
     // Fault injection covers only the measured loop; the injector

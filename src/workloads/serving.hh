@@ -142,7 +142,8 @@ struct ServingOptions
     host::SystemConfig sys{};
 
     /** Fleet serving: distinct object files per (tenant, size class),
-     *  placed across the SSDs by shardPolicy (1 draws no object). */
+     *  each placed whole on the SSD its name hashes to (shardForKey);
+     *  1 draws no object. */
     unsigned objectsPerClass = 1;
 
     /** Zipfian skew of per-class object popularity (0 = uniform); with
@@ -150,7 +151,9 @@ struct ServingOptions
      *  shards owning the hot objects. Ignored if objectsPerClass <= 1. */
     double zipfSkew = 0.0;
 
-    /** Placement of object files across the fleet (sys.numSsds > 1). */
+    /** Provenance label only: placement is always by key hash
+     *  (shardForKey), whatever this says. perfbench reads it to tag
+     *  its records; nothing in the simulator does. */
     shard::ShardPolicy shardPolicy = shard::ShardPolicy::kHash;
 
     /** Fault-injection plan, installed around the measured event loop

@@ -212,30 +212,6 @@ TEST(AttributeSpans, BreakerRescuedRequestSumsExactlyToItsWindow)
     EXPECT_EQ(a[ob::Stage::kHost], 200u);   // 0-100 and 900-1000
 }
 
-// ------------------------------------------------------ fan-out legs
-
-TEST(FanoutLegs, GroupsHostQueueHullsByDeviceAndFindsStraggler)
-{
-    const ob::TraceId dev1 = 1u << 24;
-    const std::vector<ob::Span> spans = {
-        span("host.queue[1]", "MINIT", 0, 100, 1),
-        span("host.queue[1]", "MREAD", 100, 400, 2),
-        span("dev1.host.queue[1]", "MINIT", 0, 120, dev1 | 1),
-        span("dev1.host.queue[1]", "MREAD", 120, 700, dev1 | 2),
-        // Non-umbrella spans never contribute to legs.
-        span("ssd.core[0]", "parse", 0, 5000, 1),
-    };
-    const auto legs = ob::fanoutLegs(spans);
-    ASSERT_EQ(legs.size(), 2u);
-    EXPECT_EQ(legs[0].device, 0u);
-    EXPECT_EQ(legs[0].begin, 0u);
-    EXPECT_EQ(legs[0].end, 400u);
-    EXPECT_EQ(legs[1].device, 1u);
-    EXPECT_EQ(legs[1].end, 700u);
-    EXPECT_EQ(ob::stragglerDevice(legs), 1u);
-    EXPECT_EQ(ob::stragglerDevice({}), 0u);
-}
-
 // --------------------------------------------------- flight recorder
 
 namespace {

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "host/host_system.hh"
+#include "obs/metrics.hh"
 
 namespace ho = morpheus::host;
 namespace ms = morpheus::sim;
@@ -282,8 +283,10 @@ TEST(HostSystem, RegisterStatsDumpsTheWholeMachine)
     sys.createFile("f", std::vector<std::uint8_t>(100000, '7'));
     morpheus::sim::stats::StatSet set;
     sys.registerStats(set);
+    morpheus::obs::MetricsRegistry reg;
+    reg.absorb(set);
     std::ostringstream os;
-    set.report(os);
+    reg.report(os);
     const std::string report = os.str();
     // A few load-bearing counters must be present and non-zero after
     // the ingest write.

@@ -21,7 +21,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serde/writer.hh"
-#include "shard/shard_fabric.hh"
 #include "workloads/generators.hh"
 
 namespace co = morpheus::core;
@@ -555,85 +554,29 @@ TEST(CriticalPath, RetryBackoffShapeChargesRetryWait)
     EXPECT_GT(attr[ob::Stage::kParse], 0u);
 }
 
-TEST(CriticalPath, FanOutShapeNamesTheStragglerShard)
-{
-    ho::SystemConfig cfg;
-    cfg.numSsds = 2;
-    ho::HostSystem sys(cfg);
-    morpheus::shard::ShardFabric fabric(
-        sys, morpheus::shard::ShardPolicy::kRange, 64 * 1024);
-    const auto images = co::StandardImages::make();
-
-    const auto a = wk::genIntArray(95, 60000);
-    sd::TextWriter w;
-    a.serialize(w);
-    const auto f = fabric.ingestSharded("ints", w.bytes());
-    Tick ready = 0;
-    for (const auto &ext : f.extents)
-        ready = std::max(ready, ext.readyAt);
-
-    ob::InMemoryTraceSink sink;
-    const ob::ScopedTraceSink attach(sink);
-    const auto r = fabric.fleetInvoke(images.intArray, f, ready);
-    ASSERT_TRUE(r.accepted);
-    ASSERT_FALSE(r.failed);
-
-    // Per-device convex hulls from the trace-id partitioning; the
-    // merged completion is the slowest leg's end.
-    const auto legs = ob::fanoutLegs(sink.spans());
-    ASSERT_EQ(legs.size(), 2u);
-    EXPECT_EQ(legs[0].device, 0u);
-    EXPECT_EQ(legs[1].device, 1u);
-    Tick worst_end = 0;
-    unsigned worst_dev = 0;
-    for (const auto &leg : legs) {
-        EXPECT_LT(leg.begin, leg.end);
-        if (leg.end > worst_end) {
-            worst_end = leg.end;
-            worst_dev = leg.device;
-        }
-    }
-    EXPECT_EQ(ob::stragglerDevice(legs), worst_dev);
-    // The merged completion trails the slowest leg only by host-side
-    // completion plumbing (buffer handoff), never precedes it.
-    EXPECT_LE(worst_end, r.merged.done);
-
-    // The fan-out window is fully attributed even with two devices'
-    // spans overlapping in time.
-    const ob::Attribution attr =
-        ob::attributeSpans(sink.spans(), ready, r.merged.done);
-    EXPECT_EQ(attr.total(), r.merged.done - ready);
-    EXPECT_GT(attr[ob::Stage::kParse], 0u);
-}
-
 // ------------------------------------------------------------ metrics
 
 TEST(MetricsRegistry, AbsorbSnapshotsStatSetValues)
 {
     st::Counter reads;
-    st::Accumulator lat;
-    double watts = 3.5;
+    std::uint64_t level = 7;
     reads += 42;
-    lat.sample(2.0);
-    lat.sample(4.0);
 
     ob::MetricsRegistry reg;
     {
         st::StatSet set;
         set.registerCounter("reads", &reads);
-        set.registerAccumulator("lat", &lat);
-        set.registerScalar("watts", &watts);
+        set.registerGauge("resident", [&level] { return level; });
         reg.absorb(set, "ssd.");
     }
     // The StatSet (and in real use the whole system) is gone; the
-    // snapshot survives.
+    // snapshot survives, the gauge as the value it read at absorb.
+    level = 9;
     EXPECT_EQ(reg.counter("ssd.reads"), 42u);
-    EXPECT_EQ(reg.counter("ssd.lat.count"), 2u);
-    EXPECT_DOUBLE_EQ(reg.scalar("ssd.lat.mean"), 3.0);
-    EXPECT_DOUBLE_EQ(reg.scalar("ssd.watts"), 3.5);
+    EXPECT_EQ(reg.counter("ssd.resident"), 7u);
     EXPECT_EQ(reg.counter("ssd.missing"), 0u);
     EXPECT_DOUBLE_EQ(reg.scalar("ssd.missing"), 0.0);
-    EXPECT_EQ(reg.size(), 4u);
+    EXPECT_EQ(reg.size(), 2u);
 
     // Later values overwrite (a second collection refreshes, not
     // duplicates).

@@ -211,7 +211,7 @@ TEST(PcieSwitch, ConcurrentDmasToDistinctPortsOverlap)
 namespace {
 
 /** A fleet-shaped fabric: host + four SSD endpoints, each SSD with a
- *  BAR window (the shard fabric's CMB layout). */
+ *  BAR window of its own. */
 struct FleetFabric
 {
     pc::PcieSwitch sw;

@@ -1,25 +1,22 @@
 /**
  * @file
- * Shard-fabric tests: router placement and range splitting, fleet
- * topology parsing, multi-SSD HostSystem construction, fleet-unique
- * trace ids and per-device span tracks, fan-out reads/invokes, and
- * SSD-to-SSD P2P rebalancing.
+ * Shard-fabric tests: key placement, fleet topology parsing, multi-SSD
+ * HostSystem construction and its size bound, fleet-unique trace ids
+ * and per-device span tracks, the per-device load signals, and fleet
+ * serving.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/standard_apps.hh"
 #include "obs/trace.hh"
-#include "serde/formats.hh"
 #include "serde/writer.hh"
 #include "shard/fleet_topology.hh"
 #include "shard/shard_fabric.hh"
-#include "sim/fault.hh"
 #include "workloads/generators.hh"
 #include "workloads/serving.hh"
 
@@ -28,7 +25,6 @@ namespace ho = morpheus::host;
 namespace ob = morpheus::obs;
 namespace sd = morpheus::serde;
 namespace sh = morpheus::shard;
-namespace sim = morpheus::sim;
 namespace wk = morpheus::workloads;
 
 namespace {
@@ -56,117 +52,18 @@ fleetConfig(unsigned ssds)
 
 TEST(ShardRouter, HashPlacementIsDeterministicAndInRange)
 {
-    sh::ShardRouter r(4, sh::ShardPolicy::kHash);
     std::map<unsigned, unsigned> hist;
     for (unsigned i = 0; i < 64; ++i) {
         const std::string key = "object." + std::to_string(i);
-        const unsigned d = r.shardForKey(key);
+        const unsigned d = sh::shardForKey(key, 4);
         EXPECT_LT(d, 4u);
-        EXPECT_EQ(d, r.shardForKey(key));  // stable
+        EXPECT_EQ(d, sh::shardForKey(key, 4));  // stable
+        EXPECT_EQ(d, sh::fnv1a(key.data(), key.size()) % 4);
+        EXPECT_EQ(sh::shardForKey(key, 1), 0u);
         ++hist[d];
     }
     // FNV over 64 keys must not degenerate to a single shard.
     EXPECT_GT(hist.size(), 1u);
-}
-
-TEST(ShardRouter, RangePolicyRoundRobinsStripes)
-{
-    sh::ShardRouter r(3, sh::ShardPolicy::kRange, 1 << 20);
-    for (std::uint64_t s = 0; s < 9; ++s)
-        EXPECT_EQ(r.shardForStripe(7, s), s % 3);
-}
-
-TEST(ShardRouter, ByteAndStripeRoutingAgree)
-{
-    sh::ShardRouter r(4, sh::ShardPolicy::kHash, 4096);
-    for (std::uint64_t b : {0ULL, 4095ULL, 4096ULL, 123456ULL})
-        EXPECT_EQ(r.shardForByte(9, b), r.shardForStripe(9, b / 4096));
-}
-
-TEST(ShardRouter, SplitRangeCoversExactlyAndMergesRuns)
-{
-    sh::ShardRouter r(2, sh::ShardPolicy::kRange, 4096);
-    const auto slices = r.splitRange(1, 1000, 20000);
-    std::uint64_t covered = 0, cursor = 1000;
-    for (const sh::ShardSlice &s : slices) {
-        EXPECT_EQ(s.globalOffset, cursor);
-        EXPECT_LT(s.device, 2u);
-        covered += s.bytes;
-        cursor += s.bytes;
-    }
-    EXPECT_EQ(covered, 20000u);
-    // Round-robin over 2 devices at 4 KiB stripes: no two adjacent
-    // slices share a device (they would have been merged).
-    for (std::size_t i = 1; i < slices.size(); ++i)
-        EXPECT_NE(slices[i].device, slices[i - 1].device);
-}
-
-TEST(ShardRouter, SingleShardDegeneratesToIdentity)
-{
-    sh::ShardRouter r(1, sh::ShardPolicy::kHash, 4096);
-    const auto slices = r.splitRange(1, 500, 100000);
-    ASSERT_EQ(slices.size(), 1u);
-    EXPECT_EQ(slices[0].device, 0u);
-    EXPECT_EQ(slices[0].globalOffset, 500u);
-    EXPECT_EQ(slices[0].localOffset, 500u);
-    EXPECT_EQ(slices[0].bytes, 100000u);
-}
-
-TEST(ShardRouter, SplitRangeZeroLengthYieldsNoSlices)
-{
-    sh::ShardRouter r(4, sh::ShardPolicy::kRange, 4096);
-    EXPECT_TRUE(r.splitRange(1, 0, 0).empty());
-    EXPECT_TRUE(r.splitRange(1, 4096, 0).empty());   // on a boundary
-    EXPECT_TRUE(r.splitRange(1, 12345, 0).empty());  // mid-stripe
-}
-
-TEST(ShardRouter, SplitRangeEndingOnStripeBoundaryEmitsNoEmptySlice)
-{
-    // A range whose end lands exactly on a stripe boundary must not
-    // spill a zero-byte slice into the next stripe (the classic
-    // off-by-one from computing last_stripe = end / stripeBytes).
-    sh::ShardRouter r(3, sh::ShardPolicy::kRange, 4096);
-    const auto slices = r.splitRange(1, 0, 3 * 4096);
-    ASSERT_EQ(slices.size(), 3u);
-    std::uint64_t covered = 0;
-    for (const sh::ShardSlice &s : slices) {
-        EXPECT_GT(s.bytes, 0u);
-        covered += s.bytes;
-    }
-    EXPECT_EQ(covered, 3u * 4096u);
-    EXPECT_EQ(slices.back().globalOffset + slices.back().bytes,
-              3u * 4096u);
-}
-
-TEST(ShardRouter, SplitRangeStartingOnStripeBoundary)
-{
-    sh::ShardRouter r(2, sh::ShardPolicy::kRange, 4096);
-    const auto slices = r.splitRange(1, 4096, 4096);
-    ASSERT_EQ(slices.size(), 1u);
-    EXPECT_EQ(slices[0].device, 1u);  // round robin: stripe 1 -> dev 1
-    EXPECT_EQ(slices[0].globalOffset, 4096u);
-    EXPECT_EQ(slices[0].bytes, 4096u);
-    // Stripe 1 is device 1's first stripe, so it starts at local 0.
-    EXPECT_EQ(slices[0].localOffset, 0u);
-}
-
-TEST(ShardRouter, SplitRangeSingleByteAtStripeEnd)
-{
-    // The last byte of a stripe: exactly one slice, one byte, in the
-    // owning stripe — not bleeding into the next one.
-    sh::ShardRouter r(2, sh::ShardPolicy::kRange, 4096);
-    const auto slices = r.splitRange(1, 4095, 1);
-    ASSERT_EQ(slices.size(), 1u);
-    EXPECT_EQ(slices[0].device, 0u);
-    EXPECT_EQ(slices[0].globalOffset, 4095u);
-    EXPECT_EQ(slices[0].localOffset, 4095u);
-    EXPECT_EQ(slices[0].bytes, 1u);
-
-    // And the first byte of the next stripe belongs to the next device.
-    const auto next = r.splitRange(1, 4096, 1);
-    ASSERT_EQ(next.size(), 1u);
-    EXPECT_EQ(next[0].device, 1u);
-    EXPECT_EQ(next[0].localOffset, 0u);
 }
 
 TEST(ShardRouter, Fnv1aMatchesReferenceVector)
@@ -180,21 +77,33 @@ TEST(ShardRouter, Fnv1aMatchesReferenceVector)
 
 TEST(FleetTopology, ParsesJsonWithOverridesAndUnknownKeys)
 {
+    // "policy" and "stripeKiB" are retired keys: they, and values that
+    // would once have been refused ("policy": "bogus"), fall through
+    // the unknown-key skip like any other.
     const std::string json = R"({
-        "ssds": 3, "policy": "range", "stripeKiB": 512,
+        "ssds": 3, "policy": "bogus", "stripeKiB": 0,
         "comment": ["ignored", {"deep": 1}],
         "devices": [
-            {"cores": 8, "dramMiB": 1024, "label": "rack0"},
+            {"cores": 8, "dramMiB": 1024, "label": "rack0",
+             "policy": "range", "stripeKiB": 512},
             {}
         ]
     })";
     const sh::FleetTopology topo = sh::FleetTopology::fromJson(json);
     EXPECT_EQ(topo.numSsds, 3u);
-    EXPECT_EQ(topo.policy, sh::ShardPolicy::kRange);
-    EXPECT_EQ(topo.stripeBytes, 512u * 1024u);
     ASSERT_EQ(topo.devices.size(), 2u);
     EXPECT_EQ(topo.devices[0].cores, 8u);
+    EXPECT_EQ(topo.devices[0].dramBytes, 1024ull << 20);
     EXPECT_EQ(topo.devices[0].label, "rack0");
+    // The retired keys change nothing: same topology without them.
+    const sh::FleetTopology bare = sh::FleetTopology::fromJson(R"({
+        "ssds": 3,
+        "devices": [{"cores": 8, "dramMiB": 1024, "label": "rack0"}, {}]
+    })");
+    EXPECT_EQ(bare.numSsds, topo.numSsds);
+    ASSERT_EQ(bare.devices.size(), topo.devices.size());
+    EXPECT_EQ(bare.devices[0].cores, topo.devices[0].cores);
+    EXPECT_EQ(bare.devices[0].dramBytes, topo.devices[0].dramBytes);
 
     ho::SystemConfig sys;
     topo.apply(sys);
@@ -215,6 +124,40 @@ TEST(FleetTopologyDeath, RejectsMalformedJson)
                  "trailing");
 }
 
+TEST(FleetTopologyDeath, RejectsIntegersThatWrap)
+{
+    // Past 2^64 the digits would wrap; past the field's range the value
+    // would truncate (4294967298 ssds built 2 SSDs, 2^32 cores became
+    // 0 = "inherit the template").
+    EXPECT_DEATH(
+        sh::FleetTopology::fromJson("{\"ssds\": 18446744073709551617}"),
+        "overflows 64 bits");
+    EXPECT_DEATH(sh::FleetTopology::fromJson("{\"ssds\": 4294967298}"),
+                 "\"ssds\" = 4294967298 exceeds 255");
+    EXPECT_DEATH(sh::FleetTopology::fromJson("{\"ssds\": 256}"),
+                 "exceeds 255");
+    EXPECT_DEATH(sh::FleetTopology::fromJson(
+                     "{\"devices\": [{\"cores\": 4294967296}]}"),
+                 "\"cores\" = 4294967296 exceeds 4294967295");
+    EXPECT_DEATH(sh::FleetTopology::fromJson(
+                     "{\"devices\": [{\"channels\": 4294967296}]}"),
+                 "\"channels\" = 4294967296 exceeds");
+    EXPECT_DEATH(sh::FleetTopology::fromJson(
+                     "{\"devices\": [{\"diesPerChannel\": 4294967296}]}"),
+                 "\"diesPerChannel\" = 4294967296 exceeds");
+    // dramMiB * 2^20 must fit 64 bits.
+    EXPECT_DEATH(sh::FleetTopology::fromJson(
+                     "{\"devices\": [{\"dramMiB\": 17592186044416}]}"),
+                 "\"dramMiB\" = 17592186044416 exceeds 17592186044415");
+    // The largest values that fit still load.
+    const sh::FleetTopology top = sh::FleetTopology::fromJson(
+        "{\"ssds\": 255, \"devices\": [{\"cores\": 4294967295, "
+        "\"dramMiB\": 17592186044415}]}");
+    EXPECT_EQ(top.numSsds, 255u);
+    EXPECT_EQ(top.devices[0].cores, 4294967295u);
+    EXPECT_EQ(top.devices[0].dramBytes, 17592186044415ull << 20);
+}
+
 // ---- multi-SSD HostSystem -------------------------------------------
 
 TEST(FleetHostSystem, ConstructsPerDeviceQueuePairs)
@@ -231,6 +174,16 @@ TEST(FleetHostSystem, ConstructsPerDeviceQueuePairs)
     EXPECT_EQ(sys.ssdPort(0), 1u);
     EXPECT_EQ(sys.gpuPort(), 2u);
     EXPECT_EQ(sys.ssdPort(1), 3u);
+}
+
+TEST(FleetHostSystemDeath, RejectsFleetsOutsideOneTo255)
+{
+    // Device 256 would draw trace ids from the block 256 << 24, which
+    // wraps onto device 0's block in a 32-bit TraceId.
+    EXPECT_DEATH(ho::HostSystem{fleetConfig(256)},
+                 "numSsds = 256 outside \\[1, 255\\]");
+    EXPECT_DEATH(ho::HostSystem{fleetConfig(0)},
+                 "numSsds = 0 outside");
 }
 
 TEST(FleetHostSystem, DeviceLabelsPrefixFleetTracksOnly)
@@ -285,77 +238,6 @@ TEST(FleetHostSystem, TraceIdsAndTracksAreFleetUnique)
 
 // ---- shard fabric ---------------------------------------------------
 
-TEST(ShardFabric, IngestShardedRoundTrips)
-{
-    ho::HostSystem sys(fleetConfig(4));
-    sh::ShardFabric fabric(sys, sh::ShardPolicy::kRange, 4096);
-    const auto data = patternBytes(40000);  // ~10 stripes over 4 SSDs
-    const sh::ShardedFile f = fabric.ingestSharded("obj", data);
-    EXPECT_EQ(f.sizeBytes, data.size());
-    // ceil(40000/4096) = 10 stripes round-robined on 4 devices: every
-    // device holds bytes, devices 0 and 1 one stripe more than 2 and 3.
-    ASSERT_EQ(f.extents.size(), 4u);
-    for (const auto &ext : f.extents)
-        EXPECT_GT(ext.sizeBytes, 0u);
-    EXPECT_GT(f.extents[0].sizeBytes, f.extents[2].sizeBytes);
-    EXPECT_EQ(fabric.shardedBytes(f), data);
-}
-
-TEST(ShardFabric, FleetReadDeliversBytesAndOverlapsDevices)
-{
-    ho::HostSystem sys(fleetConfig(4));
-    sh::ShardFabric fabric(sys, sh::ShardPolicy::kRange, 4096);
-    const auto data = patternBytes(65536);
-    const sh::ShardedFile f = fabric.ingestSharded("obj", data);
-
-    sim::Tick start = 0;
-    for (const auto &ext : f.extents)
-        start = std::max(start, ext.readyAt);
-    const morpheus::pcie::Addr dst = sys.allocHost(data.size());
-    const sim::Tick done = fabric.fleetRead(f, dst, start);
-    EXPECT_GT(done, start);
-    EXPECT_EQ(sys.mem().store().readVec(dst, data.size()), data);
-}
-
-TEST(ShardFabric, FleetInvokeMergesPerDeviceResults)
-{
-    ho::HostSystem sys(fleetConfig(2));
-    sh::ShardFabric fabric(sys, sh::ShardPolicy::kRange, 64 * 1024);
-    co::StandardImages images = co::StandardImages::make();
-
-    const auto a = wk::genIntArray(7, 60000);  // several 64 KiB stripes
-    sd::TextWriter w;
-    a.serialize(w);
-    const sh::ShardedFile f = fabric.ingestSharded("ints", w.bytes());
-
-    sim::Tick ready = 0;
-    for (const auto &ext : f.extents)
-        ready = std::max(ready, ext.readyAt);
-    const sh::FleetInvokeResult r =
-        fabric.fleetInvoke(images.intArray, f, ready);
-    EXPECT_TRUE(r.accepted);
-    EXPECT_FALSE(r.failed);
-    ASSERT_EQ(r.perDevice.size(), 2u);
-
-    sim::Tick max_done = 0;
-    std::uint64_t bytes = 0, mreads = 0;
-    unsigned participants = 0;
-    for (unsigned d = 0; d < 2; ++d) {
-        if (f.extents[d].sizeBytes == 0)
-            continue;
-        ++participants;
-        EXPECT_TRUE(r.perDevice[d].accepted);
-        max_done = std::max(max_done, r.perDevice[d].done);
-        bytes += r.perDevice[d].objectBytes;
-        mreads += r.perDevice[d].mreadCommands;
-    }
-    EXPECT_EQ(participants, 2u);
-    EXPECT_EQ(r.merged.done, max_done);
-    EXPECT_EQ(r.merged.objectBytes, bytes);
-    EXPECT_EQ(r.merged.mreadCommands, mreads);
-    EXPECT_GT(r.merged.objectBytes, 0u);
-}
-
 TEST(ShardFabric, DeviceBacklogReadsTheArbiterLedger)
 {
     // The hybrid layer's device-load signal is the arbiter's declared
@@ -364,7 +246,7 @@ TEST(ShardFabric, DeviceBacklogReadsTheArbiterLedger)
     ho::SystemConfig cfg = fleetConfig(2);
     cfg.queueEntries = 4;  // three 4 KiB MREADs per batch
     ho::HostSystem sys(cfg);
-    sh::ShardFabric fabric(sys, sh::ShardPolicy::kRange);
+    sh::ShardFabric fabric(sys);
     co::StandardImages images = co::StandardImages::make();
     const auto a = wk::genIntArray(11, 4000);
     sd::TextWriter w;
@@ -382,6 +264,9 @@ TEST(ShardFabric, DeviceBacklogReadsTheArbiterLedger)
     ASSERT_TRUE(s.accepted);
     EXPECT_EQ(fabric.deviceBacklogBytes(0), 0u);
     EXPECT_EQ(fabric.deviceBacklogBytes(1), ext.sizeBytes);
+    // The instance is resident on device 1 only.
+    EXPECT_EQ(fabric.deviceQueueDepth(0), 0u);
+    EXPECT_EQ(fabric.deviceQueueDepth(1), 1u);
     rt.stepInvoke(s);
     ASSERT_FALSE(s.streamDone());  // one batch in: part drained
     EXPECT_EQ(fabric.deviceBacklogBytes(1),
@@ -392,96 +277,8 @@ TEST(ShardFabric, DeviceBacklogReadsTheArbiterLedger)
     rt.finishInvoke(s);
     EXPECT_EQ(fabric.deviceBacklogBytes(1), 0u);
     EXPECT_EQ(arbiter.totalDeclaredBacklog(), 0u);
-}
-
-TEST(ShardFabric, FleetInvokeRetriesAttributeOnce)
-{
-    // Reference: the same workload on a clean fleet.
-    std::uint64_t clean_bytes = 0, clean_rv = 0;
-    {
-        ho::HostSystem sys(fleetConfig(2));
-        sh::ShardFabric fabric(sys, sh::ShardPolicy::kRange, 64 * 1024);
-        co::StandardImages images = co::StandardImages::make();
-        const auto a = wk::genIntArray(7, 60000);
-        sd::TextWriter w;
-        a.serialize(w);
-        const sh::ShardedFile f = fabric.ingestSharded("ints", w.bytes());
-        sim::Tick ready = 0;
-        for (const auto &ext : f.extents)
-            ready = std::max(ready, ext.readyAt);
-        const sh::FleetInvokeResult r =
-            fabric.fleetInvoke(images.intArray, f, ready);
-        ASSERT_TRUE(r.accepted);
-        ASSERT_FALSE(r.failed);
-        EXPECT_EQ(r.replays, 0u);
-        clean_bytes = r.merged.objectBytes;
-        clean_rv = r.merged.returnValue;
-        ASSERT_GT(clean_bytes, 0u);
-    }
-
-    // Same workload under injected StorageApp crashes with driver
-    // recovery on: fleet-level replays reissue whole shards, each
-    // replay OVERWRITING its device's slot — merged totals must match
-    // the clean run exactly, never accumulate across attempts.
-    ho::HostSystem sys(fleetConfig(2));
-    sh::ShardFabric fabric(sys, sh::ShardPolicy::kRange, 64 * 1024);
-    morpheus::nvme::DriverRecoveryConfig rec;
-    rec.enabled = true;
-    fabric.setRecovery(rec);
-    co::StandardImages images = co::StandardImages::make();
-    const auto a = wk::genIntArray(7, 60000);
-    sd::TextWriter w;
-    a.serialize(w);
-    const sh::ShardedFile f = fabric.ingestSharded("ints", w.bytes());
-    sim::Tick ready = 0;
-    for (const auto &ext : f.extents)
-        ready = std::max(ready, ext.readyAt);
-
-    sh::FleetInvokeResult r;
-    {
-        morpheus::sim::FaultPlan plan;
-        plan.crashRate = 0.25;  // per processed chunk
-        plan.seed = 11;
-        morpheus::sim::FaultInjector fi(plan);
-        morpheus::sim::ScopedFaultInjector scope(&fi);
-        r = fabric.fleetInvoke(images.intArray, f, ready);
-        EXPECT_GE(fi.appCrashes(), 1u);
-    }
-    ASSERT_TRUE(r.accepted);
-    ASSERT_FALSE(r.failed);
-    EXPECT_GT(r.replays, 0u);
-    // Attribute-once: despite the retries, the merged totals are the
-    // final attempts' alone.
-    EXPECT_EQ(r.merged.objectBytes, clean_bytes);
-    EXPECT_EQ(r.merged.returnValue, clean_rv);
-    std::uint64_t bytes = 0;
-    for (unsigned d = 0; d < 2; ++d)
-        bytes += r.perDevice[d].objectBytes;
-    EXPECT_EQ(bytes, clean_bytes);
-}
-
-TEST(ShardFabric, RebalanceMovesExtentPeerToPeer)
-{
-    ho::HostSystem sys(fleetConfig(2));
-    sh::ShardFabric fabric(sys);
-    const auto data = patternBytes(300000);
-    const auto src = sys.createFileOn(0, "hot", data);
-
-    const std::uint64_t host_before =
-        sys.fabric().link(sys.hostPort()).totalBytes();
-    sim::Tick done = 0;
-    const auto moved =
-        fabric.rebalance(src, 1, src.readyAt, &done);
-    EXPECT_EQ(moved.deviceId, 1u);
-    EXPECT_EQ(moved.sizeBytes, data.size());
-    EXPECT_GT(done, src.readyAt);
-    EXPECT_EQ(moved.readyAt, done);
-    // The payload moved SSD -> SSD over the switch: P2P counted, host
-    // link untouched.
-    EXPECT_GE(sys.fabric().p2pBytes(), data.size());
-    EXPECT_EQ(sys.fabric().link(sys.hostPort()).totalBytes(),
-              host_before);
-    EXPECT_EQ(sys.fileBytes(moved), data);
+    EXPECT_EQ(fabric.deviceQueueDepth(1), 0u);
+    EXPECT_EQ(fabric.deviceDsramBounces(1), 0u);
 }
 
 // ---- fleet serving --------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -24,166 +25,7 @@ TEST(Counter, AccumulatesAndResets)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Accumulator, TracksMoments)
-{
-    st::Accumulator a;
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(1.0);
-    a.sample(3.0);
-    a.sample(5.0);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 5.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 9.0);
-}
-
-TEST(Histogram, BucketsSamplesCorrectly)
-{
-    st::Histogram h(0.0, 100.0, 10);
-    h.sample(5.0);    // bucket 0
-    h.sample(15.0);   // bucket 1
-    h.sample(95.0);   // bucket 9
-    h.sample(-1.0);   // underflow
-    h.sample(100.0);  // overflow (range is half-open)
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.samples(), 5u);
-}
-
-TEST(Histogram, QuantileInterpolatesBucketMidpoints)
-{
-    st::Histogram h(0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.sample(static_cast<double>(i));
-    const double median = h.quantile(0.5);
-    EXPECT_GE(median, 40.0);
-    EXPECT_LE(median, 60.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-}
-
-TEST(Histogram, QuantileAllSamplesInUnderflow)
-{
-    st::Histogram h(100.0, 200.0, 10);
-    h.sample(3.0);
-    h.sample(7.0);
-    h.sample(12.0);
-    // Every quantile lives below the range; the exact sample min/max
-    // bound the answers, not the bucket edges.
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 3.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 3.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 3.0);
-}
-
-TEST(Histogram, QuantileAllSamplesInOverflow)
-{
-    st::Histogram h(0.0, 10.0, 10);
-    h.sample(50.0);
-    h.sample(90.0);
-    h.sample(70.0);
-    // The old accumulation never counted the overflow bucket and fell
-    // through to the top edge (10.0); the tail must report the exact
-    // max instead.
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 90.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.99), 90.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 90.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 50.0);
-}
-
-TEST(Histogram, QuantileTailReachesOverflowRegion)
-{
-    st::Histogram h(0.0, 100.0, 10);
-    for (int i = 0; i < 99; ++i)
-        h.sample(50.0);  // bucket 5
-    h.sample(1000.0);    // one overflow outlier
-    // p50 stays in-range (rank 50 of 99 through bucket [50, 60));
-    // p100 is the outlier, not the top edge.
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 50.0 + 10.0 * 50.0 / 99.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);
-}
-
-TEST(Histogram, QuantileExtremesOnInRangeData)
-{
-    st::Histogram h(0.0, 100.0, 10);
-    h.sample(12.0);
-    h.sample(88.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 12.0);   // exact min
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 88.0);   // exact max, not an edge
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 20.0);   // rank 1/1 of bucket 1
-}
-
-TEST(Histogram, QuantileInterpolatesWithinLandingBucket)
-{
-    // Regression pin for the final-bucket fix: ranks spread through
-    // the landing bucket instead of collapsing onto its midpoint, and
-    // the top quantile is the exact observed max rather than the
-    // bucket's upper edge.
-    st::Histogram h(0.0, 100.0, 10);
-    h.sample(5.0);  // bucket 0, pins the exact min
-    for (int i = 0; i < 4; ++i)
-        h.sample(45.0);  // four samples landing in bucket [40, 50)
-    h.sample(95.0);  // bucket 9, pins the exact max
-    // p50: rank 3 of 6; ranks 2..5 live in bucket 4, so rank 3 is 2/4
-    // of the way through [40, 50).
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 45.0);
-    // p25: rank 2 of 6 = 1/4 through the bucket.
-    EXPECT_DOUBLE_EQ(h.quantile(0.25), 42.5);
-    // p100 lands in the final bucket; the answer is the exact max
-    // (95.0), not the bucket edge (100.0) or its midpoint (95.0 here
-    // by coincidence of one sample — the clamp is what guarantees it).
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 95.0);
-    // The deep tail (p99.9 of 6 samples) also resolves to the max.
-    EXPECT_DOUBLE_EQ(h.quantile(0.999), 95.0);
-}
-
-TEST(Histogram, QuantileOfEmptyHistogramIsZero)
-{
-    st::Histogram h(0.0, 100.0, 10);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
-}
-
-TEST(Histogram, ResetClearsEverything)
-{
-    st::Histogram h(0.0, 10.0, 5);
-    h.sample(3.0);
-    h.reset();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.bucketCount(1), 0u);
-}
-
-TEST(Histogram, BucketEdgesAreHalfOpen)
-{
-    st::Histogram h(0.0, 100.0, 10);
-    // Each bucket is [lo + i*w, lo + (i+1)*w): a sample exactly on an
-    // interior edge belongs to the upper bucket, the bottom edge to
-    // bucket 0, and the top edge spills into overflow.
-    h.sample(0.0);
-    h.sample(10.0);
-    h.sample(9.9999);
-    h.sample(100.0);
-    EXPECT_EQ(h.bucketCount(0), 2u);  // 0.0 and 9.9999
-    EXPECT_EQ(h.bucketCount(1), 1u);  // 10.0
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 1u);      // 100.0
-}
-
-TEST(Histogram, NegativeRangeEdges)
-{
-    st::Histogram h(-50.0, 50.0, 10);
-    h.sample(-50.0);  // bottom edge: bucket 0
-    h.sample(0.0);    // interior edge: bucket 5
-    h.sample(-50.1);  // below the range
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-}
-
-TEST(StatSet, ReportIsSortedAndComplete)
+TEST(StatSet, VisitIsSortedAndComplete)
 {
     st::StatSet set;
     st::Counter b, a;
@@ -192,77 +34,41 @@ TEST(StatSet, ReportIsSortedAndComplete)
     set.registerCounter("zeta", &b);
     set.registerCounter("alpha", &a);
     std::ostringstream os;
-    set.report(os);
+    set.visit([&](const std::string &name, std::uint64_t v) {
+        os << name << " " << v << "\n";
+    });
     EXPECT_EQ(os.str(), "alpha 1\nzeta 2\n");
     EXPECT_EQ(set.counterValue("zeta"), 2u);
     EXPECT_EQ(set.counterValue("missing"), 0u);
 }
 
-TEST(StatSet, ReportCoversAllKindsInDeterministicOrder)
+TEST(StatSet, VisitReadsLiveCountersAndGauges)
 {
     st::StatSet set;
     st::Counter reads;
-    st::Accumulator lat;
-    double watts = 2.5;
+    std::uint64_t level = 5;
     reads += 7;
-    lat.sample(10.0);
-    lat.sample(20.0);
     set.registerCounter("reads", &reads);
-    set.registerAccumulator("lat", &lat);
-    set.registerScalar("watts", &watts);
+    set.registerGauge("level", [&level] { return level; });
 
-    // Counters, then accumulators (.mean/.count), then scalars; each
-    // group alphabetical. Two dumps of the same set are identical.
-    std::ostringstream a, b;
-    set.report(a);
-    set.report(b);
-    EXPECT_EQ(a.str(),
-              "reads 7\nlat.mean 15\nlat.count 2\nwatts 2.5\n");
-    EXPECT_EQ(a.str(), b.str());
-
-    // The set holds live pointers: resets show up in the next report.
-    reads.reset();
-    lat.reset();
-    std::ostringstream c;
-    set.report(c);
-    EXPECT_EQ(c.str(), "reads 0\nlat.mean 0\nlat.count 0\nwatts 2.5\n");
-}
-
-TEST(StatSet, VisitMatchesReportValues)
-{
-    st::StatSet set;
-    st::Counter n;
-    st::Accumulator acc;
-    double s = 1.25;
-    n += 3;
-    acc.sample(4.0);
-    set.registerCounter("n", &n);
-    set.registerAccumulator("acc", &acc);
-    set.registerScalar("s", &s);
-
-    std::vector<std::string> names;
-    set.visit(
-        [&](const std::string &name, std::uint64_t v) {
-            names.push_back(name);
-            if (name == "n") {
-                EXPECT_EQ(v, 3u);
-            }
-            if (name == "acc.count") {
-                EXPECT_EQ(v, 1u);
-            }
-        },
-        [&](const std::string &name, double v) {
-            names.push_back(name);
-            if (name == "acc.mean") {
-                EXPECT_DOUBLE_EQ(v, 4.0);
-            }
-            if (name == "s") {
-                EXPECT_DOUBLE_EQ(v, 1.25);
-            }
+    // Counters and gauges share one name-ordered walk; two walks of
+    // the same set are identical.
+    auto walk = [&set] {
+        std::vector<std::pair<std::string, std::uint64_t>> rows;
+        set.visit([&](const std::string &name, std::uint64_t v) {
+            rows.emplace_back(name, v);
         });
-    EXPECT_EQ(names,
-              (std::vector<std::string>{"n", "acc.mean", "acc.count",
-                                        "s"}));
+        return rows;
+    };
+    using Rows = std::vector<std::pair<std::string, std::uint64_t>>;
+    EXPECT_EQ(walk(), (Rows{{"level", 5}, {"reads", 7}}));
+    EXPECT_EQ(walk(), walk());
+
+    // The set holds live readers: changes show up in the next walk.
+    reads.reset();
+    level = 9;
+    EXPECT_EQ(walk(), (Rows{{"level", 9}, {"reads", 0}}));
+    EXPECT_EQ(set.counterValue("level"), 9u);
 }
 
 TEST(StatSetDeath, DuplicateNamePanics)

@@ -9,8 +9,9 @@
  *                [--trace FILE.json] [--stats-json FILE]
  *
  * Runs one Table-I application once and prints the full metric record;
- * --stats additionally dumps every component counter of the simulated
- * machine, --trace records a Chrome trace-event JSON of the run
+ * --stats additionally dumps the federated metrics registry (every
+ * component counter under "sys.", the phase record under "run."),
+ * --trace records a Chrome trace-event JSON of the run
  * (loadable in Perfetto / chrome://tracing), and --stats-json writes
  * the federated metrics registry as nested JSON.
  * `morpheus-run list` enumerates the apps.
@@ -37,6 +38,21 @@ namespace wk = morpheus::workloads;
 
 namespace {
 
+/** An --ssds value: an integer in [1, host::kMaxSsds], else exit 2. */
+unsigned
+parseSsds(const char *text)
+{
+    char *end = nullptr;
+    const long n = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || n < 1 ||
+        n > static_cast<long>(host::kMaxSsds)) {
+        std::fprintf(stderr, "--ssds needs an integer in [1, %u]: %s\n",
+                     host::kMaxSsds, text);
+        std::exit(2);
+    }
+    return static_cast<unsigned>(n);
+}
+
 void
 usage()
 {
@@ -54,8 +70,7 @@ usage()
         "                    [--no-double-buffer] [--no-coalesce]\n"
         "                    [--readahead-bytes N]\n"
         "                    [--max-descriptor-bytes N]\n"
-        "                    [--ssds N] [--shard-policy hash|range]\n"
-        "                    [--fleet-topology FILE.json]\n"
+        "                    [--ssds N] [--fleet-topology FILE.json]\n"
         "                    [--cache] [--cache-bytes N]\n"
         "                    [--cache-policy lru|fifo|frequency]\n"
         "fault plan keys: media, dma, crash, hang, drop (rates),\n"
@@ -66,11 +81,10 @@ usage()
         "the --no-* flags disable one stage, --readahead-bytes and\n"
         "--max-descriptor-bytes bound the prefetch buffer and the\n"
         "merged DMA descriptor size.\n"
-        "--ssds puts N SSDs behind the switch (the app still runs on\n"
-        "device 0; object placement across the fleet is exercised by\n"
-        "the serving benches). --fleet-topology loads per-device\n"
-        "geometry from JSON, --shard-policy picks hash or range\n"
-        "placement for it.\n"
+        "--ssds puts N SSDs (1-255) behind the switch (the app still\n"
+        "runs on device 0; object placement across the fleet is\n"
+        "exercised by the serving benches). --fleet-topology loads\n"
+        "the device count and per-device geometry from JSON.\n"
         "--cache enables the deserialized-object cache in controller\n"
         "DRAM; --cache-bytes sets its budget (shared with the\n"
         "readahead buffer, default 64 MiB), --cache-policy the\n"
@@ -88,7 +102,6 @@ serveUsage()
         "usage: morpheus-run serve [--tenants N] [--rate R] [--skew S]\n"
         "                    [--duration-sec S] [--closed-loop]\n"
         "                    [--requests N] [--seed N] [--ssds N]\n"
-        "                    [--shard-policy hash|range]\n"
         "                    [--breakdown] [--slow-traces FILE.json]\n"
         "                    [--slow-k N] [--timeline FILE.json]\n"
         "                    [--timeline-csv FILE.csv]\n"
@@ -105,6 +118,8 @@ serveUsage()
         "tenants (tenant 1 gets the S share). --closed-loop ignores\n"
         "--rate and --duration-sec: each tenant keeps 4 requests in\n"
         "flight until it has issued --requests (default 64).\n"
+        "--ssds puts N SSDs (1-255) behind the switch; each object\n"
+        "file lives whole on the SSD its name hashes to.\n"
         "--breakdown attributes every request's latency to pipeline\n"
         "stages; --slow-traces\n"
         "writes the flight recorder's retained slowest-K/failed traces\n"
@@ -147,7 +162,6 @@ serveMain(int argc, char **argv)
     std::string slow_path, timeline_path, timeline_csv_path;
     std::string stats_json_path, trace_path;
     sim::Tick timeline_interval = 100 * sim::kPsPerUs;
-    shard::ShardPolicy shard_policy = shard::ShardPolicy::kHash;
     wk::TenantFormat format = wk::TenantFormat::kIntArray;
     double selectivity = 1.0, write_fraction = 0.0;
     unsigned project = 0;
@@ -179,11 +193,7 @@ serveMain(int argc, char **argv)
             opts.seed = static_cast<std::uint64_t>(
                 std::atoll(next("--seed")));
         } else if (arg == "--ssds") {
-            opts.sys.numSsds = static_cast<unsigned>(
-                std::atoi(next("--ssds")));
-        } else if (arg == "--shard-policy") {
-            shard_policy =
-                shard::shardPolicyFromString(next("--shard-policy"));
+            opts.sys.numSsds = parseSsds(next("--ssds"));
         } else if (arg == "--breakdown") {
             opts.breakdown = true;
         } else if (arg == "--slow-traces") {
@@ -253,7 +263,6 @@ serveMain(int argc, char **argv)
         return 2;
     }
 
-    opts.shardPolicy = shard_policy;
     const double base =
         rate / (skew + static_cast<double>(tenants - 1));
     for (std::uint32_t t = 0; t < tenants; ++t) {
@@ -443,10 +452,8 @@ main(int argc, char **argv)
     // MORPHEUS_FAULTS seeds the plan; --fault-plan overrides it.
     opts.faults = sim::FaultPlan::fromEnv();
     bool dump_stats = false;
-    shard::ShardPolicy shard_policy = shard::ShardPolicy::kHash;
     std::string trace_path;
     std::string stats_json_path;
-    // (collectStats set below once flags are parsed)
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -529,18 +536,10 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--ssds") {
-            opts.sys.numSsds = static_cast<unsigned>(
-                std::atoi(next("--ssds")));
-        } else if (arg == "--shard-policy") {
-            // Validated here; placement is applied where files are
-            // actually sharded (the serving/fleet drivers).
-            shard_policy =
-                shard::shardPolicyFromString(next("--shard-policy"));
+            opts.sys.numSsds = parseSsds(next("--ssds"));
         } else if (arg == "--fleet-topology") {
-            shard::FleetTopology topo =
-                shard::FleetTopology::fromFile(next("--fleet-topology"));
-            topo.policy = shard_policy;
-            topo.apply(opts.sys);
+            shard::FleetTopology::fromFile(next("--fleet-topology"))
+                .apply(opts.sys);
         } else if (arg == "--trace") {
             trace_path = next("--trace");
         } else if (arg == "--stats-json") {
@@ -552,9 +551,8 @@ main(int argc, char **argv)
         }
     }
 
-    opts.collectStats = dump_stats;
     obs::MetricsRegistry registry;
-    if (!stats_json_path.empty())
+    if (dump_stats || !stats_json_path.empty())
         opts.metrics = &registry;
     const wk::AppSpec &app = wk::findApp(app_name);
 
@@ -622,8 +620,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(m.kernelChecksum));
 
     if (dump_stats) {
-        std::printf("\n-- component counters --\n");
-        std::fputs(m.statsReport.c_str(), stdout);
+        std::ostringstream report;
+        registry.report(report);
+        std::printf("\n-- metrics registry --\n");
+        std::fputs(report.str().c_str(), stdout);
     }
     return m.validated ? 0 : 1;
 }
