@@ -128,7 +128,9 @@ parseInt64(const std::uint8_t *p, const std::uint8_t *end,
 
 /**
  * Parse one decimal floating-point number (optional sign, fraction and
- * e/E exponent) at @p p. Same contract as parseInt64().
+ * e/E exponent) at @p p. Same contract as parseInt64(). The value is
+ * correctly rounded, as strtod's; a token without a mantissa digit
+ * ("." or "-.") or outside double's range ("1e400") is malformed.
  */
 const std::uint8_t *parseDouble(const std::uint8_t *p,
                                 const std::uint8_t *end, double *out,

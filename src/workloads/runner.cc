@@ -53,7 +53,7 @@ struct ActivitySnapshot
 /** The per-rank input files of one run. */
 struct RankInput
 {
-    AnyObject object;                 ///< Ground truth shard.
+    std::uint64_t objBytes = 0;       ///< Binary size of the shard.
     std::vector<std::uint8_t> text;   ///< Serialized shard.
     host::FileExtent extent;          ///< Where it lives on the device.
     std::uint64_t backendOffset = 0;  ///< Offset for HDD/RAM backends.
@@ -63,7 +63,7 @@ struct RankInput
 sim::Tick
 baselineDeserRank(host::HostSystem &sys, host::StorageBackend &backend,
                   const AppSpec &app, const RankInput &input,
-                  unsigned core, sim::Tick t0, std::uint64_t obj_bytes,
+                  unsigned core, sim::Tick t0,
                   const serde::ParseCost &cost)
 {
     host::OsModel &os = sys.os();
@@ -72,6 +72,7 @@ baselineDeserRank(host::HostSystem &sys, host::StorageBackend &backend,
 
     // Raw staging buffer X and the object buffer Y (Fig 1(b)).
     const pcie::Addr buf_x = sys.allocHost(app.baselineChunkBytes);
+    const std::uint64_t obj_bytes = input.objBytes;
     sys.allocHost(obj_bytes);  // buffer Y
 
     sim::Tick t = os.syscall(core, t0);  // open()
@@ -165,8 +166,8 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     std::uint64_t raw_total = 0;
     std::uint64_t backend_cursor = 0;
     for (unsigned r = 0; r < ranks; ++r) {
-        inputs[r].object = std::move(shards[r]);
-        inputs[r].text = serializeObject(inputs[r].object);
+        inputs[r].objBytes = objectBytes(shards[r]);
+        inputs[r].text = serializeObject(shards[r]);
         raw_total += inputs[r].text.size();
         if (backend == &sys.ssdBackend()) {
             inputs[r].extent = sys.createFile(
@@ -185,19 +186,7 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
         }
     }
 
-    // Reference parse (functional only; also the per-rank parse cost
-    // the baseline timing uses).
-    std::vector<AnyObject> parsed_ref(ranks);
-    std::vector<serde::ParseCost> costs(ranks);
-    std::vector<std::uint64_t> obj_sizes(ranks);
-    for (unsigned r = 0; r < ranks; ++r) {
-        parsed_ref[r] =
-            parseObject(app.object, inputs[r].text.data(),
-                        inputs[r].text.size(), &costs[r]);
-        obj_sizes[r] = objectBytes(parsed_ref[r]);
-    }
-    const AnyObject reference = mergeObjects(app.object, parsed_ref);
-    const std::uint64_t obj_total = objectBytes(reference);
+    const std::uint64_t obj_total = objectBytes(truth);
 
     // ---------------- measured phases --------------------------------
     // Faults fire only during the measured phases, never at ingest.
@@ -226,13 +215,18 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     std::vector<std::uint64_t> gpu_dev_addrs(ranks, 0);
 
     if (opts.mode == ExecutionMode::kBaseline) {
+        // The host parse is the modelled CPU work: its cost drives the
+        // timing and its object is what the baseline produced.
+        std::vector<AnyObject> parsed(ranks);
         for (unsigned r = 0; r < ranks; ++r) {
+            serde::ParseCost cost;
+            parsed[r] = parseObject(app.object, inputs[r].text.data(),
+                                    inputs[r].text.size(), &cost);
             const sim::Tick t = baselineDeserRank(
-                sys, *backend, app, inputs[r], r, t0, obj_sizes[r],
-                costs[r]);
+                sys, *backend, app, inputs[r], r, t0, cost);
             deser_done = std::max(deser_done, t);
         }
-        produced = reference;  // the CPU parse is the reference parse
+        produced = mergeObjects(app.object, parsed);
     } else {
         const core::StorageAppImage &image =
             imageFor(app.object, images);
@@ -241,9 +235,9 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
         for (unsigned r = 0; r < ranks; ++r) {
             if (p2p) {
                 targets[r] =
-                    runtime.gpuTarget(obj_sizes[r], &gpu_dev_addrs[r]);
+                    runtime.gpuTarget(inputs[r].objBytes, &gpu_dev_addrs[r]);
             } else {
-                targets[r] = runtime.hostTarget(obj_sizes[r]);
+                targets[r] = runtime.hostTarget(inputs[r].objBytes);
             }
             core::InvokeOptions iopts;
             iopts.hostCore = r % sys.cpu().config().cores;
@@ -281,11 +275,11 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
             if (p2p) {
                 bin = sys.gpu().mem().readVec(
                     gpu_dev_addrs[r],
-                    static_cast<std::size_t>(obj_sizes[r]));
+                    static_cast<std::size_t>(inputs[r].objBytes));
             } else {
                 bin = sys.mem().store().readVec(
                     targets[r].addr,
-                    static_cast<std::size_t>(obj_sizes[r]));
+                    static_cast<std::size_t>(inputs[r].objBytes));
             }
             produced_shards[r] = objectFromBinary(app.object, bin);
         }
@@ -384,10 +378,8 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     m.membusBytesTotal = at_end.membusBytes - before.membusBytes;
     m.p2pBytes = sys.fabric().p2pBytes();
 
-    // ---------------- validation --------------------------------------
-    const KernelResult ref_kernel = app.kernel(reference);
-    m.validated = objectsEqual(produced, reference) &&
-                  ref_kernel.checksum == kres.checksum;
+    // Every mode must reproduce the generator's ground truth exactly.
+    m.validated = objectsEqual(produced, truth);
 
     if (opts.metrics != nullptr) {
         sim::stats::StatSet set;

@@ -11,9 +11,9 @@
  *                  device memory (GPU apps only; others fall back to
  *                  kMorpheus).
  *
- * Every run is functional: the produced objects are validated against
- * a direct parse of the input text, and the kernel checksum must match
- * across modes. The returned metrics carry everything Figs 2, 3, 8, 9,
+ * Every run is functional: in every mode the produced objects must
+ * equal the generator's ground-truth object bit for bit, so the kernel
+ * checksum matches across modes. The returned metrics carry everything Figs 2, 3, 8, 9,
  * 10 and the §VII traffic/end-to-end results are built from.
  */
 

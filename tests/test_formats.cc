@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "serde/formats.hh"
+#include "workloads/app_spec.hh"
 #include "workloads/generators.hh"
 
 namespace sd = morpheus::serde;
@@ -85,11 +86,10 @@ TEST(Formats, CooTextRoundTripWithFloats)
     ASSERT_EQ(back.nnz(), m.nnz());
     EXPECT_EQ(back.rowIdx, m.rowIdx);
     EXPECT_EQ(back.colIdx, m.colIdx);
-    for (std::size_t i = 0; i < m.nnz(); ++i)
-        EXPECT_NEAR(back.values[i], m.values[i], 1e-9);
+    EXPECT_EQ(back, m);  // float values read back bit for bit
 }
 
-TEST(Formats, PointSetTextRoundTripCounts)
+TEST(Formats, PointSetTextRoundTrip)
 {
     const auto p = wk::genPointSet(6, 200, 5, 0.3);
     sd::TextWriter w;
@@ -98,8 +98,30 @@ TEST(Formats, PointSetTextRoundTripCounts)
     sd::TextScanner s(text.data(), text.size());
     sd::PointSetObject back;
     ASSERT_TRUE(back.parse(s));
-    EXPECT_EQ(back.numPoints(), p.numPoints());
-    EXPECT_EQ(back.dims, p.dims);
+    EXPECT_EQ(back, p);
+}
+
+TEST(Formats, EveryAppTextRoundTripsExactly)
+{
+    // runWorkload validates every mode against the generator's object,
+    // so the text the generator's object serializes to must parse back
+    // to that object exactly, floats included.
+    std::vector<const wk::AppSpec *> apps;
+    for (const auto &app : wk::standardSuite())
+        apps.push_back(&app);
+    for (const auto &app : wk::extensionSuite())
+        apps.push_back(&app);
+    for (const wk::AppSpec *app : apps) {
+        for (const std::uint64_t seed : {42, 7}) {
+            const wk::AnyObject truth = app->generate(seed, 0.05);
+            const auto text = wk::serializeObject(truth);
+            sd::ParseCost cost;
+            const wk::AnyObject back = wk::parseObject(
+                app->object, text.data(), text.size(), &cost);
+            EXPECT_TRUE(wk::objectsEqual(back, truth))
+                << app->name << " seed " << seed;
+        }
+    }
 }
 
 TEST(Formats, BinaryCodecsRoundTripExactly)

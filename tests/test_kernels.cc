@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "workloads/app_spec.hh"
 #include "workloads/generators.hh"
 #include "workloads/kernels.hh"
 
@@ -147,6 +148,25 @@ TEST(Kernels, WorkDescriptorsArePopulated)
     EXPECT_GT(r.work.cpuCycles, 0.0);
     EXPECT_GT(r.work.gpuMemBytes, 0u);
     EXPECT_GT(r.work.hostMemBytes, 0u);
+}
+
+TEST(Kernels, EqualInputsGiveEqualResults)
+{
+    // runWorkload runs each kernel once and compares checksums across
+    // modes, so a kernel must be a function of its input object alone.
+    for (const auto &app : wk::standardSuite()) {
+        const wk::AnyObject a = app.generate(42, 0.05);
+        const wk::AnyObject b = app.generate(42, 0.05);
+        ASSERT_TRUE(wk::objectsEqual(a, b)) << app.name;
+        const wk::KernelResult ra = app.kernel(a);
+        const wk::KernelResult rb = app.kernel(b);
+        EXPECT_EQ(ra.checksum, rb.checksum) << app.name;
+        EXPECT_EQ(ra.work.cpuCycles, rb.work.cpuCycles) << app.name;
+        EXPECT_EQ(ra.work.gpuFlop, rb.work.gpuFlop) << app.name;
+        EXPECT_EQ(ra.work.gpuMemBytes, rb.work.gpuMemBytes) << app.name;
+        EXPECT_EQ(ra.work.hostMemBytes, rb.work.hostMemBytes)
+            << app.name;
+    }
 }
 
 // ----- numerical correctness (beyond digest determinism) -----

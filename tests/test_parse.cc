@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -121,6 +123,58 @@ TEST(Parse, DoubleTrailingExponentLetterNotConsumed)
     ASSERT_NE(p, nullptr);
     EXPECT_DOUBLE_EQ(v, 2.0);
     EXPECT_EQ(*p, 'e');
+}
+
+TEST(Parse, DoubleIsCorrectlyRounded)
+{
+    // Generator-style values (k/100 printed with 2, 4 or 6 decimals)
+    // must read back as the double strtod gives, not a few ulps off.
+    for (const char *fmt : {"%.2f", "%.4f", "%.6f"}) {
+        for (int k = -20000; k <= 20000; k += 7) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), fmt, k / 100.0);
+            const std::string s = buf;
+            sd::ParseCost cost;
+            double v = 0.0;
+            ASSERT_EQ(sd::parseDouble(bytes(s), bytes(s) + s.size(), &v,
+                                      cost),
+                      bytes(s) + s.size())
+                << s;
+            EXPECT_EQ(v, std::strtod(buf, nullptr)) << s;
+        }
+    }
+}
+
+TEST(Parse, DoubleEdgeTokens)
+{
+    sd::ParseCost cost;
+    double v = 0.0;
+    const auto parse = [&](const std::string &s) {
+        return sd::parseDouble(bytes(s), bytes(s) + s.size(), &v, cost);
+    };
+    // A mantissa needs at least one digit.
+    EXPECT_EQ(parse("."), nullptr);
+    EXPECT_EQ(parse("-."), nullptr);
+    EXPECT_EQ(parse("+."), nullptr);
+    // A leading '+' and a missing integer part are accepted.
+    const std::string half = "+.5";
+    EXPECT_EQ(parse(half), bytes(half) + half.size());
+    EXPECT_EQ(v, 0.5);
+    // An 'e' without exponent digits ends the number before it.
+    const std::string two = "2e";
+    EXPECT_EQ(parse(two), bytes(two) + 1);
+    EXPECT_EQ(v, 2.0);
+    // Values outside double's range are malformed tokens, as values
+    // outside int64_t are for parseInt64.
+    EXPECT_EQ(parse("1e400"), nullptr);
+    EXPECT_EQ(parse("-1e400"), nullptr);
+    EXPECT_EQ(parse("1e-400"), nullptr);
+    // A long mantissa rounds once, as strtod does.
+    const std::string longest = "1234567890.12345678901234567890123";
+    EXPECT_EQ(parse(longest), bytes(longest) + longest.size());
+    EXPECT_EQ(v, std::strtod(longest.c_str(), nullptr));
+    // The rejected tokens charged nothing.
+    EXPECT_EQ(cost.floatValues, 3u);
 }
 
 TEST(Parse, FloatOpsCountedOnlyForDoubles)

@@ -76,6 +76,27 @@ TEST(Runner, AllModesAgreeOnKernelChecksum)
     EXPECT_EQ(base.kernelChecksum, p2p.kernelChecksum);
 }
 
+TEST(Runner, EveryAppValidatesInEveryMode)
+{
+    // Every mode's object is compared with the generator's, so the
+    // baseline's host parse is checked as hard as the device's.
+    for (const auto &app : wk::standardSuite()) {
+        for (const auto mode :
+             {wk::ExecutionMode::kBaseline, wk::ExecutionMode::kMorpheus,
+              wk::ExecutionMode::kMorpheusP2p}) {
+            EXPECT_TRUE(wk::runWorkload(app, opts(mode)).validated)
+                << app.name << " mode " << static_cast<int>(mode);
+        }
+    }
+    for (const auto backend :
+         {wk::BackendKind::kHdd, wk::BackendKind::kRamDrive}) {
+        auto o = opts(wk::ExecutionMode::kBaseline);
+        o.backend = backend;
+        EXPECT_TRUE(wk::runWorkload(wk::findApp("kmeans"), o).validated)
+            << "backend " << static_cast<int>(backend);
+    }
+}
+
 TEST(Runner, MorpheusSpeedsUpDeserialization)
 {
     const auto &app = wk::findApp("hybridsort");

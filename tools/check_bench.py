@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check BENCH_<name>.json results against the committed baselines.
 
-Usage, after running the seven benches with MORPHEUS_BENCH_SCALE set to
+Usage, after running the eight benches with MORPHEUS_BENCH_SCALE set to
 the scale the baselines were made at, from the directory that holds
 their BENCH_*.json (CI: the repository root):
 
@@ -22,8 +22,9 @@ import os
 import sys
 
 TOLERANCE = 0.10
-BENCHES = ("ablation_pipeline", "fig03", "serving_fleet", "serving_cache",
-           "serving_breakdown", "serving_overload", "traffic_reduction")
+BENCHES = ("ablation_pipeline", "fig03", "fig08", "serving_fleet",
+           "serving_cache", "serving_breakdown", "serving_overload",
+           "traffic_reduction")
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "..", "bench", "baselines")
 
