@@ -155,14 +155,14 @@ struct BenchMetric
 struct BenchConfig
 {
     unsigned ssds = 1;
-    /** "hash" / "range"; "none" when the bench does not shard. */
+    /** "hash"; "none" when the bench does not shard. */
     std::string shardPolicy = "none";
     bool pipeline = false;
     /** Object-cache provenance: a cached result is only comparable
      *  against a baseline with the same cache posture. */
     bool cacheEnabled = false;
     std::uint64_t cacheBytes = 0;
-    /** "lru" / "fifo" / "frequency"; "none" while disabled. */
+    /** "lru" (the only eviction policy); "none" while disabled. */
     std::string cachePolicy = "none";
 };
 

@@ -148,8 +148,7 @@ main()
     cfg.ssds = 1;
     cfg.cacheEnabled = true;
     cfg.cacheBytes = ssd::ObjectCacheConfig{}.budgetBytes;
-    cfg.cachePolicy =
-        ssd::cachePolicyName(ssd::ObjectCacheConfig{}.policy);
+    cfg.cachePolicy = "lru";
     morpheus::bench::writeBenchJson(
         "serving_cache", "cacheP99Speedup", p99_speedup, "x",
         /*higher_is_better=*/true,

@@ -98,23 +98,21 @@ MorpheusDeviceRuntime::doMInit(const nvme::Command &cmd, sim::Tick start)
     // With partitioning, the MINIT's requested budget (in-band in
     // PRP2's low dword, staged setup as fallback) becomes a grant the
     // core must be able to reserve; the default is an equal share of
-    // the scratchpad across maxInstancesPerCore co-residents. The
+    // the scratchpad across kMaxInstancesPerCore co-residents. The
     // grant is also a placement signal: the dispatcher prefers cores
     // with room for it.
     // PRP2's low dword is the D-SRAM request; the high dword carries
     // the pushdown descriptor digest when MINIT ships one (NLB holds
     // the descriptor's dword count).
-    const sched::SchedConfig &sc = _ssd.config().sched;
     std::uint32_t granted = 0;
-    if (sc.dsramPartitioning) {
+    if (_ssd.config().sched.dsramPartitioning) {
         const auto prp2_low =
             static_cast<std::uint32_t>(cmd.prp2 & 0xFFFFFFFFull);
         const std::uint32_t requested =
             prp2_low ? prp2_low : setup.dsramBytes;
-        granted = requested
-                      ? requested
-                      : _ssd.config().core.dsramBytes /
-                            std::max(1u, sc.maxInstancesPerCore);
+        granted = requested ? requested
+                            : _ssd.config().core.dsramBytes /
+                                  sched::kMaxInstancesPerCore;
     }
 
     // Pushdown descriptor integrity: the staged dwords must match the
@@ -260,14 +258,13 @@ void
 MorpheusDeviceRuntime::coalesceFlushes(
     std::vector<std::vector<std::uint8_t>> &segments)
 {
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
-    if (!pl.enabled || !pl.coalesceFlush)
+    if (!_ssd.config().pipeline.enabled)
         return;
     std::vector<std::vector<std::uint8_t>> merged;
     merged.reserve(segments.size());
     for (auto &seg : segments) {
         if (!merged.empty() &&
-            merged.back().size() + seg.size() <= pl.maxDescriptorBytes) {
+            merged.back().size() + seg.size() <= ssd::kMaxDescriptorBytes) {
             merged.back().insert(merged.back().end(), seg.begin(),
                                  seg.end());
         } else {
@@ -360,13 +357,12 @@ MorpheusDeviceRuntime::issueReadahead(Instance &inst,
                                       sim::Tick earliest,
                                       obs::TraceId trace)
 {
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
     const std::uint64_t capacity =
         _ssd.ftl().logicalPages() *
         static_cast<std::uint64_t>(_ssd.ftl().pageBytes());
     if (byte_off >= capacity)
         return;
-    len = std::min(len, pl.readaheadBufferBytes);
+    len = std::min(len, ssd::kReadaheadBufferBytes);
     len = std::min(len, capacity - byte_off);
     if (len == 0)
         return;
@@ -389,12 +385,10 @@ MorpheusDeviceRuntime::mreadStaged(Instance &inst,
                                    std::uint64_t byte_off,
                                    std::uint64_t valid, sim::Tick start)
 {
-    // Each pipeline feature is live only under the master switch. With
-    // the pipeline off the chunk is one sub-buffer, parsed once its
-    // last page is buffered, with no prefetch and no merged flushes.
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
-    const bool readahead = pl.enabled && pl.readahead;
-    const bool double_buffer = pl.enabled && pl.doubleBuffer;
+    // With the pipeline off the chunk is one sub-buffer, parsed once
+    // its last page is buffered, with no prefetch and no merged
+    // flushes.
+    const bool pipelined = _ssd.config().pipeline.enabled;
     const std::uint32_t page_bytes = _ssd.ftl().pageBytes();
     const obs::SpanCtx ctx{cmd.traceId, inst.tenant, inst.id, valid,
                            inst.coreId};
@@ -462,8 +456,8 @@ MorpheusDeviceRuntime::mreadStaged(Instance &inst,
     const std::uint32_t dsram =
         inst.dsramGranted ? inst.dsramGranted : core.config().dsramBytes;
     const std::uint64_t sub_bytes =
-        double_buffer ? std::max<std::uint64_t>(page_bytes, dsram / 4)
-                      : valid;
+        pipelined ? std::max<std::uint64_t>(page_bytes, dsram / 4)
+                  : valid;
 
     // App-fault injection: both streams are drawn every chunk so each
     // schedule depends only on its own event sequence, regardless of
@@ -555,7 +549,7 @@ MorpheusDeviceRuntime::mreadStaged(Instance &inst,
     // own reads wherever they contend, so it streams in under the
     // parse that is still running and never delays data a deeper queue
     // would have fetched on its own.
-    if (readahead)
+    if (pipelined)
         issueReadahead(inst, byte_off + valid, valid, start, cmd.traceId);
     return {std::max(parsed, dma_done), nvme::Status::kSuccess, 0};
 }

@@ -37,7 +37,7 @@ struct InstanceSetup
      * Requested per-instance D-SRAM budget in bytes; also carried
      * in-band by MINIT (PRP2 low dword). Meaningful only with
      * SchedConfig::dsramPartitioning; 0 = the core's default share
-     * (dsramBytes / maxInstancesPerCore).
+     * (dsramBytes / sched::kMaxInstancesPerCore).
      */
     std::uint32_t dsramBytes = 0;
     /**
@@ -227,18 +227,18 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
      * controller-DRAM readahead buffer, starting no earlier than
      * @p earliest (the tick the current chunk's fetch drained, so the
      * prefetch runs under the current chunk's parse). Clamped to
-     * device capacity and PipelineConfig::readaheadBufferBytes.
+     * device capacity and ssd::kReadaheadBufferBytes.
      */
     void issueReadahead(Instance &inst, std::uint64_t byte_off,
                         std::uint64_t len, sim::Tick earliest,
                         obs::TraceId trace);
 
     /**
-     * With the pipeline's flush coalescing on, merge address-contiguous
-     * flush segments (they are contiguous by construction: the DMA or
-     * region cursor advances segment by segment) into descriptors of at
-     * most PipelineConfig::maxDescriptorBytes. One cyclesPerFlush and
-     * one DMA are charged per merged descriptor. No-op otherwise.
+     * With the pipeline on, merge address-contiguous flush segments
+     * (they are contiguous by construction: the DMA or region cursor
+     * advances segment by segment) into descriptors of at most
+     * ssd::kMaxDescriptorBytes. One cyclesPerFlush and one DMA are
+     * charged per merged descriptor. No-op otherwise.
      */
     void coalesceFlushes(std::vector<std::vector<std::uint8_t>> &segments);
     nvme::CommandResult doMWrite(const nvme::Command &cmd,

@@ -14,6 +14,10 @@ constexpr pcie::Addr kQueueRingStride = 1 * sim::kMiB;
 static_assert(kQueueRingBase + kMaxSsds * kQueueRingStride <
                   8ULL * sim::kGiB,
               "queue rings collide with the ingest scratch area");
+// Each queue pair's SQ and CQ rings take 64 KiB apiece, SQs in the
+// stripe's low half and CQs in its high half.
+static_assert(kIoQueues * 64 * sim::kKiB <= kQueueRingStride / 2,
+              "queue rings overflow their per-device stripe");
 /** General allocations start above the ingest scratch area. */
 constexpr pcie::Addr kAllocBase = 9ULL * sim::kGiB;
 
@@ -70,9 +74,6 @@ HostSystem::HostSystem(const SystemConfig &config)
             _fabric.addPort("ssd" + std::to_string(d), config.ssdLink));
     }
 
-    const unsigned queues = config.ioQueues == 0 ? 1 : config.ioQueues;
-    MORPHEUS_ASSERT(queues <= 8,
-                    "queue rings overflow their per-device stripe");
     for (unsigned d = 0; d < num_ssds; ++d) {
         _ssds.push_back(std::make_unique<ssd::SsdController>(
             _eq, _fabric, _ssdPorts[d], deviceConfig(d)));
@@ -89,7 +90,7 @@ HostSystem::HostSystem(const SystemConfig &config)
         const pcie::Addr ring_base =
             kQueueRingBase + d * kQueueRingStride;
         std::vector<std::uint16_t> dev_queues;
-        for (unsigned q = 0; q < queues; ++q) {
+        for (unsigned q = 0; q < kIoQueues; ++q) {
             dev_queues.push_back(_drivers[d]->openQueue(
                 config.queueEntries,
                 ring_base + q * 64 * sim::kKiB,

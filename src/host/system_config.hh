@@ -31,6 +31,8 @@ namespace morpheus::host {
  * host-trace block.
  */
 constexpr unsigned kMaxSsds = 255;
+/** I/O queue pairs per device (one per host core). */
+constexpr unsigned kIoQueues = 4;
 
 /** Everything needed to build a HostSystem. */
 struct SystemConfig
@@ -51,8 +53,6 @@ struct SystemConfig
 
     /** I/O queue depth per NVMe queue pair. */
     std::uint16_t queueEntries = 256;
-    /** Number of I/O queue pairs per device (one per core). */
-    unsigned ioQueues = 4;
 
     /**
      * Number of SSDs behind the switch — the shard fleet size. The

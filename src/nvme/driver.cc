@@ -143,7 +143,7 @@ NvmeDriver::wait(const Submitted &token)
             cqe.cid = token.cid;
             cqe.sqId = token.qid;
             cqe.status = Status::kCommandTimeout;
-            cqe.postedAt = issued->second + _recovery.commandTimeout;
+            cqe.postedAt = issued->second + kCommandTimeout;
             _issuedAt.erase(issued);
             ++_timeouts;
             const auto t = _inflight.find(key(token.qid, token.cid));
@@ -175,7 +175,7 @@ NvmeDriver::setRecovery(const DriverRecoveryConfig &cfg)
 {
     _recovery = cfg;
     if (cfg.enabled)
-        _jitterRng.emplace(cfg.jitterSeed);
+        _jitterRng.emplace(kJitterSeed);
     else
         _jitterRng.reset();
 }
@@ -184,12 +184,11 @@ sim::Tick
 NvmeDriver::backoffDelay(unsigned attempt)
 {
     // Exponential growth, capped so the shift cannot overflow.
-    const sim::Tick base =
-        _recovery.backoffBase << std::min(attempt, 16u);
+    const sim::Tick base = kBackoffBase << std::min(attempt, 16u);
     double scale = 1.0;
-    if (_jitterRng && _recovery.backoffJitter > 0.0) {
-        scale = 1.0 + _recovery.backoffJitter *
-                          (2.0 * _jitterRng->nextDouble() - 1.0);
+    if (_jitterRng) {
+        scale = 1.0 +
+                kBackoffJitter * (2.0 * _jitterRng->nextDouble() - 1.0);
     }
     return static_cast<sim::Tick>(static_cast<double>(base) * scale);
 }

@@ -33,6 +33,16 @@ struct Submitted
     obs::TraceId traceId = 0;
 };
 
+/** Simulated time after the doorbell ring before wait() gives up on
+ *  a command and synthesizes a kCommandTimeout completion. */
+inline constexpr sim::Tick kCommandTimeout = 1000 * sim::kPsPerUs;
+/** First retry backoff delay; doubles per attempt. */
+inline constexpr sim::Tick kBackoffBase = 20 * sim::kPsPerUs;
+/** Uniform jitter fraction applied to each backoff (+/-). */
+inline constexpr double kBackoffJitter = 0.25;
+/** Seed for the jitter stream (deterministic like everything). */
+inline constexpr std::uint64_t kJitterSeed = 0x6a697474ull;  // "jitt"
+
 /**
  * Driver-side fault recovery knobs. Disabled by default: wait() panics
  * on a missing completion (a dropped CQE is a simulator bug unless
@@ -42,21 +52,8 @@ struct DriverRecoveryConfig
 {
     bool enabled = false;
 
-    /** Simulated time after the doorbell ring before wait() gives up
-     *  on a command and synthesizes a kCommandTimeout completion. */
-    sim::Tick commandTimeout = 1000 * sim::kPsPerUs;
-
     /** Max resubmissions of one command for retryable statuses. */
     unsigned maxRetries = 4;
-
-    /** First backoff delay; doubles per attempt. */
-    sim::Tick backoffBase = 20 * sim::kPsPerUs;
-
-    /** Uniform jitter fraction applied to each backoff (+/-). */
-    double backoffJitter = 0.25;
-
-    /** Seed for the jitter stream (deterministic like everything). */
-    std::uint64_t jitterSeed = 0x6a697474ull;  // "jitt"
 };
 
 /** Host-side driver bound to one controller. */

@@ -34,6 +34,11 @@ enum class PlacementPolicy {
     kLoadAware  ///< Shortest-queue (earliest-free core) placement.
 };
 
+/** Co-resident instances a core's D-SRAM is provisioned for: with
+ *  partitioning, the default grant of a MINIT that requests no
+ *  explicit budget is dsramBytes / kMaxInstancesPerCore. */
+inline constexpr unsigned kMaxInstancesPerCore = 4;
+
 /** Scheduler knobs (part of ssd::SsdConfig). */
 struct SchedConfig
 {
@@ -42,7 +47,7 @@ struct SchedConfig
     /**
      * Partition each core's D-SRAM between co-resident instances: a
      * MINIT's requested budget (PRP2 low dword, default
-     * dsramBytes / maxInstancesPerCore) is reserved on its core, its
+     * dsramBytes / kMaxInstancesPerCore) is reserved on its core, its
      * staging context is built over the granted budget (flush
      * threshold clamped to it), and a MINIT whose grant does not fit
      * next to the budgets already reserved completes with
@@ -51,10 +56,6 @@ struct SchedConfig
      * instances silently overcommit it.
      */
     bool dsramPartitioning = false;
-    /** Co-resident instances a core's D-SRAM is provisioned for: the
-     *  default grant of a MINIT that requests no explicit budget is
-     *  dsramBytes / maxInstancesPerCore. */
-    unsigned maxInstancesPerCore = 4;
 
     /** In-flight MINIT instances allowed device-wide (0 = unlimited). */
     unsigned maxInflightTotal = 0;

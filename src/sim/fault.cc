@@ -4,6 +4,7 @@
 #include <string>
 
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 
 namespace morpheus::sim {
 
@@ -19,21 +20,17 @@ constexpr std::uint64_t kDropSalt = 0x64726f70ull;     // "drop"
 
 FaultInjector *g_injector = nullptr;
 
-double
-parseRate(const std::string &key, const std::string &value)
-{
-    const double v = std::stod(value);
-    if (v < 0.0 || v > 1.0)
-        MORPHEUS_FATAL("fault rate '", key, "' out of [0,1]: ", value);
-    return v;
-}
-
 }  // namespace
 
-FaultPlan
-FaultPlan::parse(const std::string &spec)
+bool
+FaultPlan::tryParse(const std::string &spec, FaultPlan *out,
+                    std::string *error)
 {
     FaultPlan plan;
+    const auto fail = [error](auto &&...parts) {
+        *error = detail::format(parts...);
+        return false;
+    };
     std::size_t pos = 0;
     while (pos < spec.size()) {
         std::size_t end = spec.find(',', pos);
@@ -45,29 +42,45 @@ FaultPlan::parse(const std::string &spec)
             continue;
         const std::size_t eq = item.find('=');
         if (eq == std::string::npos)
-            MORPHEUS_FATAL("fault plan item '", item, "' is not key=value");
+            return fail("fault plan item '", item, "' is not key=value");
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
-        if (key == "media") {
-            plan.mediaRate = parseRate(key, value);
-        } else if (key == "dma") {
-            plan.dmaRate = parseRate(key, value);
-        } else if (key == "crash") {
-            plan.crashRate = parseRate(key, value);
-        } else if (key == "hang") {
-            plan.hangRate = parseRate(key, value);
-        } else if (key == "drop") {
-            plan.dropRate = parseRate(key, value);
-        } else if (key == "dma_min") {
-            plan.dmaMinBytes = std::stoull(value);
-        } else if (key == "watchdog_us") {
-            plan.watchdogTicks = Tick(std::stoull(value)) * 1'000'000;
-        } else if (key == "seed") {
-            plan.seed = std::stoull(value);
-        } else {
-            MORPHEUS_FATAL("unknown fault plan key '", key, "'");
+        double *rate = key == "media"   ? &plan.mediaRate
+                       : key == "dma"   ? &plan.dmaRate
+                       : key == "crash" ? &plan.crashRate
+                       : key == "hang"  ? &plan.hangRate
+                       : key == "drop"  ? &plan.dropRate
+                                        : nullptr;
+        Tick watchdog_us = 0;
+        std::uint64_t *whole = key == "dma_min"       ? &plan.dmaMinBytes
+                               : key == "watchdog_us" ? &watchdog_us
+                               : key == "seed"        ? &plan.seed
+                                                      : nullptr;
+        if (rate != nullptr) {
+            if (!parseNumber(value, rate) || *rate < 0.0 || *rate > 1.0)
+                return fail("fault rate '", key,
+                            "' is not a number or out of [0,1]: ", value);
+        } else if (whole == nullptr) {
+            return fail("unknown fault plan key '", key, "'");
+        } else if (!parseNumber(value, whole) ||
+                   watchdog_us > ~Tick{0} / kPsPerUs) {
+            return fail("fault plan '", key,
+                        "' is not an unsigned integer in range: ", value);
         }
+        if (whole == &watchdog_us)
+            plan.watchdogTicks = watchdog_us * kPsPerUs;
     }
+    *out = plan;
+    return true;
+}
+
+FaultPlan
+FaultPlan::parse(const std::string &spec)
+{
+    FaultPlan plan;
+    std::string error;
+    if (!tryParse(spec, &plan, &error))
+        MORPHEUS_FATAL(error);
     return plan;
 }
 

@@ -61,9 +61,15 @@ struct FaultPlan
     /**
      * Parse a "key=value,key=value" spec, e.g.
      * "media=2e-3,dma=1e-3,crash=5e-4,hang=1e-4,drop=1e-3,seed=7".
-     * Keys: media, dma, crash, hang, drop (rates in [0,1]);
-     * dma_min (bytes), watchdog_us, seed. Unknown keys panic.
+     * Keys: media, dma, crash, hang, drop (finite rates in [0,1]);
+     * dma_min (bytes), watchdog_us, seed (unsigned integers). Each
+     * value must be one number, consumed whole. @return false with a
+     * message in @p error on a malformed spec (@p out untouched).
      */
+    static bool tryParse(const std::string &spec, FaultPlan *out,
+                         std::string *error);
+
+    /** tryParse() that exits fatally on a malformed spec. */
     static FaultPlan parse(const std::string &spec);
 
     /** Plan from the MORPHEUS_FAULTS environment variable (parse()

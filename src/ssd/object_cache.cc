@@ -7,35 +7,6 @@
 
 namespace morpheus::ssd {
 
-bool
-cachePolicyFromName(const std::string &name,
-                    ObjectCacheConfig::Policy *out)
-{
-    if (name == "lru")
-        *out = ObjectCacheConfig::Policy::kLru;
-    else if (name == "fifo")
-        *out = ObjectCacheConfig::Policy::kFifo;
-    else if (name == "frequency")
-        *out = ObjectCacheConfig::Policy::kFrequency;
-    else
-        return false;
-    return true;
-}
-
-const char *
-cachePolicyName(ObjectCacheConfig::Policy policy)
-{
-    switch (policy) {
-      case ObjectCacheConfig::Policy::kLru:
-        return "lru";
-      case ObjectCacheConfig::Policy::kFifo:
-        return "fifo";
-      case ObjectCacheConfig::Policy::kFrequency:
-        return "frequency";
-    }
-    return "?";
-}
-
 ObjectCache::ObjectCache(const ObjectCacheConfig &config,
                          std::uint64_t reserved_bytes)
     : _config(config),
@@ -50,7 +21,6 @@ ObjectCache::lookup(const ObjectCacheKey &key)
 {
     for (Entry &e : _entries) {
         if (e.key == key) {
-            ++e.hits;
             e.useSeq = ++_seq;
             ++_hits;
             _hitBytes += e.payload.size();
@@ -67,24 +37,7 @@ ObjectCache::victimIndex() const
     MORPHEUS_ASSERT(!_entries.empty(), "evicting from an empty cache");
     std::size_t victim = 0;
     for (std::size_t i = 1; i < _entries.size(); ++i) {
-        const Entry &a = _entries[i];
-        const Entry &b = _entries[victim];
-        bool worse = false;
-        switch (_config.policy) {
-          case ObjectCacheConfig::Policy::kLru:
-            worse = a.useSeq < b.useSeq;
-            break;
-          case ObjectCacheConfig::Policy::kFifo:
-            worse = a.insertSeq < b.insertSeq;
-            break;
-          case ObjectCacheConfig::Policy::kFrequency:
-            // Least frequently hit; FIFO age breaks ties so the scan
-            // is deterministic.
-            worse = a.hits != b.hits ? a.hits < b.hits
-                                     : a.insertSeq < b.insertSeq;
-            break;
-        }
-        if (worse)
+        if (_entries[i].useSeq < _entries[victim].useSeq)
             victim = i;
     }
     return victim;
@@ -127,8 +80,7 @@ ObjectCache::insert(const ObjectCacheKey &key,
     Entry e;
     e.key = key;
     e.returnValue = return_value;
-    e.insertSeq = ++_seq;
-    e.useSeq = e.insertSeq;
+    e.useSeq = ++_seq;
     _usedBytes += payload.size();
     e.payload = std::move(payload);
     _entries.push_back(std::move(e));

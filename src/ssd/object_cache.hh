@@ -13,11 +13,11 @@
  * share one budget (the readahead reservation is subtracted from the
  * cache's), never double-booked.
  *
- * Eviction is pluggable (LRU / FIFO / least-frequency, the CXLMemSim
- * policy menu) and invalidation is end-exclusive byte-range based,
- * consistent with host::FileExtent: any standard write, MWRITE or
- * TRIM overlapping [rawBegin, rawBegin + rawLen) drops the entry, as
- * does re-installing the keyed applet at a different version.
+ * Eviction is least-recently-used, and invalidation is end-exclusive
+ * byte-range based, consistent with host::FileExtent: any standard
+ * write, MWRITE or TRIM overlapping [rawBegin, rawBegin + rawLen)
+ * drops the entry, as does re-installing the keyed applet at a
+ * different version.
  */
 
 #ifndef MORPHEUS_SSD_OBJECT_CACHE_HH
@@ -40,22 +40,13 @@ struct ObjectCacheConfig
 
     /**
      * Controller-DRAM budget for cached objects. The streaming
-     * pipeline's readahead buffer (PipelineConfig::readaheadBufferBytes)
-     * is carved out of the same budget when readahead is on — the
-     * effective cache capacity is the remainder, so the two features
-     * can never double-book the controller DRAM they share.
+     * pipeline's readahead buffer (kReadaheadBufferBytes) is carved
+     * out of the same budget when the pipeline is on — the effective
+     * cache capacity is the remainder, so the two features can never
+     * double-book the controller DRAM they share.
      */
     std::uint64_t budgetBytes = 64 * sim::kMiB;
-
-    /** Eviction policy (à la CXLMemSim's policy menu). */
-    enum class Policy { kLru, kFifo, kFrequency };
-    Policy policy = Policy::kLru;
 };
-
-/** "lru" / "fifo" / "frequency" -> policy; @return false on junk. */
-bool cachePolicyFromName(const std::string &name,
-                         ObjectCacheConfig::Policy *out);
-const char *cachePolicyName(ObjectCacheConfig::Policy policy);
 
 /**
  * Cache key: the identity of a deserialized object. Two invocations
@@ -117,22 +108,20 @@ class ObjectCache
         std::vector<std::uint8_t> payload;
         /** The applet's MDEINIT return value for the stream. */
         std::uint32_t returnValue = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t insertSeq = 0;  ///< FIFO age.
-        std::uint64_t useSeq = 0;     ///< LRU recency.
+        std::uint64_t useSeq = 0;  ///< LRU recency.
     };
 
     /**
      * Find the entry for @p key; bumps the hit counters and the
-     * policy metadata on success, the miss counter otherwise.
+     * entry's recency on success, the miss counter otherwise.
      * The pointer is valid until the next mutating call.
      */
     const Entry *lookup(const ObjectCacheKey &key);
 
     /**
      * Insert a complete object. Entries larger than the effective
-     * capacity are rejected (counted); otherwise victims are evicted
-     * per the configured policy until the payload fits. A re-insert
+     * capacity are rejected (counted); otherwise least recently used
+     * entries are evicted until the payload fits. A re-insert
      * under an existing key replaces the payload in place.
      */
     void insert(const ObjectCacheKey &key,
@@ -174,7 +163,7 @@ class ObjectCache
                        const std::string &prefix) const;
 
   private:
-    /** Index of the configured policy's eviction victim. */
+    /** Index of the least recently used entry. */
     std::size_t victimIndex() const;
     void eraseEntry(std::size_t idx);
 

@@ -35,9 +35,7 @@ SsdController::SsdController(sim::EventQueue &eq,
     // controller-DRAM budget: whatever the readahead reserves comes
     // out of the cache's capacity, so the two never double-book.
     const std::uint64_t reserved =
-        config.pipeline.enabled && config.pipeline.readahead
-            ? config.pipeline.readaheadBufferBytes
-            : 0;
+        config.pipeline.enabled ? kReadaheadBufferBytes : 0;
     _cache = std::make_unique<ObjectCache>(config.cache, reserved);
     _nvme.setHandler([this](const nvme::Command &cmd, sim::Tick start) {
         return handleCommand(cmd, start);

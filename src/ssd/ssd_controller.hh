@@ -28,29 +28,25 @@
 namespace morpheus::ssd {
 
 /**
- * Streaming chunk pipeline knobs (DESIGN.md §11). Every MREAD
- * buffers flash pages into controller DRAM one by one and parses the
- * chunk once its last page lands; with `enabled` set, the firmware
- * also prefetches the next chunk, parses in D-SRAM-sized sub-buffers,
- * and coalesces outbound flush DMA. Each sub-feature takes effect only
- * under `enabled`. The pipeline is a pure schedule change: functional
- * results and the ParseCost cycle totals are identical either way.
+ * Streaming chunk pipeline (DESIGN.md §11). Every MREAD buffers flash
+ * pages into controller DRAM one by one and parses the chunk once its
+ * last page lands. With `enabled` set, the firmware also prefetches
+ * the next chunk into a bounded readahead buffer, parses in
+ * D-SRAM-sized sub-buffers, and coalesces outbound flush DMA; the
+ * pipeline is either off or on in full. It is a pure schedule change:
+ * functional results and the ParseCost cycle totals are identical
+ * either way.
  */
 struct PipelineConfig
 {
     /** Master switch for the pipelined MREAD/MWRITE data path. */
     bool enabled = false;
-    /** Prefetch the next chunk's flash pages while this one parses. */
-    bool readahead = true;
-    /** Bound on controller-DRAM bytes a prefetch may occupy. */
-    std::uint64_t readaheadBufferBytes = 256 * 1024;
-    /** Interleave parse(sub_i) with fetch(sub_{i+1}) within a chunk. */
-    bool doubleBuffer = true;
-    /** Merge address-contiguous flush segments into one descriptor. */
-    bool coalesceFlush = true;
-    /** Largest coalesced outbound DMA descriptor. */
-    std::uint64_t maxDescriptorBytes = 128 * 1024;
 };
+
+/** Controller-DRAM bytes the pipeline's readahead buffer reserves. */
+inline constexpr std::uint64_t kReadaheadBufferBytes = 256 * 1024;
+/** Largest coalesced outbound flush DMA descriptor. */
+inline constexpr std::uint64_t kMaxDescriptorBytes = 128 * 1024;
 
 /** Device-level parameters beyond the flash/FTL configs. */
 struct SsdConfig

@@ -456,7 +456,7 @@ class ServingLoop
           _lastDone(corpus.ready), _issued(opts.tenants.size(), 0),
           _breakers(opts.tenants.size(),
                     sched::CircuitBreaker(opts.breakerThreshold,
-                                          opts.breakerProbeEvery)),
+                                          kBreakerProbeEvery)),
           _hostExec(sys, opts.hybrid.hostCostScale),
           _hybrid(sys.numSsds(),
                   sched::HybridPlacementPolicy(opts.hybrid))
@@ -1195,9 +1195,7 @@ ServingLoop::summarizeSlo(unsigned ti, TenantReport *tr) const
     const SloOptions &slo = _opts.slo;
     if (!slo.enabled)
         return;
-    const TenantSpec &tenant = _opts.tenants[ti];
-    tr->sloTargetUs =
-        tenant.sloTargetUs > 0.0 ? tenant.sloTargetUs : slo.targetUs;
+    tr->sloTargetUs = slo.targetUs;
     // Burn windows: window -> (completions, violations), keyed by
     // completion time relative to the first arrival.
     std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>

@@ -61,6 +61,10 @@ const char *tenantFormatName(TenantFormat f);
 /** Inverse of tenantFormatName(); @return false on junk. */
 bool tenantFormatFromName(const std::string &name, TenantFormat *out);
 
+/** While a tenant's circuit breaker is open, every Nth request is a
+ *  half-open probe down the device path; success closes the breaker. */
+inline constexpr unsigned kBreakerProbeEvery = 8;
+
 /** One traffic source. */
 struct TenantSpec
 {
@@ -72,11 +76,6 @@ struct TenantSpec
     std::vector<std::uint32_t> sizeClassValues{2000, 8000, 32000};
     /** ...and their draw probabilities (normalized internally). */
     std::vector<double> sizeClassProb{0.70, 0.25, 0.05};
-    /** Per-tenant SLO latency target in microseconds; 0 inherits
-     *  SloOptions::targetUs (latency classes: an interactive tenant
-     *  can carry a tighter target than a batch one). */
-    double sloTargetUs = 0.0;
-
     /** Object format of this tenant's requests. The default keeps the
      *  classic all-int-array mix (and its Rng draw sequence)
      *  bit-identical to pre-format builds. */
@@ -169,12 +168,10 @@ struct ServingOptions
      *  device-path failures the tenant's requests take the baseline
      *  host-read + host-deserialize path until a half-open probe
      *  succeeds. 0 disables the breaker AND the per-request fallback:
-     *  failed requests are lost (the recovery-off ablation). */
+     *  failed requests are lost (the recovery-off ablation). While
+     *  open, every kBreakerProbeEvery-th request is a half-open probe
+     *  down the device path. */
     unsigned breakerThreshold = 3;
-
-    /** While open, every Nth request is a half-open probe down the
-     *  device path; success closes the breaker. */
-    unsigned breakerProbeEvery = 8;
 
     /** Overload-aware hybrid execution (sched::HybridPlacementPolicy,
      *  off by default): per request, the embedded core, the host CPU,
@@ -306,7 +303,7 @@ struct TenantReport : OutcomeCounts, LatencySummary, StageBreakdown
     double cacheHitRate = 0.0;
 
     // --- SLO burn tracking (opts.slo.enabled) ------------------------
-    double sloTargetUs = 0.0;     ///< Effective target for this tenant.
+    double sloTargetUs = 0.0;     ///< SloOptions::targetUs.
     std::uint64_t sloViolations = 0;  ///< Completions over the target.
     /** Burn windows (SloOptions::windowUs > 0 only); bad = violation
      *  fraction over the error budget. */

@@ -403,29 +403,31 @@ TEST(DeviceRuntime, DsramGrantsPartitionCoreScratchpad)
 {
     ho::SystemConfig cfg;
     cfg.ssd.sched.dsramPartitioning = true;
-    cfg.ssd.sched.maxInstancesPerCore = 2;
     Rig rig(cfg);
     const auto target = co::DmaTarget{rig.sys.allocHost(4096), false};
     const std::uint32_t dsram = cfg.ssd.core.dsramBytes;
+    const std::uint32_t share =
+        dsram / morpheus::sched::kMaxInstancesPerCore;
 
-    // Static placement: instance IDs 1, 5, 9 all map to core 1. The
-    // first two take the default half-scratchpad grant each.
-    ASSERT_TRUE(rig.minit(1, rig.images.intArray, target).ok());
-    ASSERT_TRUE(rig.minit(5, rig.images.intArray, target).ok());
+    // Static placement: instance IDs 1, 5, 9, 13, 17 all map to core
+    // 1. The first kMaxInstancesPerCore take the default equal share
+    // each and fill the scratchpad.
+    for (const std::uint32_t id : {1u, 5u, 9u, 13u})
+        ASSERT_TRUE(rig.minit(id, rig.images.intArray, target).ok());
     auto &core1 = rig.sys.ssd().core(1);
-    EXPECT_EQ(core1.dsramUsed(), dsram);
+    EXPECT_EQ(core1.dsramUsed(), share * 4);
     EXPECT_LE(core1.dsramUsed(), dsram);
 
-    // A third co-resident has no budget left and bounces.
-    EXPECT_EQ(rig.minit(9, rig.images.intArray, target).status,
+    // A fifth co-resident has no budget left and bounces.
+    EXPECT_EQ(rig.minit(17, rig.images.intArray, target).status,
               nv::Status::kDsramExhausted);
-    EXPECT_EQ(rig.device.liveInstances(), 2u);
+    EXPECT_EQ(rig.device.liveInstances(), 4u);
 
     // MDEINIT releases the grant; the bounced instance now fits.
     ASSERT_TRUE(rig.mdeinit(1).ok());
-    EXPECT_EQ(core1.dsramUsed(), dsram / 2);
-    ASSERT_TRUE(rig.minit(9, rig.images.intArray, target).ok());
-    EXPECT_EQ(core1.dsramUsed(), dsram);
+    EXPECT_EQ(core1.dsramUsed(), share * 3);
+    ASSERT_TRUE(rig.minit(17, rig.images.intArray, target).ok());
+    EXPECT_EQ(core1.dsramUsed(), share * 4);
 }
 
 TEST(DeviceRuntime, ExplicitDsramRequestIsHonored)
@@ -455,8 +457,10 @@ TEST(DeviceRuntime, RefusedMInitReleasesSchedulerState)
 {
     ho::SystemConfig cfg;
     cfg.ssd.sched.dsramPartitioning = true;
-    cfg.ssd.sched.maxInstancesPerCore = 1;
     Rig rig(cfg);
+    // Every MINIT requests the whole scratchpad, so one instance fills
+    // its core's D-SRAM.
+    const std::uint32_t dsram = cfg.ssd.core.dsramBytes;
     auto &sched = rig.sys.ssd().scheduler();
     const auto target = co::DmaTarget{rig.sys.allocHost(4096), false};
 
@@ -473,7 +477,7 @@ TEST(DeviceRuntime, RefusedMInitReleasesSchedulerState)
     // slot, declared backlog and dispatcher placement must all be
     // released, or the failure leaks capacity.
     const auto huge = image("huge", 10 * 1024 * 1024);
-    EXPECT_EQ(rig.minit(2, huge, target, 0, 0, 0, 4096).status,
+    EXPECT_EQ(rig.minit(2, huge, target, 0, 0, dsram, 4096).status,
               nv::Status::kAppLoadFailed);
     EXPECT_EQ(sched.arbiter().openInstances(), 0u);
     EXPECT_EQ(sched.arbiter().totalDeclaredBacklog(), 0u);
@@ -486,8 +490,8 @@ TEST(DeviceRuntime, RefusedMInitReleasesSchedulerState)
     const std::uint32_t isram = cfg.ssd.core.isramBytes;
     const auto big = image("big", isram / 4 * 3);
     auto &core3 = rig.sys.ssd().core(3);
-    ASSERT_TRUE(rig.minit(3, big, target, 0, 0, 0, 4096).ok());
-    const auto busy = rig.minit(7, big, target, 0, 0, 0, 8192);
+    ASSERT_TRUE(rig.minit(3, big, target, 0, 0, dsram, 4096).ok());
+    const auto busy = rig.minit(7, big, target, 0, 0, dsram, 8192);
     EXPECT_EQ(busy.status, nv::Status::kInstanceBusy);
     EXPECT_TRUE(nv::isRetryable(busy.status));
     EXPECT_EQ(busy.dw0, 0u);
@@ -497,26 +501,30 @@ TEST(DeviceRuntime, RefusedMInitReleasesSchedulerState)
     EXPECT_EQ(sched.dispatcher().residents(3), 1u);
     // One resident's MDEINIT makes room: the bounced MINIT succeeds.
     ASSERT_TRUE(rig.mdeinit(3).ok());
-    ASSERT_TRUE(rig.minit(7, big, target).ok());
+    ASSERT_TRUE(rig.minit(7, big, target, 0, 0, dsram).ok());
     EXPECT_EQ(core3.isramUsed(), big.textBytes);
     ASSERT_TRUE(rig.mdeinit(7).ok());
     EXPECT_EQ(sched.arbiter().openInstances(), 0u);
 
     // kDsramExhausted: a second instance on an occupied core (static
     // placement maps IDs 1 and 5 both to core 1).
-    ASSERT_TRUE(rig.minit(1, rig.images.intArray, target).ok());
-    EXPECT_EQ(rig.minit(5, rig.images.intArray, target).status,
-              nv::Status::kDsramExhausted);
+    ASSERT_TRUE(
+        rig.minit(1, rig.images.intArray, target, 0, 0, dsram).ok());
+    EXPECT_EQ(
+        rig.minit(5, rig.images.intArray, target, 0, 0, dsram).status,
+        nv::Status::kDsramExhausted);
     EXPECT_EQ(sched.arbiter().openInstances(), 1u);
     EXPECT_EQ(sched.dispatcher().residents(1), 1u);
 
     // Both refused IDs stay usable once capacity frees.
     ASSERT_TRUE(rig.mdeinit(1).ok());
     EXPECT_EQ(sched.arbiter().openInstances(), 0u);
-    ASSERT_TRUE(rig.minit(5, rig.images.intArray, target).ok());
+    ASSERT_TRUE(
+        rig.minit(5, rig.images.intArray, target, 0, 0, dsram).ok());
     EXPECT_EQ(sched.dispatcher().residents(1), 1u);
     ASSERT_TRUE(rig.mdeinit(5).ok());
-    ASSERT_TRUE(rig.minit(2, rig.images.intArray, target).ok());
+    ASSERT_TRUE(
+        rig.minit(2, rig.images.intArray, target, 0, 0, dsram).ok());
     EXPECT_EQ(sched.dispatcher().residents(2), 1u);
 }
 
@@ -1073,16 +1081,15 @@ TEST(DeviceRuntime, PipelinedCoalesceMergesSmallFlushSegments)
     // At the default threshold (D-SRAM/4) a sub-buffer rarely flushes
     // twice, so coalescing has nothing to merge; a tiny threshold
     // splits each sub-buffer's output into many 512-byte segments,
-    // which land back-to-back on the DMA cursor and must merge into
-    // maxDescriptorBytes descriptors without changing a byte.
+    // which land back-to-back on the DMA cursor. With the pipeline on
+    // they must merge into kMaxDescriptorBytes descriptors without
+    // changing a byte; with it off none merge.
     const auto a = wk::genIntArray(93, 20000);
     sd::TextWriter w;
     a.serialize(w);
 
-    auto run = [&](bool coalesce) {
-        auto cfg = pipelineConfig();
-        cfg.ssd.pipeline.coalesceFlush = coalesce;
-        Rig rig(cfg);
+    auto run = [&](bool pipelined) {
+        Rig rig(pipelined ? pipelineConfig() : ho::SystemConfig{});
         const auto extent = rig.sys.createFile("ints", w.bytes());
         const auto target_addr = rig.sys.allocHost(a.objectBytes());
         EXPECT_TRUE(rig.minit(1, rig.images.intArray,
@@ -1318,56 +1325,20 @@ TEST(ObjectCacheUnit, AdjacentRangesDoNotInvalidate)
     EXPECT_EQ(cache.entries(), 0u);
 }
 
-TEST(ObjectCacheUnit, EvictionPolicies)
+TEST(ObjectCacheUnit, LruEvictsLeastRecentlyUsed)
 {
-    using Policy = morpheus::ssd::ObjectCacheConfig::Policy;
     const std::vector<std::uint8_t> blob(100);
-
-    // LRU: victim is the least recently *used* entry.
-    {
-        morpheus::ssd::ObjectCacheConfig cfg;
-        cfg.enabled = true;
-        cfg.budgetBytes = 250;
-        cfg.policy = Policy::kLru;
-        morpheus::ssd::ObjectCache c(cfg, 0);
-        c.insert(unitKey(0, 10), blob, 0);
-        c.insert(unitKey(100, 10), blob, 0);
-        ASSERT_NE(c.lookup(unitKey(0, 10)), nullptr);  // refresh key 0
-        c.insert(unitKey(200, 10), blob, 0);           // evicts key 100
-        EXPECT_EQ(c.evictions(), 1u);
-        EXPECT_NE(c.lookup(unitKey(0, 10)), nullptr);
-        EXPECT_EQ(c.lookup(unitKey(100, 10)), nullptr);
-    }
-    // FIFO: victim is the oldest insert, recency is ignored.
-    {
-        morpheus::ssd::ObjectCacheConfig cfg;
-        cfg.enabled = true;
-        cfg.budgetBytes = 250;
-        cfg.policy = Policy::kFifo;
-        morpheus::ssd::ObjectCache c(cfg, 0);
-        c.insert(unitKey(0, 10), blob, 0);
-        c.insert(unitKey(100, 10), blob, 0);
-        ASSERT_NE(c.lookup(unitKey(0, 10)), nullptr);  // no effect
-        c.insert(unitKey(200, 10), blob, 0);           // evicts key 0
-        EXPECT_EQ(c.lookup(unitKey(0, 10)), nullptr);
-        EXPECT_NE(c.lookup(unitKey(100, 10)), nullptr);
-    }
-    // Frequency: victim is the least-hit entry.
-    {
-        morpheus::ssd::ObjectCacheConfig cfg;
-        cfg.enabled = true;
-        cfg.budgetBytes = 250;
-        cfg.policy = Policy::kFrequency;
-        morpheus::ssd::ObjectCache c(cfg, 0);
-        c.insert(unitKey(0, 10), blob, 0);
-        c.insert(unitKey(100, 10), blob, 0);
-        c.lookup(unitKey(100, 10));
-        c.lookup(unitKey(100, 10));
-        c.lookup(unitKey(0, 10));
-        c.insert(unitKey(200, 10), blob, 0);  // evicts key 0 (1 < 2)
-        EXPECT_EQ(c.lookup(unitKey(0, 10)), nullptr);
-        EXPECT_NE(c.lookup(unitKey(100, 10)), nullptr);
-    }
+    morpheus::ssd::ObjectCacheConfig cfg;
+    cfg.enabled = true;
+    cfg.budgetBytes = 250;
+    morpheus::ssd::ObjectCache c(cfg, 0);
+    c.insert(unitKey(0, 10), blob, 0);
+    c.insert(unitKey(100, 10), blob, 0);
+    ASSERT_NE(c.lookup(unitKey(0, 10)), nullptr);  // refresh key 0
+    c.insert(unitKey(200, 10), blob, 0);           // evicts key 100
+    EXPECT_EQ(c.evictions(), 1u);
+    EXPECT_NE(c.lookup(unitKey(0, 10)), nullptr);
+    EXPECT_EQ(c.lookup(unitKey(100, 10)), nullptr);
 }
 
 TEST(ObjectCacheUnit, BudgetSharedWithReadaheadReservation)
@@ -1632,8 +1603,7 @@ TEST(DeviceRuntime, ObjectCacheSharesBudgetWithPipelineReadahead)
     cfg.ssd.cache.budgetBytes = 1024 * 1024;
     Rig rig{cfg};
     EXPECT_EQ(rig.sys.ssd().objectCache().capacityBytes(),
-              1024u * 1024u -
-                  cfg.ssd.pipeline.readaheadBufferBytes);
+              1024u * 1024u - morpheus::ssd::kReadaheadBufferBytes);
 
     // Pipeline off: the cache keeps the whole budget.
     ho::SystemConfig flat = cacheConfig();

@@ -379,7 +379,7 @@ TEST(NvmeDriver, SynthesizesTimeoutForDroppedCqe)
     const auto cqe = rig.driver.io(qid, c, 5000);
     EXPECT_EQ(cqe.status, nv::Status::kCommandTimeout);
     // Aborted at the deadline: doorbell tick + the command timeout.
-    EXPECT_EQ(cqe.postedAt, 5000 + rec.commandTimeout);
+    EXPECT_EQ(cqe.postedAt, 5000 + nv::kCommandTimeout);
     EXPECT_EQ(rig.driver.timeoutsSynthesized(), 1u);
     // The synthesized abort is fatal by classification: the command's
     // device-side effects may have happened, resubmitting is not safe.

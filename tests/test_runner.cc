@@ -270,29 +270,3 @@ TEST(Runner, DifferentSeedsDifferentChecksumsSameValidation)
     EXPECT_TRUE(b.validated);
     EXPECT_NE(a.kernelChecksum, b.kernelChecksum);
 }
-
-TEST(Runner, PipelineOffEqualsPipelineWithEveryFeatureOff)
-{
-    // The pipeline's sub-features are the only difference between its
-    // master switch being on and off: with readahead, double buffering
-    // and flush coalescing all off, every MREAD must take exactly the
-    // schedule of the pipeline-off path.
-    for (const char *name : {"kmeans", "pagerank", "spmv", "bfs"}) {
-        SCOPED_TRACE(name);
-        const auto &app = wk::findApp(name);
-        const auto off =
-            opts(wk::ExecutionMode::kMorpheus, /*scale=*/0.1);
-        auto bare = off;
-        bare.sys.ssd.pipeline.enabled = true;
-        bare.sys.ssd.pipeline.readahead = false;
-        bare.sys.ssd.pipeline.doubleBuffer = false;
-        bare.sys.ssd.pipeline.coalesceFlush = false;
-        const auto a = wk::runWorkload(app, off);
-        const auto b = wk::runWorkload(app, bare);
-        EXPECT_TRUE(a.validated);
-        EXPECT_TRUE(b.validated);
-        EXPECT_EQ(a.deserTime, b.deserTime);
-        EXPECT_EQ(a.totalTime, b.totalTime);
-        EXPECT_EQ(a.kernelChecksum, b.kernelChecksum);
-    }
-}

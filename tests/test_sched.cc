@@ -743,7 +743,9 @@ const LedgerRow kLedgerRows[] = {
      [](wk::ServingOptions &o) {
          faulty(o);
          o.breakerThreshold = 1;
-         o.breakerProbeEvery = 2;
+         // Long enough for an open breaker to route a probe every
+         // kBreakerProbeEvery requests and see some of them fail.
+         o.durationSec = 0.03;
      },
      [](const wk::ServingReport &r) {
          return r.fallbackBreaker > 0 && r.fallbackProbe > 0;

@@ -14,13 +14,14 @@
  * --trace records a Chrome trace-event JSON of the run
  * (loadable in Perfetto / chrome://tracing), and --stats-json writes
  * the federated metrics registry as nested JSON.
- * `morpheus-run list` enumerates the apps.
+ * `morpheus-run list` enumerates the apps. Every numeric flag takes
+ * one number in its range; anything else exits 2 with the usage.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -30,6 +31,7 @@
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
 #include "shard/fleet_topology.hh"
+#include "sim/parse_number.hh"
 #include "workloads/runner.hh"
 #include "workloads/serving.hh"
 
@@ -38,19 +40,43 @@ namespace wk = morpheus::workloads;
 
 namespace {
 
-/** An --ssds value: an integer in [1, host::kMaxSsds], else exit 2. */
-unsigned
-parseSsds(const char *text)
+constexpr std::uint64_t kU64Min = 0;
+constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
+constexpr double kDoubleMax = std::numeric_limits<double>::max();
+/** Longest simulated span, in seconds, a 64-bit picosecond Tick holds. */
+constexpr double kMaxSeconds =
+    static_cast<double>(kU64Max / sim::kPsPerSec);
+
+/** --scale range. Every app runs validated down to scale 1e-4 and
+ *  some kernels' input checks fail below 1e-5, so the floor keeps a
+ *  10x margin; above the ceiling the generators' element counts (at
+ *  most 1.8M at scale 1) overflow 32 bits. */
+constexpr double kMinScale = 0.001;
+constexpr double kMaxScale = 1000.0;
+
+/**
+ * The value of numeric flag @p flag: all of @p text as one finite
+ * number of type T in [lo, hi], with the lower / upper end excluded
+ * when @p open_lo / @p open_hi. Anything else prints why and
+ * @p usage_fn's text and exits 2.
+ */
+template <typename T>
+T
+flagValue(void (*usage_fn)(), const char *flag, const char *text, T lo,
+          T hi, bool open_lo = false, bool open_hi = false)
 {
-    char *end = nullptr;
-    const long n = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || n < 1 ||
-        n > static_cast<long>(host::kMaxSsds)) {
-        std::fprintf(stderr, "--ssds needs an integer in [1, %u]: %s\n",
-                     host::kMaxSsds, text);
+    T v{};
+    if (!sim::parseNumber(text, &v) || (open_lo ? v <= lo : v < lo) ||
+        (open_hi ? v >= hi : v > hi)) {
+        std::ostringstream range;
+        range << (open_lo ? '(' : '[') << lo << ", " << hi
+              << (open_hi ? ')' : ']');
+        std::fprintf(stderr, "%s needs a number in %s: %s\n", flag,
+                     range.str().c_str(), text);
+        usage_fn();
         std::exit(2);
     }
-    return static_cast<unsigned>(n);
+    return v;
 }
 
 void
@@ -66,29 +92,22 @@ usage()
         "                    [--stats-json FILE]\n"
         "                    [--fault-plan key=value,...]\n"
         "                    [--recovery]\n"
-        "                    [--pipeline] [--no-readahead]\n"
-        "                    [--no-double-buffer] [--no-coalesce]\n"
-        "                    [--readahead-bytes N]\n"
-        "                    [--max-descriptor-bytes N]\n"
+        "                    [--pipeline]\n"
         "                    [--ssds N] [--fleet-topology FILE.json]\n"
         "                    [--cache] [--cache-bytes N]\n"
-        "                    [--cache-policy lru|fifo|frequency]\n"
         "fault plan keys: media, dma, crash, hang, drop (rates),\n"
         "dma_min, watchdog_us, seed; also read from MORPHEUS_FAULTS.\n"
         "--recovery enables driver timeouts + bounded retries.\n"
+        "--freq is the host CPU clock in GHz (1.2-2.5).\n"
         "--pipeline enables the streaming chunk pipeline (flash\n"
-        "readahead + double-buffered parse + coalesced flush DMA);\n"
-        "the --no-* flags disable one stage, --readahead-bytes and\n"
-        "--max-descriptor-bytes bound the prefetch buffer and the\n"
-        "merged DMA descriptor size.\n"
+        "readahead + double-buffered parse + coalesced flush DMA).\n"
         "--ssds puts N SSDs (1-255) behind the switch (the app still\n"
         "runs on device 0; object placement across the fleet is\n"
         "exercised by the serving benches). --fleet-topology loads\n"
         "the device count and per-device geometry from JSON.\n"
         "--cache enables the deserialized-object cache in controller\n"
-        "DRAM; --cache-bytes sets its budget (shared with the\n"
-        "readahead buffer, default 64 MiB), --cache-policy the\n"
-        "eviction policy.\n"
+        "DRAM with LRU eviction; --cache-bytes sets its budget\n"
+        "(shared with the readahead buffer, default 64 MiB).\n"
         "`morpheus-run serve --help` describes the multi-tenant\n"
         "serving driver (stage breakdown, slow-trace flight recorder,\n"
         "timeline telemetry, SLO burn tracking).\n");
@@ -176,48 +195,52 @@ serveMain(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto num = [&](const char *flag, auto lo, auto hi,
+                       bool open_lo = false, bool open_hi = false) {
+            return flagValue(serveUsage, flag, next(flag), lo, hi,
+                             open_lo, open_hi);
+        };
         if (arg == "--tenants") {
-            tenants = static_cast<unsigned>(std::atoi(next("--tenants")));
+            tenants = num("--tenants", 1u, ~0u);
         } else if (arg == "--rate") {
-            rate = std::atof(next("--rate"));
+            rate = num("--rate", 0.0, kDoubleMax, true);
         } else if (arg == "--skew") {
-            skew = std::atof(next("--skew"));
+            skew = num("--skew", 0.0, kDoubleMax, true);
         } else if (arg == "--duration-sec") {
-            opts.durationSec = std::atof(next("--duration-sec"));
+            opts.durationSec = num("--duration-sec", 0.0, kMaxSeconds, true);
         } else if (arg == "--closed-loop") {
             opts.closedLoop = true;
         } else if (arg == "--requests") {
-            opts.closedLoopRequests = static_cast<std::uint64_t>(
-                std::atoll(next("--requests")));
+            opts.closedLoopRequests = num("--requests", kU64Min, kU64Max);
         } else if (arg == "--seed") {
-            opts.seed = static_cast<std::uint64_t>(
-                std::atoll(next("--seed")));
+            opts.seed = num("--seed", kU64Min, kU64Max);
         } else if (arg == "--ssds") {
-            opts.sys.numSsds = parseSsds(next("--ssds"));
+            opts.sys.numSsds = num("--ssds", 1u, host::kMaxSsds);
         } else if (arg == "--breakdown") {
             opts.breakdown = true;
         } else if (arg == "--slow-traces") {
             slow_path = next("--slow-traces");
         } else if (arg == "--slow-k") {
-            frc.slowestK = static_cast<std::size_t>(
-                std::atoll(next("--slow-k")));
+            frc.slowestK = num("--slow-k", std::size_t{0},
+                               std::numeric_limits<std::size_t>::max());
         } else if (arg == "--timeline") {
             timeline_path = next("--timeline");
         } else if (arg == "--timeline-csv") {
             timeline_csv_path = next("--timeline-csv");
         } else if (arg == "--timeline-interval-us") {
-            timeline_interval = static_cast<sim::Tick>(
-                std::atoll(next("--timeline-interval-us"))) *
-                sim::kPsPerUs;
+            timeline_interval = num("--timeline-interval-us", sim::Tick{1},
+                                    kU64Max / sim::kPsPerUs) *
+                                sim::kPsPerUs;
         } else if (arg == "--slo") {
             opts.slo.enabled = true;
-            opts.slo.targetUs = std::atof(next("--slo"));
+            opts.slo.targetUs = num("--slo", 0.0, kDoubleMax, true);
         } else if (arg == "--slo-objective") {
             opts.slo.enabled = true;
-            opts.slo.objective = std::atof(next("--slo-objective"));
+            opts.slo.objective =
+                num("--slo-objective", 0.0, 1.0, true, true);
         } else if (arg == "--slo-window-us") {
             opts.slo.enabled = true;
-            opts.slo.windowUs = std::atof(next("--slo-window-us"));
+            opts.slo.windowUs = num("--slo-window-us", 0.0, kDoubleMax);
         } else if (arg == "--stats-json") {
             stats_json_path = next("--stats-json");
         } else if (arg == "--trace") {
@@ -226,7 +249,7 @@ serveMain(int argc, char **argv)
             opts.hybrid.enabled = true;
         } else if (arg == "--host-cost-scale") {
             opts.hybrid.hostCostScale =
-                std::atof(next("--host-cost-scale"));
+                num("--host-cost-scale", 0.0, kDoubleMax, true);
         } else if (arg == "--shed") {
             opts.hybrid.enabled = true;
             opts.hybrid.shed = true;
@@ -237,13 +260,13 @@ serveMain(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--selectivity") {
-            selectivity = std::atof(next("--selectivity"));
+            selectivity = num("--selectivity", 0.0, 1.0, true);
         } else if (arg == "--project") {
-            project = static_cast<unsigned>(std::atoi(next("--project")));
+            project = num("--project", 0u, wk::TenantSpec{}.tableColumns);
         } else if (arg == "--no-pushdown") {
             pushdown = false;
         } else if (arg == "--write-fraction") {
-            write_fraction = std::atof(next("--write-fraction"));
+            write_fraction = num("--write-fraction", 0.0, 1.0);
         } else if (arg == "--help" || arg == "-h") {
             serveUsage();
             return 0;
@@ -253,16 +276,6 @@ serveMain(int argc, char **argv)
             return 2;
         }
     }
-    if (tenants == 0 || rate <= 0.0 || skew <= 0.0 ||
-        timeline_interval == 0 || opts.hybrid.hostCostScale <= 0.0 ||
-        selectivity <= 0.0 || selectivity > 1.0 ||
-        write_fraction < 0.0 || write_fraction > 1.0 ||
-        opts.slo.objective <= 0.0 || opts.slo.objective >= 1.0 ||
-        opts.slo.windowUs < 0.0) {
-        serveUsage();
-        return 2;
-    }
-
     const double base =
         rate / (skew + static_cast<double>(tenants - 1));
     for (std::uint32_t t = 0; t < tenants; ++t) {
@@ -464,6 +477,10 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto num = [&](const char *flag, auto lo, auto hi,
+                       bool open_lo = false) {
+            return flagValue(usage, flag, next(flag), lo, hi, open_lo);
+        };
         if (arg == "--mode") {
             const std::string m = next("--mode");
             if (m == "baseline") {
@@ -490,53 +507,37 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--freq") {
-            opts.cpuFreqHz = std::atof(next("--freq")) * 1e9;
+            const host::CpuConfig cpu;
+            opts.cpuFreqHz = num("--freq", cpu.minFreqHz / 1e9,
+                                 cpu.maxFreqHz / 1e9) *
+                             1e9;
         } else if (arg == "--scale") {
-            opts.scale = std::atof(next("--scale"));
+            opts.scale = num("--scale", kMinScale, kMaxScale);
         } else if (arg == "--chunk-blocks") {
-            opts.chunkBlocks = static_cast<std::uint32_t>(
-                std::atoi(next("--chunk-blocks")));
+            opts.chunkBlocks = num("--chunk-blocks", 0u, ~0u);
         } else if (arg == "--seed") {
-            opts.seed = static_cast<std::uint64_t>(
-                std::atoll(next("--seed")));
+            opts.seed = num("--seed", kU64Min, kU64Max);
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--fault-plan") {
-            opts.faults = sim::FaultPlan::parse(next("--fault-plan"));
+            std::string error;
+            if (!sim::FaultPlan::tryParse(next("--fault-plan"),
+                                          &opts.faults, &error)) {
+                std::fprintf(stderr, "--fault-plan: %s\n", error.c_str());
+                usage();
+                return 2;
+            }
         } else if (arg == "--recovery") {
             opts.recovery.enabled = true;
         } else if (arg == "--pipeline") {
             opts.sys.ssd.pipeline.enabled = true;
-        } else if (arg == "--no-readahead") {
-            opts.sys.ssd.pipeline.readahead = false;
-        } else if (arg == "--no-double-buffer") {
-            opts.sys.ssd.pipeline.doubleBuffer = false;
-        } else if (arg == "--no-coalesce") {
-            opts.sys.ssd.pipeline.coalesceFlush = false;
-        } else if (arg == "--readahead-bytes") {
-            opts.sys.ssd.pipeline.readaheadBufferBytes =
-                static_cast<std::uint64_t>(
-                    std::atoll(next("--readahead-bytes")));
-        } else if (arg == "--max-descriptor-bytes") {
-            opts.sys.ssd.pipeline.maxDescriptorBytes =
-                static_cast<std::uint64_t>(
-                    std::atoll(next("--max-descriptor-bytes")));
         } else if (arg == "--cache") {
             opts.sys.ssd.cache.enabled = true;
         } else if (arg == "--cache-bytes") {
             opts.sys.ssd.cache.budgetBytes =
-                static_cast<std::uint64_t>(
-                    std::atoll(next("--cache-bytes")));
-        } else if (arg == "--cache-policy") {
-            const char *name = next("--cache-policy");
-            if (!ssd::cachePolicyFromName(name,
-                                          &opts.sys.ssd.cache.policy)) {
-                std::fprintf(stderr, "unknown cache policy: %s\n",
-                             name);
-                return 2;
-            }
+                num("--cache-bytes", kU64Min, kU64Max);
         } else if (arg == "--ssds") {
-            opts.sys.numSsds = parseSsds(next("--ssds"));
+            opts.sys.numSsds = num("--ssds", 1u, host::kMaxSsds);
         } else if (arg == "--fleet-topology") {
             shard::FleetTopology::fromFile(next("--fleet-topology"))
                 .apply(opts.sys);
