@@ -12,6 +12,7 @@
 #ifndef MORPHEUS_BENCH_BENCH_COMMON_HH
 #define MORPHEUS_BENCH_BENCH_COMMON_HH
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -83,23 +84,30 @@ struct SuiteRow
     workloads::RunMetrics metrics;
 };
 
-/** Run the whole Table I suite under @p opts (mode etc. pre-set;
- *  the scale always comes from benchScale()). */
-inline std::vector<SuiteRow>
-runSuite(workloads::RunOptions opts)
+/**
+ * Run the whole Table I suite under each of @p opts (mode etc. pre-set;
+ * the scale always comes from benchScale()). The loop is app-major, so
+ * one app's runs go back to back on the input runWorkload prepared for
+ * the first of them. @return one row vector per option set, in order.
+ */
+template <std::size_t N>
+std::array<std::vector<SuiteRow>, N>
+runSuite(const workloads::RunOptions (&opts)[N])
 {
-    opts.scale = benchScale();
-    std::vector<SuiteRow> rows;
+    std::array<std::vector<SuiteRow>, N> rows;
     for (const auto &app : workloads::standardSuite()) {
-        workloads::RunMetrics m = workloads::runWorkload(app, opts);
-        if (!m.validated) {
-            std::fprintf(stderr,
-                         "VALIDATION FAILED: %s (mode %d)\n",
-                         app.name.c_str(),
-                         static_cast<int>(opts.mode));
-            std::exit(1);
+        for (std::size_t i = 0; i < N; ++i) {
+            workloads::RunOptions o = opts[i];
+            o.scale = benchScale();
+            workloads::RunMetrics m = workloads::runWorkload(app, o);
+            if (!m.validated) {
+                std::fprintf(stderr,
+                             "VALIDATION FAILED: %s (mode %d)\n",
+                             app.name.c_str(), static_cast<int>(o.mode));
+                std::exit(1);
+            }
+            rows[i].push_back(SuiteRow{&app, m});
         }
-        rows.push_back(SuiteRow{&app, m});
     }
     return rows;
 }

@@ -21,10 +21,9 @@ main()
 
     wk::RunOptions base;
     base.mode = wk::ExecutionMode::kBaseline;
-    const auto b = bench::runSuite(base);
     wk::RunOptions morph;
     morph.mode = wk::ExecutionMode::kMorpheus;
-    const auto m = bench::runSuite(morph);
+    const auto [b, m] = bench::runSuite({base, morph});
 
     std::printf("%-12s %16s %16s\n", "app", "base(busy cores)",
                 "morph(busy cores)");

@@ -25,7 +25,7 @@ main()
 
     wk::RunOptions base;
     base.mode = wk::ExecutionMode::kBaseline;
-    const auto rows = bench::runSuite(base);
+    const auto [rows] = bench::runSuite({base});
 
     std::printf("%-12s %8s %8s %8s %8s (fractions of total)\n", "app",
                 "deser", "kernel", "copy", "other");

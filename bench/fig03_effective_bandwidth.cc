@@ -14,23 +14,6 @@
 using namespace morpheus;
 namespace wk = morpheus::workloads;
 
-namespace {
-
-std::vector<double>
-sweep(wk::BackendKind backend, double freq)
-{
-    wk::RunOptions o;
-    o.mode = wk::ExecutionMode::kBaseline;
-    o.backend = backend;
-    o.cpuFreqHz = freq;
-    std::vector<double> bw;
-    for (const auto &row : morpheus::bench::runSuite(o))
-        bw.push_back(row.metrics.effectiveBandwidthMBps);
-    return bw;
-}
-
-}  // namespace
-
 int
 main()
 {
@@ -53,10 +36,18 @@ main()
         {"hdd-1.2GHz", wk::BackendKind::kHdd},
     };
 
-    std::vector<std::vector<double>> series;
-    for (int i = 0; i < 6; ++i)
-        series.push_back(
-            sweep(devices[i].kind, i < 3 ? 2.5e9 : 1.2e9));
+    wk::RunOptions opts[6];
+    for (std::size_t i = 0; i < 6; ++i) {
+        opts[i].mode = wk::ExecutionMode::kBaseline;
+        opts[i].backend = devices[i].kind;
+        opts[i].cpuFreqHz = i < 3 ? 2.5e9 : 1.2e9;
+    }
+    const auto rows = bench::runSuite(opts);
+    std::vector<std::vector<double>> series(6);
+    for (std::size_t i = 0; i < 6; ++i) {
+        for (const auto &row : rows[i])
+            series[i].push_back(row.metrics.effectiveBandwidthMBps);
+    }
 
     std::printf("%-12s", "app");
     for (const auto &d : devices)

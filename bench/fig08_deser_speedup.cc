@@ -80,11 +80,10 @@ main()
 
     wk::RunOptions base;
     base.mode = wk::ExecutionMode::kBaseline;
-    const auto base_rows = bench::runSuite(base);
 
     wk::RunOptions morph;
     morph.mode = wk::ExecutionMode::kMorpheus;
-    const auto morph_rows = bench::runSuite(morph);
+    const auto [base_rows, morph_rows] = bench::runSuite({base, morph});
 
     std::printf("%-12s %14s %14s %9s\n", "app", "baseline(ms)",
                 "morpheus(ms)", "speedup");

@@ -21,10 +21,9 @@ main()
 
     wk::RunOptions base;
     base.mode = wk::ExecutionMode::kBaseline;
-    const auto base_rows = bench::runSuite(base);
     wk::RunOptions morph;
     morph.mode = wk::ExecutionMode::kMorpheus;
-    const auto morph_rows = bench::runSuite(morph);
+    const auto [base_rows, morph_rows] = bench::runSuite({base, morph});
 
     std::printf("%-12s %10s %10s %10s %10s %10s %10s\n", "app",
                 "P.base(W)", "P.morph(W)", "P.norm", "E.base(J)",

@@ -20,10 +20,9 @@ main()
 
     wk::RunOptions base;
     base.mode = wk::ExecutionMode::kBaseline;
-    const auto base_rows = bench::runSuite(base);
     wk::RunOptions morph;
     morph.mode = wk::ExecutionMode::kMorpheus;
-    const auto morph_rows = bench::runSuite(morph);
+    const auto [base_rows, morph_rows] = bench::runSuite({base, morph});
 
     std::printf("%-12s %14s %14s %12s %12s\n", "app", "base(cs/s)",
                 "morph(cs/s)", "base(count)", "morph(count)");

@@ -22,13 +22,11 @@ main()
 
     wk::RunOptions base;
     base.mode = wk::ExecutionMode::kBaseline;
-    const auto b = bench::runSuite(base);
     wk::RunOptions morph;
     morph.mode = wk::ExecutionMode::kMorpheus;
-    const auto m = bench::runSuite(morph);
     wk::RunOptions p2p;
     p2p.mode = wk::ExecutionMode::kMorpheusP2p;
-    const auto p = bench::runSuite(p2p);
+    const auto [b, m, p] = bench::runSuite({base, morph, p2p});
 
     std::printf("%-12s %12s %12s %12s %9s %9s\n", "app", "base(ms)",
                 "morph(ms)", "p2p(ms)", "morph", "p2p");

@@ -14,20 +14,13 @@ namespace wk = morpheus::workloads;
 
 namespace {
 
+/** Print one host clock's per-app speedups; @return their mean. */
 double
-meanSpeedup(double freq)
+meanSpeedup(const char *clock, const std::vector<bench::SuiteRow> &b,
+            const std::vector<bench::SuiteRow> &m)
 {
-    wk::RunOptions base;
-    base.mode = wk::ExecutionMode::kBaseline;
-    base.cpuFreqHz = freq;
-    const auto b = morpheus::bench::runSuite(base);
-    wk::RunOptions morph;
-    morph.mode = wk::ExecutionMode::kMorpheus;
-    morph.cpuFreqHz = freq;
-    const auto m = morpheus::bench::runSuite(morph);
-
     std::vector<double> speedups;
-    std::printf("%-12s", freq > 2.0e9 ? "2.5GHz" : "1.2GHz");
+    std::printf("%-12s", clock);
     for (std::size_t i = 0; i < b.size(); ++i) {
         const double s =
             static_cast<double>(b[i].metrics.totalTime) /
@@ -35,7 +28,7 @@ meanSpeedup(double freq)
         speedups.push_back(s);
         std::printf(" %7.2fx", s);
     }
-    const double mu = morpheus::bench::mean(speedups);
+    const double mu = bench::mean(speedups);
     std::printf(" | mean %.2fx\n", mu);
     return mu;
 }
@@ -54,8 +47,15 @@ main()
         std::printf(" %8s", app.name.substr(0, 8).c_str());
     std::printf("\n");
 
-    const double fast = meanSpeedup(2.5e9);
-    const double slow = meanSpeedup(1.2e9);
+    wk::RunOptions opts[4];
+    for (int i = 0; i < 4; ++i) {
+        opts[i].mode = i % 2 == 0 ? wk::ExecutionMode::kBaseline
+                                  : wk::ExecutionMode::kMorpheus;
+        opts[i].cpuFreqHz = i < 2 ? 2.5e9 : 1.2e9;
+    }
+    const auto rows = bench::runSuite(opts);
+    const double fast = meanSpeedup("2.5GHz", rows[0], rows[1]);
+    const double slow = meanSpeedup("1.2GHz", rows[2], rows[3]);
     std::printf("\nmean end-to-end speedup: %.2fx at 2.5 GHz -> %.2fx "
                 "at 1.2 GHz\n",
                 fast, slow);

@@ -87,10 +87,9 @@ main()
     // ---- part 1: the paper's baseline-vs-Morpheus traffic table ------
     wk::RunOptions base;
     base.mode = wk::ExecutionMode::kBaseline;
-    const auto base_rows = bench::runSuite(base);
     wk::RunOptions morph;
     morph.mode = wk::ExecutionMode::kMorpheus;
-    const auto morph_rows = bench::runSuite(morph);
+    const auto [base_rows, morph_rows] = bench::runSuite({base, morph});
 
     std::printf("%-12s %12s %12s %8s %12s %12s %8s\n", "app",
                 "pcie.b(MB)", "pcie.m(MB)", "saved", "mbus.b(MB)",

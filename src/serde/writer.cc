@@ -1,8 +1,7 @@
 #include "serde/writer.hh"
 
 #include <array>
-#include <cmath>
-#include <cstdio>
+#include <charconv>
 
 #include "sim/logging.hh"
 
@@ -12,21 +11,11 @@ void
 TextWriter::appendInt64(std::int64_t v)
 {
     std::array<char, 24> tmp;
-    char *p = tmp.data() + tmp.size();
-    const bool negative = v < 0;
-    // Build digits from the least significant end; handle INT64_MIN by
-    // working in unsigned space.
-    std::uint64_t u = negative
-        ? ~static_cast<std::uint64_t>(v) + 1
-        : static_cast<std::uint64_t>(v);
-    do {
-        *--p = static_cast<char>('0' + (u % 10));
-        u /= 10;
-    } while (u != 0);
-    if (negative)
-        *--p = '-';
-    appendLiteral(std::string_view(p, static_cast<std::size_t>(
-                                          tmp.data() + tmp.size() - p)));
+    const auto [end, ec] =
+        std::to_chars(tmp.data(), tmp.data() + tmp.size(), v);
+    MORPHEUS_ASSERT(ec == std::errc{}, "integer formatting overflow");
+    appendLiteral(std::string_view(tmp.data(), static_cast<std::size_t>(
+                                                   end - tmp.data())));
 }
 
 void
@@ -34,12 +23,15 @@ TextWriter::appendDouble(double v, int precision)
 {
     MORPHEUS_ASSERT(precision >= 0 && precision <= 17,
                     "unsupported precision");
-    std::array<char, 64> tmp;
-    const int n = std::snprintf(tmp.data(), tmp.size(), "%.*f",
-                                precision, v);
-    MORPHEUS_ASSERT(n > 0 && static_cast<std::size_t>(n) < tmp.size(),
-                    "double formatting overflow");
-    appendLiteral(std::string_view(tmp.data(), static_cast<std::size_t>(n)));
+    // Fixed notation with a precision prints what printf("%.*f") does,
+    // byte for byte; the largest double needs 309 integer digits.
+    std::array<char, 352> tmp;
+    const auto [end, ec] =
+        std::to_chars(tmp.data(), tmp.data() + tmp.size(), v,
+                      std::chars_format::fixed, precision);
+    MORPHEUS_ASSERT(ec == std::errc{}, "double formatting overflow");
+    appendLiteral(std::string_view(tmp.data(), static_cast<std::size_t>(
+                                                   end - tmp.data())));
 }
 
 void

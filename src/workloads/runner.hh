@@ -95,9 +95,27 @@ struct RunMetrics
 
     double deserSeconds() const { return sim::ticksToSeconds(deserTime); }
     double totalSeconds() const { return sim::ticksToSeconds(totalTime); }
+
+    friend bool operator==(const RunMetrics &,
+                           const RunMetrics &) = default;
 };
 
-/** Run @p app once under @p opts. */
+/**
+ * Run @p app once under @p opts, on a freshly built system.
+ *
+ * The input is prepared once per (&app, opts.seed, opts.scale): the
+ * ground-truth object, each rank's serialized text and the kernel's
+ * result on the truth are kept in a one-entry thread_local slot, so
+ * back-to-back calls on the same key (an app's three modes, a sweep
+ * over one app) skip generate, partition, serialize and the kernel. A
+ * call on another key drops the slot before it builds. Each call still
+ * ingests the text into its own simulated flash and checks the
+ * produced object against the truth. Reuse is invisible only because
+ * AppSpec::generate and AppSpec::kernel are pure functions of their
+ * arguments. An app is known by its address, so an AppSpec must not
+ * be changed, or replaced by another at the same address, between
+ * runs.
+ */
 RunMetrics runWorkload(const AppSpec &app, const RunOptions &opts);
 
 }  // namespace morpheus::workloads

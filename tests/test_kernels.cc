@@ -152,8 +152,9 @@ TEST(Kernels, WorkDescriptorsArePopulated)
 
 TEST(Kernels, EqualInputsGiveEqualResults)
 {
-    // runWorkload runs each kernel once and compares checksums across
-    // modes, so a kernel must be a function of its input object alone.
+    // runWorkload reuses one kernel result for every run whose object
+    // equals the generator's, so a kernel must be a function of its
+    // input object alone.
     for (const auto &app : wk::standardSuite()) {
         const wk::AnyObject a = app.generate(42, 0.05);
         const wk::AnyObject b = app.generate(42, 0.05);

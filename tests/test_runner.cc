@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "obs/metrics.hh"
 #include "workloads/runner.hh"
 
@@ -23,6 +28,42 @@ opts(wk::ExecutionMode mode, double scale = 0.05)
     o.mode = mode;
     o.scale = scale;
     return o;
+}
+
+constexpr wk::ExecutionMode kModes[] = {wk::ExecutionMode::kBaseline,
+                                        wk::ExecutionMode::kMorpheus,
+                                        wk::ExecutionMode::kMorpheusP2p};
+
+/** One run's metrics and its registry dump. */
+struct Observed
+{
+    wk::RunMetrics metrics;
+    std::string registry;
+};
+
+Observed
+observe(const wk::AppSpec &app, wk::RunOptions o)
+{
+    morpheus::obs::MetricsRegistry reg;
+    o.metrics = &reg;
+    Observed out;
+    out.metrics = wk::runWorkload(app, o);
+    std::ostringstream os;
+    reg.writeJson(os);
+    out.registry = os.str();
+    return out;
+}
+
+/** A run of @p app whose input runWorkload has to build anew: the
+ *  call before it ran another app. */
+Observed
+observeFresh(const wk::AppSpec &app, const wk::RunOptions &o)
+{
+    const auto &suite = wk::standardSuite();
+    const wk::AppSpec &other =
+        &app == &suite.front() ? suite.back() : suite.front();
+    wk::runWorkload(other, opts(wk::ExecutionMode::kBaseline));
+    return observe(app, o);
 }
 
 }  // namespace
@@ -269,4 +310,52 @@ TEST(Runner, DifferentSeedsDifferentChecksumsSameValidation)
     EXPECT_TRUE(a.validated);
     EXPECT_TRUE(b.validated);
     EXPECT_NE(a.kernelChecksum, b.kernelChecksum);
+}
+
+TEST(Runner, InputReuseIsInvisible)
+{
+    // runWorkload reuses the input it built for the previous call when
+    // (app, seed, scale) repeats. A reused input must not show: every
+    // metric and every registry counter equals the rebuilt input's.
+    for (const auto &app : wk::standardSuite()) {
+        for (const auto mode : kModes) {
+            const Observed miss = observeFresh(app, opts(mode));
+            const Observed hit = observe(app, opts(mode));
+            EXPECT_TRUE(miss.metrics.validated) << app.name;
+            EXPECT_TRUE(hit.metrics == miss.metrics)
+                << app.name << " mode " << static_cast<int>(mode);
+            EXPECT_EQ(hit.registry, miss.registry)
+                << app.name << " mode " << static_cast<int>(mode);
+            EXPECT_EQ(hit.metrics.kernelChecksum,
+                      app.kernel(app.generate(42, 0.05)).checksum)
+                << app.name;
+        }
+    }
+
+    // A changed scale or seed is a new input, and going back is too:
+    // each call, hit or miss, equals a run on a freshly built input.
+    // (pagerank has four ranks, kmeans is a GPU app.)
+    const std::vector<std::pair<double, std::uint64_t>> keys = {
+        {0.05, 42}, {0.05, 42}, {0.1, 42}, {0.1, 42}, {0.05, 42},
+        {0.05, 7},  {0.05, 7},  {0.05, 42}};
+    for (const char *name : {"pagerank", "kmeans"}) {
+        const auto &app = wk::findApp(name);
+        for (const auto mode : kModes) {
+            std::vector<Observed> fresh;
+            for (const auto &[scale, seed] : keys) {
+                auto o = opts(mode, scale);
+                o.seed = seed;
+                fresh.push_back(observeFresh(app, o));
+            }
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                auto o = opts(mode, keys[i].first);
+                o.seed = keys[i].second;
+                const Observed got = observe(app, o);
+                EXPECT_TRUE(got.metrics == fresh[i].metrics)
+                    << name << " step " << i;
+                EXPECT_EQ(got.registry, fresh[i].registry)
+                    << name << " step " << i;
+            }
+        }
+    }
 }
