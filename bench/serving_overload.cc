@@ -6,7 +6,7 @@
  * load; past saturation a device-only deployment's tail collapses,
  * and a host-only deployment (the Fig 1 baseline path) caps out at
  * the host CPU's conversion rate. The hybrid execution layer
- * (sched::HybridPlacementPolicy + host::HostExecEngine) should beat
+ * (sched::HybridPlacementPolicy + host::hostExecute) should beat
  * both at the same offered load by spilling and splitting across the
  * two executors, and shed the residual overload deterministically.
  *

@@ -30,7 +30,6 @@
 #include "core/host_runtime.hh"
 #include "core/nvme_p2p.hh"
 #include "core/standard_apps.hh"
-#include "host/host_exec.hh"
 #include "serde/columnar.hh"
 #include "workloads/serving.hh"
 
@@ -196,8 +195,7 @@ main()
 
         // Host fallback: the same shared kernel, one shot.
         const serde::ScanResult host_res =
-            host::HostExecEngine::scanColumnar(flash.data(),
-                                               flash.size(), spec);
+            serde::scanTable(flash.data(), flash.size(), spec);
         const bool host_ok = host_res.ok && host_res.out == ref.out;
 
         // Split execution: device prefix (no trailer), host suffix
@@ -212,9 +210,8 @@ main()
         serde::ScanSpec suf = spec;
         suf.flags |= serde::kScanNoHeader;
         const serde::ScanResult host_suf =
-            host::HostExecEngine::scanColumnar(
-                flash.data(), flash.size(), suf, prefix_groups,
-                dev_pre.result.returnValue);
+            serde::scanTable(flash.data(), flash.size(), suf,
+                             prefix_groups, dev_pre.result.returnValue);
         std::vector<std::uint8_t> stitched = dev_pre.payload;
         stitched.insert(stitched.end(), host_suf.out.begin(),
                         host_suf.out.end());

@@ -98,6 +98,37 @@ class HostCpu
         return _cores.unit(core);
     }
 
+    /** Queued work on @p core at @p now, in microseconds. */
+    double
+    coreBacklogUs(unsigned core, sim::Tick now) const
+    {
+        const sim::Tick free_at = coreTimeline(core).freeAt();
+        if (free_at <= now)
+            return 0.0;
+        return static_cast<double>(free_at - now) /
+               static_cast<double>(sim::kPsPerUs);
+    }
+
+    /** The core that frees up earliest (ties to the lowest index, so
+     *  the pick is deterministic). */
+    unsigned
+    leastLoadedCore() const
+    {
+        unsigned best = 0;
+        for (unsigned c = 1; c < _config.cores; ++c)
+            if (coreTimeline(c).freeAt() < coreTimeline(best).freeAt())
+                best = c;
+        return best;
+    }
+
+    /** Backlog of the least-loaded core at @p now, in microseconds —
+     *  the host-side load signal of the hybrid placement policy. */
+    double
+    minBacklogUs(sim::Tick now) const
+    {
+        return coreBacklogUs(leastLoadedCore(), now);
+    }
+
     std::uint64_t cyclesExecuted() const
     {
         return _cyclesExecuted.value();

@@ -3,36 +3,17 @@
 #include <algorithm>
 
 #include "nvme/command.hh"
+#include "sim/logging.hh"
 
 namespace morpheus::host {
 
-const char *
-hostExecReasonName(HostExecReason r)
-{
-    switch (r) {
-      case HostExecReason::kBreaker:
-        return "breaker";
-      case HostExecReason::kProbe:
-        return "probe";
-      case HostExecReason::kOverload:
-        return "overload";
-      case HostExecReason::kSplit:
-        return "split";
-    }
-    return "?";
-}
-
-HostExecEngine::HostExecEngine(HostSystem &sys, double cost_scale)
-    : _sys(sys), _costScale(cost_scale)
-{
-}
-
 sim::Tick
-HostExecEngine::execute(const HostExecRequest &req, unsigned core,
-                        sim::Tick when)
+hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
+            sim::Tick when)
 {
-    OsModel &os = _sys.os();
-    HostCpu &cpu = _sys.cpu();
+    MORPHEUS_ASSERT(req.chunkBytes > 0, "host path without a chunk size");
+    OsModel &os = sys.os();
+    HostCpu &cpu = sys.cpu();
 
     const std::uint64_t range = req.extent.sizeBytes;
     const std::uint64_t file_bytes =
@@ -45,8 +26,8 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
                             : req.objectBytes * range / file_bytes;
 
     // Raw staging buffer X and the object buffer Y.
-    const pcie::Addr buf_x = _sys.allocHost(kChunkBytes);
-    const pcie::Addr buf_y = _sys.allocHost(obj_bytes);
+    const pcie::Addr buf_x = sys.allocHost(req.chunkBytes);
+    const pcie::Addr buf_y = sys.allocHost(obj_bytes);
     const sim::Tick opened = os.syscall(core, when);  // open()
     sim::Tick cpu_cursor = os.pageFaults(
         core, os.faultsForBytes(obj_bytes), opened);
@@ -54,18 +35,22 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
     // The reference parse cost covers the whole file; each chunk's
     // conversion charge is its prorated share.
     const double total_convert =
-        cpu.convertCycles(req.cost) * _costScale;
+        cpu.convertCycles(req.cost) * req.costScale;
     std::uint64_t offset = 0;
     while (offset < range) {
         const std::uint64_t len =
-            std::min<std::uint64_t>(kChunkBytes, range - offset);
-        // A split's remainder can start mid-block; the device reads
-        // whole blocks, so align the I/O down (a no-op — identical
-        // call — for the block-aligned whole-extent path).
+            std::min<std::uint64_t>(req.chunkBytes, range - offset);
+        // The kernel's readahead keeps a deep queue at the device:
+        // every chunk is issued at `when` and the device-side
+        // timelines serialize them. A split's remainder can start
+        // mid-block; the device reads whole blocks, so align the I/O
+        // down (a no-op for a block-aligned whole file).
         const std::uint64_t start = req.extent.startByte + offset;
         const std::uint64_t skew = start % nvme::kBlockBytes;
-        const sim::Tick io_done = _sys.ssdBackend(req.device).read(
-            start - skew, len + skew, buf_x, when);
+        const sim::Tick io_done =
+            req.backend.read(start - skew, len + skew, buf_x, when);
+        // read() syscall + FS work + blocking switch pair, then the
+        // string-to-binary conversion itself.
         const sim::Tick ready = std::max(cpu_cursor, io_done);
         const sim::Tick fs_done =
             os.blockingReadOverhead(core, len, ready);
@@ -73,62 +58,18 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
                                static_cast<double>(len) /
                                static_cast<double>(file_bytes);
         cpu_cursor = cpu.execute(core, convert, fs_done);
-        _sys.mem().cpuAccess(len, obj_bytes * len / range, fs_done);
+        // Raw out of X (the DMA into X is the backend's), objects
+        // into Y.
+        sys.mem().cpuAccess(len, obj_bytes * len / range, fs_done);
         offset += len;
     }
 
-    _sys.freeHost(buf_x, kChunkBytes);
-    _sys.freeHost(buf_y, obj_bytes);
-
-    ++_execs[static_cast<std::size_t>(req.reason)];
-    _deliveredBytes += obj_bytes;
+    sys.freeHost(buf_x, req.chunkBytes);
+    sys.freeHost(buf_y, obj_bytes);
 
     obs::traceSpan("host.exec", "host_exec", "host", when, cpu_cursor,
                    {.trace = req.trace, .tenant = req.tenant});
     return cpu_cursor;
-}
-
-double
-HostExecEngine::coreBacklogUs(unsigned core, sim::Tick now) const
-{
-    const sim::Tick free_at =
-        _sys.cpu().coreTimeline(core).freeAt();
-    if (free_at <= now)
-        return 0.0;
-    return static_cast<double>(free_at - now) /
-           static_cast<double>(sim::kPsPerUs);
-}
-
-unsigned
-HostExecEngine::leastLoadedCore(sim::Tick now) const
-{
-    const unsigned cores = _sys.cpu().config().cores;
-    unsigned best = 0;
-    sim::Tick best_free = _sys.cpu().coreTimeline(0).freeAt();
-    for (unsigned c = 1; c < cores; ++c) {
-        const sim::Tick f = _sys.cpu().coreTimeline(c).freeAt();
-        if (f < best_free) {
-            best_free = f;
-            best = c;
-        }
-    }
-    (void)now;
-    return best;
-}
-
-double
-HostExecEngine::minBacklogUs(sim::Tick now) const
-{
-    return coreBacklogUs(leastLoadedCore(now), now);
-}
-
-std::uint64_t
-HostExecEngine::totalExecutions() const
-{
-    std::uint64_t sum = 0;
-    for (const std::uint64_t n : _execs)
-        sum += n;
-    return sum;
 }
 
 }  // namespace morpheus::host

@@ -1,147 +1,71 @@
 /**
  * @file
- * The host-execution engine: the paper's baseline object-creation path
- * (Fig 1 — blocking read() of the raw text plus CPU conversion) as a
- * reusable executor with modeled host-CPU load and queueing.
+ * The host path: the paper's conventional object creation (Fig 1(b) —
+ * blocking read() of the raw text into a staging buffer X, then CPU
+ * conversion into the object buffer Y) on the modeled host CPU, OS and
+ * storage backend.
  *
- * Two serving mechanisms run on it:
- *  - availability: the circuit breaker's fallback, rescuing requests
- *    while the device path is faulting, and
- *  - capacity: the hybrid placement policy's overload spill, including
- *    the host half of a split request (the device streams+parses a
- *    prefix while this engine converts the remainder).
+ * This is the one host path of the simulator. The paper runs' baseline
+ * mode converts each rank's file with it, and serving runs it for the
+ * circuit breaker's fallback, the hybrid placement policy's overload
+ * spill and the host half of a split request. The two differ only in
+ * the request: the backend read from and the read-chunk size.
  *
- * Host CPU queueing is modeled by HostCpu's per-core timelines (every
- * execute() acquires the core's unit, so concurrent host-path work
- * serializes per core exactly like any other host CPU charge), and the
- * engine exposes that backlog as the load signal the placement policy
- * compares against device pressure. Per-reason counters make the
- * triggers distinguishable in the serving report and federated
- * metrics.
- *
- * The model-call sequence of execute() is byte-for-byte the one the
- * serving driver's inline fallback used to make, so promoting it here
- * changes no simulated timing.
+ * Host CPU queueing is modeled by HostCpu's per-core timelines: every
+ * call acquires its core, so concurrent host-path work serializes per
+ * core like any other host CPU charge, and HostCpu::minBacklogUs()
+ * exposes that backlog as the placement policy's host load signal.
  */
 
 #ifndef MORPHEUS_HOST_HOST_EXEC_HH
 #define MORPHEUS_HOST_HOST_EXEC_HH
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 
 #include "host/host_system.hh"
+#include "host/storage_backend.hh"
 #include "obs/trace.hh"
-#include "serde/columnar.hh"
 #include "serde/parse.hh"
 
 namespace morpheus::host {
 
-/** Why a request runs on the host path. */
-enum class HostExecReason : std::uint8_t {
-    kBreaker = 0,  ///< Circuit breaker open (or post-failure rescue).
-    kProbe,        ///< A failed half-open probe's rescue.
-    kOverload,     ///< Hybrid placement spilled past device pressure.
-    kSplit,        ///< The host half of a split request.
-};
-
-/** Number of HostExecReason values (array extent). */
-constexpr std::size_t kNumHostExecReasons = 4;
-
-/** Short stable name ("breaker", "probe", "overload", "split"). */
-const char *hostExecReasonName(HostExecReason r);
-
 /** One host-path execution request. */
 struct HostExecRequest
 {
+    /** Backend holding the file (an SSD, the HDD or the RAM drive). */
+    StorageBackend &backend;
     /** Byte range to read and convert — the whole file, or the suffix
      *  the device is not covering in a split. */
     FileExtent extent;
-    /** Whole-file length; the conversion charge and delivered object
-     *  bytes are prorated by extent.sizeBytes / fileBytes. */
+    /** Whole-file length (0 = the extent is the whole file); the
+     *  conversion charge and delivered object bytes are prorated by
+     *  extent.sizeBytes / fileBytes. */
     std::uint64_t fileBytes = 0;
     /** Whole-object size (prorated like the conversion). */
     std::uint64_t objectBytes = 0;
     /** Reference parse cost of the whole file. */
-    serde::ParseCost cost;
-    /** SSD holding the file (0 outside fleet runs). */
-    unsigned device = 0;
+    serde::ParseCost cost{};
+    /** Size of the staging buffer X, i.e. of each read() (required). */
+    std::uint64_t chunkBytes = 0;
+    /** Multiplies the conversion cycles (models a relatively slower
+     *  host; 1.0 = the reference model). */
+    double costScale = 1.0;
     /** Tenant the execution belongs to (span annotation). */
     std::uint32_t tenant = 0;
-    HostExecReason reason = HostExecReason::kBreaker;
     /** Trace id the host_exec span is recorded under (0 = none). */
     obs::TraceId trace = 0;
 };
 
-/** Executes requests on the modeled host CPU/OS/backend path. */
-class HostExecEngine
-{
-  public:
-    /** Read-chunk size of the host path (matches the baseline
-     *  runner's default staging buffer). */
-    static constexpr std::uint64_t kChunkBytes = 256 * 1024;
-
-    /** @p cost_scale multiplies the conversion cycles (models a
-     *  relatively slower host; 1.0 = the reference model). */
-    explicit HostExecEngine(HostSystem &sys, double cost_scale = 1.0);
-
-    /**
-     * Run @p req's range on host @p core starting at @p when: open()
-     * syscall, object-buffer page faults, then a chunked loop of
-     * backend read -> blocking-read overhead -> prorated conversion
-     * cycles -> memory traffic. @return the completion tick. Records a
-     * "host_exec" span under req.trace while a trace sink is attached.
-     */
-    sim::Tick execute(const HostExecRequest &req, unsigned core,
-                      sim::Tick when);
-
-    /**
-     * Functional host-side columnar scan: the same shared kernel the
-     * firmware applet runs (serde::ColumnarScanner over the raw CMF1
-     * bytes), so a breaker fallback, a hybrid spill, or the host half
-     * of a split returns byte-identical output to the device pushdown
-     * path. @p first_group > 0 selects split-suffix mode (scan row
-     * groups from there on, no result header, trailer counts
-     * @p base_surviving prefix rows). Timing is charged by execute()
-     * with the scan's ParseCost like any other host conversion.
-     */
-    static serde::ScanResult
-    scanColumnar(const std::uint8_t *data, std::size_t size,
-                 const serde::ScanSpec &spec,
-                 std::uint64_t first_group = 0,
-                 std::uint64_t base_surviving = 0)
-    {
-        return serde::scanTable(data, size, spec, first_group,
-                                base_surviving);
-    }
-
-    /** Queued host-CPU work on @p core at @p now, in microseconds. */
-    double coreBacklogUs(unsigned core, sim::Tick now) const;
-
-    /** The least-loaded core at @p now (earliest free; ties to the
-     *  lowest index — deterministic). */
-    unsigned leastLoadedCore(sim::Tick now) const;
-
-    /** Backlog of the least-loaded core at @p now, in microseconds —
-     *  the host-side load signal of the placement policy. */
-    double minBacklogUs(sim::Tick now) const;
-
-    std::uint64_t executions(HostExecReason r) const
-    {
-        return _execs[static_cast<std::size_t>(r)];
-    }
-    std::uint64_t totalExecutions() const;
-    /** Object bytes delivered by the host path so far. */
-    std::uint64_t deliveredBytes() const { return _deliveredBytes; }
-    double costScale() const { return _costScale; }
-
-  private:
-    HostSystem &_sys;
-    const double _costScale;
-    std::array<std::uint64_t, kNumHostExecReasons> _execs{};
-    std::uint64_t _deliveredBytes = 0;
-};
+/**
+ * Run @p req's range on host @p core starting at @p when: open()
+ * syscall, first-touch faults on Y, then a chunked loop of backend
+ * read -> blocking-read overhead -> prorated conversion cycles ->
+ * memory traffic; X and Y are freed before return. @return the
+ * completion tick. Records a "host_exec" span under req.trace while a
+ * trace sink is attached.
+ */
+sim::Tick hostExecute(HostSystem &sys, const HostExecRequest &req,
+                      unsigned core, sim::Tick when);
 
 }  // namespace morpheus::host
 

@@ -90,8 +90,8 @@ struct HybridConfig
     double hostHighUs = 1000.0;
 
     /** Multiplier on the host path's modeled conversion cycles (> 1
-     *  models a slower host; the serving driver passes it through to
-     *  the host-execution engine). */
+     *  models a slower host; the serving driver passes it as each
+     *  host::hostExecute request's costScale). */
     double hostCostScale = 1.0;
 
     /** Enable the shed valve. */

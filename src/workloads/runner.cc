@@ -9,6 +9,7 @@
 #include "core/host_runtime.hh"
 #include "core/nvme_p2p.hh"
 #include "core/standard_apps.hh"
+#include "host/host_exec.hh"
 #include "sim/logging.hh"
 #include "workloads/partition.hh"
 
@@ -95,68 +96,11 @@ preparedInput(const AppSpec &app, std::uint64_t seed, double scale,
 /** The per-rank input files of one run. */
 struct RankInput
 {
-    std::uint64_t objBytes = 0;       ///< Binary size of the shard.
+    std::uint64_t objBytes = 0;  ///< Binary size of the shard.
     /** Serialized shard, owned by the PreparedInput. */
     const std::vector<std::uint8_t> *text = nullptr;
-    host::FileExtent extent;          ///< Where it lives on the device.
-    std::uint64_t backendOffset = 0;  ///< Offset for HDD/RAM backends.
+    host::FileExtent extent;     ///< Where it lives on the backend.
 };
-
-/** Baseline deserialization of one rank's file. @return finish tick. */
-sim::Tick
-baselineDeserRank(host::HostSystem &sys, host::StorageBackend &backend,
-                  const AppSpec &app, const RankInput &input,
-                  unsigned core, sim::Tick t0,
-                  const serde::ParseCost &cost)
-{
-    host::OsModel &os = sys.os();
-    host::HostCpu &cpu = sys.cpu();
-    host::HostMemory &mem = sys.mem();
-
-    // Raw staging buffer X and the object buffer Y (Fig 1(b)).
-    const pcie::Addr buf_x = sys.allocHost(app.baselineChunkBytes);
-    const std::uint64_t obj_bytes = input.objBytes;
-    sys.allocHost(obj_bytes);  // buffer Y
-
-    sim::Tick t = os.syscall(core, t0);  // open()
-    // First-touch faults on the freshly allocated object buffer.
-    sim::Tick cpu_cursor =
-        os.pageFaults(core, os.faultsForBytes(obj_bytes), t);
-
-    const std::uint64_t file_bytes = input.text->size();
-    const double total_convert = cpu.convertCycles(cost);
-
-    std::uint64_t offset = 0;
-    while (offset < file_bytes) {
-        const std::uint64_t len = std::min<std::uint64_t>(
-            app.baselineChunkBytes, file_bytes - offset);
-        // The kernel's readahead keeps a deep queue of requests at the
-        // device: every chunk is issued eagerly and the device-side
-        // resource timelines (flash dies, channels, PCIe link) do the
-        // actual serialization, so sequential streams run at device
-        // bandwidth, not one-request latency.
-        const sim::Tick io_done = backend.read(
-            input.backendOffset + offset, len, buf_x, t0);
-
-        // read() syscall + FS work + blocking switch pair, then the
-        // string-to-binary conversion itself (phase B).
-        const sim::Tick ready = std::max(cpu_cursor, io_done);
-        const sim::Tick fs_done =
-            os.blockingReadOverhead(core, len, ready);
-        const double convert =
-            total_convert * static_cast<double>(len) /
-            static_cast<double>(file_bytes);
-        cpu_cursor = cpu.execute(core, convert, fs_done);
-
-        // Memory traffic: raw into X (DMA, already counted by the
-        // backend), raw out of X, objects into Y.
-        const std::uint64_t obj_share =
-            obj_bytes * len / file_bytes;
-        mem.cpuAccess(len, obj_share, fs_done);
-        offset += len;
-    }
-    return cpu_cursor;
-}
 
 /** Charge the (parallel) CPU kernel across the app's ranks. */
 sim::Tick
@@ -216,16 +160,15 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
         if (backend == &sys.ssdBackend()) {
             inputs[r].extent = sys.createFile(
                 app.name + ".part" + std::to_string(r), text);
-            inputs[r].backendOffset = inputs[r].extent.startByte;
-            ingest_done =
-                std::max(ingest_done, inputs[r].extent.readyAt);
         } else {
-            inputs[r].backendOffset = backend_cursor;
-            ingest_done = std::max(ingest_done,
-                                   backend->ingest(backend_cursor, text));
+            inputs[r].extent.startByte = backend_cursor;
+            inputs[r].extent.sizeBytes = text.size();
+            inputs[r].extent.readyAt =
+                backend->ingest(backend_cursor, text);
             backend_cursor +=
                 (text.size() + 4095) & ~std::uint64_t(4095);
         }
+        ingest_done = std::max(ingest_done, inputs[r].extent.readyAt);
     }
 
     const std::uint64_t obj_total = objectBytes(input.truth);
@@ -257,16 +200,20 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     std::vector<std::uint64_t> gpu_dev_addrs(ranks, 0);
 
     if (opts.mode == ExecutionMode::kBaseline) {
-        // The host parse is the modelled CPU work: its cost drives the
-        // timing and its object is what the baseline produced.
+        // Fig 1(b) on the host path, one rank per core. The host parse
+        // is the modelled CPU work: its cost drives the timing and its
+        // object is what the baseline produced.
         std::vector<AnyObject> parsed(ranks);
         for (unsigned r = 0; r < ranks; ++r) {
-            serde::ParseCost cost;
+            host::HostExecRequest req{
+                .backend = *backend,
+                .extent = inputs[r].extent,
+                .objectBytes = inputs[r].objBytes,
+                .chunkBytes = app.baselineChunkBytes};
             parsed[r] = parseObject(app.object, inputs[r].text->data(),
-                                    inputs[r].text->size(), &cost);
-            const sim::Tick t = baselineDeserRank(
-                sys, *backend, app, inputs[r], r, t0, cost);
-            deser_done = std::max(deser_done, t);
+                                    inputs[r].text->size(), &req.cost);
+            deser_done = std::max(deser_done,
+                                  host::hostExecute(sys, req, r, t0));
         }
         produced = mergeObjects(app.object, parsed);
     } else {

@@ -67,6 +67,16 @@ OutcomeCounts::operator+=(const OutcomeCounts &o)
 
 namespace {
 
+/** Read-chunk size of serving's host path (its staging buffer X). */
+constexpr std::uint64_t kHostChunkBytes = 256 * 1024;
+
+/** Why a request runs on the host path. */
+enum class HostExecReason : std::uint8_t {
+    kBreaker,   ///< Circuit breaker open (or post-failure rescue).
+    kProbe,     ///< A failed half-open probe's rescue.
+    kOverload,  ///< Hybrid placement spilled past device pressure.
+};
+
 /** Latencies (µs) of a set of served requests, in the order they were
  *  sampled. Every sample is kept: quantiles are exact ceil-rank order
  *  statistics — the same pick the per-stage summarizer makes for its
@@ -140,7 +150,7 @@ struct Request
     bool probe = false;  ///< Latest device attempt is a breaker probe.
     bool cacheHit = false;
     /** kFallback: which trigger host-routed it. */
-    host::HostExecReason fallbackReason = host::HostExecReason::kBreaker;
+    HostExecReason fallbackReason = HostExecReason::kBreaker;
 
     bool
     served() const
@@ -457,7 +467,6 @@ class ServingLoop
           _breakers(opts.tenants.size(),
                     sched::CircuitBreaker(opts.breakerThreshold,
                                           kBreakerProbeEvery)),
-          _hostExec(sys, opts.hybrid.hostCostScale),
           _hybrid(sys.numSsds(),
                   sched::HybridPlacementPolicy(opts.hybrid))
     {
@@ -532,7 +541,7 @@ class ServingLoop
             kShedReject,  ///< Past the shed bounce budget.
         } kind = kDevice;
         bool probe = false;  ///< A half-open breaker probe.
-        host::HostExecReason reason = host::HostExecReason::kBreaker;
+        HostExecReason reason = HostExecReason::kBreaker;
         std::uint64_t cut = 0;
         sim::Tick resume = 0;
     };
@@ -562,7 +571,7 @@ class ServingLoop
         sig.backlogBytes = _fabric.deviceBacklogBytes(inst.device);
         sig.queueDepth = _fabric.deviceQueueDepth(inst.device);
         sig.dsramBounces = _fabric.deviceDsramBounces(inst.device);
-        sig.hostBacklogUs = _hostExec.minBacklogUs(when);
+        sig.hostBacklogUs = _sys.cpu().minBacklogUs(when);
         sig.requestBytes = inst.extent.sizeBytes;
         const sched::PlacementDecision pd =
             _hybrid[inst.device].decide(sig, when);
@@ -571,7 +580,7 @@ class ServingLoop
             break;
           case sched::ExecPlacement::kHost:
             r.kind = Route::kHost;
-            r.reason = host::HostExecReason::kOverload;
+            r.reason = HostExecReason::kOverload;
             break;
           case sched::ExecPlacement::kShed:
             // Past the bounce budget the request is rejected outright
@@ -604,7 +613,7 @@ class ServingLoop
         req.probe = r.probe;
         switch (r.kind) {
           case Route::kHost:
-            if (r.reason == host::HostExecReason::kOverload)
+            if (r.reason == HostExecReason::kOverload)
                 recordServingInstant("place_host", tenantId(req), when);
             fallback(idx, when, r.reason, 0);
             return;
@@ -694,12 +703,12 @@ class ServingLoop
         // probe's rescue is counted under its own reason so the
         // breaker's duty cycle is visible.
         fallback(idx, when,
-                 req.probe ? host::HostExecReason::kProbe
-                           : host::HostExecReason::kBreaker,
+                 req.probe ? HostExecReason::kProbe
+                           : HostExecReason::kBreaker,
                  split_host_done);
     }
 
-    void fallback(unsigned idx, sim::Tick when, host::HostExecReason reason,
+    void fallback(unsigned idx, sim::Tick when, HostExecReason reason,
                   sim::Tick split_host_done);
 
     /** Host-path work for the whole of request @p idx. A write's host
@@ -707,20 +716,22 @@ class ServingLoop
      *  and a plain write lands the text, charged as the same chunked
      *  transfer+convert over the destination region. */
     host::HostExecRequest
-    hostRequest(unsigned idx, host::HostExecReason reason)
+    hostRequest(unsigned idx)
     {
         const Request &req = _requests[idx];
         const ObjectInstance &inst = _corpus.of(req);
-        host::HostExecRequest hreq;
-        hreq.extent = req.write ? inst.writeDst : inst.extent;
-        hreq.fileBytes = hreq.extent.sizeBytes;
-        hreq.objectBytes = req.write ? inst.writeSrcBytes : inst.objectBytes;
-        hreq.cost = inst.cost;
-        hreq.device = inst.device;
-        hreq.tenant = tenantId(req);
-        hreq.reason = reason;
-        hreq.trace = hostTrace(idx);
-        return hreq;
+        const host::FileExtent &extent =
+            req.write ? inst.writeDst : inst.extent;
+        return {.backend = _sys.ssdBackend(inst.device),
+                .extent = extent,
+                .fileBytes = extent.sizeBytes,
+                .objectBytes =
+                    req.write ? inst.writeSrcBytes : inst.objectBytes,
+                .cost = inst.cost,
+                .chunkBytes = kHostChunkBytes,
+                .costScale = _opts.hybrid.hostCostScale,
+                .tenant = tenantId(req),
+                .trace = hostTrace(idx)};
     }
 
     /** The one terminal transition: fold @p idx into the ledger, then
@@ -751,9 +762,9 @@ class ServingLoop
         }
         if (to == Request::State::kFallback) {
             ++t.fallbacks;
-            ++(req.fallbackReason == host::HostExecReason::kOverload
+            ++(req.fallbackReason == HostExecReason::kOverload
                    ? t.fallbackOverload
-               : req.fallbackReason == host::HostExecReason::kProbe
+               : req.fallbackReason == HostExecReason::kProbe
                    ? t.fallbackProbe
                    : t.fallbackBreaker);
         }
@@ -935,9 +946,6 @@ class ServingLoop
     std::vector<std::uint64_t> _issued;
 
     std::vector<sched::CircuitBreaker> _breakers;
-    /** Serves breaker fallbacks always; with hybrid enabled also
-     *  overload spill and split halves. */
-    host::HostExecEngine _hostExec;
     /** One placement policy per device (per-device hysteresis). */
     std::vector<sched::HybridPlacementPolicy> _hybrid;
 
@@ -1029,12 +1037,11 @@ ServingLoop::beginSession(unsigned idx, sim::Tick when, std::uint64_t cut)
         // now, concurrent (in simulated time) with the device stream.
         // A bounced MINIT never reaches here, so a bounce costs no
         // host work.
-        host::HostExecRequest hreq =
-            hostRequest(idx, host::HostExecReason::kSplit);
+        host::HostExecRequest hreq = hostRequest(idx);
         hreq.extent.startByte += cut;
         hreq.extent.sizeBytes -= cut;
-        as.splitHostDone = _hostExec.execute(
-            hreq, _hostExec.leastLoadedCore(when), when);
+        as.splitHostDone = host::hostExecute(
+            _sys, hreq, _sys.cpu().leastLoadedCore(), when);
     }
     transition(req, cut > 0 ? Request::State::kSplit
                             : Request::State::kStreaming);
@@ -1051,7 +1058,7 @@ ServingLoop::beginSession(unsigned idx, sim::Tick when, std::uint64_t cut)
 
 void
 ServingLoop::fallback(unsigned idx, sim::Tick when,
-                      host::HostExecReason reason, sim::Tick split_host_done)
+                      HostExecReason reason, sim::Tick split_host_done)
 {
     // The paper's baseline path (Fig 1): host read()s the raw text in
     // chunks and converts on the CPU. The breaker uses it to keep
@@ -1061,15 +1068,15 @@ ServingLoop::fallback(unsigned idx, sim::Tick when,
     const bool split = req.state == Request::State::kSplit;
     // Breaker-path rescues keep the classic tenant-pinned core;
     // overload spill spreads over the least-loaded core.
-    const unsigned core = reason == host::HostExecReason::kOverload
-                              ? _hostExec.leastLoadedCore(when)
+    const unsigned core = reason == HostExecReason::kOverload
+                              ? _sys.cpu().leastLoadedCore()
                               : req.tenantIdx % _sys.cpu().config().cores;
-    host::HostExecRequest hreq = hostRequest(idx, reason);
+    host::HostExecRequest hreq = hostRequest(idx);
     // A failed split session is rescued over its device prefix only:
     // the host half of the remainder already ran.
     if (split)
         hreq.extent.sizeBytes = sched::splitPrefixBytes(hreq.fileBytes);
-    sim::Tick done = _hostExec.execute(hreq, core, when);
+    sim::Tick done = host::hostExecute(_sys, hreq, core, when);
     if (split)
         done = std::max(done, split_host_done);
 

@@ -16,7 +16,6 @@
 #include "core/host_runtime.hh"
 #include "core/nvme_p2p.hh"
 #include "core/standard_apps.hh"
-#include "host/host_exec.hh"
 #include "host/host_system.hh"
 #include "serde/columnar.hh"
 #include "sim/fault.hh"
@@ -221,8 +220,7 @@ TEST(Columnar, DeviceMatchesHostBitIdentical)
     const auto flash = t.toFlash();
     const auto spec = sd::makeSelectivitySpec(0.10, 2, 5);
     const auto desc = spec.encode();
-    const auto ref = ho::HostExecEngine::scanColumnar(
-        flash.data(), flash.size(), spec);
+    const auto ref = sd::scanTable(flash.data(), flash.size(), spec);
     ASSERT_TRUE(ref.ok);
 
     // Chunk sizes that divide, straddle, and exceed a row group, with

@@ -1,14 +1,18 @@
 /**
  * @file
  * Host-side model tests: sparse memory, DRAM accounting, CPU DVFS and
- * parse cost, OS overhead accounting, GPU roofline, and the assembled
- * HostSystem (file creation and read-back).
+ * parse cost, OS overhead accounting, GPU roofline, the assembled
+ * HostSystem (file creation and read-back), and the host path
+ * (hostExecute).
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "host/host_exec.hh"
 #include "host/host_system.hh"
 #include "obs/metrics.hh"
 
@@ -100,6 +104,24 @@ TEST(HostCpu, ConvertCostSeparatesIntAndFloat)
     floats.floatValues = 100;
     floats.floatOps = 1400;
     EXPECT_GT(cpu.convertCycles(floats), cpu.convertCycles(ints));
+}
+
+TEST(HostCpu, LeastLoadedCoreTiesToLowestIndex)
+{
+    ho::HostCpu cpu(ho::CpuConfig{});
+    EXPECT_EQ(cpu.leastLoadedCore(), 0u);  // all idle
+    cpu.execute(0, 1000, 0);
+    cpu.execute(1, 1000, 0);
+    EXPECT_EQ(cpu.leastLoadedCore(), 2u);
+    cpu.execute(2, 1000, 0);
+    cpu.execute(3, 1000, 0);
+    // All four free at the same tick again: the lowest index wins.
+    EXPECT_EQ(cpu.leastLoadedCore(), 0u);
+    const ms::Tick busy_until = cpu.coreTimeline(0).freeAt();
+    EXPECT_DOUBLE_EQ(cpu.minBacklogUs(0),
+                     static_cast<double>(busy_until) /
+                         static_cast<double>(ms::kPsPerUs));
+    EXPECT_EQ(cpu.minBacklogUs(busy_until), 0.0);
 }
 
 TEST(OsModel, ChargesAndCounts)
@@ -299,4 +321,118 @@ TEST(HostSystem, RegisterStatsDumpsTheWholeMachine)
     // Host DRAM's resident set is a gauge read at report time.
     EXPECT_EQ(set.counterValue("host.mem.residentBytes"),
               sys.mem().store().residentBytes());
+}
+
+// ------------------------------------------------------------ host path
+
+namespace {
+
+/** A backend that records each read and serves it at once. */
+class RecordingBackend : public ho::StorageBackend
+{
+  public:
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> reads;
+
+    std::string name() const override { return "recording"; }
+    ms::Tick
+    ingest(std::uint64_t, const std::vector<std::uint8_t> &) override
+    {
+        return 0;
+    }
+    ms::Tick
+    read(std::uint64_t offset, std::uint64_t len, morpheus::pcie::Addr,
+         ms::Tick earliest) override
+    {
+        reads.emplace_back(offset, len);
+        return earliest;
+    }
+};
+
+/** A whole-file host-path request for @p extent on SSD 0. */
+ho::HostExecRequest
+wholeFile(ho::HostSystem &sys, const ho::FileExtent &extent,
+          std::uint64_t chunk_bytes)
+{
+    ho::HostExecRequest req{.backend = sys.ssdBackend(),
+                            .extent = extent,
+                            .fileBytes = extent.sizeBytes,
+                            .objectBytes = 3 * extent.sizeBytes,
+                            .chunkBytes = chunk_bytes};
+    req.cost.bytes = extent.sizeBytes;
+    req.cost.intValues = extent.sizeBytes / 8;
+    return req;
+}
+
+}  // namespace
+
+TEST(HostExecute, SyscallsAreOpenPlusOneReadPerChunk)
+{
+    ho::HostSystem sys;
+    const auto extent =
+        sys.createFile("f", std::vector<std::uint8_t>(100000, '7'));
+    for (const std::uint64_t chunk : {16 * ms::kKiB, 64 * ms::kKiB,
+                                      256 * ms::kKiB}) {
+        const std::uint64_t before = sys.os().syscalls();
+        const ms::Tick done = ho::hostExecute(
+            sys, wholeFile(sys, extent, chunk), 0, extent.readyAt);
+        EXPECT_GT(done, extent.readyAt);
+        const std::uint64_t chunks = (100000 + chunk - 1) / chunk;
+        EXPECT_EQ(sys.os().syscalls() - before, 1 + chunks) << chunk;
+    }
+}
+
+TEST(HostExecute, BuffersGoBackToTheFreeLists)
+{
+    // The pattern of HostSystem.AllocFreeCyclesStayFlat: repeated
+    // calls reuse X and Y, so neither the allocator top nor the host
+    // DRAM's resident set grows.
+    ho::HostSystem sys;
+    const auto extent =
+        sys.createFile("f", std::vector<std::uint8_t>(100000, '7'));
+    const ho::HostExecRequest req = wholeFile(sys, extent, 32 * ms::kKiB);
+    ms::Tick t = ho::hostExecute(sys, req, 0, extent.readyAt);
+    const std::uint64_t resident = sys.mem().store().residentBytes();
+    // A buffer of a size the host path never uses comes from the bump
+    // pointer, so two of them bracket the calls in between.
+    const std::uint64_t probe = 9 * 4096;
+    const auto top = sys.allocHost(probe);
+    for (int n = 0; n < 200; ++n)
+        t = ho::hostExecute(sys, req, n % 4, t);
+    EXPECT_EQ(sys.allocHost(probe), top + probe);
+    EXPECT_EQ(sys.mem().store().residentBytes(), resident);
+}
+
+TEST(HostExecute, MidBlockSuffixReadsFromTheAlignedDownBlock)
+{
+    ho::HostSystem sys;
+    RecordingBackend backend;
+    // A split's host half: the suffix of a 10000-byte file from byte
+    // 4096 + 700, read in 1 KiB chunks.
+    ho::FileExtent suffix;
+    suffix.startByte = 4096 + 700;
+    suffix.sizeBytes = 10000 - 700;
+    ho::HostExecRequest req{.backend = backend,
+                            .extent = suffix,
+                            .fileBytes = 10000,
+                            .objectBytes = 8000,
+                            .chunkBytes = 1024};
+    req.cost.bytes = 10000;
+    ho::hostExecute(sys, req, 0, 0);
+
+    ASSERT_EQ(backend.reads.size(), (suffix.sizeBytes + 1023) / 1024);
+    EXPECT_EQ(backend.reads.front(),
+              std::make_pair(std::uint64_t(4096 + 512),
+                             std::uint64_t(1024 + 188)));
+    std::uint64_t start = suffix.startByte;
+    for (const auto &[offset, len] : backend.reads) {
+        // Each read starts at the block holding its first byte and
+        // ends exactly where its chunk ends.
+        const std::uint64_t chunk =
+            std::min<std::uint64_t>(1024, suffix.startByte +
+                                              suffix.sizeBytes - start);
+        EXPECT_EQ(offset % morpheus::nvme::kBlockBytes, 0u);
+        EXPECT_EQ(offset, start - start % morpheus::nvme::kBlockBytes);
+        EXPECT_EQ(offset + len, start + chunk);
+        start += chunk;
+    }
 }

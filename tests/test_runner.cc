@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "workloads/runner.hh"
 
 namespace wk = morpheus::workloads;
@@ -99,6 +101,39 @@ TEST(Runner, BaselineValidatesOnMpiApp)
     const auto m = wk::runWorkload(
         wk::findApp("pagerank"), opts(wk::ExecutionMode::kBaseline));
     EXPECT_TRUE(m.validated);
+}
+
+TEST(Runner, BaselineRecordsOneHostExecSpanPerRank)
+{
+    // Every baseline rank runs the host path, which records one
+    // host_exec span from t0 (all ranks start together) to its own
+    // finish; the deserialization phase ends with the last of them.
+    // Tracing observes the run without changing any of its numbers.
+    const auto &app = wk::findApp("pagerank");
+    ASSERT_EQ(app.parallel, wk::ParallelModel::kMpi);
+    ASSERT_GT(app.ranks, 1u);
+    const auto o = opts(wk::ExecutionMode::kBaseline);
+    const wk::RunMetrics untraced = wk::runWorkload(app, o);
+
+    morpheus::obs::InMemoryTraceSink sink;
+    wk::RunMetrics traced;
+    {
+        morpheus::obs::ScopedTraceSink attach(sink);
+        traced = wk::runWorkload(app, o);
+    }
+    EXPECT_TRUE(traced == untraced);
+
+    const auto spans = sink.named("host_exec");
+    ASSERT_EQ(spans.size(), app.ranks);
+    const morpheus::sim::Tick t0 = spans.front().begin;
+    EXPECT_GT(t0, 0u);  // after the ingest, not at time zero
+    morpheus::sim::Tick last = t0;
+    for (const auto &s : spans) {
+        EXPECT_EQ(s.begin, t0);
+        EXPECT_GT(s.end, s.begin);
+        last = std::max(last, s.end);
+    }
+    EXPECT_EQ(last, t0 + traced.deserTime);
 }
 
 TEST(Runner, AllModesAgreeOnKernelChecksum)
