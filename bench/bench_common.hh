@@ -2,8 +2,9 @@
  * @file
  * Shared helpers for the figure/table reproduction binaries.
  *
- * Every bench binary prints the rows/series of one paper artifact.
- * Default scale keeps each full-suite sweep in the seconds range;
+ * Each bench binary prints the rows/series of one paper artifact,
+ * except fig11_end_to_end, which prints every artifact of the paper
+ * sweep. Default scale keeps each full-suite sweep in the seconds range;
  * override with MORPHEUS_BENCH_SCALE (a double) for bigger inputs —
  * all reported quantities are ratios or rates, so the shapes are
  * scale-invariant.
@@ -22,17 +23,32 @@
 #include <vector>
 
 #include "obs/trace.hh"
+#include "sim/parse_number.hh"
 #include "workloads/runner.hh"
 
 namespace morpheus::bench {
 
-/** Bench input scale (Table I sizes / ~800 by default). */
+/**
+ * Bench input scale (Table I sizes / ~800 by default). A
+ * MORPHEUS_BENCH_SCALE that is not all one number in [0.001, 1000]
+ * (the range of morpheus-run's --scale) exits 2 with a message.
+ */
 inline double
 benchScale()
 {
-    if (const char *env = std::getenv("MORPHEUS_BENCH_SCALE"))
-        return std::atof(env);
-    return 0.25;
+    const char *env = std::getenv("MORPHEUS_BENCH_SCALE");
+    if (!env)
+        return 0.25;
+    double scale = 0.0;
+    if (!sim::parseNumber(env, &scale) || scale < 0.001 ||
+        scale > 1000.0) {
+        std::fprintf(stderr,
+                     "MORPHEUS_BENCH_SCALE needs a number in "
+                     "[0.001, 1000]: %s\n",
+                     env);
+        std::exit(2);
+    }
+    return scale;
 }
 
 /**
@@ -102,8 +118,11 @@ runSuite(const workloads::RunOptions (&opts)[N])
             workloads::RunMetrics m = workloads::runWorkload(app, o);
             if (!m.validated) {
                 std::fprintf(stderr,
-                             "VALIDATION FAILED: %s (mode %d)\n",
-                             app.name.c_str(), static_cast<int>(o.mode));
+                             "VALIDATION FAILED: %s (mode %d, backend "
+                             "%d, %g GHz)\n",
+                             app.name.c_str(), static_cast<int>(o.mode),
+                             static_cast<int>(o.backend),
+                             o.cpuFreqHz / 1e9);
                 std::exit(1);
             }
             rows[i].push_back(SuiteRow{&app, m});

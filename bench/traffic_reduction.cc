@@ -1,12 +1,5 @@
 /**
  * @file
- * §VII-A traffic results: Morpheus reduces PCIe-interconnect traffic
- * (objects instead of text) and CPU-memory-bus traffic (no raw buffer
- * round trips).
- *
- * Paper shape: -22% PCIe bandwidth demand, -58% CPU-memory bus
- * traffic.
- *
  * Extension (DESIGN.md §16): on-device projection & predicate
  * pushdown. A selectivity sweep over a columnar table compares
  * shipping the full table (descriptor-less scan: every row, every
@@ -15,7 +8,8 @@
  * reduction tracks the analytic bound and that the device pushdown,
  * the host fallback, and a split execution return bit-identical
  * bytes. A serving mix then shows the pushdown tenant beating the
- * full-object tenant's p99 at equal offered load.
+ * full-object tenant's p99 at equal offered load. (The paper's §VII-A
+ * baseline-vs-Morpheus traffic table is in fig11_end_to_end.)
  *
  * Exit status is the gate: any sweep or serving check failing returns
  * nonzero.
@@ -78,45 +72,11 @@ pct(double x)
 int
 main()
 {
-    bench::banner("Section VII-A: interconnect traffic during "
-                  "deserialization (+ pushdown selectivity sweep)",
-                  "-22% PCIe traffic, -58% CPU-memory-bus traffic; "
+    bench::banner("Projection and predicate pushdown: PCIe traffic by "
+                  "selectivity",
                   "pushdown PCIe bytes scale with selectivity");
 
-    // ---- part 1: the paper's baseline-vs-Morpheus traffic table ------
-    wk::RunOptions base;
-    base.mode = wk::ExecutionMode::kBaseline;
-    wk::RunOptions morph;
-    morph.mode = wk::ExecutionMode::kMorpheus;
-    const auto [base_rows, morph_rows] = bench::runSuite({base, morph});
-
-    std::printf("%-12s %12s %12s %8s %12s %12s %8s\n", "app",
-                "pcie.b(MB)", "pcie.m(MB)", "saved", "mbus.b(MB)",
-                "mbus.m(MB)", "saved");
-    std::vector<double> pcie_saved, mbus_saved;
-    for (std::size_t i = 0; i < base_rows.size(); ++i) {
-        const auto &b = base_rows[i].metrics;
-        const auto &m = morph_rows[i].metrics;
-        const double ps = 1.0 - static_cast<double>(m.pcieBytesDeser) /
-                                    static_cast<double>(
-                                        b.pcieBytesDeser);
-        const double ms_ = 1.0 -
-                           static_cast<double>(m.membusBytesDeser) /
-                               static_cast<double>(b.membusBytesDeser);
-        pcie_saved.push_back(ps);
-        mbus_saved.push_back(ms_);
-        std::printf("%-12s %12.1f %12.1f %7.0f%% %12.1f %12.1f %7.0f%%\n",
-                    base_rows[i].app->name.c_str(),
-                    b.pcieBytesDeser / 1e6, m.pcieBytesDeser / 1e6,
-                    ps * 100, b.membusBytesDeser / 1e6,
-                    m.membusBytesDeser / 1e6, ms_ * 100);
-    }
-    std::printf("\nmean PCIe traffic saved %.1f%%, mean memory-bus "
-                "traffic saved %.1f%%\n",
-                bench::mean(pcie_saved) * 100,
-                bench::mean(mbus_saved) * 100);
-
-    // ---- part 2: pushdown selectivity sweep --------------------------
+    // ---- part 1: pushdown selectivity sweep --------------------------
     const double scale = bench::benchScale();
     const std::uint64_t rows = std::max<std::uint64_t>(
         2048, static_cast<std::uint64_t>(100000.0 * scale));
@@ -168,7 +128,7 @@ main()
         (rows + group_rows - 1) / group_rows;
     const std::uint64_t prefix_groups = num_groups / 2;
 
-    std::printf("\n== pushdown selectivity sweep: %llu rows x %u cols, "
+    std::printf("== pushdown selectivity sweep: %llu rows x %u cols, "
                 "project %u cols ==\n",
                 static_cast<unsigned long long>(rows), cols, proj_cols);
     std::printf("%6s %14s %14s %10s %10s %10s %6s\n", "sel",
@@ -253,7 +213,7 @@ main()
         ok = false;
     }
 
-    // ---- part 3: serving mix — pushdown vs full-object p99 -----------
+    // ---- part 2: serving mix — pushdown vs full-object p99 -----------
     // Two columnar tenants at the same offered load over the same
     // table geometry: tenant 1 pushes the 10%-selectivity projection
     // down; tenant 2 ships the full table (descriptor-less scan, the
@@ -327,10 +287,6 @@ main()
 
     std::printf("\npushdown gate: %s\n", ok ? "ok" : "FAIL");
 
-    extras.push_back({"mean_pcie_saved", bench::mean(pcie_saved),
-                      "fraction"});
-    extras.push_back({"mean_membus_saved", bench::mean(mbus_saved),
-                      "fraction"});
     extras.push_back({"full_table_bytes", full_bytes, "bytes"});
     extras.push_back({"pushdown_bytes_s10", push_bytes_s10, "bytes"});
     extras.push_back({"serving_p99_pushdown_us", push_t.p99Us, "us"});

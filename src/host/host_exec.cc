@@ -11,7 +11,9 @@ sim::Tick
 hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
             sim::Tick when)
 {
-    MORPHEUS_ASSERT(req.chunkBytes > 0, "host path without a chunk size");
+    MORPHEUS_ASSERT(req.chunkBytes > 0 &&
+                        req.chunkBytes % nvme::kBlockBytes == 0,
+                    "host path chunk size is not whole blocks");
     OsModel &os = sys.os();
     HostCpu &cpu = sys.cpu();
 
@@ -25,8 +27,13 @@ hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
         range == file_bytes ? req.objectBytes
                             : req.objectBytes * range / file_bytes;
 
-    // Raw staging buffer X and the object buffer Y.
-    const pcie::Addr buf_x = sys.allocHost(req.chunkBytes);
+    // Raw staging buffer X and the object buffer Y. A split's
+    // remainder can start mid-block; the device reads whole blocks,
+    // so each read is aligned down and X holds the skew in front of
+    // the chunk (nothing extra for a block-aligned extent).
+    const std::uint64_t x_bytes =
+        req.chunkBytes + req.extent.startByte % nvme::kBlockBytes;
+    const pcie::Addr buf_x = sys.allocHost(x_bytes);
     const pcie::Addr buf_y = sys.allocHost(obj_bytes);
     const sim::Tick opened = os.syscall(core, when);  // open()
     sim::Tick cpu_cursor = os.pageFaults(
@@ -42,9 +49,7 @@ hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
             std::min<std::uint64_t>(req.chunkBytes, range - offset);
         // The kernel's readahead keeps a deep queue at the device:
         // every chunk is issued at `when` and the device-side
-        // timelines serialize them. A split's remainder can start
-        // mid-block; the device reads whole blocks, so align the I/O
-        // down (a no-op for a block-aligned whole file).
+        // timelines serialize them. Align the I/O down to its block.
         const std::uint64_t start = req.extent.startByte + offset;
         const std::uint64_t skew = start % nvme::kBlockBytes;
         const sim::Tick io_done =
@@ -64,7 +69,7 @@ hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
         offset += len;
     }
 
-    sys.freeHost(buf_x, req.chunkBytes);
+    sys.freeHost(buf_x, x_bytes);
     sys.freeHost(buf_y, obj_bytes);
 
     obs::traceSpan("host.exec", "host_exec", "host", when, cpu_cursor,

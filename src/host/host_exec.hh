@@ -45,7 +45,9 @@ struct HostExecRequest
     std::uint64_t objectBytes = 0;
     /** Reference parse cost of the whole file. */
     serde::ParseCost cost{};
-    /** Size of the staging buffer X, i.e. of each read() (required). */
+    /** Bytes of each read() (required; whole 512 B blocks). The
+     *  staging buffer X holds one chunk plus the extent's skew into
+     *  its first block. */
     std::uint64_t chunkBytes = 0;
     /** Multiplies the conversion cycles (models a relatively slower
      *  host; 1.0 = the reference model). */

@@ -332,6 +332,8 @@ class RecordingBackend : public ho::StorageBackend
 {
   public:
     std::vector<std::pair<std::uint64_t, std::uint64_t>> reads;
+    /** Host destination of each read, in order. */
+    std::vector<morpheus::pcie::Addr> dests;
 
     std::string name() const override { return "recording"; }
     ms::Tick
@@ -340,10 +342,11 @@ class RecordingBackend : public ho::StorageBackend
         return 0;
     }
     ms::Tick
-    read(std::uint64_t offset, std::uint64_t len, morpheus::pcie::Addr,
-         ms::Tick earliest) override
+    read(std::uint64_t offset, std::uint64_t len,
+         morpheus::pcie::Addr dest, ms::Tick earliest) override
     {
         reads.emplace_back(offset, len);
+        dests.push_back(dest);
         return earliest;
     }
 };
@@ -407,32 +410,42 @@ TEST(HostExecute, MidBlockSuffixReadsFromTheAlignedDownBlock)
     ho::HostSystem sys;
     RecordingBackend backend;
     // A split's host half: the suffix of a 10000-byte file from byte
-    // 4096 + 700, read in 1 KiB chunks.
+    // 4096 + 700, read in page-sized chunks, so the first read's skew
+    // (188 bytes in front of the suffix) takes it past one chunk.
     ho::FileExtent suffix;
     suffix.startByte = 4096 + 700;
     suffix.sizeBytes = 10000 - 700;
+    const std::uint64_t chunk_bytes = 4096;
     ho::HostExecRequest req{.backend = backend,
                             .extent = suffix,
                             .fileBytes = 10000,
                             .objectBytes = 8000,
-                            .chunkBytes = 1024};
+                            .chunkBytes = chunk_bytes};
     req.cost.bytes = 10000;
     ho::hostExecute(sys, req, 0, 0);
 
-    ASSERT_EQ(backend.reads.size(), (suffix.sizeBytes + 1023) / 1024);
+    ASSERT_EQ(backend.reads.size(),
+              (suffix.sizeBytes + chunk_bytes - 1) / chunk_bytes);
     EXPECT_EQ(backend.reads.front(),
               std::make_pair(std::uint64_t(4096 + 512),
-                             std::uint64_t(1024 + 188)));
+                             std::uint64_t(chunk_bytes + 188)));
+    // X comes from the allocator before Y, and Y is the last buffer
+    // freed, so the next allocation of Y's size returns Y: every read
+    // into X must end at or before it.
+    const morpheus::pcie::Addr y =
+        sys.allocHost(req.objectBytes * suffix.sizeBytes / req.fileBytes);
     std::uint64_t start = suffix.startByte;
-    for (const auto &[offset, len] : backend.reads) {
+    for (std::size_t i = 0; i < backend.reads.size(); ++i) {
+        const auto [offset, len] = backend.reads[i];
         // Each read starts at the block holding its first byte and
         // ends exactly where its chunk ends.
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(1024, suffix.startByte +
-                                              suffix.sizeBytes - start);
+        const std::uint64_t chunk = std::min<std::uint64_t>(
+            chunk_bytes, suffix.startByte + suffix.sizeBytes - start);
         EXPECT_EQ(offset % morpheus::nvme::kBlockBytes, 0u);
         EXPECT_EQ(offset, start - start % morpheus::nvme::kBlockBytes);
         EXPECT_EQ(offset + len, start + chunk);
         start += chunk;
+        EXPECT_EQ(backend.dests[i], backend.dests.front());
+        EXPECT_LE(backend.dests[i] + len, y) << i;
     }
 }

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Check BENCH_<name>.json results against the committed baselines.
 
-Usage, after running the eight benches with MORPHEUS_BENCH_SCALE set to
-the scale the baselines were made at, from the directory that holds
+Usage, after running the benches that write the BENCH_*.json files
+named in BENCHES (ablation_pipeline, fig08_deser_speedup,
+fig11_end_to_end, serving_fleet, serving_cache, serving_breakdown,
+serving_overload and traffic_reduction) with MORPHEUS_BENCH_SCALE set
+to the scale the baselines were made at, from the directory that holds
 their BENCH_*.json (CI: the repository root):
 
     python3 tools/check_bench.py
@@ -22,7 +25,9 @@ import os
 import sys
 
 TOLERANCE = 0.10
-BENCHES = ("ablation_pipeline", "fig03", "fig08", "serving_fleet",
+# fig02, fig03, fig09-fig12 and sec7a all come from fig11_end_to_end.
+BENCHES = ("ablation_pipeline", "fig02", "fig03", "fig08", "fig09",
+           "fig10", "fig11", "fig12", "sec7a", "serving_fleet",
            "serving_cache", "serving_breakdown", "serving_overload",
            "traffic_reduction")
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
