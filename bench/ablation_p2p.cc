@@ -1,7 +1,9 @@
 /**
  * @file
  * Ablation: NVMe-P2P benefit vs object size. P2P removes the host
- * DRAM bounce of the H2D copy; the saving grows with the object.
+ * DRAM bounce of the H2D copy; the saving grows with the object. The
+ * sweep spans 0.2x to 4x the bench scale (0.05 to 1.0 at the default
+ * 0.25).
  */
 
 #include "bench_common.hh"
@@ -20,7 +22,8 @@ main()
     const wk::AppSpec &app = wk::findApp("bfs");
     std::printf("%-10s %12s %12s %12s %10s\n", "scale", "obj(MB)",
                 "morph(ms)", "p2p(ms)", "gain");
-    for (const double scale : {0.05, 0.1, 0.25, 0.5, 1.0}) {
+    for (const double factor : {0.2, 0.4, 1.0, 2.0, 4.0}) {
+        const double scale = factor * bench::benchScale();
         wk::RunOptions o;
         o.mode = wk::ExecutionMode::kMorpheus;
         o.scale = scale;

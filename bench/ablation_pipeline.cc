@@ -141,11 +141,11 @@ main()
         headline += improvement / static_cast<double>(mixes.size());
     }
 
-    bench::BenchConfig cfg;
-    cfg.pipeline = true;
+    // The headline averages the pipeline-on runs.
     bench::writeBenchJson("ablation_pipeline", "meanImprovement",
                           headline, "fraction",
-                          /*higher_is_better=*/true, extra, cfg);
+                          /*higher_is_better=*/true, extra,
+                          mixOptions(mixes.front(), true).sys);
     if (failures) {
         std::fprintf(stderr, "\n%d gate(s) FAILED\n", failures);
         return 1;

@@ -5,9 +5,11 @@
  * Each bench binary prints the rows/series of one paper artifact,
  * except fig11_end_to_end, which prints every artifact of the paper
  * sweep. Default scale keeps each full-suite sweep in the seconds range;
- * override with MORPHEUS_BENCH_SCALE (a double) for bigger inputs —
- * all reported quantities are ratios or rates, so the shapes are
- * scale-invariant.
+ * override with MORPHEUS_BENCH_SCALE (a double) for bigger inputs.
+ * Reported quantities are ratios or rates, but they are not
+ * scale-invariant: the sweep's mean Morpheus end-to-end speedup is
+ * 1.24x at scale 0.05 and 1.42x at 0.25. Compare results made at one
+ * scale only (the CI gates run at 0.05).
  */
 
 #ifndef MORPHEUS_BENCH_BENCH_COMMON_HH
@@ -19,12 +21,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "host/system_config.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/parse_number.hh"
 #include "workloads/runner.hh"
+#include "workloads/serving.hh"
 
 namespace morpheus::bench {
 
@@ -173,25 +180,20 @@ struct BenchMetric
     std::string unit;
 };
 
+/** Named runs whose federated metrics a BENCH_<name>.json embeds. */
+using BenchRuns = std::vector<std::pair<std::string, obs::MetricsRegistry>>;
+
 /**
- * Configuration provenance stamped into BENCH_*.json: a result is
- * only comparable against a baseline produced under the same device
- * count, placement policy, and pipeline setting, so the file records
- * them instead of leaving the reader to guess from the bench name.
+ * Run @p opts with a metrics registry attached and keep that registry
+ * in @p runs under @p name, for writeBenchJson's "runs" block.
  */
-struct BenchConfig
+inline workloads::ServingReport
+runRecorded(BenchRuns &runs, const std::string &name,
+            workloads::ServingOptions opts)
 {
-    unsigned ssds = 1;
-    /** "hash"; "none" when the bench does not shard. */
-    std::string shardPolicy = "none";
-    bool pipeline = false;
-    /** Object-cache provenance: a cached result is only comparable
-     *  against a baseline with the same cache posture. */
-    bool cacheEnabled = false;
-    std::uint64_t cacheBytes = 0;
-    /** "lru" (the only eviction policy); "none" while disabled. */
-    std::string cachePolicy = "none";
-};
+    opts.metrics = &runs.emplace_back(name, obs::MetricsRegistry{}).second;
+    return workloads::runServing(opts);
+}
 
 /** Git revision for BENCH_*.json: MORPHEUS_GIT_REV, then the CI's
  *  GITHUB_SHA, then "unknown" (the simulator itself never shells out). */
@@ -208,16 +210,24 @@ benchGitRev()
 /**
  * Write the machine-readable result record `BENCH_<bench>.json` in the
  * working directory: the headline metric (what the CI regression gate
- * compares across PRs), the bench scale, the git revision, and any
- * secondary metrics. Simulated metrics are deterministic, so the same
+ * compares across PRs), the bench scale, the git revision, any
+ * secondary metrics, and, under "runs", the federated metrics registry
+ * of each of @p runs. Simulated metrics are deterministic, so the same
  * code at the same scale produces the same file on any machine.
+ *
+ * The "config" block is read off @p sys, the platform of the headline
+ * run: a result is only comparable against a baseline made with the
+ * same device count, pipeline setting and cache posture. Serving
+ * places objects on a fleet by hash, so more than one SSD means
+ * "hash" placement.
  */
 inline void
 writeBenchJson(const std::string &bench, const std::string &metric,
                double value, const std::string &unit,
                bool higher_is_better,
                const std::vector<BenchMetric> &extra = {},
-               const BenchConfig &config = {})
+               const host::SystemConfig &sys = {},
+               const BenchRuns &runs = {})
 {
     const std::string path = "BENCH_" + bench + ".json";
     std::ofstream os(path);
@@ -231,6 +241,7 @@ writeBenchJson(const std::string &bench, const std::string &metric,
         std::snprintf(num, sizeof(num), "%.17g", v);
         return num;
     };
+    const bool cache = sys.ssd.cache.enabled;
     os << "{\n"
        << "  \"bench\": \"" << bench << "\",\n"
        << "  \"metric\": \"" << metric << "\",\n"
@@ -240,24 +251,72 @@ writeBenchJson(const std::string &bench, const std::string &metric,
        << (higher_is_better ? "true" : "false") << ",\n"
        << "  \"scale\": " << fmt(benchScale()) << ",\n"
        << "  \"gitRev\": \"" << benchGitRev() << "\",\n"
-       << "  \"config\": {\"ssds\": " << config.ssds
-       << ", \"shardPolicy\": \"" << config.shardPolicy
+       << "  \"config\": {\"ssds\": " << sys.numSsds
+       << ", \"shardPolicy\": \"" << (sys.numSsds > 1 ? "hash" : "none")
        << "\", \"pipeline\": "
-       << (config.pipeline ? "true" : "false")
-       << ", \"cacheEnabled\": "
-       << (config.cacheEnabled ? "true" : "false")
-       << ", \"cacheBytes\": " << config.cacheBytes
-       << ", \"cachePolicy\": \"" << config.cachePolicy << "\"},\n"
+       << (sys.ssd.pipeline.enabled ? "true" : "false")
+       << ", \"cacheEnabled\": " << (cache ? "true" : "false")
+       << ", \"cacheBytes\": " << (cache ? sys.ssd.cache.budgetBytes : 0)
+       << ", \"cachePolicy\": \"" << (cache ? "lru" : "none") << "\"},\n"
        << "  \"metrics\": {";
     for (std::size_t i = 0; i < extra.size(); ++i) {
         os << (i ? ",\n    " : "\n    ") << "\"" << extra[i].name
            << "\": {\"value\": " << fmt(extra[i].value)
            << ", \"unit\": \"" << extra[i].unit << "\"}";
     }
-    os << (extra.empty() ? "" : "\n  ") << "}\n}\n";
+    os << (extra.empty() ? "" : "\n  ") << "}";
+    if (!runs.empty()) {
+        os << ",\n  \"runs\": {";
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            // The registry's own JSON, re-indented two levels deeper.
+            std::ostringstream reg;
+            runs[i].second.writeJson(reg);
+            std::string body = reg.str();
+            body.pop_back();  // writeJson's closing newline
+            for (std::size_t at = body.find('\n');
+                 at != std::string::npos; at = body.find('\n', at + 5))
+                body.insert(at + 1, "    ");
+            os << (i ? ",\n    \"" : "\n    \"") << runs[i].first
+               << "\": " << body;
+        }
+        os << "\n  }";
+    }
+    os << "\n}\n";
     std::fprintf(stderr, "BENCH json: %s=%g %s -> %s\n", metric.c_str(),
                  value, unit.c_str(), path.c_str());
 }
+
+/**
+ * A bench's self-checks. Each gate prints "gate <claim> pass|FAIL" on
+ * stderr; exitStatus() prints the verdict and is main's return value,
+ * 0 when every gate passed and 1 otherwise.
+ */
+class Gates
+{
+  public:
+    bool
+    operator()(bool ok, const char *claim)
+    {
+        std::fprintf(stderr, "gate %-44s %s\n", claim,
+                     ok ? "pass" : "FAIL");
+        _failed += ok ? 0 : 1;
+        return ok;
+    }
+
+    int
+    exitStatus() const
+    {
+        if (_failed == 0) {
+            std::fprintf(stderr, "self-check: PASS\n");
+            return 0;
+        }
+        std::fprintf(stderr, "self-check: FAIL (%u gate(s))\n", _failed);
+        return 1;
+    }
+
+  private:
+    unsigned _failed = 0;
+};
 
 }  // namespace morpheus::bench
 

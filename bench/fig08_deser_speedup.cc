@@ -107,8 +107,7 @@ main()
                          speedups[i], "x"});
     bench::writeBenchJson("fig08", "geomeanSpeedup",
                           bench::geomean(speedups), "x",
-                          /*higher_is_better=*/true, extra,
-                          bench::BenchConfig{});
+                          /*higher_is_better=*/true, extra);
 
     return traceInvarianceCheck(*base_rows.front().app);
 }

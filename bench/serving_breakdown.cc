@@ -17,10 +17,10 @@
  *     export is well formed (openable in Perfetto).
  *
  * MORPHEUS_SLOW_TRACES=<file.json> additionally writes the retained
- * slowest-K traces to disk. Emits one JSON document on stdout.
+ * slowest-K traces to disk. Writes BENCH_serving_breakdown.json with
+ * the instrumented run's federated metrics.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -88,9 +88,7 @@ main()
                          "attribution + flight recorder ==\n");
 
     // --- bare run: the reference results ------------------------------
-    const auto t0 = std::chrono::steady_clock::now();
     const wk::ServingReport plain = wk::runServing(makeOptions());
-    const auto t1 = std::chrono::steady_clock::now();
 
     // --- instrumented run: recorder + breakdown + timeline + SLO -----
     obs::FlightRecorderConfig frc;
@@ -103,59 +101,57 @@ main()
     inst_opts.timeline = &timeline;
     inst_opts.slo.enabled = true;
     inst_opts.slo.targetUs = 4000.0;
-    const wk::ServingReport inst = wk::runServing(inst_opts);
-    const auto t2 = std::chrono::steady_clock::now();
+    bench::BenchRuns runs;
+    const wk::ServingReport inst =
+        bench::runRecorded(runs, "instrumented", inst_opts);
+    runs.back().second.setCounter("obs.timeline_rows",
+                                  timeline.rows().size());
 
-    bool ok = true;
-    auto check = [&](bool cond, const char *what) {
-        if (!cond) {
-            std::fprintf(stderr, "FAIL: %s\n", what);
-            ok = false;
-        }
-    };
+    bench::Gates check;
 
     // 1. Trace invariance: identical simulated results.
     check(plain.makespan == inst.makespan,
-          "instrumented makespan diverged from the bare run");
+          "instrumented makespan matches the bare run");
     check(plain.completed == inst.completed,
-          "instrumented completion count diverged");
+          "instrumented completion count matches");
     check(plain.p50Us == inst.p50Us && plain.p95Us == inst.p95Us &&
               plain.p99Us == inst.p99Us && plain.meanUs == inst.meanUs,
-          "instrumented latency percentiles diverged");
+          "instrumented latency percentiles match");
 
     // 2. Attribution exactness.
     check(inst.attributed == inst.completed,
-          "not every completed request was attributed");
+          "every completed request is attributed");
     check(near(stageSum(inst.stageP99Us), inst.p99Us, 0.01),
-          "p99 stage sum off the measured p99 by more than 1%");
+          "p99 stage sum within 1% of the measured p99");
     check(near(stageSum(inst.stageMeanUs), inst.meanUs, 0.01),
-          "mean stage sum off the measured mean by more than 1%");
+          "mean stage sum within 1% of the measured mean");
     for (const wk::TenantReport &tr : inst.tenants) {
         check(near(stageSum(tr.stageP99Us), tr.p99Us, 0.01),
-              "tenant p99 stage sum off the tenant p99 by more than 1%");
+              "tenant p99 stage sum within 1% of its p99");
         check(tr.p999Us >= tr.p99Us && tr.maxUs >= tr.p999Us,
-              "tenant tail quantiles not monotone");
+              "tenant tail quantiles monotone");
     }
 
     // 3. Recorder retention + export shape.
     const auto retained = recorder.retained();
-    check(!retained.empty(), "recorder retained no traces");
+    check(!retained.empty(), "recorder retained traces");
     check(retained.size() <= frc.slowestK + frc.maxFailed,
-          "recorder retained more than its configured budget");
+          "recorder retained within its configured budget");
+    bool spans_ok = true;
     double worst_us = 0.0;
     for (const auto &rt : retained) {
         worst_us = std::max(
             worst_us, static_cast<double>(rt.meta.latency()) /
                           static_cast<double>(sim::kPsPerUs));
-        check(!rt.spans.empty() || rt.meta.failed,
-              "retained completed trace has no spans");
+        spans_ok = spans_ok && (!rt.spans.empty() || rt.meta.failed);
     }
+    check(spans_ok, "every retained completed trace has spans");
     check(near(worst_us, inst.maxUs, 0.01),
-          "slowest retained trace does not match the measured max");
+          "slowest retained trace matches the measured max");
     std::ostringstream chrome;
     recorder.writeChromeJson(chrome);
     check(chrome.str().rfind("{\"traceEvents\":[", 0) == 0,
-          "slow-trace export is not a Chrome JSON document");
+          "slow-trace export is a Chrome JSON document");
     if (const char *path = std::getenv("MORPHEUS_SLOW_TRACES")) {
         std::ofstream f(path);
         f << chrome.str();
@@ -163,39 +159,12 @@ main()
     }
 
     // 4. Timeline shape.
-    check(!timeline.rows().empty(), "timeline recorded no rows");
-    for (const auto &row : timeline.rows()) {
-        check(row.values.size() == timeline.columns().size(),
-              "timeline row width mismatch");
-    }
-
-    // --- report -------------------------------------------------------
-    std::printf("{\n");
-    std::printf("  \"completed\": %llu,\n",
-                static_cast<unsigned long long>(inst.completed));
-    std::printf("  \"p99_us\": %.2f,\n", inst.p99Us);
-    std::printf("  \"p999_us\": %.2f,\n", inst.p999Us);
-    std::printf("  \"max_us\": %.2f,\n", inst.maxUs);
-    std::printf("  \"retained_traces\": %zu,\n", retained.size());
-    std::printf("  \"timeline_rows\": %zu,\n", timeline.rows().size());
-    std::printf("  \"tenants\": [\n");
-    for (std::size_t i = 0; i < inst.tenants.size(); ++i) {
-        const wk::TenantReport &tr = inst.tenants[i];
-        std::printf("    {\"id\": %u, \"completed\": %llu, "
-                    "\"p99_us\": %.2f, \"slo_burn_rate\": %.3f,\n",
-                    tr.id,
-                    static_cast<unsigned long long>(tr.completed),
-                    tr.p99Us, tr.sloBurnRate);
-        std::printf("     \"p99_breakdown_us\": {");
-        for (std::size_t s = 0; s < obs::kNumStages; ++s) {
-            std::printf("%s\"%s\": %.2f", s ? ", " : "",
-                        obs::stageName(static_cast<obs::Stage>(s)),
-                        tr.stageP99Us[s]);
-        }
-        std::printf("}}%s\n",
-                    i + 1 == inst.tenants.size() ? "" : ",");
-    }
-    std::printf("  ]\n}\n");
+    check(!timeline.rows().empty(), "timeline recorded rows");
+    bool widths_ok = true;
+    for (const auto &row : timeline.rows())
+        widths_ok = widths_ok &&
+                    row.values.size() == timeline.columns().size();
+    check(widths_ok, "every timeline row has one value per column");
 
     // Human-readable per-tenant stage shares on stderr: the "p99 is
     // 62% parse, 21% admission wait" view.
@@ -215,21 +184,6 @@ main()
         std::fprintf(stderr, "\n");
     }
 
-    const double bare_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double inst_ms =
-        std::chrono::duration<double, std::milli>(t2 - t1).count();
-    std::fprintf(stderr,
-                 "BENCH_RESULT {\"bench\": \"serving_breakdown\", "
-                 "\"scale\": %g, \"completed\": %llu, "
-                 "\"p99_us\": %.2f, \"retained\": %zu, "
-                 "\"bare_ms\": %.1f, \"instrumented_ms\": %.1f, "
-                 "\"self_check\": %s}\n",
-                 morpheus::bench::benchScale(),
-                 static_cast<unsigned long long>(inst.completed),
-                 inst.p99Us, retained.size(), bare_ms, inst_ms,
-                 ok ? "true" : "false");
-
     bench::writeBenchJson(
         "serving_breakdown", "observedP99Us", inst.p99Us, "us",
         /*higher_is_better=*/false,
@@ -237,8 +191,6 @@ main()
          {"p999Us", inst.p999Us, "us"},
          {"retainedTraces", static_cast<double>(retained.size()),
           "traces"}},
-        bench::BenchConfig{});
-
-    std::fprintf(stderr, "self-check: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+        inst_opts.sys, runs);
+    return check.exitStatus();
 }

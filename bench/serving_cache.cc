@@ -7,8 +7,8 @@
  * object popularity so a hot set exists for the cache to capture.
  * Cache hits are answered from controller DRAM (no flash fetch, no
  * re-parse, no embedded-core slot), so the cached run must cut the
- * p99 latency at the same offered load. Emits one JSON document on
- * stdout; progress goes to stderr.
+ * p99 latency at the same offered load. Writes BENCH_serving_cache.json
+ * with both runs' federated metrics; progress goes to stderr.
  *
  * Exit status is the self-check: both runs complete every request,
  * the uncached run never reports a hit, every tenant sees hits with
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "ssd/object_cache.hh"
 #include "workloads/serving.hh"
 
 using namespace morpheus;
@@ -71,37 +70,6 @@ makeOptions(bool cache_on)
     return opts;
 }
 
-void
-printRunJson(const char *name, const wk::ServingReport &r, bool last)
-{
-    std::printf("    \"%s\": {\n", name);
-    std::printf("      \"completed\": %llu,\n",
-                static_cast<unsigned long long>(r.completed));
-    std::printf("      \"cache_hits\": %llu,\n",
-                static_cast<unsigned long long>(r.cacheHits));
-    std::printf("      \"throughput_per_sec\": %.0f,\n",
-                r.throughputPerSec);
-    std::printf("      \"mean_us\": %.2f,\n", r.meanUs);
-    std::printf("      \"p50_us\": %.2f,\n", r.p50Us);
-    std::printf("      \"p95_us\": %.2f,\n", r.p95Us);
-    std::printf("      \"p99_us\": %.2f,\n", r.p99Us);
-    std::printf("      \"jain_fairness\": %.4f,\n", r.jainFairness);
-    std::printf("      \"tenants\": [\n");
-    for (std::size_t i = 0; i < r.tenants.size(); ++i) {
-        const wk::TenantReport &t = r.tenants[i];
-        std::printf("        {\"id\": %u, \"completed\": %llu, "
-                    "\"cache_hits\": %llu, \"hit_rate\": %.4f, "
-                    "\"p99_us\": %.2f}%s\n",
-                    t.id,
-                    static_cast<unsigned long long>(t.completed),
-                    static_cast<unsigned long long>(t.cacheHits),
-                    t.cacheHitRate, t.p99Us,
-                    i + 1 == r.tenants.size() ? "" : ",");
-    }
-    std::printf("      ]\n");
-    std::printf("    }%s\n", last ? "" : ",");
-}
-
 }  // namespace
 
 int
@@ -112,10 +80,14 @@ main()
         "hot deserialized objects answered from controller DRAM cut "
         "the p99 of a Zipf-skewed closed-loop serving mix");
 
+    morpheus::bench::BenchRuns runs;
     std::fprintf(stderr, "running cache_off...\n");
-    const wk::ServingReport off = wk::runServing(makeOptions(false));
+    const wk::ServingReport off =
+        morpheus::bench::runRecorded(runs, "cache_off", makeOptions(false));
     std::fprintf(stderr, "running cache_on...\n");
-    const wk::ServingReport on = wk::runServing(makeOptions(true));
+    const wk::ServingOptions on_opts = makeOptions(true);
+    const wk::ServingReport on =
+        morpheus::bench::runRecorded(runs, "cache_on", on_opts);
 
     const double hit_rate =
         on.completed
@@ -133,22 +105,6 @@ main()
             ? on.throughputPerSec / off.throughputPerSec
             : 0.0;
 
-    std::printf("{\n  \"runs\": {\n");
-    printRunJson("cache_off", off, false);
-    printRunJson("cache_on", on, true);
-    std::printf("  },\n");
-    std::printf("  \"hit_rate\": %.4f,\n", hit_rate);
-    std::printf("  \"p99_speedup\": %.3f,\n", p99_speedup);
-    std::printf("  \"p99_improvement\": %.3f,\n", p99_improvement);
-    std::printf("  \"mean_speedup\": %.3f,\n", mean_speedup);
-    std::printf("  \"throughput_speedup\": %.3f\n", tput_speedup);
-    std::printf("}\n");
-
-    morpheus::bench::BenchConfig cfg;
-    cfg.ssds = 1;
-    cfg.cacheEnabled = true;
-    cfg.cacheBytes = ssd::ObjectCacheConfig{}.budgetBytes;
-    cfg.cachePolicy = "lru";
     morpheus::bench::writeBenchJson(
         "serving_cache", "cacheP99Speedup", p99_speedup, "x",
         /*higher_is_better=*/true,
@@ -158,16 +114,10 @@ main()
          {"onP99Us", on.p99Us, "us"},
          {"meanSpeedup", mean_speedup, "x"},
          {"throughputSpeedup", tput_speedup, "x"}},
-        cfg);
+        on_opts.sys, runs);
 
     // ---- self-checks -------------------------------------------------
-    int failures = 0;
-    const auto gate = [&failures](bool ok, const char *what) {
-        std::fprintf(stderr, "gate %-34s %s\n", what,
-                     ok ? "pass" : "FAIL");
-        if (!ok)
-            ++failures;
-    };
+    morpheus::bench::Gates gate;
     gate(off.completed == off.submitted &&
              on.completed == on.submitted &&
              on.submitted == off.submitted,
@@ -180,10 +130,5 @@ main()
     gate(hit_rate >= kMinHitRate, "hit rate >= 0.5");
     gate(p99_improvement >= kMinP99Improvement,
          "cache-on p99 improves >= 20%");
-    if (failures) {
-        std::fprintf(stderr, "%d gate(s) FAILED\n", failures);
-        return 1;
-    }
-    std::fprintf(stderr, "all cache gates passed\n");
-    return 0;
+    return gate.exitStatus();
 }

@@ -23,12 +23,13 @@
  *   - attaching an all-zero-rate plan to run 1 leaves its metrics
  *     byte-identical (inactive plan == no plan).
  *
- * Emits one JSON document on stdout; progress goes to stderr.
+ * Writes BENCH_serving_fault_soak.json: the headline is the faulted
+ * run's p99 over the clean run's (lower is better), and every run but
+ * the determinism repeats embeds its federated metrics. Progress goes
+ * to stderr.
  */
 
 #include <cstdio>
-#include <sstream>
-#include <string>
 
 #include "bench_common.hh"
 #include "obs/metrics.hh"
@@ -89,64 +90,6 @@ makeOptions(bool faults, bool recover)
     return opts;
 }
 
-std::string
-reportString(const obs::MetricsRegistry &reg)
-{
-    std::ostringstream os;
-    reg.report(os);
-    return os.str();
-}
-
-void
-printRunJson(const char *name, const wk::ServingReport &r,
-             const obs::MetricsRegistry &reg, bool last)
-{
-    std::printf("    \"%s\": {\n", name);
-    std::printf("      \"submitted\": %llu,\n",
-                static_cast<unsigned long long>(r.submitted));
-    std::printf("      \"completed\": %llu,\n",
-                static_cast<unsigned long long>(r.completed));
-    std::printf("      \"rejected\": %llu,\n",
-                static_cast<unsigned long long>(r.rejected));
-    std::printf("      \"lost\": %llu,\n",
-                static_cast<unsigned long long>(r.lost));
-    std::printf("      \"device_failures\": %llu,\n",
-                static_cast<unsigned long long>(r.deviceFailures));
-    std::printf("      \"fallbacks\": %llu,\n",
-                static_cast<unsigned long long>(r.fallbacks));
-    std::printf("      \"driver_retries\": %llu,\n",
-                static_cast<unsigned long long>(r.driverRetries));
-    std::printf("      \"driver_timeouts\": %llu,\n",
-                static_cast<unsigned long long>(r.driverTimeouts));
-    std::printf("      \"p50_us\": %.2f,\n", r.p50Us);
-    std::printf("      \"p99_us\": %.2f,\n", r.p99Us);
-    std::printf("      \"max_us\": %.2f,\n", r.maxUs);
-    std::printf("      \"faults\": {\"media\": %llu, \"dma\": %llu, "
-                "\"crash\": %llu, \"hang\": %llu, \"drop\": %llu, "
-                "\"watchdog_kills\": %llu}\n",
-                static_cast<unsigned long long>(
-                    reg.counter("sys.faults.mediaErrors")),
-                static_cast<unsigned long long>(
-                    reg.counter("sys.faults.dmaFaults")),
-                static_cast<unsigned long long>(
-                    reg.counter("sys.faults.appCrashes")),
-                static_cast<unsigned long long>(
-                    reg.counter("sys.faults.appHangs")),
-                static_cast<unsigned long long>(
-                    reg.counter("sys.faults.droppedCqes")),
-                static_cast<unsigned long long>(
-                    reg.counter("sys.faults.watchdogKills")));
-    std::printf("    }%s\n", last ? "" : ",");
-}
-
-bool
-check(bool cond, const char *what)
-{
-    if (!cond)
-        std::fprintf(stderr, "FAIL: %s\n", what);
-    return cond;
-}
-
 }  // namespace
 
 int
@@ -158,10 +101,10 @@ main()
     bench::EnvTrace trace;
 
     // Run 1: fault-free availability baseline (recovery on, no plan).
-    obs::MetricsRegistry clean_reg;
-    wk::ServingOptions clean_opts = makeOptions(false, true);
-    clean_opts.metrics = &clean_reg;
-    const wk::ServingReport clean = wk::runServing(clean_opts);
+    bench::BenchRuns runs;
+    const wk::ServingReport clean =
+        bench::runRecorded(runs, "clean", makeOptions(false, true));
+    const obs::MetricsRegistry clean_reg = runs.back().second;
     std::fprintf(stderr,
                  "clean    : %llu/%llu completed, p99 %8.1f us\n",
                  static_cast<unsigned long long>(clean.completed),
@@ -178,10 +121,10 @@ main()
     (void)wk::runServing(zero_opts);
 
     // Run 2: the same trace under fire, full recovery stack.
-    obs::MetricsRegistry fault_reg;
-    wk::ServingOptions fault_opts = makeOptions(true, true);
-    fault_opts.metrics = &fault_reg;
-    const wk::ServingReport fault = wk::runServing(fault_opts);
+    const wk::ServingOptions fault_opts = makeOptions(true, true);
+    const wk::ServingReport fault =
+        bench::runRecorded(runs, "faulted", fault_opts);
+    const obs::MetricsRegistry fault_reg = runs.back().second;
     std::fprintf(stderr,
                  "faulted  : %llu/%llu completed, %llu device "
                  "failures, %llu fallbacks, %llu retries, p99 %8.1f "
@@ -194,10 +137,8 @@ main()
                  fault.p99Us);
 
     // Run 3: same faults, recovery ablated — requests are lost.
-    obs::MetricsRegistry ablate_reg;
-    wk::ServingOptions ablate_opts = makeOptions(true, false);
-    ablate_opts.metrics = &ablate_reg;
-    const wk::ServingReport ablate = wk::runServing(ablate_opts);
+    const wk::ServingReport ablate =
+        bench::runRecorded(runs, "ablated", makeOptions(true, false));
     std::fprintf(stderr,
                  "ablated  : %llu/%llu completed, %llu lost\n",
                  static_cast<unsigned long long>(ablate.completed),
@@ -206,7 +147,7 @@ main()
 
     // Run 4: run 2 again — the whole faulted run must be bit-stable.
     obs::MetricsRegistry repeat_reg;
-    wk::ServingOptions repeat_opts = makeOptions(true, true);
+    wk::ServingOptions repeat_opts = fault_opts;
     repeat_opts.metrics = &repeat_reg;
     (void)wk::runServing(repeat_opts);
 
@@ -214,11 +155,10 @@ main()
     // Readahead, sub-buffer parse, and coalesced flushes overlap the
     // stages but must not change fault semantics: nothing lost, every
     // request completed or terminally rejected.
-    obs::MetricsRegistry pipe_reg;
     wk::ServingOptions pipe_opts = makeOptions(true, true);
     pipe_opts.sys.ssd.pipeline.enabled = true;
-    pipe_opts.metrics = &pipe_reg;
-    const wk::ServingReport pipe = wk::runServing(pipe_opts);
+    const wk::ServingReport pipe =
+        bench::runRecorded(runs, "pipelined", pipe_opts);
     std::fprintf(stderr,
                  "pipelined: %llu/%llu completed, %llu device "
                  "failures, p99 %8.1f us\n",
@@ -231,11 +171,12 @@ main()
     // are replayed from controller DRAM, but fault semantics must
     // hold: a crashed or media-faulted stream never populates the
     // cache, so availability and correctness survive unchanged.
-    obs::MetricsRegistry cache_reg;
     wk::ServingOptions cache_opts = makeOptions(true, true);
     cache_opts.sys.ssd.cache.enabled = true;
-    cache_opts.metrics = &cache_reg;
-    const wk::ServingReport cached = wk::runServing(cache_opts);
+    const wk::ServingReport cached =
+        bench::runRecorded(runs, "cached", cache_opts);
+    const std::uint64_t cache_insertions =
+        runs.back().second.counter("sys.morpheus.cache.insertions");
     std::fprintf(stderr,
                  "cached   : %llu/%llu completed, %llu cache hits, "
                  "%llu device failures, p99 %8.1f us\n",
@@ -250,14 +191,13 @@ main()
     // availability contract must hold unchanged: nothing lost, bounded
     // tail, and the whole hybrid run bit-deterministic in its seed
     // (run 7b repeats it with identical options).
-    obs::MetricsRegistry hybrid_reg;
     wk::ServingOptions hybrid_opts = makeOptions(true, true);
     hybrid_opts.hybrid.enabled = true;
-    hybrid_opts.metrics = &hybrid_reg;
-    const wk::ServingReport hybrid = wk::runServing(hybrid_opts);
+    const wk::ServingReport hybrid =
+        bench::runRecorded(runs, "hybrid", hybrid_opts);
+    const obs::MetricsRegistry &hybrid_reg = runs.back().second;
     obs::MetricsRegistry hybrid2_reg;
-    wk::ServingOptions hybrid2_opts = makeOptions(true, true);
-    hybrid2_opts.hybrid.enabled = true;
+    wk::ServingOptions hybrid2_opts = hybrid_opts;
     hybrid2_opts.metrics = &hybrid2_reg;
     (void)wk::runServing(hybrid2_opts);
     std::fprintf(
@@ -274,95 +214,77 @@ main()
         static_cast<unsigned long long>(hybrid.splitRequests),
         hybrid.p99Us);
 
-    bool ok = true;
+    bench::Gates check;
     // Availability: with recovery on, nothing is lost — every request
     // either completes (device path or fallback) or is terminally
     // rejected by admission, under faults exactly as without them.
-    ok &= check(clean.lost == 0, "clean run lost requests");
-    ok &= check(clean.deviceFailures == 0,
-                "clean run saw device failures");
-    ok &= check(fault.lost == 0, "faulted run lost requests");
-    ok &= check(fault.completed + fault.rejected == fault.submitted,
-                "faulted run: completed+rejected != submitted");
+    check(clean.lost == 0, "clean run loses nothing");
+    check(clean.deviceFailures == 0, "clean run sees no device failures");
+    check(fault.lost == 0, "faulted run loses nothing");
+    check(fault.completed + fault.rejected == fault.submitted,
+          "faulted: completed + rejected == submitted");
     // Bounded degradation: the tail may inflate, but not past 3x.
-    ok &= check(fault.p99Us <= 3.0 * clean.p99Us,
-                "faulted p99 exceeds 3x fault-free p99");
+    check(fault.p99Us <= 3.0 * clean.p99Us,
+          "faulted p99 within 3x the fault-free p99");
     // The soak actually exercised every fault class and every
     // recovery mechanism.
-    ok &= check(fault_reg.counter("sys.faults.mediaErrors") >= 1,
-                "no media errors fired");
-    ok &= check(fault_reg.counter("sys.faults.dmaFaults") >= 1,
-                "no DMA faults fired");
-    ok &= check(fault_reg.counter("sys.faults.appCrashes") >= 1,
-                "no app crashes fired");
-    ok &= check(fault_reg.counter("sys.faults.appHangs") >= 1,
-                "no app hangs fired");
-    ok &= check(fault_reg.counter("sys.faults.droppedCqes") >= 1,
-                "no CQEs dropped");
-    ok &= check(fault_reg.counter("sys.faults.watchdogKills") >= 1,
-                "watchdog never killed a hung instance");
-    ok &= check(fault.deviceFailures >= 1, "no device-path failures");
-    ok &= check(fault.fallbacks >= 1, "host fallback never used");
-    ok &= check(fault.driverRetries >= 1, "driver never retried");
+    check(fault_reg.counter("sys.faults.mediaErrors") >= 1,
+          "media errors fired");
+    check(fault_reg.counter("sys.faults.dmaFaults") >= 1,
+          "DMA faults fired");
+    check(fault_reg.counter("sys.faults.appCrashes") >= 1,
+          "app crashes fired");
+    check(fault_reg.counter("sys.faults.appHangs") >= 1,
+          "app hangs fired");
+    check(fault_reg.counter("sys.faults.droppedCqes") >= 1,
+          "CQEs dropped");
+    check(fault_reg.counter("sys.faults.watchdogKills") >= 1,
+          "watchdog killed a hung instance");
+    check(fault.deviceFailures >= 1, "device-path failures occurred");
+    check(fault.fallbacks >= 1, "host fallback used");
+    check(fault.driverRetries >= 1, "driver retried");
     // The ablation proves the faults are load-bearing: without
     // retries/fallback the same schedule loses requests — and, since
     // breakerThreshold == 0 disables the breaker entirely, the host
     // fallback path must never have run.
-    ok &= check(ablate.lost > 0, "ablated run lost nothing");
-    ok &= check(ablate.fallbacks == 0,
-                "recovery-off ablation used the host fallback");
+    check(ablate.lost > 0, "ablated run loses requests");
+    check(ablate.fallbacks == 0, "ablated run never falls back");
     // Hybrid execution under fire preserves the same contract and is
     // itself bit-deterministic.
-    ok &= check(hybrid.lost == 0, "hybrid faulted run lost requests");
-    ok &= check(hybrid.completed + hybrid.rejected == hybrid.submitted,
-                "hybrid run: completed+rejected != submitted");
-    ok &= check(hybrid.p99Us <= 3.0 * clean.p99Us,
-                "hybrid faulted p99 exceeds 3x fault-free p99");
-    ok &= check(hybrid.fallbacks == hybrid.fallbackBreaker +
-                                        hybrid.fallbackOverload +
-                                        hybrid.fallbackProbe,
-                "per-reason fallback counters do not sum to total");
-    ok &= check(reportString(hybrid_reg) == reportString(hybrid2_reg),
-                "hybrid faulted rerun not bit-identical");
+    check(hybrid.lost == 0, "hybrid faulted run loses nothing");
+    check(hybrid.completed + hybrid.rejected == hybrid.submitted,
+          "hybrid: completed + rejected == submitted");
+    check(hybrid.p99Us <= 3.0 * clean.p99Us,
+          "hybrid faulted p99 within 3x the fault-free p99");
+    check(hybrid.fallbacks == hybrid.fallbackBreaker +
+                                  hybrid.fallbackOverload +
+                                  hybrid.fallbackProbe,
+          "per-reason fallbacks sum to the total");
+    check(hybrid_reg == hybrid2_reg, "hybrid faulted rerun bit-identical");
     // The pipeline preserves the availability contract under fire.
-    ok &= check(pipe.lost == 0, "pipelined faulted run lost requests");
-    ok &= check(pipe.completed + pipe.rejected == pipe.submitted,
-                "pipelined run: completed+rejected != submitted");
-    ok &= check(pipe.p99Us <= 3.0 * clean.p99Us,
-                "pipelined faulted p99 exceeds 3x fault-free p99");
+    check(pipe.lost == 0, "pipelined faulted run loses nothing");
+    check(pipe.completed + pipe.rejected == pipe.submitted,
+          "pipelined: completed + rejected == submitted");
+    check(pipe.p99Us <= 3.0 * clean.p99Us,
+          "pipelined faulted p99 within 3x the fault-free p99");
     // The object cache preserves the availability contract under fire
     // and actually serves hits (the request mix repeats hot objects).
-    ok &= check(cached.lost == 0, "cached faulted run lost requests");
-    ok &= check(cached.completed + cached.rejected == cached.submitted,
-                "cached run: completed+rejected != submitted");
-    ok &= check(cached.cacheHits >= 1,
-                "cache never hit under the soak's repeating mix");
-    ok &= check(cache_reg.counter("sys.morpheus.cache.insertions") >= 1,
-                "cache never populated");
+    check(cached.lost == 0, "cached faulted run loses nothing");
+    check(cached.completed + cached.rejected == cached.submitted,
+          "cached: completed + rejected == submitted");
+    check(cached.cacheHits >= 1, "cache hits under the repeating mix");
+    check(cache_insertions >= 1, "cache populated");
     // Determinism guards.
-    ok &= check(reportString(fault_reg) == reportString(repeat_reg),
-                "faulted rerun not bit-identical");
-    ok &= check(reportString(clean_reg) == reportString(zero_reg),
-                "zero-rate plan perturbed the clean run");
+    check(fault_reg == repeat_reg, "faulted rerun bit-identical");
+    check(clean_reg == zero_reg, "zero-rate plan leaves the clean run");
 
-    std::printf("{\n  \"runs\": {\n");
-    printRunJson("clean", clean, clean_reg, false);
-    printRunJson("faulted", fault, fault_reg, false);
-    printRunJson("ablated", ablate, ablate_reg, true);
-    std::printf("  },\n");
-    std::printf("  \"p99_inflation\": %.3f,\n",
-                clean.p99Us > 0.0 ? fault.p99Us / clean.p99Us : 0.0);
-    std::printf("  \"self_check\": %s\n}\n", ok ? "true" : "false");
-
-    std::fprintf(stderr,
-                 "BENCH_RESULT {\"bench\": \"serving_fault_soak\", "
-                 "\"scale\": %g, \"clean_p99_us\": %.2f, "
-                 "\"faulted_p99_us\": %.2f, \"lost_ablated\": %llu, "
-                 "\"self_check\": %s}\n",
-                 morpheus::bench::benchScale(), clean.p99Us,
-                 fault.p99Us,
-                 static_cast<unsigned long long>(ablate.lost),
-                 ok ? "true" : "false");
-    std::fprintf(stderr, "self-check: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+    bench::writeBenchJson(
+        "serving_fault_soak", "faultedP99Inflation",
+        clean.p99Us > 0.0 ? fault.p99Us / clean.p99Us : 0.0, "x",
+        /*higher_is_better=*/false,
+        {{"cleanP99Us", clean.p99Us, "us"},
+         {"faultedP99Us", fault.p99Us, "us"},
+         {"ablatedLost", static_cast<double>(ablate.lost), "requests"}},
+        fault_opts.sys, runs);
+    return check.exitStatus();
 }

@@ -31,13 +31,12 @@
  *   - the repeated hybrid run's federated metrics are byte-identical
  *     (the whole placement layer is bit-deterministic in its seed).
  *
- * Emits one JSON document on stdout; progress goes to stderr.
+ * Writes BENCH_serving_overload.json with the federated metrics of
+ * runs 1-3; progress goes to stderr.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
-#include <string>
 
 #include "bench_common.hh"
 #include "obs/metrics.hh"
@@ -93,61 +92,6 @@ setRate(wk::ServingOptions &opts, double total_rate)
             total_rate / static_cast<double>(opts.tenants.size());
 }
 
-std::string
-reportString(const obs::MetricsRegistry &reg)
-{
-    std::ostringstream os;
-    reg.report(os);
-    return os.str();
-}
-
-void
-printRunJson(const char *name, const wk::ServingReport &r, bool last)
-{
-    std::printf("    \"%s\": {\n", name);
-    std::printf("      \"submitted\": %llu,\n",
-                static_cast<unsigned long long>(r.submitted));
-    std::printf("      \"completed\": %llu,\n",
-                static_cast<unsigned long long>(r.completed));
-    std::printf("      \"rejected\": %llu,\n",
-                static_cast<unsigned long long>(r.rejected));
-    std::printf("      \"lost\": %llu,\n",
-                static_cast<unsigned long long>(r.lost));
-    std::printf("      \"throughput_per_sec\": %.0f,\n",
-                r.throughputPerSec);
-    std::printf("      \"fallbacks\": {\"breaker\": %llu, "
-                "\"overload\": %llu, \"probe\": %llu},\n",
-                static_cast<unsigned long long>(r.fallbackBreaker),
-                static_cast<unsigned long long>(r.fallbackOverload),
-                static_cast<unsigned long long>(r.fallbackProbe));
-    std::printf("      \"splits\": %llu,\n",
-                static_cast<unsigned long long>(r.splitRequests));
-    std::printf("      \"shed\": {\"bounces\": %llu, "
-                "\"rejected\": %llu},\n",
-                static_cast<unsigned long long>(r.shedBounces),
-                static_cast<unsigned long long>(r.rejected));
-    std::printf("      \"placements\": {\"device\": %llu, "
-                "\"host\": %llu, \"split\": %llu, \"shed\": %llu, "
-                "\"flips\": %llu},\n",
-                static_cast<unsigned long long>(r.hybridDecisions[0]),
-                static_cast<unsigned long long>(r.hybridDecisions[1]),
-                static_cast<unsigned long long>(r.hybridDecisions[2]),
-                static_cast<unsigned long long>(r.hybridDecisions[3]),
-                static_cast<unsigned long long>(r.hybridFlips));
-    std::printf("      \"p50_us\": %.2f,\n", r.p50Us);
-    std::printf("      \"p99_us\": %.2f,\n", r.p99Us);
-    std::printf("      \"max_us\": %.2f\n", r.maxUs);
-    std::printf("    }%s\n", last ? "" : ",");
-}
-
-bool
-check(bool cond, const char *what)
-{
-    if (!cond)
-        std::fprintf(stderr, "FAIL: %s\n", what);
-    return cond;
-}
-
 }  // namespace
 
 int
@@ -167,7 +111,9 @@ main()
         64.0 * (morpheus::bench::benchScale() / 0.25));
     if (cal_opts.closedLoopRequests < 16)
         cal_opts.closedLoopRequests = 16;
-    const wk::ServingReport cal = wk::runServing(cal_opts);
+    bench::BenchRuns runs;
+    const wk::ServingReport cal =
+        bench::runRecorded(runs, "calibration", cal_opts);
     const double saturation = cal.throughputPerSec;
     std::fprintf(stderr, "saturation: %.0f req/s (closed loop)\n",
                  saturation);
@@ -177,7 +123,8 @@ main()
     wk::ServingOptions pre_opts = baseOptions();
     pre_opts.hybrid = hybridConfig();
     setRate(pre_opts, 0.5 * saturation);
-    const wk::ServingReport pre = wk::runServing(pre_opts);
+    const wk::ServingReport pre =
+        bench::runRecorded(runs, "pre_saturation", pre_opts);
     std::fprintf(stderr, "pre-saturation: p99 %8.1f us at 0.5x\n",
                  pre.p99Us);
 
@@ -186,7 +133,8 @@ main()
 
     wk::ServingOptions dev_opts = baseOptions();
     setRate(dev_opts, offered);
-    const wk::ServingReport dev = wk::runServing(dev_opts);
+    const wk::ServingReport dev =
+        bench::runRecorded(runs, "device_only", dev_opts);
     std::fprintf(stderr,
                  "device-only: %llu completed, %.0f req/s, "
                  "p99 %8.1f us\n",
@@ -198,19 +146,19 @@ main()
     host_opts.hybrid.forceHost = true;
     host_opts.hybrid.shed = false;
     setRate(host_opts, offered);
-    const wk::ServingReport host = wk::runServing(host_opts);
+    const wk::ServingReport host =
+        bench::runRecorded(runs, "host_only", host_opts);
     std::fprintf(stderr,
                  "host-only  : %llu completed, %.0f req/s, "
                  "p99 %8.1f us\n",
                  static_cast<unsigned long long>(host.completed),
                  host.throughputPerSec, host.p99Us);
 
-    obs::MetricsRegistry hy_reg;
     wk::ServingOptions hy_opts = baseOptions();
     hy_opts.hybrid = hybridConfig();
-    hy_opts.metrics = &hy_reg;
     setRate(hy_opts, offered);
-    const wk::ServingReport hy = wk::runServing(hy_opts);
+    const wk::ServingReport hy = bench::runRecorded(runs, "hybrid", hy_opts);
+    const obs::MetricsRegistry &hy_reg = runs.back().second;
     std::fprintf(stderr,
                  "hybrid     : %llu completed, %.0f req/s, "
                  "p99 %8.1f us (%llu spill, %llu split, %llu shed "
@@ -223,55 +171,39 @@ main()
 
     // 4. Determinism: the identical hybrid run, byte for byte.
     obs::MetricsRegistry hy2_reg;
-    wk::ServingOptions hy2_opts = baseOptions();
-    hy2_opts.hybrid = hybridConfig();
+    wk::ServingOptions hy2_opts = hy_opts;
     hy2_opts.metrics = &hy2_reg;
-    setRate(hy2_opts, offered);
     (void)wk::runServing(hy2_opts);
 
-    bool ok = true;
-    ok &= check(cal.lost == 0 && pre.lost == 0 && dev.lost == 0 &&
-                    host.lost == 0 && hy.lost == 0,
-                "a run lost requests");
-    ok &= check(hy.completed + hy.rejected == hy.submitted,
-                "hybrid run: completed+rejected != submitted");
+    bench::Gates check;
+    check(cal.lost == 0 && pre.lost == 0 && dev.lost == 0 &&
+              host.lost == 0 && hy.lost == 0,
+          "no run loses requests");
+    check(hy.completed + hy.rejected == hy.submitted,
+          "hybrid: completed + rejected == submitted");
     // Capacity: hybrid beats both single-executor deployments at the
     // same offered load.
-    ok &= check(hy.throughputPerSec > dev.throughputPerSec,
-                "hybrid does not beat device-only throughput");
-    ok &= check(hy.throughputPerSec > host.throughputPerSec,
-                "hybrid does not beat host-only throughput");
+    check(hy.throughputPerSec > dev.throughputPerSec,
+          "hybrid beats device-only throughput");
+    check(hy.throughputPerSec > host.throughputPerSec,
+          "hybrid beats host-only throughput");
     // Bounded degradation: the tail inflates, but does not collapse.
-    ok &= check(hy.p99Us <= 3.0 * pre.p99Us,
-                "hybrid p99 exceeds 3x the pre-saturation p99");
+    check(hy.p99Us <= 3.0 * pre.p99Us,
+          "hybrid p99 within 3x the pre-saturation p99");
     // The hybrid layer actually engaged (the comparison is not
     // vacuous) and its accounting is closed.
-    ok &= check(hy.fallbackOverload + hy.splitRequests > 0,
-                "hybrid never spilled or split");
-    ok &= check(hy.fallbacks == hy.fallbackBreaker +
-                                    hy.fallbackOverload +
-                                    hy.fallbackProbe,
-                "per-reason fallback counters do not sum to total");
-    ok &= check(reportString(hy_reg) == reportString(hy2_reg),
-                "hybrid rerun not bit-identical");
+    check(hy.fallbackOverload + hy.splitRequests > 0,
+          "hybrid spilled or split");
+    check(hy.fallbacks == hy.fallbackBreaker + hy.fallbackOverload +
+                              hy.fallbackProbe,
+          "per-reason fallbacks sum to the total");
+    check(hy_reg == hy2_reg, "hybrid rerun bit-identical");
 
     const double best_single =
         std::max(dev.throughputPerSec, host.throughputPerSec);
     const double gain =
         best_single > 0.0 ? hy.throughputPerSec / best_single : 0.0;
 
-    std::printf("{\n  \"saturation_per_sec\": %.0f,\n", saturation);
-    std::printf("  \"offered_per_sec\": %.0f,\n", offered);
-    std::printf("  \"pre_saturation_p99_us\": %.2f,\n", pre.p99Us);
-    std::printf("  \"runs\": {\n");
-    printRunJson("device_only", dev, false);
-    printRunJson("host_only", host, false);
-    printRunJson("hybrid", hy, true);
-    std::printf("  },\n");
-    std::printf("  \"hybrid_gain\": %.3f,\n", gain);
-    std::printf("  \"self_check\": %s\n}\n", ok ? "true" : "false");
-
-    bench::BenchConfig cfg;
     bench::writeBenchJson(
         "serving_overload", "hybridThroughputGain", gain, "x",
         /*higher_is_better=*/true,
@@ -283,15 +215,6 @@ main()
          {"hybridP99Us", hy.p99Us, "us"},
          {"p99Inflation",
           pre.p99Us > 0.0 ? hy.p99Us / pre.p99Us : 0.0, "x"}},
-        cfg);
-
-    std::fprintf(stderr,
-                 "BENCH_RESULT {\"bench\": \"serving_overload\", "
-                 "\"scale\": %g, \"hybrid_gain\": %.3f, "
-                 "\"p99_inflation\": %.3f, \"self_check\": %s}\n",
-                 morpheus::bench::benchScale(), gain,
-                 pre.p99Us > 0.0 ? hy.p99Us / pre.p99Us : 0.0,
-                 ok ? "true" : "false");
-    std::fprintf(stderr, "self-check: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+        hy_opts.sys, runs);
+    return check.exitStatus();
 }

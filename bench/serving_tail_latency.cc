@@ -5,8 +5,9 @@
  * Sweeps tenant skew (one hot tenant vs. two cold ones) and offered
  * load, running the identical arrival trace under the paper's static
  * modulo placement and under the load-aware (join-shortest-queue)
- * dispatcher. Emits one JSON document on stdout; progress goes to
- * stderr.
+ * dispatcher. Writes BENCH_serving_tail_latency.json with every sweep
+ * run's federated metrics, named by point and policy (e.g.
+ * "skew4_rate24000.load_aware"); progress goes to stderr.
  *
  * Exit status is the self-check: load-aware placement must beat static
  * placement on p99 latency at the headline skewed/high-load point.
@@ -20,7 +21,6 @@
 
 #include "bench_common.hh"
 #include "obs/flight_recorder.hh"
-#include "obs/metrics.hh"
 #include "workloads/serving.hh"
 
 using namespace morpheus;
@@ -66,54 +66,6 @@ makeOptions(const Point &p, sched::PlacementPolicy placement)
     return opts;
 }
 
-void
-printTenantJson(const wk::TenantReport &t, bool last)
-{
-    std::printf("          {\"id\": %u, \"submitted\": %llu, "
-                "\"completed\": %llu, \"rejected\": %llu, "
-                "\"retries\": %llu, \"dsram_bounces\": %llu, "
-                "\"served_bytes\": %llu, \"p50_us\": %.2f, "
-                "\"p95_us\": %.2f, \"p99_us\": %.2f, "
-                "\"p999_us\": %.2f, \"max_us\": %.2f}%s\n",
-                t.id,
-                static_cast<unsigned long long>(t.submitted),
-                static_cast<unsigned long long>(t.completed),
-                static_cast<unsigned long long>(t.rejected),
-                static_cast<unsigned long long>(t.retries),
-                static_cast<unsigned long long>(t.dsramBounces),
-                static_cast<unsigned long long>(t.servedBytes),
-                t.p50Us, t.p95Us, t.p99Us, t.p999Us, t.maxUs,
-                last ? "" : ",");
-}
-
-void
-printPolicyJson(const char *name, const wk::ServingReport &r,
-                const obs::MetricsRegistry &reg, bool last)
-{
-    std::printf("      \"%s\": {\n", name);
-    std::printf("        \"completed\": %llu,\n",
-                static_cast<unsigned long long>(r.completed));
-    std::printf("        \"mean_us\": %.2f,\n", r.meanUs);
-    std::printf("        \"p50_us\": %.2f,\n", r.p50Us);
-    std::printf("        \"p95_us\": %.2f,\n", r.p95Us);
-    std::printf("        \"p99_us\": %.2f,\n", r.p99Us);
-    std::printf("        \"p999_us\": %.2f,\n", r.p999Us);
-    std::printf("        \"max_us\": %.2f,\n", r.maxUs);
-    std::printf("        \"jain_fairness\": %.4f,\n", r.jainFairness);
-    std::printf("        \"throughput_per_sec\": %.0f,\n",
-                r.throughputPerSec);
-    // Device-side scheduler counter, federated out of the simulated
-    // machine through the metrics registry.
-    std::printf("        \"dsram_bounces\": %llu,\n",
-                static_cast<unsigned long long>(
-                    reg.counter("sys.ssd.sched.dsramBounces")));
-    std::printf("        \"tenants\": [\n");
-    for (std::size_t i = 0; i < r.tenants.size(); ++i)
-        printTenantJson(r.tenants[i], i + 1 == r.tenants.size());
-    std::printf("        ]\n");
-    std::printf("      }%s\n", last ? "" : ",");
-}
-
 }  // namespace
 
 int
@@ -134,24 +86,22 @@ main()
         {4.0, 24000.0},  // headline: skewed, high load
     };
 
-    bool ok = true;
+    bench::BenchRuns runs;
+    bench::Gates gate;
     double headline_static_p99 = 0.0;
     double headline_load_p99 = 0.0;
     std::uint64_t completed_total = 0;
-    std::printf("{\n  \"points\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];
-        obs::MetricsRegistry stat_reg;
-        wk::ServingOptions stat_opts =
-            makeOptions(p, sched::PlacementPolicy::kStatic);
-        stat_opts.metrics = &stat_reg;
-        const wk::ServingReport stat = wk::runServing(stat_opts);
-
-        obs::MetricsRegistry load_reg;
-        wk::ServingOptions load_opts =
-            makeOptions(p, sched::PlacementPolicy::kLoadAware);
-        load_opts.metrics = &load_reg;
-        const wk::ServingReport load = wk::runServing(load_opts);
+        char name[64];
+        std::snprintf(name, sizeof(name), "skew%g_rate%g", p.skew,
+                      p.totalPerSec);
+        const wk::ServingReport stat = bench::runRecorded(
+            runs, std::string(name) + ".static",
+            makeOptions(p, sched::PlacementPolicy::kStatic));
+        const wk::ServingReport load = bench::runRecorded(
+            runs, std::string(name) + ".load_aware",
+            makeOptions(p, sched::PlacementPolicy::kLoadAware));
 
         std::fprintf(stderr,
                      "skew %4.1f rate %6.0f/s | p99 static %8.1f us  "
@@ -163,26 +113,16 @@ main()
 
         // Self-check: on every skewed point the load-aware dispatcher
         // must not lose on p99, and on the headline point it must win.
-        if (p.skew > 1.0 && load.p99Us > stat.p99Us)
-            ok = false;
-        if (i + 1 == points.size() && !(load.p99Us < stat.p99Us))
-            ok = false;
-
+        if (p.skew > 1.0)
+            gate(load.p99Us <= stat.p99Us,
+                 (std::string(name) + ": load-aware p99 <= static").c_str());
         if (i + 1 == points.size()) {
+            gate(load.p99Us < stat.p99Us, "headline: load-aware p99 wins");
             headline_static_p99 = stat.p99Us;
             headline_load_p99 = load.p99Us;
         }
         completed_total += stat.completed + load.completed;
-
-        std::printf("    {\n");
-        std::printf("      \"skew\": %.1f,\n", p.skew);
-        std::printf("      \"total_arrivals_per_sec\": %.0f,\n",
-                    p.totalPerSec);
-        printPolicyJson("static", stat, stat_reg, false);
-        printPolicyJson("load_aware", load, load_reg, true);
-        std::printf("    }%s\n", i + 1 == points.size() ? "" : ",");
     }
-    std::printf("  ]\n}\n");
 
     // Overhead gate: always-on tail-based flight recording must stay
     // cheap enough to leave enabled. Re-run the headline point three
@@ -225,22 +165,8 @@ main()
                  bare_best_ms, rec_best_ms, budget_ms,
                  rec_identical ? "yes" : "NO",
                  overhead_ok ? "ok" : "OVER");
-    if (!overhead_ok || !rec_identical)
-        ok = false;
-
-    // One-line machine-readable summary (stderr keeps stdout a pure
-    // JSON document): future runs build a perf trajectory from CI logs.
-    std::fprintf(stderr,
-                 "BENCH_RESULT {\"bench\": \"serving_tail_latency\", "
-                 "\"scale\": %g, \"points\": %zu, "
-                 "\"completed_total\": %llu, "
-                 "\"headline_static_p99_us\": %.2f, "
-                 "\"headline_load_aware_p99_us\": %.2f, "
-                 "\"self_check\": %s}\n",
-                 morpheus::bench::benchScale(), points.size(),
-                 static_cast<unsigned long long>(completed_total),
-                 headline_static_p99, headline_load_p99,
-                 ok ? "true" : "false");
+    gate(rec_identical, "recorder run reproduces the bare run");
+    gate(overhead_ok, "recorder overhead within budget");
 
     bench::writeBenchJson(
         "serving_tail_latency", "headlineLoadAwareP99Us",
@@ -248,8 +174,7 @@ main()
         {{"headlineStaticP99Us", headline_static_p99, "us"},
          {"completedTotal", static_cast<double>(completed_total),
           "requests"}},
-        bench::BenchConfig{});
-
-    std::fprintf(stderr, "self-check: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+        makeOptions(points.back(), sched::PlacementPolicy::kLoadAware).sys,
+        runs);
+    return gate.exitStatus();
 }

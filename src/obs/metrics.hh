@@ -57,6 +57,10 @@ class MetricsRegistry
     /** One nested JSON object, path segments split on '.'. */
     void writeJson(std::ostream &os) const;
 
+    /** Same names, same kinds, same values: two runs federated the
+     *  same metrics (a NaN scalar never compares equal). */
+    bool operator==(const MetricsRegistry &) const = default;
+
   private:
     std::map<std::string, std::uint64_t> _counters;
     std::map<std::string, double> _scalars;

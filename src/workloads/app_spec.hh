@@ -9,8 +9,10 @@
  *
  * Inputs are generated at a configurable scale; scale 1.0 yields a few
  * to a few tens of MiB per app (Table I's multi-GB inputs divided by
- * ~200) so the whole suite runs in seconds. All reported metrics are
- * ratios or size-linear rates, so the shapes are scale-invariant.
+ * ~200) so the whole suite runs in seconds. The reported metrics are
+ * ratios or size-linear rates, yet they move with the scale (mean
+ * Fig 11 speedup 1.24x at bench scale 0.05, 1.42x at 0.25), so
+ * results are only compared at one scale.
  *
  * Naming note: the OCR of Table I blanked the two BigDataBench rows'
  * application names. BigDataBench's MPI integer-text workloads are its

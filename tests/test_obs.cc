@@ -597,6 +597,27 @@ TEST(MetricsRegistry, ReportInterleavesKindsSorted)
     EXPECT_EQ(os.str(), "a 1\nb.mean 1.5\nc 3\n");
 }
 
+TEST(MetricsRegistry, EqualityComparesEveryNameKindAndValue)
+{
+    ob::MetricsRegistry a;
+    a.setCounter("x", 1);
+    a.setScalar("y", 2.5);
+    ob::MetricsRegistry b = a;
+    EXPECT_EQ(a, b);
+    b.setCounter("x", 2);
+    EXPECT_NE(a, b);  // a counter's value
+    b = a;
+    b.setScalar("y", 2.25);
+    EXPECT_NE(a, b);  // a scalar's value
+    b = a;
+    b.setCounter("z", 0);
+    EXPECT_NE(a, b);  // an extra name, even at 0
+    ob::MetricsRegistry c;
+    c.setScalar("x", 1.0);
+    c.setScalar("y", 2.5);
+    EXPECT_NE(a, c);  // the same value as the other kind
+}
+
 TEST(MetricsRegistry, WriteJsonNestsPathsWithSelfForInteriorLeaves)
 {
     ob::MetricsRegistry reg;

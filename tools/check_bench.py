@@ -4,9 +4,11 @@
 Usage, after running the benches that write the BENCH_*.json files
 named in BENCHES (ablation_pipeline, fig08_deser_speedup,
 fig11_end_to_end, serving_fleet, serving_cache, serving_breakdown,
-serving_overload and traffic_reduction) with MORPHEUS_BENCH_SCALE set
-to the scale the baselines were made at, from the directory that holds
-their BENCH_*.json (CI: the repository root):
+serving_overload, serving_fault_soak, serving_tail_latency and
+traffic_reduction) with MORPHEUS_BENCH_SCALE set to the scale each
+baseline was made at (0.05; 0.25 for serving_fault_soak and
+serving_tail_latency, whose self-checks need the default window), from
+the directory that holds their BENCH_*.json (CI: the repository root):
 
     python3 tools/check_bench.py
 
@@ -14,8 +16,9 @@ For each bench, the headline metric ("value") fails the check when it
 is more than 10% worse than its baseline in bench/baselines/;
 "higherIsBetter" gives the direction. Every sub-metric of the "metrics"
 block is printed with its change for information only, so a re-baseline
-shows what moved. A result and a baseline made at different scales are
-refused.
+shows what moved. A result and a baseline made at different scales, or
+with different "config" blocks (device count, placement, pipeline,
+cache), are refused.
 
 Exits 0 when every bench passes, 1 otherwise.
 """
@@ -29,6 +32,7 @@ TOLERANCE = 0.10
 BENCHES = ("ablation_pipeline", "fig02", "fig03", "fig08", "fig09",
            "fig10", "fig11", "fig12", "sec7a", "serving_fleet",
            "serving_cache", "serving_breakdown", "serving_overload",
+           "serving_fault_soak", "serving_tail_latency",
            "traffic_reduction")
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "..", "bench", "baselines")
@@ -55,6 +59,10 @@ def check(name):
         print(f"{name}: scale {cur['scale']} vs baseline {base['scale']} "
               f"[MIXED SCALES]")
         return f"{name} (mixed scales)"
+    if cur.get("config") != base.get("config"):
+        print(f"{name}: config {json.dumps(cur.get('config'))} vs baseline "
+              f"{json.dumps(base.get('config'))} [MIXED CONFIG]")
+        return f"{name} (mixed config)"
 
     b, c = base["value"], cur["value"]
     delta = change(b, c)
@@ -84,8 +92,8 @@ def check(name):
 def main():
     failures = [f for f in map(check, BENCHES) if f]
     if failures:
-        print(f"bench check failed (>{TOLERANCE:.0%} worse or mixed "
-              f"scales): {failures}")
+        print(f"bench check failed (>{TOLERANCE:.0%} worse, mixed scales "
+              f"or mixed config): {failures}")
         return 1
     print("bench regression check OK")
     return 0

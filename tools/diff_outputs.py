@@ -36,9 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 # Benches that are not deterministic simulator output.
 SKIP_BENCHES = {"micro_parse_profile"}
 
-# Extra arguments a bench gets (as in CI).
-BENCH_ARGS = {"serving_fleet": ["--stats-json", "fleet_stats.json"]}
-
 # stdout lines that carry host wall-clock time: (bench, regex).
 WALL_CLOCK_LINES = [
     ("fig08_deser_speedup", re.compile(r"^host wall clock: ")),
@@ -71,8 +68,7 @@ def commands(build):
         if (name in SKIP_BENCHES or not os.path.isfile(path)
                 or not os.access(path, os.X_OK)):
             continue
-        argv = [os.path.abspath(path)] + BENCH_ARGS.get(name, [])
-        out.append((name, argv))
+        out.append((name, [os.path.abspath(path)]))
     run = os.path.abspath(os.path.join(build, "tools", "morpheus-run"))
     for name, args in SERVE_RUNS.items():
         out.append((name, [run] + args))
