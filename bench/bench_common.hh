@@ -4,7 +4,8 @@
  *
  * Each bench binary prints the rows/series of one paper artifact,
  * except fig11_end_to_end, which prints every artifact of the paper
- * sweep. Default scale keeps each full-suite sweep in the seconds range;
+ * sweep, and ablations, which prints every design-choice ablation.
+ * Default scale keeps each full-suite sweep in the seconds range;
  * override with MORPHEUS_BENCH_SCALE (a double) for bigger inputs.
  * Reported quantities are ratios or rates, but they are not
  * scale-invariant: the sweep's mean Morpheus end-to-end speedup is
@@ -108,10 +109,36 @@ struct SuiteRow
 };
 
 /**
+ * Run one bench cell: @p app under @p o; @p cell names the knob
+ * setting in the bench's own terms (e.g. "4 cores"). Exits 1, naming
+ * the cell, when the object the run produced differs from the
+ * generator's ground truth, so no bench prints a number from a wrong
+ * object.
+ */
+inline workloads::RunMetrics
+runCell(const workloads::AppSpec &app, const workloads::RunOptions &o,
+        const std::string &cell = "")
+{
+    workloads::RunMetrics m = workloads::runWorkload(app, o);
+    if (!m.validated) {
+        std::fprintf(stderr,
+                     "VALIDATION FAILED: %s%s%s (mode %d, backend %d, "
+                     "%g GHz, scale %g)\n",
+                     app.name.c_str(), cell.empty() ? "" : " ",
+                     cell.c_str(), static_cast<int>(o.mode),
+                     static_cast<int>(o.backend), o.cpuFreqHz / 1e9,
+                     o.scale);
+        std::exit(1);
+    }
+    return m;
+}
+
+/**
  * Run the whole Table I suite under each of @p opts (mode etc. pre-set;
- * the scale always comes from benchScale()). The loop is app-major, so
- * one app's runs go back to back on the input runWorkload prepared for
- * the first of them. @return one row vector per option set, in order.
+ * the scale always comes from benchScale()) through runCell. The loop
+ * is app-major, so one app's runs go back to back on the input
+ * runWorkload prepared for the first of them. @return one row vector
+ * per option set, in order.
  */
 template <std::size_t N>
 std::array<std::vector<SuiteRow>, N>
@@ -122,17 +149,7 @@ runSuite(const workloads::RunOptions (&opts)[N])
         for (std::size_t i = 0; i < N; ++i) {
             workloads::RunOptions o = opts[i];
             o.scale = benchScale();
-            workloads::RunMetrics m = workloads::runWorkload(app, o);
-            if (!m.validated) {
-                std::fprintf(stderr,
-                             "VALIDATION FAILED: %s (mode %d, backend "
-                             "%d, %g GHz)\n",
-                             app.name.c_str(), static_cast<int>(o.mode),
-                             static_cast<int>(o.backend),
-                             o.cpuFreqHz / 1e9);
-                std::exit(1);
-            }
-            rows[i].push_back(SuiteRow{&app, m});
+            rows[i].push_back(SuiteRow{&app, runCell(app, o)});
         }
     }
     return rows;
@@ -170,6 +187,20 @@ banner(const char *artifact, const char *claim)
     std::printf("paper: %s\n", claim);
     std::printf("scale: %g (set MORPHEUS_BENCH_SCALE to change)\n\n",
                 benchScale());
+}
+
+/**
+ * Print a section's banner, with a blank line after the previous
+ * section, in a bench that prints several artifacts.
+ */
+inline void
+section(const char *artifact, const char *claim)
+{
+    static bool first = true;
+    if (!first)
+        std::printf("\n");
+    first = false;
+    banner(artifact, claim);
 }
 
 /** One secondary metric in a BENCH_<name>.json report. */

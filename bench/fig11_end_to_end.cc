@@ -19,16 +19,21 @@
  *   - Fig 10: context switches during deserialization (-98%);
  *   - Fig 12 / §VII-B slower servers: the gain grows at 1.2 GHz;
  *   - §VII-A: PCIe (-22%) and CPU-memory-bus (-58%) traffic;
- *   - §VII-A: host CPU load during deserialization.
+ *   - §VII-A: host CPU load during deserialization;
+ *   - Table I: the apps, their suites, parallel models, object kinds
+ *     and input sizes, printed from the AppSpecs and the NVMe baseline
+ *     cells' text size, with no run of its own.
  *
- * Each headline goes to a BENCH_<name>.json that tools/check_bench.py
- * gates: fig02, fig03, fig09, fig10, fig11, fig12 and sec7a.
+ * Each measured headline goes to a BENCH_<name>.json that
+ * tools/check_bench.py gates: fig02, fig03, fig09, fig10, fig11, fig12
+ * and sec7a.
  * MORPHEUS_TRACE=<file.json> records the whole sweep as a Chrome
  * trace. Exits 1 when a run fails validation or the 1.2 GHz mean
  * speedup does not exceed the 2.5 GHz one.
  */
 
 #include "bench_common.hh"
+#include "workloads/objects.hh"
 
 using namespace morpheus;
 namespace wk = morpheus::workloads;
@@ -52,17 +57,7 @@ enum Cell : std::size_t
 };
 
 using Sweep = std::array<std::vector<bench::SuiteRow>, kNumCells>;
-
-/** Print a section's banner, a blank line after the previous one. */
-void
-section(const char *artifact, const char *claim)
-{
-    static bool first = true;
-    if (!first)
-        std::printf("\n");
-    first = false;
-    bench::banner(artifact, claim);
-}
+using bench::section;
 
 void
 endToEnd(const Sweep &s)
@@ -339,6 +334,65 @@ sec7a(const Sweep &s)
           "fraction"}});
 }
 
+const char *
+parallelName(wk::ParallelModel p)
+{
+    switch (p) {
+      case wk::ParallelModel::kMpi:
+        return "MPI";
+      case wk::ParallelModel::kCuda:
+        return "CUDA";
+      case wk::ParallelModel::kSerial:
+        return "N/A";
+    }
+    return "?";
+}
+
+const char *
+objectName(wk::ObjectKind k)
+{
+    switch (k) {
+      case wk::ObjectKind::kEdgeList:
+        return "edge list";
+      case wk::ObjectKind::kEdgeListWeighted:
+        return "weighted edge list";
+      case wk::ObjectKind::kMatrix:
+        return "dense matrix";
+      case wk::ObjectKind::kIntArray:
+        return "integer array";
+      case wk::ObjectKind::kPointSet:
+        return "point set";
+      case wk::ObjectKind::kCooMatrix:
+        return "sparse COO matrix";
+      case wk::ObjectKind::kCsvTable:
+        return "CSV table";
+      case wk::ObjectKind::kJsonRecords:
+        return "JSON records";
+    }
+    return "?";
+}
+
+/** Table I; the scaled input is the text the NVMe baseline read. */
+void
+tableOne(const Sweep &s)
+{
+    section("Table I: applications and input sizes",
+            "10 apps from BigDataBench / Rodinia / standalone, text "
+            "inputs up to 3.6 GB");
+    std::printf("%-12s %-14s %-6s %-19s %12s %14s %9s\n", "app",
+                "suite", "model", "object", "paper input",
+                "scaled input", "float%");
+    for (const auto &row : s[kNvme25]) {
+        const wk::AppSpec &app = *row.app;
+        std::printf("%-12s %-14s %-6s %-19s %9.2f GB %11.2f MB %8.0f%%\n",
+                    app.name.c_str(), app.suite.c_str(),
+                    parallelName(app.parallel), objectName(app.object),
+                    static_cast<double>(app.paperInputBytes) / 1e9,
+                    static_cast<double>(row.metrics.rawTextBytes) / 1e6,
+                    app.floatFraction * 100.0);
+    }
+}
+
 }  // namespace
 
 int
@@ -366,5 +420,6 @@ main()
     contextSwitches(s);
     const bool slow_gain = slowServer(s);
     sec7a(s);
+    tableOne(s);
     return slow_gain ? 0 : 1;
 }

@@ -33,12 +33,10 @@ pageRound(std::uint64_t bytes)
 ssd::SsdConfig
 HostSystem::deviceConfig(unsigned d) const
 {
-    ssd::SsdConfig cfg = d < _config.ssdConfigs.size()
-                             ? _config.ssdConfigs[d]
-                             : _config.ssd;
-    // Device 0 keeps its (normally empty) label so the single-SSD
+    ssd::SsdConfig cfg = _config.ssd;
+    // Device 0 keeps the template's (empty) label so the single-SSD
     // trace tracks stay bit-identical; fleet devices get one.
-    if (d > 0 && cfg.label.empty())
+    if (d > 0)
         cfg.label = "dev" + std::to_string(d);
     return cfg;
 }

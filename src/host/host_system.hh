@@ -152,8 +152,8 @@ class HostSystem
     void registerStats(sim::stats::StatSet &set);
 
   private:
-    /** Effective SsdConfig for device @p d (override or template),
-     *  with the fleet label stamped for devices >= 1. */
+    /** SsdConfig for device @p d: the template, with the fleet label
+     *  stamped for devices >= 1. */
     ssd::SsdConfig deviceConfig(unsigned d) const;
 
     SystemConfig _config;

@@ -12,8 +12,6 @@
 #ifndef MORPHEUS_HOST_SYSTEM_CONFIG_HH
 #define MORPHEUS_HOST_SYSTEM_CONFIG_HH
 
-#include <vector>
-
 #include "host/cpu_model.hh"
 #include "host/gpu_model.hh"
 #include "host/host_memory.hh"
@@ -63,11 +61,6 @@ struct SystemConfig
      * pairs + trace-id block. Must be in [1, kMaxSsds].
      */
     unsigned numSsds = 1;
-
-    /** Per-device geometry overrides (FleetTopology fills this from
-     *  JSON). Device d uses ssdConfigs[d] when present, else the
-     *  template `ssd` above. */
-    std::vector<ssd::SsdConfig> ssdConfigs;
 
     /** Bus address where the GPU BAR window is mapped by NVMe-P2P. */
     pcie::Addr gpuBarBase = 1ULL << 40;

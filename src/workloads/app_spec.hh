@@ -69,8 +69,8 @@ const std::vector<AppSpec> &standardSuite();
 /**
  * Extension applications beyond Table I, exercising the CSV and JSON
  * interchange formats §II motivates (the Table I suite is text/token
- * based). Not part of the paper's figures; used by
- * bench/extension_formats.
+ * based). Not part of the paper's figures; used by the extension
+ * section of bench/ablations.
  */
 const std::vector<AppSpec> &extensionSuite();
 

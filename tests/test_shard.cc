@@ -1,9 +1,8 @@
 /**
  * @file
- * Shard-fabric tests: key placement, fleet topology parsing, multi-SSD
- * HostSystem construction and its size bound, fleet-unique trace ids
- * and per-device span tracks, the per-device load signals, and fleet
- * serving.
+ * Shard-fabric tests: key placement, multi-SSD HostSystem construction
+ * and its size bound, fleet-unique trace ids and per-device span
+ * tracks, the per-device load signals, and fleet serving.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include "core/standard_apps.hh"
 #include "obs/trace.hh"
 #include "serde/writer.hh"
-#include "shard/fleet_topology.hh"
 #include "shard/shard_fabric.hh"
 #include "workloads/generators.hh"
 #include "workloads/serving.hh"
@@ -71,91 +69,6 @@ TEST(ShardRouter, Fnv1aMatchesReferenceVector)
     // FNV-1a 64-bit reference: fnv1a("a") = 0xaf63dc4c8601ec8c.
     EXPECT_EQ(sh::fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
     EXPECT_NE(sh::fnv1a("ab", 2), sh::fnv1a("ba", 2));
-}
-
-// ---- topology -------------------------------------------------------
-
-TEST(FleetTopology, ParsesJsonWithOverridesAndUnknownKeys)
-{
-    // "policy" and "stripeKiB" are retired keys: they, and values that
-    // would once have been refused ("policy": "bogus"), fall through
-    // the unknown-key skip like any other.
-    const std::string json = R"({
-        "ssds": 3, "policy": "bogus", "stripeKiB": 0,
-        "comment": ["ignored", {"deep": 1}],
-        "devices": [
-            {"cores": 8, "dramMiB": 1024, "label": "rack0",
-             "policy": "range", "stripeKiB": 512},
-            {}
-        ]
-    })";
-    const sh::FleetTopology topo = sh::FleetTopology::fromJson(json);
-    EXPECT_EQ(topo.numSsds, 3u);
-    ASSERT_EQ(topo.devices.size(), 2u);
-    EXPECT_EQ(topo.devices[0].cores, 8u);
-    EXPECT_EQ(topo.devices[0].dramBytes, 1024ull << 20);
-    EXPECT_EQ(topo.devices[0].label, "rack0");
-    // The retired keys change nothing: same topology without them.
-    const sh::FleetTopology bare = sh::FleetTopology::fromJson(R"({
-        "ssds": 3,
-        "devices": [{"cores": 8, "dramMiB": 1024, "label": "rack0"}, {}]
-    })");
-    EXPECT_EQ(bare.numSsds, topo.numSsds);
-    ASSERT_EQ(bare.devices.size(), topo.devices.size());
-    EXPECT_EQ(bare.devices[0].cores, topo.devices[0].cores);
-    EXPECT_EQ(bare.devices[0].dramBytes, topo.devices[0].dramBytes);
-
-    ho::SystemConfig sys;
-    topo.apply(sys);
-    EXPECT_EQ(sys.numSsds, 3u);
-    ASSERT_EQ(sys.ssdConfigs.size(), 3u);
-    EXPECT_EQ(sys.ssdConfigs[0].numCores, 8u);
-    EXPECT_EQ(sys.ssdConfigs[0].label, "rack0");
-    // Unspecified devices inherit the template config.
-    EXPECT_EQ(sys.ssdConfigs[1].numCores, sys.ssd.numCores);
-    EXPECT_EQ(sys.ssdConfigs[2].numCores, sys.ssd.numCores);
-}
-
-TEST(FleetTopologyDeath, RejectsMalformedJson)
-{
-    EXPECT_DEATH(sh::FleetTopology::fromJson("{\"ssds\": 0}"),
-                 "ssds = 0");
-    EXPECT_DEATH(sh::FleetTopology::fromJson("{} trailing"),
-                 "trailing");
-}
-
-TEST(FleetTopologyDeath, RejectsIntegersThatWrap)
-{
-    // Past 2^64 the digits would wrap; past the field's range the value
-    // would truncate (4294967298 ssds built 2 SSDs, 2^32 cores became
-    // 0 = "inherit the template").
-    EXPECT_DEATH(
-        sh::FleetTopology::fromJson("{\"ssds\": 18446744073709551617}"),
-        "overflows 64 bits");
-    EXPECT_DEATH(sh::FleetTopology::fromJson("{\"ssds\": 4294967298}"),
-                 "\"ssds\" = 4294967298 exceeds 255");
-    EXPECT_DEATH(sh::FleetTopology::fromJson("{\"ssds\": 256}"),
-                 "exceeds 255");
-    EXPECT_DEATH(sh::FleetTopology::fromJson(
-                     "{\"devices\": [{\"cores\": 4294967296}]}"),
-                 "\"cores\" = 4294967296 exceeds 4294967295");
-    EXPECT_DEATH(sh::FleetTopology::fromJson(
-                     "{\"devices\": [{\"channels\": 4294967296}]}"),
-                 "\"channels\" = 4294967296 exceeds");
-    EXPECT_DEATH(sh::FleetTopology::fromJson(
-                     "{\"devices\": [{\"diesPerChannel\": 4294967296}]}"),
-                 "\"diesPerChannel\" = 4294967296 exceeds");
-    // dramMiB * 2^20 must fit 64 bits.
-    EXPECT_DEATH(sh::FleetTopology::fromJson(
-                     "{\"devices\": [{\"dramMiB\": 17592186044416}]}"),
-                 "\"dramMiB\" = 17592186044416 exceeds 17592186044415");
-    // The largest values that fit still load.
-    const sh::FleetTopology top = sh::FleetTopology::fromJson(
-        "{\"ssds\": 255, \"devices\": [{\"cores\": 4294967295, "
-        "\"dramMiB\": 17592186044415}]}");
-    EXPECT_EQ(top.numSsds, 255u);
-    EXPECT_EQ(top.devices[0].cores, 4294967295u);
-    EXPECT_EQ(top.devices[0].dramBytes, 17592186044415ull << 20);
 }
 
 // ---- multi-SSD HostSystem -------------------------------------------

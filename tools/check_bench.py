@@ -2,13 +2,13 @@
 """Check BENCH_<name>.json results against the committed baselines.
 
 Usage, after running the benches that write the BENCH_*.json files
-named in BENCHES (ablation_pipeline, fig08_deser_speedup,
-fig11_end_to_end, serving_fleet, serving_cache, serving_breakdown,
-serving_overload, serving_fault_soak, serving_tail_latency and
-traffic_reduction) with MORPHEUS_BENCH_SCALE set to the scale each
-baseline was made at (0.05; 0.25 for serving_fault_soak and
-serving_tail_latency, whose self-checks need the default window), from
-the directory that holds their BENCH_*.json (CI: the repository root):
+named in BENCHES (ablations, fig08_deser_speedup, fig11_end_to_end,
+serving_fleet, serving_cache, serving_breakdown, serving_overload,
+serving_fault_soak, serving_tail_latency and traffic_reduction) with
+MORPHEUS_BENCH_SCALE set to the scale each baseline was made at (0.05;
+0.25 for serving_fault_soak and serving_tail_latency, whose self-checks
+need the default window), from the directory that holds their
+BENCH_*.json (CI: the repository root):
 
     python3 tools/check_bench.py
 
@@ -28,12 +28,15 @@ import os
 import sys
 
 TOLERANCE = 0.10
-# fig02, fig03, fig09-fig12 and sec7a all come from fig11_end_to_end.
-BENCHES = ("ablation_pipeline", "fig02", "fig03", "fig08", "fig09",
-           "fig10", "fig11", "fig12", "sec7a", "serving_fleet",
-           "serving_cache", "serving_breakdown", "serving_overload",
-           "serving_fault_soak", "serving_tail_latency",
-           "traffic_reduction")
+# fig02, fig03, fig09-fig12 and sec7a all come from fig11_end_to_end;
+# the ablation_* files and extension_formats from ablations.
+BENCHES = ("ablation_chunk_size", "ablation_cores", "ablation_dsram",
+           "ablation_qdepth", "ablation_p2p", "ablation_softfloat",
+           "ablation_pipeline", "extension_formats", "fig02", "fig03",
+           "fig08", "fig09", "fig10", "fig11", "fig12", "sec7a",
+           "serving_fleet", "serving_cache", "serving_breakdown",
+           "serving_overload", "serving_fault_soak",
+           "serving_tail_latency", "traffic_reduction")
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "..", "bench", "baselines")
 

@@ -30,7 +30,6 @@
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
-#include "shard/fleet_topology.hh"
 #include "sim/parse_number.hh"
 #include "workloads/runner.hh"
 #include "workloads/serving.hh"
@@ -93,7 +92,7 @@ usage()
         "                    [--fault-plan key=value,...]\n"
         "                    [--recovery]\n"
         "                    [--pipeline]\n"
-        "                    [--ssds N] [--fleet-topology FILE.json]\n"
+        "                    [--ssds N]\n"
         "                    [--cache] [--cache-bytes N]\n"
         "fault plan keys: media, dma, crash, hang, drop (rates),\n"
         "dma_min, watchdog_us, seed; also read from MORPHEUS_FAULTS.\n"
@@ -103,8 +102,7 @@ usage()
         "readahead + double-buffered parse + coalesced flush DMA).\n"
         "--ssds puts N SSDs (1-255) behind the switch (the app still\n"
         "runs on device 0; object placement across the fleet is\n"
-        "exercised by the serving benches). --fleet-topology loads\n"
-        "the device count and per-device geometry from JSON.\n"
+        "exercised by the serving benches).\n"
         "--cache enables the deserialized-object cache in controller\n"
         "DRAM with LRU eviction; --cache-bytes sets its budget\n"
         "(shared with the readahead buffer, default 64 MiB).\n"
@@ -538,9 +536,6 @@ main(int argc, char **argv)
                 num("--cache-bytes", kU64Min, kU64Max);
         } else if (arg == "--ssds") {
             opts.sys.numSsds = num("--ssds", 1u, host::kMaxSsds);
-        } else if (arg == "--fleet-topology") {
-            shard::FleetTopology::fromFile(next("--fleet-topology"))
-                .apply(opts.sys);
         } else if (arg == "--trace") {
             trace_path = next("--trace");
         } else if (arg == "--stats-json") {
