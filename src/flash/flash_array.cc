@@ -1,6 +1,5 @@
 #include "flash/flash_array.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/fault.hh"
@@ -8,8 +7,7 @@
 
 namespace morpheus::flash {
 
-FlashArray::FlashArray(sim::EventQueue &eq, const FlashConfig &config)
-    : _eq(eq), _config(config)
+FlashArray::FlashArray(const FlashConfig &config) : _config(config)
 {
     MORPHEUS_ASSERT(_config.channels > 0 && _config.diesPerChannel > 0,
                     "flash geometry is empty");
@@ -80,11 +78,9 @@ FlashArray::dieTimeline(unsigned channel, unsigned die_idx) const
 
 sim::Tick
 FlashArray::read(const PagePointer &addr, sim::Tick earliest,
-                 ReadCallback cb, bool *uncorrectable)
+                 bool *uncorrectable)
 {
-    const std::uint64_t idx = flatPage(addr);
-    const auto it = _pages.find(idx);
-    MORPHEUS_ASSERT(it != _pages.end(), "reading an unprogrammed page");
+    MORPHEUS_ASSERT(isProgrammed(addr), "reading an unprogrammed page");
 
     // The die performs the cell read (tR), then the channel bus streams
     // the page out.
@@ -106,23 +102,12 @@ FlashArray::read(const PagePointer &addr, sim::Tick earliest,
         if (fi->mediaError() && uncorrectable)
             *uncorrectable = true;
     }
-
-    if (cb) {
-        std::vector<std::uint8_t> data = it->second;
-        _eq.schedule(done,
-                     [cb = std::move(cb), done,
-                      data = std::move(data)]() mutable {
-                         cb(done, std::move(data));
-                     },
-                     "flash.read.done");
-    }
     return done;
 }
 
 sim::Tick
 FlashArray::program(const PagePointer &addr,
-                    std::vector<std::uint8_t> data, sim::Tick earliest,
-                    DoneCallback cb)
+                    std::vector<std::uint8_t> data, sim::Tick earliest)
 {
     MORPHEUS_ASSERT(data.size() <= _config.pageBytes,
                     "programming more than a page: ", data.size());
@@ -152,17 +137,11 @@ FlashArray::program(const PagePointer &addr,
 
     ++_programs;
     _bytesProgrammed += _config.pageBytes;
-
-    if (cb) {
-        _eq.schedule(done, [cb = std::move(cb), done]() { cb(done); },
-                     "flash.program.done");
-    }
     return done;
 }
 
 sim::Tick
-FlashArray::erase(const BlockPointer &addr, sim::Tick earliest,
-                  DoneCallback cb)
+FlashArray::erase(const BlockPointer &addr, sim::Tick earliest)
 {
     const std::uint64_t blk = flatBlock(addr);
     for (unsigned p = 0; p < _config.pagesPerBlock; ++p)
@@ -174,24 +153,7 @@ FlashArray::erase(const BlockPointer &addr, sim::Tick earliest,
         die(addr.channel, addr.die)
             .acquireUntil(earliest, _config.eraseLatency);
     ++_erases;
-    if (cb) {
-        _eq.schedule(done, [cb = std::move(cb), done]() { cb(done); },
-                     "flash.erase.done");
-    }
     return done;
-}
-
-sim::Tick
-FlashArray::estimateReadDone(const PagePointer &addr,
-                             sim::Tick earliest) const
-{
-    const sim::Timeline &d = die(addr.channel, addr.die);
-    const sim::Tick start = std::max(earliest, d.freeAt());
-    const sim::Tick read_done = start + _config.readLatency;
-    const sim::Tick ch_start =
-        std::max(read_done, _channelTimelines[addr.channel].freeAt());
-    return ch_start + sim::transferTicks(_config.pageBytes,
-                                         _config.channelBytesPerSec);
 }
 
 bool

@@ -20,9 +20,8 @@ planeIndex(const flash::FlashConfig &cfg, const flash::BlockPointer &b)
 
 }  // namespace
 
-Ftl::Ftl(sim::EventQueue &eq, flash::FlashArray &array,
-         const FtlConfig &config)
-    : _eq(eq), _array(array), _config(config)
+Ftl::Ftl(flash::FlashArray &array, const FtlConfig &config)
+    : _array(array), _config(config)
 {
     const auto &fc = _array.config();
     MORPHEUS_ASSERT(_config.overProvisioning > 0.0 &&
@@ -61,34 +60,16 @@ Ftl::flatBlock(const flash::BlockPointer &b) const
     return idx;
 }
 
-sim::Tick
-Ftl::trimPages(std::uint64_t lpn, std::uint32_t count,
-               sim::Tick earliest)
-{
-    MORPHEUS_ASSERT(count > 0, "zero-length TRIM");
-    MORPHEUS_ASSERT(lpn + count <= _logicalPages,
-                    "TRIM beyond logical capacity");
-    for (std::uint32_t i = 0; i < count; ++i)
-        invalidate(lpn + i);
-    ++_trims;
-    // Mapping-table update only: ~2 us of firmware work per command.
-    return earliest + 2 * sim::kPsPerUs;
-}
-
 bool
 Ftl::isMapped(std::uint64_t lpn) const
 {
     return _map.find(lpn) != _map.end();
 }
 
-std::vector<std::uint8_t>
-Ftl::peekPage(std::uint64_t lpn) const
+flash::PagePointer
+Ftl::pageAddress(std::uint64_t ppn) const
 {
-    const auto it = _map.find(lpn);
-    if (it == _map.end())
-        return std::vector<std::uint8_t>(pageBytes(), 0);
     const auto &fc = _array.config();
-    const std::uint64_t ppn = it->second;
     flash::PagePointer addr;
     std::uint64_t rest = ppn;
     addr.page = static_cast<unsigned>(rest % fc.pagesPerBlock);
@@ -100,62 +81,42 @@ Ftl::peekPage(std::uint64_t lpn) const
     addr.die = static_cast<unsigned>(rest % fc.diesPerChannel);
     rest /= fc.diesPerChannel;
     addr.channel = static_cast<unsigned>(rest);
-    return _array.peek(addr);
+    return addr;
+}
+
+std::vector<std::uint8_t>
+Ftl::peekPage(std::uint64_t lpn) const
+{
+    const auto it = _map.find(lpn);
+    if (it == _map.end())
+        return std::vector<std::uint8_t>(pageBytes(), 0);
+    return _array.peek(pageAddress(it->second));
 }
 
 sim::Tick
 Ftl::readPages(std::uint64_t lpn, std::uint32_t count, sim::Tick earliest,
-               ReadCallback cb, bool *media_error,
-               std::vector<sim::Tick> *page_ticks)
+               bool *media_error, std::vector<sim::Tick> *page_ticks)
 {
     MORPHEUS_ASSERT(count > 0, "zero-length FTL read");
     MORPHEUS_ASSERT(lpn + count <= _logicalPages,
                     "FTL read beyond logical capacity: lpn=", lpn,
                     " count=", count);
-    const auto &fc = _array.config();
-
     if (page_ticks) {
         page_ticks->clear();
         page_ticks->reserve(count);
     }
-    std::vector<std::uint8_t> out;
-    out.reserve(static_cast<std::size_t>(count) * fc.pageBytes);
     sim::Tick done = earliest;
     for (std::uint32_t i = 0; i < count; ++i) {
-        const auto data = peekPage(lpn + i);
         sim::Tick page_done = earliest;
-        if (isMapped(lpn + i)) {
-            // Charge the flash read; data content was fetched above.
-            const auto it = _map.find(lpn + i);
-            const std::uint64_t ppn = it->second;
-            flash::PagePointer addr;
-            std::uint64_t rest = ppn;
-            addr.page = static_cast<unsigned>(rest % fc.pagesPerBlock);
-            rest /= fc.pagesPerBlock;
-            addr.block = static_cast<unsigned>(rest % fc.blocksPerPlane);
-            rest /= fc.blocksPerPlane;
-            addr.plane = static_cast<unsigned>(rest % fc.planesPerDie);
-            rest /= fc.planesPerDie;
-            addr.die = static_cast<unsigned>(rest % fc.diesPerChannel);
-            rest /= fc.diesPerChannel;
-            addr.channel = static_cast<unsigned>(rest);
+        const auto it = _map.find(lpn + i);
+        if (it != _map.end()) {
             page_done =
-                _array.read(addr, earliest, nullptr, media_error);
+                _array.read(pageAddress(it->second), earliest, media_error);
             done = std::max(done, page_done);
         }
         if (page_ticks)
             page_ticks->push_back(page_done);
-        out.insert(out.end(), data.begin(), data.end());
         ++_hostReads;
-    }
-
-    if (cb) {
-        _eq.schedule(done,
-                     [cb = std::move(cb), done,
-                      out = std::move(out)]() mutable {
-                         cb(done, std::move(out));
-                     },
-                     "ftl.read.done");
     }
     return done;
 }
@@ -309,7 +270,7 @@ Ftl::collectGarbage(sim::Tick now)
 
 sim::Tick
 Ftl::writePages(std::uint64_t lpn, const std::vector<std::uint8_t> &data,
-                sim::Tick earliest, DoneCallback cb)
+                sim::Tick earliest)
 {
     MORPHEUS_ASSERT(!data.empty(), "zero-length FTL write");
     const auto &fc = _array.config();
@@ -335,11 +296,6 @@ Ftl::writePages(std::uint64_t lpn, const std::vector<std::uint8_t> &data,
         done = std::max(done, wr);
         ++_hostWrites;
     }
-
-    if (cb) {
-        _eq.schedule(done, [cb = std::move(cb), done]() { cb(done); },
-                     "ftl.write.done");
-    }
     return done;
 }
 
@@ -362,7 +318,6 @@ Ftl::registerStats(sim::stats::StatSet &set,
 {
     set.registerCounter(prefix + ".hostReads", &_hostReads);
     set.registerCounter(prefix + ".hostWrites", &_hostWrites);
-    set.registerCounter(prefix + ".trims", &_trims);
     set.registerCounter(prefix + ".gcRuns", &_gcRuns);
     set.registerCounter(prefix + ".gcRelocated", &_gcRelocated);
 }

@@ -20,7 +20,6 @@
 #define MORPHEUS_FTL_FTL_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -44,13 +43,7 @@ struct FtlConfig
 class Ftl
 {
   public:
-    /** Read completion: (tick, concatenated page data). */
-    using ReadCallback =
-        std::function<void(sim::Tick, std::vector<std::uint8_t>)>;
-    using DoneCallback = std::function<void(sim::Tick)>;
-
-    Ftl(sim::EventQueue &eq, flash::FlashArray &array,
-        const FtlConfig &config);
+    Ftl(flash::FlashArray &array, const FtlConfig &config);
 
     /** Bytes per logical page (== flash page size). */
     std::uint32_t pageBytes() const { return _array.config().pageBytes; }
@@ -61,7 +54,8 @@ class Ftl
     /**
      * Read @p count logical pages starting at @p lpn.
      *
-     * Unmapped pages read as zeros (like a trimmed LBA). Pages are
+     * Charges the flash time only; the data is read with peekPage().
+     * Unmapped pages cost nothing and read as zeros. Pages are
      * fetched in parallel across dies; completion is the latest page.
      *
      * @param media_error  Optional fault-injection out-param: set true
@@ -71,12 +65,10 @@ class Ftl
      *         ticks, in LPN order (unmapped pages complete at
      *         @p earliest). Lets the streaming pipeline start consuming
      *         at the first page's arrival instead of the last's.
-     * @return Completion tick; @p cb (optional) fires then with the
-     *         concatenated data.
+     * @return Completion tick: the latest page tick.
      */
     sim::Tick readPages(std::uint64_t lpn, std::uint32_t count,
-                        sim::Tick earliest, ReadCallback cb = nullptr,
-                        bool *media_error = nullptr,
+                        sim::Tick earliest, bool *media_error = nullptr,
                         std::vector<sim::Tick> *page_ticks = nullptr);
 
     /**
@@ -87,21 +79,12 @@ class Ftl
      */
     sim::Tick writePages(std::uint64_t lpn,
                          const std::vector<std::uint8_t> &data,
-                         sim::Tick earliest, DoneCallback cb = nullptr);
-
-    /**
-     * TRIM: drop the mappings of @p count logical pages starting at
-     * @p lpn. Trimmed pages read back as zeros and their flash pages
-     * become GC-reclaimable immediately. @return completion tick
-     * (metadata-only: a few microseconds of firmware work).
-     */
-    sim::Tick trimPages(std::uint64_t lpn, std::uint32_t count,
-                        sim::Tick earliest);
+                         sim::Tick earliest);
 
     /** Whether @p lpn currently maps to flash. */
     bool isMapped(std::uint64_t lpn) const;
 
-    /** Zero-time functional read (unmapped => zeros). Test/DMA helper. */
+    /** Zero-time page contents (unmapped => zeros). */
     std::vector<std::uint8_t> peekPage(std::uint64_t lpn) const;
 
     /** Free blocks remaining in the allocation pool. */
@@ -111,7 +94,6 @@ class Ftl
     std::uint64_t maxEraseDelta() const;
 
     std::uint64_t gcRuns() const { return _gcRuns.value(); }
-    std::uint64_t gcPagesRelocated() const { return _gcRelocated.value(); }
 
     void registerStats(sim::stats::StatSet &set,
                        const std::string &prefix) const;
@@ -139,8 +121,9 @@ class Ftl
     void invalidate(std::uint64_t lpn);
 
     std::uint64_t flatBlock(const flash::BlockPointer &b) const;
+    /** Flash address of flat physical page index @p ppn. */
+    flash::PagePointer pageAddress(std::uint64_t ppn) const;
 
-    sim::EventQueue &_eq;
     flash::FlashArray &_array;
     FtlConfig _config;
     std::uint64_t _logicalPages;
@@ -159,7 +142,6 @@ class Ftl
 
     sim::stats::Counter _hostReads;
     sim::stats::Counter _hostWrites;
-    sim::stats::Counter _trims;
     sim::stats::Counter _gcRuns;
     sim::stats::Counter _gcRelocated;
 };

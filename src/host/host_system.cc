@@ -74,7 +74,7 @@ HostSystem::HostSystem(const SystemConfig &config)
 
     for (unsigned d = 0; d < num_ssds; ++d) {
         _ssds.push_back(std::make_unique<ssd::SsdController>(
-            _eq, _fabric, _ssdPorts[d], deviceConfig(d)));
+            _fabric, _ssdPorts[d], deviceConfig(d)));
         auto driver = std::make_unique<nvme::NvmeDriver>(
             _ssds[d]->nvme());
         if (d > 0) {

@@ -25,7 +25,6 @@
 #include "host/storage_backend.hh"
 #include "host/system_config.hh"
 #include "nvme/driver.hh"
-#include "sim/event_queue.hh"
 #include "ssd/ssd_controller.hh"
 
 namespace morpheus::host {
@@ -48,7 +47,6 @@ class HostSystem
 
     const SystemConfig &config() const { return _config; }
 
-    sim::EventQueue &eventQueue() { return _eq; }
     pcie::PcieSwitch &fabric() { return _fabric; }
     HostMemory &mem() { return _mem; }
     HostCpu &cpu() { return _cpu; }
@@ -157,7 +155,6 @@ class HostSystem
     ssd::SsdConfig deviceConfig(unsigned d) const;
 
     SystemConfig _config;
-    sim::EventQueue _eq;
     pcie::PcieSwitch _fabric;
 
     /** Port order is fixed for reproducibility: host(0), ssd(1),

@@ -1,7 +1,9 @@
 /**
  * @file
  * NVMe command set: standard I/O opcodes plus the four Morpheus
- * extensions (paper §IV-A), and the 64-byte wire format.
+ * extensions (paper §IV-A). Commands and completions travel between
+ * driver and controller as these structs; the controller charges the
+ * 64-byte SQE fetch and 16-byte CQE post as DMA moves.
  *
  * The Morpheus commands reuse the one-byte opcode space left free by
  * the NVMe standard (vendor-specific range):
@@ -22,7 +24,7 @@
 #ifndef MORPHEUS_NVME_COMMAND_HH
 #define MORPHEUS_NVME_COMMAND_HH
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/types.hh"
@@ -32,10 +34,10 @@ namespace morpheus::nvme {
 /** Bytes per logical block (LBA). */
 constexpr std::uint32_t kBlockBytes = 512;
 
-/** Size of an encoded submission queue entry. */
+/** Bytes of one submission queue entry: the DMA size of an SQE fetch. */
 constexpr std::size_t kCommandBytes = 64;
 
-/** Size of an encoded completion queue entry. */
+/** Bytes of one completion queue entry: the DMA size of a CQE post. */
 constexpr std::size_t kCompletionBytes = 16;
 
 /** I/O command set opcodes (plus Morpheus vendor extensions). */
@@ -43,7 +45,6 @@ enum class Opcode : std::uint8_t {
     kFlush = 0x00,
     kWrite = 0x01,
     kRead = 0x02,
-    kDsm = 0x09,  ///< Dataset Management (deallocate/TRIM).
 
     // Morpheus extensions (vendor-specific opcode space).
     kMInit = 0x80,
@@ -103,8 +104,8 @@ const char *statusName(Status s);
 bool isRetryable(Status s);
 
 /**
- * A decoded submission queue entry. Field names follow the NVMe spec
- * loosely; Morpheus-specific meanings are noted per command above.
+ * A submission queue entry. Field names follow the NVMe spec loosely;
+ * Morpheus-specific meanings are noted per command above.
  */
 struct Command
 {
@@ -120,8 +121,8 @@ struct Command
     std::uint32_t cdw14 = 0;      ///< MINIT: argument word.
     std::uint32_t cdw15 = 0;      ///< MINIT: submitting tenant ID.
     /** Observability trace id, stamped by the driver at submission.
-     *  Rides in the SQE's spare CDW2 bytes so every layer that decodes
-     *  the command can attribute its work (0 = untraced). In a
+     *  Travels with the command so every layer that handles it can
+     *  attribute its work (0 = untraced). In a
      *  multi-SSD fleet each device's driver stamps ids from its own
      *  block (device d uses d<<24 | counter, see
      *  NvmeDriver::setTraceIdBase), so ids stay unique fleet-wide and
@@ -137,29 +138,9 @@ struct Command
     {
         return std::uint64_t(numBlocks()) * kBlockBytes;
     }
-
-    /** Encode to the 64-byte wire format. */
-    std::array<std::uint8_t, kCommandBytes> encode() const;
-
-    /** Decode from the 64-byte wire format. */
-    static Command decode(
-        const std::array<std::uint8_t, kCommandBytes> &raw);
-
-    bool operator==(const Command &) const = default;
 };
 
-/** Controller identification data (admin Identify, abridged). */
-struct IdentifyData
-{
-    char model[24] = "Morpheus-SSD 512GB";
-    std::uint64_t capacityBlocks = 0;
-    std::uint32_t maxTransferBlocks = 0;
-    std::uint16_t numQueues = 0;
-    /** Vendor flag: the four Morpheus extension opcodes are live. */
-    bool morpheusCapable = false;
-};
-
-/** A decoded completion queue entry. */
+/** A completion queue entry. */
 struct Completion
 {
     std::uint32_t dw0 = 0;       ///< Command-specific result.
@@ -173,13 +154,6 @@ struct Completion
     sim::Tick postedAt = 0;
 
     bool ok() const { return status == Status::kSuccess; }
-
-    /** Encode to the 16-byte wire format (postedAt is not on the wire). */
-    std::array<std::uint8_t, kCompletionBytes> encode() const;
-
-    /** Decode from the 16-byte wire format. */
-    static Completion decode(
-        const std::array<std::uint8_t, kCompletionBytes> &raw);
 };
 
 }  // namespace morpheus::nvme

@@ -61,7 +61,6 @@ NvmeController::frontEndCheck(const Command &cmd) const
             return Status::kInvalidField;
         return Status::kSuccess;
       case Opcode::kFlush:
-      case Opcode::kDsm:
       case Opcode::kMInit:
       case Opcode::kMDeinit:
         return Status::kSuccess;

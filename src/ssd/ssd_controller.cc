@@ -9,14 +9,13 @@
 
 namespace morpheus::ssd {
 
-SsdController::SsdController(sim::EventQueue &eq,
-                             pcie::PcieSwitch &fabric, pcie::PortId port,
+SsdController::SsdController(pcie::PcieSwitch &fabric, pcie::PortId port,
                              const SsdConfig &config)
-    : _eq(eq), _fabric(fabric), _port(port), _config(config),
+    : _fabric(fabric), _port(port), _config(config),
       _trackPrefix(config.label.empty() ? std::string()
                                         : config.label + "."),
-      _flash(std::make_unique<flash::FlashArray>(eq, config.flash)),
-      _ftl(std::make_unique<ftl::Ftl>(eq, *_flash, config.ftl)),
+      _flash(std::make_unique<flash::FlashArray>(config.flash)),
+      _ftl(std::make_unique<ftl::Ftl>(*_flash, config.ftl)),
       _nvme(fabric, port, config.nvme),
       _dram(_trackPrefix + "ssd.dram")
 {
@@ -94,7 +93,7 @@ SsdController::fetchToDram(std::uint64_t byte_offset, std::uint64_t len,
     const std::uint64_t last = (byte_offset + len - 1) / page_bytes;
     const auto count = static_cast<std::uint32_t>(last - first + 1);
     const sim::Tick flash_done =
-        _ftl->readPages(first, count, earliest, nullptr, media_error);
+        _ftl->readPages(first, count, earliest, media_error);
     // Buffer the payload through controller DRAM.
     return dramTransfer(len, flash_done);
 }
@@ -115,8 +114,7 @@ SsdController::fetchToDramPaged(std::uint64_t byte_offset,
 
     std::vector<sim::Tick> flash_ticks;
     bool media = false;
-    _ftl->readPages(first, count, earliest, nullptr, &media,
-                    &flash_ticks);
+    _ftl->readPages(first, count, earliest, &media, &flash_ticks);
     fetch.mediaError = media;
 
     // Buffer each page through controller DRAM in logical order (the
@@ -206,8 +204,6 @@ SsdController::handleCommand(const nvme::Command &cmd, sim::Tick start)
         // All writes are durable at completion in this model.
         return nvme::CommandResult{start + 10 * sim::kPsPerUs,
                                    nvme::Status::kSuccess, 0};
-      case Opcode::kDsm:
-        return doDsm(cmd, start);
       case Opcode::kMInit:
       case Opcode::kMRead:
       case Opcode::kMWrite:
@@ -294,42 +290,6 @@ SsdController::doWrite(const nvme::Command &cmd, sim::Tick start)
     const sim::Tick done = storeFromDram(off, data, fetched);
     // A standard write lands new raw bytes: any cached object parsed
     // from an overlapping range is stale now.
-    if (_cache->enabled())
-        _cache->invalidateRange(cmd.nsid, off, off + len);
-    return {done, nvme::Status::kSuccess, 0};
-}
-
-nvme::IdentifyData
-SsdController::identify() const
-{
-    nvme::IdentifyData id;
-    id.capacityBlocks = capacityBlocks();
-    id.maxTransferBlocks = _config.nvme.maxTransferBlocks;
-    id.numQueues = 64;
-    id.morpheusCapable = _engine != nullptr;
-    return id;
-}
-
-nvme::CommandResult
-SsdController::doDsm(const nvme::Command &cmd, sim::Tick start)
-{
-    // Deallocate: drop the mapping of every logical page fully covered
-    // by the LBA range (partial pages keep their data).
-    const std::uint64_t off = cmd.slba * nvme::kBlockBytes;
-    const std::uint64_t len = cmd.dataBytes();
-    const std::uint32_t page = _ftl->pageBytes();
-    if ((off + len) / page >= _ftl->logicalPages())
-        return {start, nvme::Status::kLbaOutOfRange, 0};
-    const std::uint64_t first = (off + page - 1) / page;
-    const std::uint64_t last_exclusive = (off + len) / page;
-    sim::Tick done = start + 1 * sim::kPsPerUs;
-    if (last_exclusive > first) {
-        done = _ftl->trimPages(
-            first, static_cast<std::uint32_t>(last_exclusive - first),
-            start);
-    }
-    // TRIM deallocates the backing range: cached objects over it are
-    // invalidated along with the mapping.
     if (_cache->enabled())
         _cache->invalidateRange(cmd.nsid, off, off + len);
     return {done, nvme::Status::kSuccess, 0};

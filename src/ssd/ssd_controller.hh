@@ -105,8 +105,8 @@ class MorpheusEngine
 class SsdController
 {
   public:
-    SsdController(sim::EventQueue &eq, pcie::PcieSwitch &fabric,
-                  pcie::PortId port, const SsdConfig &config);
+    SsdController(pcie::PcieSwitch &fabric, pcie::PortId port,
+                  const SsdConfig &config);
 
     const SsdConfig &config() const { return _config; }
     pcie::PortId port() const { return _port; }
@@ -147,10 +147,6 @@ class SsdController
 
     /** Logical capacity in 512-byte blocks. */
     std::uint64_t capacityBlocks() const;
-
-    /** Admin Identify data (model string, capacity, MDTS, vendor
-     *  Morpheus-capability flag). */
-    nvme::IdentifyData identify() const;
 
     /**
      * Functional byte-level read of the logical address space
@@ -214,9 +210,7 @@ class SsdController
     nvme::CommandResult doRead(const nvme::Command &cmd, sim::Tick start);
     nvme::CommandResult doWrite(const nvme::Command &cmd,
                                 sim::Tick start);
-    nvme::CommandResult doDsm(const nvme::Command &cmd, sim::Tick start);
 
-    sim::EventQueue &_eq;
     pcie::PcieSwitch &_fabric;
     pcie::PortId _port;
     SsdConfig _config;

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "ftl/ftl.hh"
+#include "sim/fault.hh"
 #include "sim/rng.hh"
 
 namespace fl = morpheus::flash;
@@ -43,12 +45,11 @@ fill(std::uint8_t seed, std::size_t n)
 
 struct FtlFixture
 {
-    ms::EventQueue eq;
     fl::FlashArray flash;
     ft::Ftl ftl;
 
     explicit FtlFixture(const ft::FtlConfig &cfg = {})
-        : flash(eq, tinyFlash()), ftl(eq, flash, cfg)
+        : flash(tinyFlash()), ftl(flash, cfg)
     {}
 };
 
@@ -76,18 +77,15 @@ TEST(Ftl, WriteThenReadBack)
 {
     FtlFixture f;
     const auto data = fill(0xA5, 256);
-    f.ftl.writePages(5, data, 0);
+    const ms::Tick written = f.ftl.writePages(5, data, 0);
     ASSERT_TRUE(f.ftl.isMapped(5));
-    EXPECT_EQ(f.ftl.peekPage(5), data);
 
-    bool called = false;
-    f.ftl.readPages(5, 1, 0,
-                    [&](ms::Tick, std::vector<std::uint8_t> d) {
-                        called = true;
-                        EXPECT_EQ(d, fill(0xA5, 256));
-                    });
-    f.eq.run();
-    EXPECT_TRUE(called);
+    const ms::Tick read = f.ftl.readPages(5, 1, written);
+    const auto cfg = tinyFlash();
+    EXPECT_GE(read, written + cfg.readLatency +
+                        ms::transferTicks(cfg.pageBytes,
+                                          cfg.channelBytesPerSec));
+    EXPECT_EQ(f.ftl.peekPage(5), data);
 }
 
 TEST(Ftl, OverwriteReplacesData)
@@ -186,7 +184,10 @@ TEST_P(FtlRandomProperty, ReadAfterWriteUnderChurn)
     }
     for (const auto &[lpn, tag] : shadow)
         EXPECT_EQ(f.ftl.peekPage(lpn), fill(tag, 256));
-    f.eq.run();
+    // Every shadowed page is still mapped, so reading it charges
+    // flash time past t.
+    for (const auto &[lpn, tag] : shadow)
+        EXPECT_GT(f.ftl.readPages(lpn, 1, t), t);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtlRandomProperty,
@@ -207,6 +208,68 @@ TEST(Ftl, ParallelReadsAcrossDiesOverlap)
                                  ms::transferTicks(
                                      cfg.pageBytes,
                                      cfg.channelBytesPerSec)));
+}
+
+TEST(Ftl, ReadPagesReportsOneTickPerPageInLpnOrder)
+{
+    // tinyFlash has two planes, one per channel; writes alternate
+    // between them, so LPNs 0 and 3 share channel 0 and LPN 1 sits on
+    // channel 1. LPN 2 stays unmapped.
+    FtlFixture f;
+    const auto cfg = tinyFlash();
+    const ms::Tick read = cfg.readLatency;
+    const ms::Tick xfer =
+        ms::transferTicks(cfg.pageBytes, cfg.channelBytesPerSec);
+    ms::Tick t = 0;
+    for (const std::uint64_t lpn : {0, 1, 3})
+        t = f.ftl.writePages(lpn, fill(static_cast<std::uint8_t>(lpn), 256),
+                             t);
+    const ms::Tick earliest = t;
+    // Keep channel 1's die programming past earliest, so LPN 1 lands
+    // after LPN 3 although it comes first in LPN order.
+    f.ftl.writePages(5, fill(5, 256), earliest);
+
+    std::vector<ms::Tick> ticks;
+    bool media = false;
+    const ms::Tick done =
+        f.ftl.readPages(0, 4, earliest, &media, &ticks);
+    ASSERT_EQ(ticks.size(), 4u);
+    EXPECT_EQ(ticks[0], earliest + read + xfer);
+    EXPECT_GE(ticks[1], earliest + cfg.programLatency + read + xfer);
+    EXPECT_EQ(ticks[2], earliest);  // unmapped: no flash access
+    EXPECT_GT(ticks[3], ticks[0]);  // queued behind LPN 0 on its die
+    EXPECT_GT(ticks[1], ticks[3]);
+    EXPECT_EQ(done, *std::max_element(ticks.begin(), ticks.end()));
+    EXPECT_FALSE(media);
+
+    // An unmapped-only range completes at earliest.
+    EXPECT_EQ(f.ftl.readPages(2, 1, earliest, nullptr, &ticks), earliest);
+    EXPECT_EQ(ticks, std::vector<ms::Tick>{earliest});
+}
+
+TEST(Ftl, ReadPagesFlagsInjectedMediaErrors)
+{
+    FtlFixture f;
+    const ms::Tick t = f.ftl.writePages(0, fill(1, 256), 0);
+    ms::FaultPlan plan;
+    plan.mediaRate = 1.0;
+    ms::FaultInjector fi(plan);
+    ms::ScopedFaultInjector scope(&fi);
+
+    // An unmapped page draws nothing.
+    bool media = false;
+    f.ftl.readPages(1, 1, t, &media);
+    EXPECT_FALSE(media);
+    EXPECT_EQ(fi.mediaErrors(), 0u);
+
+    // A mapped page's read comes back uncorrectable, its time charged.
+    std::vector<ms::Tick> ticks;
+    const ms::Tick done = f.ftl.readPages(0, 2, t, &media, &ticks);
+    EXPECT_TRUE(media);
+    EXPECT_EQ(fi.mediaErrors(), 1u);
+    EXPECT_EQ(ticks.size(), 2u);
+    EXPECT_GT(done, t);
+    EXPECT_EQ(f.ftl.peekPage(0), fill(1, 256));
 }
 
 TEST(FtlDeath, ReadBeyondCapacityPanics)

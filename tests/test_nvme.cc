@@ -1,7 +1,7 @@
 /**
  * @file
- * NVMe layer tests: wire format, queue rings (phase tags), controller
- * dispatch, driver CID bookkeeping, and MDTS enforcement.
+ * NVMe layer tests: queue rings (phase tags), controller dispatch,
+ * driver CID bookkeeping, and MDTS enforcement.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "nvme/driver.hh"
-#include "sim/rng.hh"
 
 namespace nv = morpheus::nvme;
 namespace pc = morpheus::pcie;
@@ -36,24 +35,6 @@ struct Rig
 };
 
 }  // namespace
-
-TEST(NvmeCommand, EncodeDecodeRoundTrip)
-{
-    nv::Command c;
-    c.opcode = nv::Opcode::kMRead;
-    c.cid = 0x1234;
-    c.nsid = 7;
-    c.prp1 = 0xDEADBEEFCAFE;
-    c.prp2 = 42;
-    c.slba = 0x123456789AB;
-    c.nlb = 255;
-    c.instanceId = 99;
-    c.cdw13 = 0xAABBCCDD;
-    c.cdw14 = 0x11223344;
-    const auto raw = c.encode();
-    EXPECT_EQ(raw.size(), nv::kCommandBytes);
-    EXPECT_EQ(nv::Command::decode(raw), c);
-}
 
 TEST(NvmeCommand, BlockArithmetic)
 {
@@ -223,31 +204,6 @@ TEST(NvmeController, DoorbellCostsAndInterruptsAccrue)
     EXPECT_GT(cqe.postedAt, 1000u);
 }
 
-TEST(NvmeCommand, WireFormatRoundTripsRandomCommands)
-{
-    // Property: every field survives the 64-byte encode/decode for
-    // arbitrary values (including the vendor opcodes).
-    morpheus::sim::Rng rng(2024);
-    const nv::Opcode opcodes[] = {
-        nv::Opcode::kFlush,  nv::Opcode::kWrite,  nv::Opcode::kRead,
-        nv::Opcode::kDsm,    nv::Opcode::kMInit,  nv::Opcode::kMRead,
-        nv::Opcode::kMWrite, nv::Opcode::kMDeinit};
-    for (int i = 0; i < 500; ++i) {
-        nv::Command c;
-        c.opcode = opcodes[rng.nextBelow(std::size(opcodes))];
-        c.cid = static_cast<std::uint16_t>(rng.next());
-        c.nsid = static_cast<std::uint32_t>(rng.next());
-        c.prp1 = rng.next();
-        c.prp2 = rng.next();
-        c.slba = rng.next() >> 16;
-        c.nlb = static_cast<std::uint16_t>(rng.next());
-        c.instanceId = static_cast<std::uint32_t>(rng.next());
-        c.cdw13 = static_cast<std::uint32_t>(rng.next());
-        c.cdw14 = static_cast<std::uint32_t>(rng.next());
-        ASSERT_EQ(nv::Command::decode(c.encode()), c);
-    }
-}
-
 TEST(NvmeDriver, IndependentQueuePairsDoNotInterfere)
 {
     Rig rig;
@@ -330,36 +286,6 @@ TEST(NvmeStatus, RetryabilityClassification)
     EXPECT_FALSE(nv::isRetryable(nv::Status::kAppLoadFailed));
     EXPECT_FALSE(nv::isRetryable(nv::Status::kAppFault));
     EXPECT_FALSE(nv::isRetryable(nv::Status::kCommandTimeout));
-}
-
-TEST(NvmeCompletion, WireFormatRoundTripsEveryStatus)
-{
-    const nv::Status all[] = {
-        nv::Status::kSuccess,         nv::Status::kInvalidOpcode,
-        nv::Status::kInvalidField,    nv::Status::kTransientTransferError,
-        nv::Status::kLbaOutOfRange,   nv::Status::kNoSuchInstance,
-        nv::Status::kAppLoadFailed,   nv::Status::kInstanceBusy,
-        nv::Status::kDsramExhausted,  nv::Status::kAppFault,
-        nv::Status::kSequenceError,   nv::Status::kMediaError,
-        nv::Status::kCommandTimeout};
-    std::uint32_t dw0 = 0x1000;
-    for (const nv::Status s : all) {
-        nv::Completion e;
-        e.dw0 = dw0++;  // e.g. a retry-after hint riding DW0
-        e.sqHead = 0x55;
-        e.sqId = 3;
-        e.cid = 0xBEEF;
-        e.status = s;
-        e.phase = (dw0 & 1) != 0;
-        const auto raw = e.encode();
-        const nv::Completion back = nv::Completion::decode(raw);
-        EXPECT_EQ(back.dw0, e.dw0);
-        EXPECT_EQ(back.sqHead, e.sqHead);
-        EXPECT_EQ(back.sqId, e.sqId);
-        EXPECT_EQ(back.cid, e.cid);
-        EXPECT_EQ(back.status, s) << nv::statusName(s);
-        EXPECT_EQ(back.phase, e.phase);
-    }
 }
 
 TEST(NvmeDriver, SynthesizesTimeoutForDroppedCqe)

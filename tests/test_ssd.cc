@@ -57,7 +57,6 @@ class VecTarget : public pc::BusTarget
 
 struct Rig
 {
-    ms::EventQueue eq;
     pc::PcieSwitch sw;
     pc::PortId host, ssd_port;
     VecTarget host_mem{4 << 20};
@@ -68,7 +67,7 @@ struct Rig
     explicit Rig(const sd::SsdConfig &cfg = smallSsd())
         : host(sw.addPort("host", pc::LinkConfig{3, 16})),
           ssd_port(sw.addPort("ssd", pc::LinkConfig{3, 4})),
-          ssd(eq, sw, ssd_port, cfg), driver(ssd.nvme())
+          ssd(sw, ssd_port, cfg), driver(ssd.nvme())
     {
         sw.mapWindow(0, 4 << 20, host, "host-dram", &host_mem);
         qid = driver.openQueue(64, 0x1000, 0x2000);
