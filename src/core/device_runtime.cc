@@ -96,20 +96,16 @@ MorpheusDeviceRuntime::doMInit(const nvme::Command &cmd, sim::Tick start)
     _staged.erase(staged);
 
     // With partitioning, the MINIT's requested budget (in-band in
-    // PRP2's low dword, staged setup as fallback) becomes a grant the
-    // core must be able to reserve; the default is an equal share of
-    // the scratchpad across kMaxInstancesPerCore co-residents. The
-    // grant is also a placement signal: the dispatcher prefers cores
-    // with room for it.
-    // PRP2's low dword is the D-SRAM request; the high dword carries
-    // the pushdown descriptor digest when MINIT ships one (NLB holds
-    // the descriptor's dword count).
+    // PRP2's low dword) becomes a grant the core must be able to
+    // reserve; the default (0) is an equal share of the scratchpad
+    // across kMaxInstancesPerCore co-residents. The grant is also a
+    // placement signal: the dispatcher prefers cores with room for it.
+    // PRP2's high dword carries the pushdown descriptor digest when
+    // MINIT ships one (NLB holds the descriptor's dword count).
     std::uint32_t granted = 0;
     if (_ssd.config().sched.dsramPartitioning) {
-        const auto prp2_low =
+        const auto requested =
             static_cast<std::uint32_t>(cmd.prp2 & 0xFFFFFFFFull);
-        const std::uint32_t requested =
-            prp2_low ? prp2_low : setup.dsramBytes;
         granted = requested ? requested
                             : _ssd.config().core.dsramBytes /
                                   sched::kMaxInstancesPerCore;

@@ -30,16 +30,8 @@ struct InstanceSetup
 {
     const StorageAppImage *image = nullptr;
     DmaTarget target;
-    std::uint32_t arg = 0;
     /** Staging flush threshold (0 = default: granted D-SRAM / 4). */
     std::uint32_t flushThreshold = 0;
-    /**
-     * Requested per-instance D-SRAM budget in bytes; also carried
-     * in-band by MINIT (PRP2 low dword). Meaningful only with
-     * SchedConfig::dsramPartitioning; 0 = the core's default share
-     * (dsramBytes / sched::kMaxInstancesPerCore).
-     */
-    std::uint32_t dsramBytes = 0;
     /**
      * Pushdown descriptor dwords (DESIGN.md §16): the projection mask
      * + predicate program a scan applet executes. Functionally staged

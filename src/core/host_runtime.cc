@@ -88,22 +88,28 @@ MorpheusRuntime::beginInvoke(const StorageAppImage &image,
                              const DmaTarget &target, sim::Tick now,
                              const InvokeOptions &opts)
 {
-    // Bracket the impl with the driver's trace-id counter: RAII on the
-    // local session would race NRVO (the ids could land in a moved-from
-    // object), so the wrapper collects explicitly on the returned one.
-    const nvme::NvmeDriver &driver = _sys.nvmeDriver(_ssdDevice);
-    const bool traced = obs::traceSink() != nullptr;
-    const obs::TraceId first = traced ? driver.nextTraceId() : 0;
-    InvokeSession s = beginInvokeImpl(image, stream, target, now, opts);
-    if (traced) {
-        for (obs::TraceId id = first; id != driver.nextTraceId(); ++id)
-            s.traceIds.push_back(id);
+    // The scope closes before the return: a scope alive at the return
+    // would race NRVO (the ids could land in a moved-from object).
+    InvokeSession s;
+    {
+        const TraceIdScope trace_scope(_sys.nvmeDriver(_ssdDevice), s);
+        beginInvokeImpl(s, image, stream, target, now, opts);
     }
     return s;
 }
 
-InvokeSession
-MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
+nvme::Completion
+MorpheusRuntime::mdeinit(const InvokeSession &s, sim::Tick at)
+{
+    nvme::Command cmd;
+    cmd.opcode = nvme::Opcode::kMDeinit;
+    cmd.instanceId = s.instance;
+    return _sys.nvmeDriver(_ssdDevice).io(s.qid, cmd, at);
+}
+
+void
+MorpheusRuntime::beginInvokeImpl(InvokeSession &s,
+                                 const StorageAppImage &image,
                                  const MsStream &stream,
                                  const DmaTarget &target, sim::Tick now,
                                  const InvokeOptions &opts)
@@ -111,7 +117,6 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
     nvme::NvmeDriver &driver = _sys.nvmeDriver(_ssdDevice);
     const unsigned core = opts.hostCore;
 
-    InvokeSession s;
     s.image = &image;
     s.stream = stream;
     s.target = target;
@@ -127,9 +132,7 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
     InstanceSetup setup;
     setup.image = &image;
     setup.target = target;
-    setup.arg = opts.arg;
     setup.flushThreshold = opts.flushThreshold;
-    setup.dsramBytes = opts.dsramBytes;
     setup.pushdown = opts.pushdown;
     _device.stageInstance(s.instance, setup);
 
@@ -152,14 +155,13 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
     minit.cdw13 = image.textBytes;
     minit.cdw14 = opts.arg;
     minit.cdw15 = opts.tenantId;
-    // Requested per-instance D-SRAM budget rides in PRP2's low dword
-    // (MINIT has no second data pointer). A pushdown descriptor adds
-    // its dword count in NLB and its digest in PRP2's high dword.
-    minit.prp2 = opts.dsramBytes;
+    // PRP2's low dword (a D-SRAM budget request) stays 0: the core's
+    // default share. A pushdown descriptor adds its dword count in NLB
+    // and its digest in PRP2's high dword.
     if (!opts.pushdown.empty()) {
         minit.nlb =
             static_cast<std::uint16_t>(opts.pushdown.size());
-        minit.prp2 |=
+        minit.prp2 =
             std::uint64_t(serde::pushdownDigest(opts.pushdown)) << 32;
     }
     nvme::Completion minit_cqe = driver.io(s.qid, minit, s.now);
@@ -194,7 +196,7 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
         s.retryAfterUs = minit_cqe.dw0;
         s.result.accepted = false;
         s.result.done = std::max(s.now, minit_cqe.postedAt);
-        return s;
+        return;
     }
     if (!minit_cqe.ok()) {
         MORPHEUS_ASSERT(driver.recovery().enabled,
@@ -205,17 +207,14 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
         // best-effort MDEINIT reclaims it either way (kNoSuchInstance
         // when it never came up) before reporting the refusal.
         _device.unstageInstance(s.instance);
-        nvme::Command mdeinit;
-        mdeinit.opcode = nvme::Opcode::kMDeinit;
-        mdeinit.instanceId = s.instance;
-        const nvme::Completion cleanup = driver.io(
-            s.qid, mdeinit, std::max(s.now, minit_cqe.postedAt));
+        const nvme::Completion cleanup =
+            mdeinit(s, std::max(s.now, minit_cqe.postedAt));
         s.failed = true;
         s.failStatus = s.minitStatus;
         s.result.accepted = false;
         s.result.failed = true;
         s.result.done = std::max(s.now, cleanup.postedAt);
-        return s;
+        return;
     }
     s.accepted = true;
     s.now = std::max(s.now, minit_cqe.postedAt);
@@ -232,7 +231,6 @@ MorpheusRuntime::beginInvokeImpl(const StorageAppImage &image,
         _sys.config().queueEntries > 1
             ? static_cast<std::uint16_t>(_sys.config().queueEntries - 1)
             : 1;
-    return s;
 }
 
 sim::Tick
@@ -311,10 +309,7 @@ MorpheusRuntime::finishInvoke(InvokeSession &s)
     nvme::NvmeDriver &driver = _sys.nvmeDriver(_ssdDevice);
     const TraceIdScope trace_scope(driver, s);
 
-    nvme::Command mdeinit;
-    mdeinit.opcode = nvme::Opcode::kMDeinit;
-    mdeinit.instanceId = s.instance;
-    const nvme::Completion fin = driver.io(s.qid, mdeinit, s.now);
+    const nvme::Completion fin = mdeinit(s, s.now);
     if (!fin.ok()) {
         // With recovery, a lost MDEINIT CQE (the teardown itself ran
         // device-side) degrades the invocation: the return value is
@@ -342,15 +337,11 @@ MorpheusRuntime::finishInvoke(InvokeSession &s)
 InvokeResult
 MorpheusRuntime::abortInvoke(InvokeSession &s)
 {
-    nvme::NvmeDriver &driver = _sys.nvmeDriver(_ssdDevice);
-    const TraceIdScope trace_scope(driver, s);
+    const TraceIdScope trace_scope(_sys.nvmeDriver(_ssdDevice), s);
     // Best-effort reclaim: a watchdog-killed instance answers
     // kNoSuchInstance (already freed device-side), a poisoned one runs
     // the hook-skipping teardown; either way the slot comes back.
-    nvme::Command mdeinit;
-    mdeinit.opcode = nvme::Opcode::kMDeinit;
-    mdeinit.instanceId = s.instance;
-    const nvme::Completion fin = driver.io(s.qid, mdeinit, s.now);
+    const nvme::Completion fin = mdeinit(s, s.now);
     s.now = std::max(s.now, fin.postedAt);
     s.result.failed = true;
     s.result.done = s.now;

@@ -54,12 +54,6 @@ struct InvokeOptions
     /** Tenant the invocation bills to (MINIT cdw15). */
     std::uint32_t tenantId = 0;
     /**
-     * Requested per-instance D-SRAM budget (MINIT PRP2 low dword).
-     * Only meaningful with SchedConfig::dsramPartitioning; 0 = the
-     * core's default equal share.
-     */
-    std::uint32_t dsramBytes = 0;
-    /**
      * Pushdown descriptor dwords (serde::ScanSpec::encode()). When
      * non-empty, MINIT carries the dword count in NLB, the descriptor
      * digest in PRP2's high dword, and the descriptor bytes behind the
@@ -227,11 +221,14 @@ class MorpheusRuntime
     std::uint32_t instancesIssued() const { return _nextInstance; }
 
   private:
-    /** beginInvoke body; the public wrapper collects trace ids. */
-    InvokeSession beginInvokeImpl(const StorageAppImage &image,
-                                  const MsStream &stream,
-                                  const DmaTarget &target, sim::Tick now,
-                                  const InvokeOptions &opts);
+    /** beginInvoke body, filling @p s inside the caller's trace-id
+     *  scope. */
+    void beginInvokeImpl(InvokeSession &s, const StorageAppImage &image,
+                         const MsStream &stream, const DmaTarget &target,
+                         sim::Tick now, const InvokeOptions &opts);
+
+    /** Issue MDEINIT for @p s's instance at @p at. */
+    nvme::Completion mdeinit(const InvokeSession &s, sim::Tick at);
 
     host::HostSystem &_sys;
     MorpheusDeviceRuntime &_device;

@@ -46,7 +46,7 @@ class FlashArray
      * @return Completion tick (timelines reserve at issue time; the
      *         data itself is read with peek()). This per-page tick is
      *         the contract the streaming pipeline builds on: the FTL
-     *         forwards it per page (Ftl::readPages page_ticks), so a
+     *         forwards it per page (PageReads::pageTicks), so a
      *         chunk's consumer can start at the first page's arrival,
      *         not the last's.
      */

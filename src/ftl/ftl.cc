@@ -21,7 +21,8 @@ planeIndex(const flash::FlashConfig &cfg, const flash::BlockPointer &b)
 }  // namespace
 
 Ftl::Ftl(flash::FlashArray &array, const FtlConfig &config)
-    : _array(array), _config(config)
+    : _array(array), _config(config),
+      _zeroPage(array.config().pageBytes, 0)
 {
     const auto &fc = _array.config();
     MORPHEUS_ASSERT(_config.overProvisioning > 0.0 &&
@@ -84,41 +85,35 @@ Ftl::pageAddress(std::uint64_t ppn) const
     return addr;
 }
 
-std::vector<std::uint8_t>
+const std::vector<std::uint8_t> &
 Ftl::peekPage(std::uint64_t lpn) const
 {
     const auto it = _map.find(lpn);
     if (it == _map.end())
-        return std::vector<std::uint8_t>(pageBytes(), 0);
+        return _zeroPage;
     return _array.peek(pageAddress(it->second));
 }
 
-sim::Tick
-Ftl::readPages(std::uint64_t lpn, std::uint32_t count, sim::Tick earliest,
-               bool *media_error, std::vector<sim::Tick> *page_ticks)
+PageReads
+Ftl::readPages(std::uint64_t lpn, std::uint32_t count, sim::Tick earliest)
 {
     MORPHEUS_ASSERT(count > 0, "zero-length FTL read");
     MORPHEUS_ASSERT(lpn + count <= _logicalPages,
                     "FTL read beyond logical capacity: lpn=", lpn,
                     " count=", count);
-    if (page_ticks) {
-        page_ticks->clear();
-        page_ticks->reserve(count);
-    }
-    sim::Tick done = earliest;
+    PageReads reads;
+    reads.pageTicks.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         sim::Tick page_done = earliest;
         const auto it = _map.find(lpn + i);
         if (it != _map.end()) {
-            page_done =
-                _array.read(pageAddress(it->second), earliest, media_error);
-            done = std::max(done, page_done);
+            page_done = _array.read(pageAddress(it->second), earliest,
+                                    &reads.mediaError);
         }
-        if (page_ticks)
-            page_ticks->push_back(page_done);
+        reads.pageTicks.push_back(page_done);
         ++_hostReads;
     }
-    return done;
+    return reads;
 }
 
 void

@@ -39,6 +39,18 @@ struct FtlConfig
     unsigned gcHighWatermark = 16;
 };
 
+/** Timing of one Ftl::readPages call. */
+struct PageReads
+{
+    /** Per-page flash completion ticks in LPN order (unmapped pages
+     *  complete at the call's earliest tick), so a consumer can start
+     *  on the first page's arrival instead of the last's. */
+    std::vector<sim::Tick> pageTicks;
+    /** Any constituent flash page read came back uncorrectable (time
+     *  for every page is still charged). */
+    bool mediaError = false;
+};
+
 /** Page-mapped FTL over a FlashArray. */
 class Ftl
 {
@@ -56,20 +68,10 @@ class Ftl
      *
      * Charges the flash time only; the data is read with peekPage().
      * Unmapped pages cost nothing and read as zeros. Pages are
-     * fetched in parallel across dies; completion is the latest page.
-     *
-     * @param media_error  Optional fault-injection out-param: set true
-     *         when any constituent flash page read comes back
-     *         uncorrectable (time for every page is still charged).
-     * @param page_ticks   Optional out-param: per-page flash completion
-     *         ticks, in LPN order (unmapped pages complete at
-     *         @p earliest). Lets the streaming pipeline start consuming
-     *         at the first page's arrival instead of the last's.
-     * @return Completion tick: the latest page tick.
+     * fetched in parallel across dies.
      */
-    sim::Tick readPages(std::uint64_t lpn, std::uint32_t count,
-                        sim::Tick earliest, bool *media_error = nullptr,
-                        std::vector<sim::Tick> *page_ticks = nullptr);
+    PageReads readPages(std::uint64_t lpn, std::uint32_t count,
+                        sim::Tick earliest);
 
     /**
      * Write logical pages starting at @p lpn. @p data is padded to a
@@ -84,8 +86,9 @@ class Ftl
     /** Whether @p lpn currently maps to flash. */
     bool isMapped(std::uint64_t lpn) const;
 
-    /** Zero-time page contents (unmapped => zeros). */
-    std::vector<std::uint8_t> peekPage(std::uint64_t lpn) const;
+    /** Zero-time page contents (unmapped => a shared zero page). The
+     *  view is valid until the next write or GC. */
+    const std::vector<std::uint8_t> &peekPage(std::uint64_t lpn) const;
 
     /** Free blocks remaining in the allocation pool. */
     std::size_t freeBlocks() const { return _freeBlocks.size(); }
@@ -127,6 +130,8 @@ class Ftl
     flash::FlashArray &_array;
     FtlConfig _config;
     std::uint64_t _logicalPages;
+    /** What an unmapped LPN reads as. */
+    std::vector<std::uint8_t> _zeroPage;
 
     /** LPN -> flat physical page index. */
     std::unordered_map<std::uint64_t, std::uint64_t> _map;

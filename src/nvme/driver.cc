@@ -60,13 +60,13 @@ NvmeDriver::submit(std::uint16_t qid, Command cmd)
     MORPHEUS_ASSERT(!sq.full(), "SQ ", qid,
                     " full; increase entries or drain completions");
     sq.push(cmd);
-    if (obs::traceSink() != nullptr) {
-        _inflight[key(qid, cmd.cid)] = InflightTrace{
-            cmd.traceId, cmd.opcode, tracedBytes(cmd), 0};
+    const bool traced = obs::traceSink() != nullptr;
+    if (traced || _recovery.enabled) {
+        _inflight[key(qid, cmd.cid)] =
+            Inflight{traced ? cmd.traceId : 0, cmd.opcode,
+                     tracedBytes(cmd), std::nullopt};
         _unrung[qid].push_back(key(qid, cmd.cid));
     }
-    if (_recovery.enabled)
-        _unrungIssued[qid].push_back(key(qid, cmd.cid));
     return Submitted{qid, cmd.cid, cmd.traceId};
 }
 
@@ -75,7 +75,8 @@ NvmeDriver::ring(std::uint16_t qid, sim::Tick now)
 {
     if (!_inflight.empty()) {
         // The host-visible span starts when the doorbell rings: that is
-        // when the command leaves the host's hands.
+        // when the command leaves the host's hands, and when its
+        // timeout starts to run.
         auto it = _unrung.find(qid);
         if (it != _unrung.end()) {
             for (const std::uint32_t k : it->second) {
@@ -83,14 +84,6 @@ NvmeDriver::ring(std::uint16_t qid, sim::Tick now)
                 if (inflight != _inflight.end())
                     inflight->second.rungAt = now;
             }
-            it->second.clear();
-        }
-    }
-    if (_recovery.enabled) {
-        auto it = _unrungIssued.find(qid);
-        if (it != _unrungIssued.end()) {
-            for (const std::uint32_t k : it->second)
-                _issuedAt[k] = now;
             it->second.clear();
         }
     }
@@ -103,12 +96,15 @@ NvmeDriver::noteReaped(std::uint16_t qid, const Completion &cqe)
     const auto it = _inflight.find(key(qid, cqe.cid));
     if (it == _inflight.end())
         return;
-    const InflightTrace &t = it->second;
-    obs::traceSpan({_trackPrefix, "host.queue", qid}, opcodeName(t.opcode),
-                   "nvme", t.rungAt, cqe.postedAt,
-                   {.trace = t.trace,
-                    .bytes = t.bytes,
-                    .status = static_cast<std::uint32_t>(cqe.status)});
+    const Inflight &t = it->second;
+    if (t.trace != 0) {
+        obs::traceSpan({_trackPrefix, "host.queue", qid},
+                       opcodeName(t.opcode), "nvme", t.rungAt.value_or(0),
+                       cqe.postedAt,
+                       {.trace = t.trace,
+                        .bytes = t.bytes,
+                        .status = static_cast<std::uint32_t>(cqe.status)});
+    }
     _inflight.erase(it);
 }
 
@@ -127,8 +123,6 @@ NvmeDriver::wait(const Submitted &token)
         ++_reaped;
         if (!_inflight.empty())
             noteReaped(token.qid, cqe);
-        if (_recovery.enabled)
-            _issuedAt.erase(key(token.qid, cqe.cid));
         if (cqe.cid == token.cid)
             return cqe;
         _pending.emplace(key(token.qid, cqe.cid), cqe);
@@ -137,23 +131,20 @@ NvmeDriver::wait(const Submitted &token)
         // The CQE never arrived (dropped, or the instance hung and the
         // watchdog suppressed it). Abort the command at its deadline
         // and hand back a host-synthesized timeout completion.
-        const auto issued = _issuedAt.find(key(token.qid, token.cid));
-        if (issued != _issuedAt.end()) {
+        const auto t = _inflight.find(key(token.qid, token.cid));
+        if (t != _inflight.end() && t->second.rungAt) {
             Completion cqe;
             cqe.cid = token.cid;
             cqe.sqId = token.qid;
             cqe.status = Status::kCommandTimeout;
-            cqe.postedAt = issued->second + kCommandTimeout;
-            _issuedAt.erase(issued);
+            cqe.postedAt = *t->second.rungAt + kCommandTimeout;
             ++_timeouts;
-            const auto t = _inflight.find(key(token.qid, token.cid));
             obs::traceInstant(
                 {_trackPrefix, "host.queue", token.qid}, "timeout_abort",
                 "nvme", cqe.postedAt,
-                {.trace = t != _inflight.end() ? t->second.trace : 0,
+                {.trace = t->second.trace,
                  .status = static_cast<std::uint32_t>(cqe.status)});
-            if (t != _inflight.end())
-                _inflight.erase(t);
+            _inflight.erase(t);
             return cqe;
         }
     }

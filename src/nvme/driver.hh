@@ -131,11 +131,11 @@ class NvmeDriver
     const std::string &trackPrefix() const { return _trackPrefix; }
 
     /**
-     * Partition the trace-id space per device. Trace ids ride the
-     * SQE's spare CDW2 bytes, so ids from two drivers would collide in
-     * a fleet trace; giving driver d base d<<24 keeps every id unique
-     * device-wide (16M commands per device before wrap). Device 0's
-     * ids (base 0) are bit-identical to the single-SSD ones.
+     * Partition the trace-id space per device. Each driver numbers its
+     * commands from its own counter, so ids from two drivers would
+     * collide in a fleet trace; giving driver d base d<<24 keeps every
+     * id unique device-wide (16M commands per device before wrap).
+     * Device 0's ids (base 0) are bit-identical to the single-SSD ones.
      */
     void setTraceIdBase(obs::TraceId base) { _nextTraceId = base + 1; }
 
@@ -149,7 +149,8 @@ class NvmeDriver
     std::uint64_t timeoutsSynthesized() const { return _timeouts.value(); }
 
   private:
-    /** Emit the host-side span for a just-reaped completion. */
+    /** Emit the host-side span for a just-reaped completion and drop
+     *  its in-flight record. */
     void noteReaped(std::uint16_t qid, const Completion &cqe);
 
     NvmeController &_controller;
@@ -162,29 +163,27 @@ class NvmeDriver
 
     /** Next trace id to stamp (always assigned; 0 means untraced). */
     obs::TraceId _nextTraceId = 1;
-    /** Host-side view of a traced command, kept only while a sink is
-     *  attached (the no-sink path never touches these containers). */
-    struct InflightTrace
+    /** Host-side record of a submitted command, kept only while a
+     *  trace sink is attached or recovery is enabled (the no-sink,
+     *  no-recovery path never touches these containers). */
+    struct Inflight
     {
+        /** Trace id for the host-side span; 0 when no sink was
+         *  attached at submit (no span is emitted). */
         obs::TraceId trace = 0;
         Opcode opcode = Opcode::kFlush;
         std::uint64_t bytes = 0;
-        sim::Tick rungAt = 0;
+        /** Doorbell tick: the span's start and the timeout's origin. */
+        std::optional<sim::Tick> rungAt;
     };
-    /** (qid << 16 | cid) -> host-side trace bookkeeping. */
-    std::unordered_map<std::uint32_t, InflightTrace> _inflight;
+    /** (qid << 16 | cid) -> in-flight record. */
+    std::unordered_map<std::uint32_t, Inflight> _inflight;
     /** Per-qid keys submitted but not yet rung (rungAt unstamped). */
     std::unordered_map<std::uint16_t, std::vector<std::uint32_t>> _unrung;
 
     DriverRecoveryConfig _recovery;
     /** Jitter stream; engaged by setRecovery(). */
     std::optional<sim::Rng> _jitterRng;
-    /** (qid << 16 | cid) -> doorbell tick; recovery-enabled only, so
-     *  wait() can place the synthesized timeout abort in time. */
-    std::unordered_map<std::uint32_t, sim::Tick> _issuedAt;
-    /** Per-qid keys awaiting their doorbell tick (recovery only). */
-    std::unordered_map<std::uint16_t, std::vector<std::uint32_t>>
-        _unrungIssued;
     sim::stats::Counter _retries;
     sim::stats::Counter _timeouts;
 };

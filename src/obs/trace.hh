@@ -2,9 +2,9 @@
  * @file
  * Cross-layer command tracing.
  *
- * Every NVMe command is stamped with a trace id at submission (the id
- * rides in the SQE's spare CDW2 bytes, so it survives the wire format
- * round-trip and is visible to every layer that sees the command).
+ * Every NVMe command is stamped with a trace id at submission
+ * (nvme::Command::traceId, visible to every layer that sees the
+ * command).
  * Instrumented components record Spans — begin/end ticks on a named
  * track, attributed to a trace id / tenant / instance — into a
  * process-global TraceSink.

@@ -73,7 +73,7 @@ SsdController::peekBytes(std::uint64_t byte_offset,
         const std::uint64_t in_page = off % page_bytes;
         const std::uint64_t take =
             std::min<std::uint64_t>(remaining, page_bytes - in_page);
-        const auto page = _ftl->peekPage(lpn);
+        const auto &page = _ftl->peekPage(lpn);
         out.insert(out.end(), page.begin() + in_page,
                    page.begin() + in_page + take);
         off += take;
@@ -92,8 +92,11 @@ SsdController::fetchToDram(std::uint64_t byte_offset, std::uint64_t len,
     const std::uint64_t first = byte_offset / page_bytes;
     const std::uint64_t last = (byte_offset + len - 1) / page_bytes;
     const auto count = static_cast<std::uint32_t>(last - first + 1);
+    const ftl::PageReads reads = _ftl->readPages(first, count, earliest);
+    if (media_error && reads.mediaError)
+        *media_error = true;
     const sim::Tick flash_done =
-        _ftl->readPages(first, count, earliest, media_error);
+        *std::max_element(reads.pageTicks.begin(), reads.pageTicks.end());
     // Buffer the payload through controller DRAM.
     return dramTransfer(len, flash_done);
 }
@@ -112,10 +115,8 @@ SsdController::fetchToDramPaged(std::uint64_t byte_offset,
     const auto count = static_cast<std::uint32_t>(last - first + 1);
     fetch.firstPage = first;
 
-    std::vector<sim::Tick> flash_ticks;
-    bool media = false;
-    _ftl->readPages(first, count, earliest, &media, &flash_ticks);
-    fetch.mediaError = media;
+    const ftl::PageReads reads = _ftl->readPages(first, count, earliest);
+    fetch.mediaError = reads.mediaError;
 
     // Buffer each page through controller DRAM in logical order (the
     // parse consumes a sequential byte stream): page i's transfer
@@ -131,7 +132,7 @@ SsdController::fetchToDramPaged(std::uint64_t byte_offset,
         const std::uint64_t hi = std::min<std::uint64_t>(
             page_begin + page_bytes, byte_offset + len);
         buffered = dramTransfer(hi - lo,
-                                std::max(flash_ticks[i], buffered));
+                                std::max(reads.pageTicks[i], buffered));
         fetch.pageReady.push_back(buffered);
     }
     fetch.allReady = fetch.pageReady.back();
@@ -173,7 +174,7 @@ SsdController::storeFromDram(std::uint64_t byte_offset,
     std::vector<std::uint8_t> pages;
     pages.reserve((last - first + 1) * page_bytes);
     for (std::uint64_t lpn = first; lpn <= last; ++lpn) {
-        const auto page = _ftl->peekPage(lpn);
+        const auto &page = _ftl->peekPage(lpn);
         pages.insert(pages.end(), page.begin(), page.end());
     }
     const std::uint64_t start_off = byte_offset - first * page_bytes;

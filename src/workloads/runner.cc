@@ -23,7 +23,6 @@ struct ActivitySnapshot
     sim::Tick cpuBusy = 0;
     sim::Tick flashBusy = 0;
     sim::Tick ssdCoresBusy = 0;
-    sim::Tick gpuBusy = 0;
     std::uint64_t fabricBytes = 0;
     std::uint64_t membusBytes = 0;
     std::uint64_t contextSwitches = 0;
@@ -43,7 +42,6 @@ struct ActivitySnapshot
         }
         for (unsigned c = 0; c < sys.ssd().numCores(); ++c)
             s.ssdCoresBusy += sys.ssd().core(c).timeline().busyTicks();
-        s.gpuBusy = sys.gpu().smTimeline().busyTicks();
         s.fabricBytes = sys.fabric().fabricBytes();
         s.membusBytes = sys.mem().busBytesTotal();
         s.contextSwitches = sys.os().contextSwitches();

@@ -84,8 +84,6 @@ enum class HostExecReason : std::uint8_t {
  *  exactly even when an overloaded run stretches the tail. */
 using LatencyTally = std::vector<double>;
 
-/** Fill @p out from @p lat. The mean sums in sample order, then the
- *  samples are sorted for the order statistics. */
 /** Index of the ceil-rank @p q quantile among @p n > 0 sorted items. */
 std::size_t
 quantileRank(double q, std::size_t n)
@@ -96,6 +94,8 @@ quantileRank(double q, std::size_t n)
            1;
 }
 
+/** Fill @p out from @p lat. The mean sums in sample order, then the
+ *  samples are sorted for the order statistics. */
 void
 summarize(LatencyTally lat, LatencySummary *out)
 {

@@ -55,9 +55,7 @@ struct Rig
         co::InstanceSetup setup;
         setup.image = &image;
         setup.target = target;
-        setup.arg = arg;
         setup.flushThreshold = flush_threshold;
-        setup.dsramBytes = dsram;
         device.stageInstance(instance, setup);
         nv::Command c;
         c.opcode = nv::Opcode::kMInit;

@@ -43,6 +43,14 @@ fill(std::uint8_t seed, std::size_t n)
     return v;
 }
 
+/** The latest page's flash completion tick. */
+ms::Tick
+latest(const ft::PageReads &reads)
+{
+    return *std::max_element(reads.pageTicks.begin(),
+                             reads.pageTicks.end());
+}
+
 struct FtlFixture
 {
     fl::FlashArray flash;
@@ -80,7 +88,7 @@ TEST(Ftl, WriteThenReadBack)
     const ms::Tick written = f.ftl.writePages(5, data, 0);
     ASSERT_TRUE(f.ftl.isMapped(5));
 
-    const ms::Tick read = f.ftl.readPages(5, 1, written);
+    const ms::Tick read = latest(f.ftl.readPages(5, 1, written));
     const auto cfg = tinyFlash();
     EXPECT_GE(read, written + cfg.readLatency +
                         ms::transferTicks(cfg.pageBytes,
@@ -187,7 +195,7 @@ TEST_P(FtlRandomProperty, ReadAfterWriteUnderChurn)
     // Every shadowed page is still mapped, so reading it charges
     // flash time past t.
     for (const auto &[lpn, tag] : shadow)
-        EXPECT_GT(f.ftl.readPages(lpn, 1, t), t);
+        EXPECT_GT(latest(f.ftl.readPages(lpn, 1, t)), t);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtlRandomProperty,
@@ -202,7 +210,7 @@ TEST(Ftl, ParallelReadsAcrossDiesOverlap)
     // A 4-page read touches pages striped over 2 channels; the total
     // time is below 4 sequential die reads.
     const ms::Tick start = t;
-    const ms::Tick done = f.ftl.readPages(0, 4, start);
+    const ms::Tick done = latest(f.ftl.readPages(0, 4, start));
     const auto cfg = tinyFlash();
     EXPECT_LT(done - start, 4 * (cfg.readLatency +
                                  ms::transferTicks(
@@ -229,22 +237,19 @@ TEST(Ftl, ReadPagesReportsOneTickPerPageInLpnOrder)
     // after LPN 3 although it comes first in LPN order.
     f.ftl.writePages(5, fill(5, 256), earliest);
 
-    std::vector<ms::Tick> ticks;
-    bool media = false;
-    const ms::Tick done =
-        f.ftl.readPages(0, 4, earliest, &media, &ticks);
+    const ft::PageReads reads = f.ftl.readPages(0, 4, earliest);
+    const std::vector<ms::Tick> &ticks = reads.pageTicks;
     ASSERT_EQ(ticks.size(), 4u);
     EXPECT_EQ(ticks[0], earliest + read + xfer);
     EXPECT_GE(ticks[1], earliest + cfg.programLatency + read + xfer);
     EXPECT_EQ(ticks[2], earliest);  // unmapped: no flash access
     EXPECT_GT(ticks[3], ticks[0]);  // queued behind LPN 0 on its die
     EXPECT_GT(ticks[1], ticks[3]);
-    EXPECT_EQ(done, *std::max_element(ticks.begin(), ticks.end()));
-    EXPECT_FALSE(media);
+    EXPECT_FALSE(reads.mediaError);
 
     // An unmapped-only range completes at earliest.
-    EXPECT_EQ(f.ftl.readPages(2, 1, earliest, nullptr, &ticks), earliest);
-    EXPECT_EQ(ticks, std::vector<ms::Tick>{earliest});
+    EXPECT_EQ(f.ftl.readPages(2, 1, earliest).pageTicks,
+              std::vector<ms::Tick>{earliest});
 }
 
 TEST(Ftl, ReadPagesFlagsInjectedMediaErrors)
@@ -257,18 +262,15 @@ TEST(Ftl, ReadPagesFlagsInjectedMediaErrors)
     ms::ScopedFaultInjector scope(&fi);
 
     // An unmapped page draws nothing.
-    bool media = false;
-    f.ftl.readPages(1, 1, t, &media);
-    EXPECT_FALSE(media);
+    EXPECT_FALSE(f.ftl.readPages(1, 1, t).mediaError);
     EXPECT_EQ(fi.mediaErrors(), 0u);
 
     // A mapped page's read comes back uncorrectable, its time charged.
-    std::vector<ms::Tick> ticks;
-    const ms::Tick done = f.ftl.readPages(0, 2, t, &media, &ticks);
-    EXPECT_TRUE(media);
+    const ft::PageReads reads = f.ftl.readPages(0, 2, t);
+    EXPECT_TRUE(reads.mediaError);
     EXPECT_EQ(fi.mediaErrors(), 1u);
-    EXPECT_EQ(ticks.size(), 2u);
-    EXPECT_GT(done, t);
+    EXPECT_EQ(reads.pageTicks.size(), 2u);
+    EXPECT_GT(latest(reads), t);
     EXPECT_EQ(f.ftl.peekPage(0), fill(1, 256));
 }
 

@@ -60,7 +60,6 @@ struct Rig
         co::InstanceSetup setup;
         setup.image = &image;
         setup.target = co::DmaTarget{sys.allocHost(1 << 20), false};
-        setup.dsramBytes = dsram;
         device.stageInstance(instance, setup);
         nv::Command c;
         c.opcode = nv::Opcode::kMInit;

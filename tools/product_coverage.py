@@ -10,7 +10,7 @@ Usage:
     python3 tools/product_coverage.py build-cov
 
 Runs the product commands CI runs, each in a fresh scratch directory:
-the ten gated benches, the seven `morpheus-run` lines of the CI jobs
+the ten gated benches, the eight `morpheus-run` lines of the CI jobs
 and every example binary. A command's exit status is printed but does
 not fail the script: a bench's wall-clock gate can trip in an -O0
 build. Then prints, for every `.cc` file under src/, the executed and
@@ -56,6 +56,8 @@ RUNS = [
      "--timeline-csv", "serve_timeline.csv"],
     ["pagerank", "--mode", "morpheus", "--recovery", "--fault-plan",
      "media=5e-3,dma=2e-3,crash=1e-3,seed=5"],
+    ["pagerank", "--mode", "baseline", "--recovery", "--fault-plan",
+     "media=5e-3,dma=2e-3,seed=5"],
 ]
 
 
