@@ -363,7 +363,7 @@ MorpheusDeviceRuntime::issueReadahead(Instance &inst,
     if (len == 0)
         return;
     Instance::Readahead ra;
-    ra.fetch = _ssd.fetchToDramPaged(byte_off, len, earliest);
+    ra.fetch = _ssd.fetchToDram(byte_off, len, earliest);
     ra.media = ra.fetch.mediaError;
     ra.byteOff = byte_off;
     ra.len = len;
@@ -411,7 +411,7 @@ MorpheusDeviceRuntime::mreadStaged(Instance &inst,
             else
                 ++_readaheadDropped;
         }
-        fetch = _ssd.fetchToDramPaged(byte_off, valid, start);
+        fetch = _ssd.fetchToDram(byte_off, valid, start);
     }
     const sim::Tick all_ready = std::max(start, fetch.allReady);
     if (fetch.mediaError) {

@@ -82,28 +82,9 @@ SsdController::peekBytes(std::uint64_t byte_offset,
     return out;
 }
 
-sim::Tick
-SsdController::fetchToDram(std::uint64_t byte_offset, std::uint64_t len,
-                           sim::Tick earliest, bool *media_error)
-{
-    if (len == 0)
-        return earliest;
-    const std::uint32_t page_bytes = _ftl->pageBytes();
-    const std::uint64_t first = byte_offset / page_bytes;
-    const std::uint64_t last = (byte_offset + len - 1) / page_bytes;
-    const auto count = static_cast<std::uint32_t>(last - first + 1);
-    const ftl::PageReads reads = _ftl->readPages(first, count, earliest);
-    if (media_error && reads.mediaError)
-        *media_error = true;
-    const sim::Tick flash_done =
-        *std::max_element(reads.pageTicks.begin(), reads.pageTicks.end());
-    // Buffer the payload through controller DRAM.
-    return dramTransfer(len, flash_done);
-}
-
 PagedFetch
-SsdController::fetchToDramPaged(std::uint64_t byte_offset,
-                                std::uint64_t len, sim::Tick earliest)
+SsdController::fetchToDram(std::uint64_t byte_offset, std::uint64_t len,
+                           sim::Tick earliest)
 {
     PagedFetch fetch;
     fetch.allReady = earliest;
@@ -118,11 +99,10 @@ SsdController::fetchToDramPaged(std::uint64_t byte_offset,
     const ftl::PageReads reads = _ftl->readPages(first, count, earliest);
     fetch.mediaError = reads.mediaError;
 
-    // Buffer each page through controller DRAM in logical order (the
-    // parse consumes a sequential byte stream): page i's transfer
-    // starts once its flash read lands and the DRAM port has drained
-    // page i-1. Charge each page's in-range bytes so the total DRAM
-    // occupancy matches the unpaged path.
+    // Buffer each page through controller DRAM in logical order (a
+    // parse or a host DMA consumes a sequential byte stream): page i's
+    // transfer starts once its flash read lands and the DRAM port has
+    // drained page i-1. Each page charges only its in-range bytes.
     fetch.pageReady.reserve(count);
     sim::Tick buffered = earliest;
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -245,9 +225,9 @@ SsdController::doRead(const nvme::Command &cmd, sim::Tick start)
     _bytesToHost += len;
 
     // Flash -> controller DRAM, then DMA out to the PRP target.
-    bool media = false;
-    const sim::Tick buffered = fetchToDram(off, len, start, &media);
-    if (media) {
+    const PagedFetch fetch = fetchToDram(off, len, start);
+    const sim::Tick buffered = fetch.allReady;
+    if (fetch.mediaError) {
         // Uncorrectable page: the access time was charged, but no data
         // leaves the device. The host retries (read-retry recoverable).
         obs::traceInstant(
@@ -257,6 +237,8 @@ SsdController::doRead(const nvme::Command &cmd, sim::Tick start)
                  nvme::Status::kMediaError)});
         return {buffered, nvme::Status::kMediaError, 0};
     }
+    obs::traceSpan({_trackPrefix, "ssd.dram"}, "fetch", "ssd", start,
+                   buffered, {.trace = cmd.traceId, .bytes = len});
     const auto data = peekBytes(off, len);
     sim::Tick done =
         _fabric.dmaWriteData(_port, cmd.prp1, data.data(), data.size(),

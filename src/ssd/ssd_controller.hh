@@ -157,25 +157,13 @@ class SsdController
                                         std::uint64_t len) const;
 
     /**
-     * Timed flash fetch of the logical byte range into controller
-     * DRAM. @return tick when the data is buffered on-device.
-     * @p media_error (optional) is set true when fault injection made
-     * any underlying flash page read uncorrectable.
+     * Timed flash fetch of the logical byte range into controller DRAM,
+     * the one path every timed read takes (READ, MREAD, readahead).
+     * Each page is buffered as it lands, in logical order, so a caller
+     * can start on any page's arrival instead of the last's.
      */
-    sim::Tick fetchToDram(std::uint64_t byte_offset, std::uint64_t len,
-                          sim::Tick earliest,
-                          bool *media_error = nullptr);
-
-    /**
-     * Timed flash fetch like fetchToDram(), but returns per-page
-     * DRAM-buffered completion ticks so the caller can overlap
-     * consumption with the tail of the fetch: the MREAD path, which
-     * models a controller streaming channel data into DRAM page by
-     * page. Total DRAM occupancy matches fetchToDram() up to per-page
-     * rounding.
-     */
-    PagedFetch fetchToDramPaged(std::uint64_t byte_offset,
-                                std::uint64_t len, sim::Tick earliest);
+    PagedFetch fetchToDram(std::uint64_t byte_offset, std::uint64_t len,
+                           sim::Tick earliest);
 
     /**
      * Device-side recovery for an outbound (device -> host/GPU) DMA:

@@ -917,7 +917,7 @@ TEST(DeviceRuntime, MultiPageMReadParsesAtLastPagesBufferedTick)
 {
     // Pipeline off: the chunk is one sub-buffer, so its parse starts
     // once the last flash page is buffered in controller DRAM, page by
-    // page, exactly as fetchToDramPaged times it.
+    // page, exactly as fetchToDram times it.
     const auto a = wk::genIntArray(80, 20000);
     sd::TextWriter w;
     a.serialize(w);
@@ -949,7 +949,7 @@ TEST(DeviceRuntime, MultiPageMReadParsesAtLastPagesBufferedTick)
     ASSERT_EQ(parses.size(), 1u);
     EXPECT_EQ(rig.device.subBuffersParsed(), 1u);
 
-    const auto paged = twin.sys.ssd().fetchToDramPaged(
+    const auto paged = twin.sys.ssd().fetchToDram(
         extent.startByte, chunk, fetches[0].begin);
     ASSERT_EQ(paged.pageReady.size(), chunk / rig.sys.ssd().ftl().pageBytes());
     EXPECT_EQ(fetches[0].end, paged.pageReady.back());

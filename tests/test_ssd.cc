@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "nvme/driver.hh"
+#include "obs/trace.hh"
 #include "ssd/ssd_controller.hh"
 
 namespace nv = morpheus::nvme;
@@ -142,6 +144,72 @@ TEST(SsdController, SubPageWritePreservesNeighbours)
         ASSERT_EQ(bytes[i], a[i]);
     for (std::size_t i = 512; i < 1024; ++i)
         ASSERT_EQ(bytes[i], 0xEE);
+}
+
+TEST(SsdController, MultiPageReadBuffersPageByPageLikeMRead)
+{
+    // A READ reaches controller DRAM the way an MREAD does: each flash
+    // page is buffered as it lands, so with DRAM the bottleneck the
+    // first pages drain while later pages are still on flash. Twin rigs
+    // with the same history time the same range through fetchToDram
+    // (the MREAD path) and through flash plus one bulk DRAM transfer.
+    sd::SsdConfig cfg = smallSsd();
+    cfg.dramBytesPerSec = 0.05 * ms::kGBps;
+    const std::uint64_t len = 8 * cfg.flash.pageBytes;
+    const auto data = pattern(len);
+    auto write = [&](Rig &r) {
+        std::copy(data.begin(), data.end(),
+                  r.host_mem.mem.begin() + 0x10000);
+        nv::Command wr;
+        wr.opcode = nv::Opcode::kWrite;
+        wr.prp1 = 0x10000;
+        wr.slba = 0;
+        wr.nlb = static_cast<std::uint16_t>(len / nv::kBlockBytes - 1);
+        const auto cqe = r.driver.io(r.qid, wr, 0);
+        EXPECT_TRUE(cqe.ok());
+        return cqe.postedAt;
+    };
+    Rig rig(cfg);
+    Rig paged(cfg);
+    Rig bulk(cfg);
+    const ms::Tick written = write(rig);
+    write(paged);
+    write(bulk);
+
+    morpheus::obs::InMemoryTraceSink sink;
+    nv::Command rd;
+    rd.opcode = nv::Opcode::kRead;
+    rd.prp1 = 0x40000;
+    rd.slba = 0;
+    rd.nlb = static_cast<std::uint16_t>(len / nv::kBlockBytes - 1);
+    nv::Completion cqe;
+    {
+        const morpheus::obs::ScopedTraceSink attach(sink);
+        cqe = rig.driver.io(rig.qid, rd, written);
+    }
+    ASSERT_TRUE(cqe.ok());
+    const auto reads = sink.named(nv::opcodeName(nv::Opcode::kRead));
+    ASSERT_FALSE(reads.empty());
+    const auto fetches = sink.named("fetch");
+    ASSERT_EQ(fetches.size(), 1u);
+    const auto &fetch = fetches[0];
+    EXPECT_EQ(fetch.track, "ssd.dram");
+    EXPECT_EQ(fetch.trace, reads[0].trace);
+    EXPECT_EQ(fetch.bytes, len);
+
+    const sd::PagedFetch twin = paged.ssd.fetchToDram(0, len, fetch.begin);
+    ASSERT_EQ(twin.pageReady.size(), 8u);
+    EXPECT_EQ(fetch.end, twin.allReady);
+    EXPECT_LT(fetch.end, cqe.postedAt);
+
+    const auto flash = bulk.ssd.ftl().readPages(0, 8, fetch.begin);
+    const ms::Tick last_page = *std::max_element(flash.pageTicks.begin(),
+                                                 flash.pageTicks.end());
+    EXPECT_LT(fetch.end,
+              last_page + ms::transferTicks(len, cfg.dramBytesPerSec));
+
+    for (std::size_t i = 0; i < data.size(); ++i)
+        ASSERT_EQ(rig.host_mem.mem[0x40000 + i], data[i]) << i;
 }
 
 TEST(SsdController, ReadBeyondCapacityFails)
