@@ -61,9 +61,10 @@ benchScale()
 
 /**
  * Environment-driven tracing for bench binaries: when MORPHEUS_TRACE
- * names a file, a ChromeTraceSink is attached for the object's
- * lifetime and the trace-event JSON written at destruction. With the
- * variable unset this is inert — the bench measures the untraced path.
+ * names a file, an InMemoryTraceSink is attached for the object's
+ * lifetime and its spans are written as trace-event JSON at
+ * destruction. With the variable unset this is inert — the bench
+ * measures the untraced path.
  */
 class EnvTrace
 {
@@ -72,7 +73,7 @@ class EnvTrace
     {
         if (const char *path = std::getenv("MORPHEUS_TRACE")) {
             _path = path;
-            _sink = std::make_unique<obs::ChromeTraceSink>();
+            _sink = std::make_unique<obs::InMemoryTraceSink>();
             obs::setTraceSink(_sink.get());
         }
     }
@@ -84,7 +85,7 @@ class EnvTrace
         obs::setTraceSink(nullptr);
         std::ofstream os(_path);
         if (os) {
-            _sink->write(os);
+            obs::writeChromeTrace(os, _sink->spans());
             std::fprintf(stderr, "trace: %zu events -> %s\n",
                          _sink->size(), _path.c_str());
         } else {
@@ -98,7 +99,7 @@ class EnvTrace
 
   private:
     std::string _path;
-    std::unique_ptr<obs::ChromeTraceSink> _sink;
+    std::unique_ptr<obs::InMemoryTraceSink> _sink;
 };
 
 /** One app's metrics under one mode. */
@@ -224,6 +225,48 @@ runRecorded(BenchRuns &runs, const std::string &name,
 {
     opts.metrics = &runs.emplace_back(name, obs::MetricsRegistry{}).second;
     return workloads::runServing(opts);
+}
+
+/**
+ * The options every serving bench starts from: seed 42, three tenants
+ * (ids 1-3, default specs) and the contended scheduler posture. At
+ * most 12 instances are in flight: ~3 per core keeps every admitted
+ * image inside I-SRAM, and the overflow waits in the admission queue
+ * instead of failing MINITs on the device. Per-instance D-SRAM grants
+ * are in force, so co-residents split each core's scratchpad (256 KiB
+ * / 4 = a 64 KiB grant each). Staging must stay strictly inside the
+ * grant, so the flush threshold sits 4 KiB shy of it, as close to the
+ * unpartitioned 64 KiB flush cadence as the grant allows.
+ */
+inline workloads::ServingOptions
+contendedServing()
+{
+    workloads::ServingOptions opts;
+    opts.seed = 42;
+    for (std::uint32_t t = 0; t < 3; ++t) {
+        workloads::TenantSpec spec;
+        spec.id = t + 1;
+        opts.tenants.push_back(spec);
+    }
+    opts.sys.ssd.sched.maxInflightTotal = 12;
+    opts.sys.ssd.sched.dsramPartitioning = true;
+    opts.flushThreshold = 60 * sim::kKiB;
+    return opts;
+}
+
+/**
+ * Offer @p total_per_sec open-loop arrivals split skew:1:...:1 across
+ * @p opts' tenants: the first gets @p skew times each other's rate.
+ */
+inline void
+setSkewedLoad(workloads::ServingOptions &opts, double total_per_sec,
+              double skew)
+{
+    const double base =
+        total_per_sec /
+        (skew + static_cast<double>(opts.tenants.size()) - 1.0);
+    for (std::size_t t = 0; t < opts.tenants.size(); ++t)
+        opts.tenants[t].arrivalsPerSec = t == 0 ? skew * base : base;
 }
 
 /** Git revision for BENCH_*.json: MORPHEUS_GIT_REV, then the CI's

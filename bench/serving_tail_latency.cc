@@ -38,31 +38,12 @@ struct Point
 wk::ServingOptions
 makeOptions(const Point &p, sched::PlacementPolicy placement)
 {
-    wk::ServingOptions opts;
+    wk::ServingOptions opts = bench::contendedServing();
     // Default run: ~20 ms of traffic. MORPHEUS_BENCH_SCALE scales the
     // observation window (0.25 is the suite-wide default = 1x here).
     opts.durationSec = 0.02 * (morpheus::bench::benchScale() / 0.25);
-    opts.seed = 42;
-    const double base = p.totalPerSec / (p.skew + 2.0);
-    for (std::uint32_t t = 0; t < 3; ++t) {
-        wk::TenantSpec spec;
-        spec.id = t + 1;
-        spec.arrivalsPerSec = (t == 0) ? p.skew * base : base;
-        opts.tenants.push_back(spec);
-    }
+    bench::setSkewedLoad(opts, p.totalPerSec, p.skew);
     opts.sys.ssd.sched.placement = placement;
-    // Bound concurrent instances: ~3 per core keeps every admitted
-    // image inside I-SRAM, with the overflow absorbed by the admission
-    // queue (kQueue) instead of failing MINITs device-side.
-    opts.sys.ssd.sched.maxInflightTotal = 12;
-    // Per-instance D-SRAM grants in force: co-residents split each
-    // core's scratchpad (256 KiB / 4 = a 64 KiB grant each) instead of
-    // silently overcommitting it. Keep the unpartitioned 64 KiB flush
-    // cadence as closely as the grant allows: staging must stay
-    // strictly inside the grant (grant-full is not a legal threshold),
-    // so flush 4 KiB shy of it rather than at the default grant/4.
-    opts.sys.ssd.sched.dsramPartitioning = true;
-    opts.flushThreshold = 60 * sim::kKiB;
     return opts;
 }
 

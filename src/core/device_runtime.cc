@@ -668,10 +668,7 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
         const sim::Tick done = core.execute(
             core.config().cyclesPerCommand, start, "teardown",
             {cmd.traceId, inst.tenant, inst.id, 0});
-        core.unloadImage(inst.codeBytes);
-        if (inst.dsramGranted)
-            core.releaseDsram(inst.dsramGranted);
-        _instances.erase(it);
+        teardown(it);
         return {done, nvme::Status::kSuccess, 0};
     }
 
@@ -680,14 +677,9 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
         // byte, so its finish hooks have nothing to run over. Teardown
         // is pure firmware work — no embedded-core occupancy — and the
         // completion carries the return value cached with the object.
-        const sim::Tick done = start + 1 * sim::kPsPerUs;
-        ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
-        core.unloadImage(inst.codeBytes);
-        if (inst.dsramGranted)
-            core.releaseDsram(inst.dsramGranted);
         const std::uint32_t rv = inst.cachedReturnValue;
-        _instances.erase(it);
-        return {done, nvme::Status::kSuccess, rv};
+        teardown(it);
+        return {start + 1 * sim::kPsPerUs, nvme::Status::kSuccess, rv};
     }
 
     // The stream is over: let the app consume any carried final token,
@@ -726,12 +718,20 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
         cache.insert(cacheKeyFor(inst), std::move(inst.cachePayload),
                      rv);
     }
+    teardown(it);
+    return {done, nvme::Status::kSuccess, rv};
+}
 
+void
+MorpheusDeviceRuntime::teardown(
+    std::unordered_map<std::uint32_t, Instance>::iterator it)
+{
+    const Instance &inst = it->second;
+    ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
     core.unloadImage(inst.codeBytes);
     if (inst.dsramGranted)
         core.releaseDsram(inst.dsramGranted);
     _instances.erase(it);
-    return {done, nvme::Status::kSuccess, rv};
 }
 
 void
@@ -740,12 +740,7 @@ MorpheusDeviceRuntime::watchdogKill(std::uint32_t instance_id)
     const auto it = _instances.find(instance_id);
     if (it == _instances.end())
         return;
-    Instance &inst = it->second;
-    ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
-    core.unloadImage(inst.codeBytes);
-    if (inst.dsramGranted)
-        core.releaseDsram(inst.dsramGranted);
-    _instances.erase(it);
+    teardown(it);
     // The instance never reaches MDEINIT, so reclaim its scheduler
     // slot and placement here; the host's reinstall starts clean.
     _ssd.scheduler().arbiter().dropInstance(instance_id);

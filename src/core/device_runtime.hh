@@ -245,12 +245,16 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
                            std::vector<std::vector<std::uint8_t>> segments,
                            sim::Tick earliest, obs::TraceId trace);
 
+    /** Unload @p it's image from I-SRAM, release its D-SRAM grant and
+     *  erase it from the instance table: every MDEINIT path and the
+     *  watchdog tear an instance down this way. */
+    void teardown(std::unordered_map<std::uint32_t, Instance>::iterator it);
+
     /**
-     * Watchdog force-kill of a hung instance: release its I-SRAM and
-     * D-SRAM, free its scheduler slot and placement, and erase it from
-     * the instance table (the host's MDEINIT-and-reinstall sees
-     * kNoSuchInstance and starts fresh). The hung command's CQE is
-     * suppressed by the caller.
+     * Watchdog force-kill of a hung instance: tear it down and free
+     * its scheduler slot and placement (the host's
+     * MDEINIT-and-reinstall sees kNoSuchInstance and starts fresh).
+     * The hung command's CQE is suppressed by the caller.
      */
     void watchdogKill(std::uint32_t instance_id);
 

@@ -11,9 +11,9 @@
  * to be slowest-K or failed. Retained traces export as Chrome/Perfetto
  * JSON via writeChromeJson() (the --slow-traces flag).
  *
- * The recorder can tee every span to a downstream sink (e.g. a full
- * ChromeTraceSink when --trace is also given), so attaching it never
- * hides spans from other consumers.
+ * The recorder can tee every span to a downstream sink (e.g. an
+ * InMemoryTraceSink holding the full trace when --trace is also
+ * given), so attaching it never hides spans from other consumers.
  *
  * Like all obs sinks it only observes: record() never touches the
  * simulator, so sim results stay bit-identical with it attached.

@@ -234,10 +234,4 @@ writeChromeTrace(std::ostream &os, const std::vector<Span> &spans)
     os << "\n]}\n";
 }
 
-void
-ChromeTraceSink::write(std::ostream &os) const
-{
-    writeChromeTrace(os, _spans);
-}
-
 }  // namespace morpheus::obs

@@ -17,11 +17,11 @@
  * timing must be bit-identical with and without a sink — tracing
  * observes virtual time, it never perturbs it).
  *
- * Two sinks ship: ChromeTraceSink serializes to the Chrome trace-event
- * JSON format (loadable in Perfetto / chrome://tracing; one track per
- * core/queue/link, sim ticks converted to microseconds), and
- * InMemoryTraceSink keeps the spans queryable for tests ("this MREAD
- * was never preempted", "that media error pinned the stream").
+ * InMemoryTraceSink buffers the spans: writeChromeTrace() serializes
+ * them to the Chrome trace-event JSON format (loadable in Perfetto /
+ * chrome://tracing; one track per core/queue/link, sim ticks converted
+ * to microseconds), and its queries let tests assert facts ("this
+ * MREAD was never preempted", "that media error pinned the stream").
  */
 
 #ifndef MORPHEUS_OBS_TRACE_HH
@@ -172,7 +172,8 @@ class ScopedTraceSink
     TraceSink *_previous;
 };
 
-/** Buffering sink that tests can query. */
+/** Buffering sink: write its spans() with writeChromeTrace(), or
+ *  query them in tests. */
 class InMemoryTraceSink : public TraceSink
 {
   public:
@@ -213,28 +214,10 @@ class InMemoryTraceSink : public TraceSink
  * picoseconds, rendered as exact decimal microseconds — never rounded
  * or truncated), and instants become "i" events. An empty span list
  * produces the valid empty document {"traceEvents":[]}. Loadable in
- * Perfetto and chrome://tracing. Shared by ChromeTraceSink and the
- * FlightRecorder's slow-trace export.
+ * Perfetto and chrome://tracing. Writes an InMemoryTraceSink's full
+ * trace and the FlightRecorder's slow-trace export.
  */
 void writeChromeTrace(std::ostream &os, const std::vector<Span> &spans);
-
-/**
- * Chrome trace-event JSON backend. Buffers spans; write() emits a
- * {"traceEvents": [...]} document via writeChromeTrace().
- */
-class ChromeTraceSink : public TraceSink
-{
-  public:
-    void record(const Span &span) override { _spans.push_back(span); }
-
-    std::size_t size() const { return _spans.size(); }
-
-    /** Serialize every buffered span as one JSON document. */
-    void write(std::ostream &os) const;
-
-  private:
-    std::vector<Span> _spans;
-};
 
 }  // namespace morpheus::obs
 

@@ -970,7 +970,6 @@ ServingLoop::beginSession(unsigned idx, sim::Tick when, std::uint64_t cut)
 
     core::InvokeOptions iopts;
     iopts.hostCore = req.tenantIdx % _sys.cpu().config().cores;
-    iopts.chunkBlocks = _opts.chunkBlocks;
     iopts.flushThreshold = _opts.flushThreshold;
     iopts.tenantId = tenant.id;
     // A split streams only the prefix sub-extent through the device

@@ -129,8 +129,6 @@ struct ServingOptions
     /** Requests each tenant issues in total (closed loop). */
     std::uint64_t closedLoopRequests = 64;
 
-    /** MREAD chunk in 512 B blocks (0 = MDTS). */
-    std::uint32_t chunkBlocks = 0;
     /** Staging flush threshold forwarded to each invocation (0 = the
      *  device default: granted D-SRAM / 4). With dsramPartitioning a
      *  threshold equal to the grant flushes at grant-full, keeping the

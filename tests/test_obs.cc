@@ -272,9 +272,9 @@ TEST(Tracing, NoSinkLeavesResultsIdentical)
 
 // ------------------------------------------------ Chrome serialization
 
-TEST(ChromeTraceSink, EmitsWellFormedTraceEvents)
+TEST(ChromeTrace, EmitsWellFormedTraceEvents)
 {
-    ob::ChromeTraceSink sink;
+    ob::InMemoryTraceSink sink;
     ob::Span s;
     s.track = "ssd.core[0]";
     s.name = "parse";
@@ -294,7 +294,7 @@ TEST(ChromeTraceSink, EmitsWellFormedTraceEvents)
     sink.record(i);
 
     std::ostringstream os;
-    sink.write(os);
+    ob::writeChromeTrace(os, sink.spans());
     const std::string out = os.str();
 
     // Document shell and the process/track metadata.
@@ -320,25 +320,25 @@ TEST(ChromeTraceSink, EmitsWellFormedTraceEvents)
     EXPECT_EQ(out.substr(out.size() - 4), "\n]}\n");
 }
 
-TEST(ChromeTraceSink, EmptySinkEmitsValidEmptyDocument)
+TEST(ChromeTrace, EmptySinkEmitsValidEmptyDocument)
 {
-    ob::ChromeTraceSink sink;
+    ob::InMemoryTraceSink sink;
     std::ostringstream os;
-    sink.write(os);
+    ob::writeChromeTrace(os, sink.spans());
     EXPECT_EQ(os.str(), "{\"traceEvents\":[]}\n");
 
-    // The free function agrees on the degenerate case.
+    // So does an empty span list.
     std::ostringstream os2;
     ob::writeChromeTrace(os2, {});
     EXPECT_EQ(os2.str(), "{\"traceEvents\":[]}\n");
 }
 
-TEST(ChromeTraceSink, SubMicrosecondSpanKeepsExactDecimals)
+TEST(ChromeTrace, SubMicrosecondSpanKeepsExactDecimals)
 {
     // A span entirely inside the first microsecond: ts and dur must
     // render the picosecond digits exactly, never rounding to 0 or
     // collapsing to scientific notation.
-    ob::ChromeTraceSink sink;
+    ob::InMemoryTraceSink sink;
     ob::Span s;
     s.track = "ssd.dma";
     s.name = "flush_dma";
@@ -348,20 +348,20 @@ TEST(ChromeTraceSink, SubMicrosecondSpanKeepsExactDecimals)
     sink.record(s);
 
     std::ostringstream os;
-    sink.write(os);
+    ob::writeChromeTrace(os, sink.spans());
     const std::string out = os.str();
     EXPECT_NE(out.find("\"ts\":0.000250,\"dur\":0.999500"),
               std::string::npos);
     EXPECT_EQ(out.find("e-"), std::string::npos);
 }
 
-TEST(ChromeTraceSink, DuplicateTraceIdsAcrossDevicesKeepTheirTracks)
+TEST(ChromeTrace, DuplicateTraceIdsAcrossDevicesKeepTheirTracks)
 {
     // Fleet runs partition trace ids by device, but an untrusted or
     // legacy trace can repeat an id on two devices' tracks. The
     // serialization must keep both spans under their own thread_name
     // metadata rather than merging them.
-    ob::ChromeTraceSink sink;
+    ob::InMemoryTraceSink sink;
     ob::Span a;
     a.track = "host.queue[1]";
     a.name = "MREAD";
@@ -375,7 +375,7 @@ TEST(ChromeTraceSink, DuplicateTraceIdsAcrossDevicesKeepTheirTracks)
     sink.record(b);
 
     std::ostringstream os;
-    sink.write(os);
+    ob::writeChromeTrace(os, sink.spans());
     const std::string out = os.str();
     EXPECT_NE(out.find("\"args\":{\"name\":\"host.queue[1]\"}"),
               std::string::npos);

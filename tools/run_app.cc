@@ -293,8 +293,8 @@ serveMain(int argc, char **argv)
         opts.metrics = &registry;
 
     // The flight recorder is the trace sink (tee-ing to a full-trace
-    // ChromeTraceSink when --trace also wants everything).
-    obs::ChromeTraceSink full_trace;
+    // InMemoryTraceSink when --trace also wants everything).
+    obs::InMemoryTraceSink full_trace;
     if (!trace_path.empty())
         frc.downstream = &full_trace;
     obs::FlightRecorder recorder(frc);
@@ -326,7 +326,7 @@ serveMain(int argc, char **argv)
     }
     if (!trace_path.empty()) {
         write_file(trace_path, [&](std::ostream &os) {
-            full_trace.write(os);
+            obs::writeChromeTrace(os, full_trace.spans());
         });
         std::fprintf(stderr, "trace: %zu events -> %s\n",
                      full_trace.size(), trace_path.c_str());
@@ -554,7 +554,7 @@ main(int argc, char **argv)
 
     wk::RunMetrics m;
     if (!trace_path.empty()) {
-        obs::ChromeTraceSink trace;
+        obs::InMemoryTraceSink trace;
         {
             const obs::ScopedTraceSink attach(trace);
             m = wk::runWorkload(app, opts);
@@ -564,7 +564,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot open %s\n", trace_path.c_str());
             return 2;
         }
-        trace.write(os);
+        obs::writeChromeTrace(os, trace.spans());
         std::fprintf(stderr, "trace: %zu events -> %s\n", trace.size(),
                      trace_path.c_str());
     } else {
