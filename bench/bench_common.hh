@@ -4,18 +4,23 @@
  *
  * Each bench binary prints the rows/series of one paper artifact,
  * except fig11_end_to_end, which prints every artifact of the paper
- * sweep, and ablations, which prints every design-choice ablation.
- * Default scale keeps each full-suite sweep in the seconds range;
- * override with MORPHEUS_BENCH_SCALE (a double) for bigger inputs.
- * Reported quantities are ratios or rates, but they are not
- * scale-invariant: the sweep's mean Morpheus end-to-end speedup is
+ * sweep, ablations, which prints every design-choice ablation, and
+ * serving, which runs every serving extension whose gates are all
+ * simulated (serving_tail_latency stays apart: one of its gates reads
+ * host wall clock). Default scale keeps each full-suite sweep in the
+ * seconds range; override with MORPHEUS_BENCH_SCALE (a double) for
+ * bigger inputs. Reported quantities are ratios or rates, but they are
+ * not scale-invariant: the sweep's mean Morpheus end-to-end speedup is
  * 1.24x at scale 0.05 and 1.42x at 0.25. Compare results made at one
- * scale only (the CI gates run at 0.05).
+ * scale only (the CI gates run at 0.05). Serving runs never go below
+ * their default window (servingWindows), so they are the same at
+ * every scale up to 0.25.
  */
 
 #ifndef MORPHEUS_BENCH_BENCH_COMMON_HH
 #define MORPHEUS_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -57,6 +62,21 @@ benchScale()
         std::exit(2);
     }
     return scale;
+}
+
+/**
+ * How many default windows a serving run spans: every serving window
+ * (20 ms of open-loop arrivals) and request quota is its length at the
+ * default scale 0.25 times this. Below 0.25 it stays 1: a shorter
+ * window does not measure what the serving gates claim (not every
+ * fault class fires, and one shifted completion moves a throughput
+ * headline by ~9%), so every scale up to 0.25 runs the same serving
+ * load and larger scales lengthen it.
+ */
+inline double
+servingWindows()
+{
+    return std::max(1.0, benchScale() / 0.25);
 }
 
 /**

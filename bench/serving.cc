@@ -82,7 +82,7 @@ breakdown(bench::Gates &check)
     std::fprintf(stderr, "== serving_breakdown: critical-path "
                          "attribution + flight recorder ==\n");
     wk::ServingOptions opts = bench::contendedServing();
-    opts.durationSec = 0.02 * (bench::benchScale() / 0.25);
+    opts.durationSec = 0.02 * bench::servingWindows();
     bench::setSkewedLoad(opts, 24000.0, 4.0);
     opts.sys.ssd.sched.placement = sched::PlacementPolicy::kLoadAware;
 
@@ -207,13 +207,11 @@ cache(bench::Gates &gate)
         wk::ServingOptions opts = bench::contendedServing();
         opts.closedLoop = true;
         // The same quota and in-flight budget in both runs, so the
-        // latency delta is the cache's doing. The floor is higher
-        // than the fleet section's: the cached run needs enough
-        // requests past the cold-start misses (one per distinct
+        // latency delta is the cache's doing. The cached run needs
+        // enough requests past the cold-start misses (one per distinct
         // object) that the p99 reflects steady state.
-        const double scale = bench::benchScale() / 0.25;
-        opts.closedLoopRequests = static_cast<std::uint64_t>(
-            std::max(256.0, 512.0 * scale));
+        opts.closedLoopRequests =
+            static_cast<std::uint64_t>(512.0 * bench::servingWindows());
         opts.closedLoopConcurrency = 16;
         // Several objects per size class: a hot set exists, and the
         // whole mix fits the default 64 MiB DRAM budget, so the hit
@@ -276,7 +274,7 @@ wk::ServingOptions
 soakOptions(bool faults, bool recover)
 {
     wk::ServingOptions opts = bench::contendedServing();
-    opts.durationSec = 0.02 * (bench::benchScale() / 0.25);
+    opts.durationSec = 0.02 * bench::servingWindows();
     bench::setSkewedLoad(opts, 12000.0, 1.0);
     opts.sys.ssd.sched.placement = sched::PlacementPolicy::kLoadAware;
     if (faults) {
@@ -527,9 +525,8 @@ fleet(bench::Gates &gate)
         // The same quota and in-flight budget at every fleet size, so
         // throughput measures capacity. The quota must dwarf the
         // in-flight budget or the makespan is all ramp and drain.
-        const double scale = bench::benchScale() / 0.25;
-        opts.closedLoopRequests = static_cast<std::uint64_t>(
-            std::max(128.0, 512.0 * scale));
+        opts.closedLoopRequests =
+            static_cast<std::uint64_t>(512.0 * bench::servingWindows());
         opts.closedLoopConcurrency = 16;
         opts.sys.numSsds = ssds;
         // Enough objects per size class that hashed placement uses
@@ -629,7 +626,7 @@ overload(bench::Gates &check)
                  "saturation ==\n");
     const auto options = [](double total_rate) {
         wk::ServingOptions opts = bench::contendedServing();
-        opts.durationSec = 0.02 * (bench::benchScale() / 0.25);
+        opts.durationSec = 0.02 * bench::servingWindows();
         opts.sys.ssd.sched.placement = sched::PlacementPolicy::kLoadAware;
         bench::setSkewedLoad(opts, total_rate, 1.0);
         return opts;
@@ -640,10 +637,8 @@ overload(bench::Gates &check)
     wk::ServingOptions cal_opts = options(0.0);
     cal_opts.closedLoop = true;
     cal_opts.closedLoopConcurrency = 8;
-    cal_opts.closedLoopRequests = static_cast<std::uint64_t>(
-        64.0 * (bench::benchScale() / 0.25));
-    if (cal_opts.closedLoopRequests < 16)
-        cal_opts.closedLoopRequests = 16;
+    cal_opts.closedLoopRequests =
+        static_cast<std::uint64_t>(64.0 * bench::servingWindows());
     bench::BenchRuns runs;
     const wk::ServingReport cal =
         bench::runRecorded(runs, "calibration", cal_opts);

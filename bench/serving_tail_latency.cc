@@ -39,9 +39,7 @@ wk::ServingOptions
 makeOptions(const Point &p, sched::PlacementPolicy placement)
 {
     wk::ServingOptions opts = bench::contendedServing();
-    // Default run: ~20 ms of traffic. MORPHEUS_BENCH_SCALE scales the
-    // observation window (0.25 is the suite-wide default = 1x here).
-    opts.durationSec = 0.02 * (morpheus::bench::benchScale() / 0.25);
+    opts.durationSec = 0.02 * bench::servingWindows();
     bench::setSkewedLoad(opts, p.totalPerSec, p.skew);
     opts.sys.ssd.sched.placement = placement;
     return opts;

@@ -226,8 +226,8 @@ main()
     // p99 comparison stays deterministic across bench scales.
     sopts.closedLoop = true;
     sopts.closedLoopConcurrency = 2;
-    sopts.closedLoopRequests = static_cast<std::uint64_t>(
-        std::max(16.0, 64.0 * (scale / 0.25)));
+    sopts.closedLoopRequests =
+        static_cast<std::uint64_t>(64.0 * bench::servingWindows());
     sopts.seed = 42;
     // Bound concurrent instances so overload queues host-side (kQueue)
     // instead of overflowing I-SRAM into hard MINIT failures (same

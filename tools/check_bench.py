@@ -3,12 +3,10 @@
 
 Usage, after running the benches that write the BENCH_*.json files
 named in BENCHES (ablations, fig08_deser_speedup, fig11_end_to_end,
-serving_fleet, serving_cache, serving_breakdown, serving_overload,
-serving_fault_soak, serving_tail_latency and traffic_reduction) with
-MORPHEUS_BENCH_SCALE set to the scale each baseline was made at (0.05;
-0.25 for serving_fault_soak and serving_tail_latency, whose self-checks
-need the default window), from the directory that holds their
-BENCH_*.json (CI: the repository root):
+serving, serving_tail_latency and traffic_reduction) with
+MORPHEUS_BENCH_SCALE set to the scale every baseline was made at
+(0.05), from the directory that holds their BENCH_*.json (CI: the
+repository root):
 
     python3 tools/check_bench.py
 
@@ -29,7 +27,8 @@ import sys
 
 TOLERANCE = 0.10
 # fig02, fig03, fig09-fig12 and sec7a all come from fig11_end_to_end;
-# the ablation_* files and extension_formats from ablations.
+# the ablation_* files and extension_formats from ablations; the
+# serving_* files but serving_tail_latency from serving.
 BENCHES = ("ablation_chunk_size", "ablation_cores", "ablation_dsram",
            "ablation_qdepth", "ablation_p2p", "ablation_softfloat",
            "ablation_pipeline", "extension_formats", "fig02", "fig03",

@@ -10,7 +10,7 @@ Usage:
     python3 tools/product_coverage.py build-cov
 
 Runs the product commands CI runs, each in a fresh scratch directory:
-the ten gated benches, the eight `morpheus-run` lines of the CI jobs
+the six gated benches, the eight `morpheus-run` lines of the CI jobs
 and every example binary. A command's exit status is printed but does
 not fail the script: a bench's wall-clock gate can trip in an -O0
 build. Then prints, for every `.cc` file under src/, the executed and
@@ -28,18 +28,14 @@ import subprocess
 import sys
 import tempfile
 
-# The benches CI runs, with the scale CI runs each at.
+# The benches CI runs, with the scale CI runs them at.
 BENCHES = [
     ("ablations", "0.05"),
     ("fig08_deser_speedup", "0.05"),
     ("fig11_end_to_end", "0.05"),
-    ("serving_fleet", "0.05"),
-    ("serving_cache", "0.05"),
-    ("serving_breakdown", "0.05"),
-    ("serving_overload", "0.05"),
+    ("serving", "0.05"),
+    ("serving_tail_latency", "0.05"),
     ("traffic_reduction", "0.05"),
-    ("serving_fault_soak", "0.25"),
-    ("serving_tail_latency", "0.25"),
 ]
 
 # The `morpheus-run` lines of .github/workflows/ci.yml.
