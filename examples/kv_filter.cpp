@@ -50,7 +50,7 @@ main()
     const auto pcie_before = sys.fabric().fabricBytes();
     const pcie::Addr raw_buf = sys.allocHost(file.sizeBytes);
     const sim::Tick io_done = sys.ssdBackend().read(
-        file.startByte, file.sizeBytes, raw_buf, file.readyAt);
+        file.startByte, file.sizeBytes, raw_buf, file.readyAt).done;
     const auto raw =
         sys.mem().store().readVec(raw_buf, file.sizeBytes);
     serde::TextScanner scan(raw.data(), raw.size());

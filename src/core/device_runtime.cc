@@ -748,28 +748,28 @@ MorpheusDeviceRuntime::watchdogKill(std::uint32_t instance_id)
 }
 
 void
-MorpheusDeviceRuntime::registerStats(sim::stats::StatSet &set,
-                                     const std::string &prefix) const
+MorpheusDeviceRuntime::writeStats(obs::MetricsRegistry &reg,
+                                  const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".minits", &_minits);
-    set.registerCounter(prefix + ".mreads", &_mreads);
-    set.registerCounter(prefix + ".mwrites", &_mwrites);
-    set.registerCounter(prefix + ".mdeinits", &_mdeinits);
-    set.registerCounter(prefix + ".objectBytesOut", &_objectBytes);
-    set.registerCounter(prefix + ".rawBytesIn", &_rawBytesIn);
-    set.registerCounter(prefix + ".pipeline.readaheadIssued",
-                        &_readaheadIssued);
-    set.registerCounter(prefix + ".pipeline.readaheadHits",
-                        &_readaheadHits);
-    set.registerCounter(prefix + ".pipeline.readaheadMediaDiscards",
-                        &_readaheadMediaDiscards);
-    set.registerCounter(prefix + ".pipeline.readaheadDropped",
-                        &_readaheadDropped);
-    set.registerCounter(prefix + ".pipeline.subBuffersParsed",
-                        &_subBuffersParsed);
-    set.registerCounter(prefix + ".pipeline.flushSegmentsCoalesced",
-                        &_flushSegmentsCoalesced);
-    _ssd.objectCache().registerStats(set, prefix + ".cache");
+    reg.insertCounter(prefix + ".minits", _minits.value());
+    reg.insertCounter(prefix + ".mreads", _mreads.value());
+    reg.insertCounter(prefix + ".mwrites", _mwrites.value());
+    reg.insertCounter(prefix + ".mdeinits", _mdeinits.value());
+    reg.insertCounter(prefix + ".objectBytesOut", _objectBytes.value());
+    reg.insertCounter(prefix + ".rawBytesIn", _rawBytesIn.value());
+    reg.insertCounter(prefix + ".pipeline.readaheadIssued",
+                      _readaheadIssued.value());
+    reg.insertCounter(prefix + ".pipeline.readaheadHits",
+                      _readaheadHits.value());
+    reg.insertCounter(prefix + ".pipeline.readaheadMediaDiscards",
+                      _readaheadMediaDiscards.value());
+    reg.insertCounter(prefix + ".pipeline.readaheadDropped",
+                      _readaheadDropped.value());
+    reg.insertCounter(prefix + ".pipeline.subBuffersParsed",
+                      _subBuffersParsed.value());
+    reg.insertCounter(prefix + ".pipeline.flushSegmentsCoalesced",
+                      _flushSegmentsCoalesced.value());
+    _ssd.objectCache().writeStats(reg, prefix + ".cache");
 }
 
 }  // namespace morpheus::core

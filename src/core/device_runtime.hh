@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/storage_app.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/stats.hh"
 #include "ssd/ssd_controller.hh"
@@ -115,8 +116,8 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
         return _flushSegmentsCoalesced.value();
     }
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     struct Instance

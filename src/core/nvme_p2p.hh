@@ -17,7 +17,6 @@
 #define MORPHEUS_CORE_NVME_P2P_HH
 
 #include "host/host_system.hh"
-#include "sim/stats.hh"
 
 namespace morpheus::core {
 

@@ -178,14 +178,14 @@ FlashArray::eraseCount(const BlockPointer &addr) const
 }
 
 void
-FlashArray::registerStats(sim::stats::StatSet &set,
-                          const std::string &prefix) const
+FlashArray::writeStats(obs::MetricsRegistry &reg,
+                       const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".reads", &_reads);
-    set.registerCounter(prefix + ".programs", &_programs);
-    set.registerCounter(prefix + ".erases", &_erases);
-    set.registerCounter(prefix + ".bytesRead", &_bytesRead);
-    set.registerCounter(prefix + ".bytesProgrammed", &_bytesProgrammed);
+    reg.insertCounter(prefix + ".reads", _reads.value());
+    reg.insertCounter(prefix + ".programs", _programs.value());
+    reg.insertCounter(prefix + ".erases", _erases.value());
+    reg.insertCounter(prefix + ".bytesRead", _bytesRead.value());
+    reg.insertCounter(prefix + ".bytesProgrammed", _bytesProgrammed.value());
 }
 
 }  // namespace morpheus::flash

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "flash/flash_config.hh"
+#include "obs/metrics.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
 
@@ -75,8 +76,8 @@ class FlashArray
     /** Busy-time of a die timeline (for utilization reporting). */
     const sim::Timeline &dieTimeline(unsigned channel, unsigned die) const;
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
     const sim::stats::Counter &readsIssued() const { return _reads; }
     const sim::stats::Counter &programsIssued() const { return _programs; }

@@ -308,13 +308,13 @@ Ftl::maxEraseDelta() const
 }
 
 void
-Ftl::registerStats(sim::stats::StatSet &set,
-                   const std::string &prefix) const
+Ftl::writeStats(obs::MetricsRegistry &reg,
+                const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".hostReads", &_hostReads);
-    set.registerCounter(prefix + ".hostWrites", &_hostWrites);
-    set.registerCounter(prefix + ".gcRuns", &_gcRuns);
-    set.registerCounter(prefix + ".gcRelocated", &_gcRelocated);
+    reg.insertCounter(prefix + ".hostReads", _hostReads.value());
+    reg.insertCounter(prefix + ".hostWrites", _hostWrites.value());
+    reg.insertCounter(prefix + ".gcRuns", _gcRuns.value());
+    reg.insertCounter(prefix + ".gcRelocated", _gcRelocated.value());
 }
 
 }  // namespace morpheus::ftl

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "flash/flash_array.hh"
+#include "obs/metrics.hh"
 #include "sim/stats.hh"
 
 namespace morpheus::ftl {
@@ -98,8 +99,8 @@ class Ftl
 
     std::uint64_t gcRuns() const { return _gcRuns.value(); }
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     static constexpr std::uint64_t kUnmapped = ~std::uint64_t(0);

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "obs/metrics.hh"
 #include "serde/parse.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
@@ -135,10 +136,10 @@ class HostCpu
     }
 
     void
-    registerStats(sim::stats::StatSet &set,
-                  const std::string &prefix) const
+    writeStats(obs::MetricsRegistry &reg,
+               const std::string &prefix) const
     {
-        set.registerCounter(prefix + ".cycles", &_cyclesExecuted);
+        reg.insertCounter(prefix + ".cycles", _cyclesExecuted.value());
     }
 
   private:

@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "host/sparse_memory.hh"
+#include "obs/metrics.hh"
 #include "pcie/pcie.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
@@ -145,11 +146,11 @@ class Gpu : public pcie::BusTarget
     const sim::Timeline &smTimeline() const { return _sm; }
 
     void
-    registerStats(sim::stats::StatSet &set,
-                  const std::string &prefix) const
+    writeStats(obs::MetricsRegistry &reg,
+               const std::string &prefix) const
     {
-        set.registerCounter(prefix + ".kernels", &_kernels);
-        set.registerCounter(prefix + ".bytesDmaIn", &_bytesDmaIn);
+        reg.insertCounter(prefix + ".kernels", _kernels.value());
+        reg.insertCounter(prefix + ".bytesDmaIn", _bytesDmaIn.value());
     }
 
   private:

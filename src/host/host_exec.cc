@@ -7,7 +7,7 @@
 
 namespace morpheus::host {
 
-sim::Tick
+IoResult
 hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
             sim::Tick when)
 {
@@ -43,6 +43,7 @@ hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
     // conversion charge is its prorated share.
     const double total_convert =
         cpu.convertCycles(req.cost) * req.costScale;
+    nvme::Status status = nvme::Status::kSuccess;
     std::uint64_t offset = 0;
     while (offset < range) {
         const std::uint64_t len =
@@ -52,11 +53,18 @@ hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
         // timelines serialize them. Align the I/O down to its block.
         const std::uint64_t start = req.extent.startByte + offset;
         const std::uint64_t skew = start % nvme::kBlockBytes;
-        const sim::Tick io_done =
+        const IoResult io =
             req.backend.read(start - skew, len + skew, buf_x, when);
+        if (!io.ok()) {
+            // read() failed: the conversion stops where the host
+            // sees the error.
+            status = io.status;
+            cpu_cursor = std::max(cpu_cursor, io.done);
+            break;
+        }
         // read() syscall + FS work + blocking switch pair, then the
         // string-to-binary conversion itself.
-        const sim::Tick ready = std::max(cpu_cursor, io_done);
+        const sim::Tick ready = std::max(cpu_cursor, io.done);
         const sim::Tick fs_done =
             os.blockingReadOverhead(core, len, ready);
         const double convert = total_convert *
@@ -74,7 +82,7 @@ hostExecute(HostSystem &sys, const HostExecRequest &req, unsigned core,
 
     obs::traceSpan("host.exec", "host_exec", "host", when, cpu_cursor,
                    {.trace = req.trace, .tenant = req.tenant});
-    return cpu_cursor;
+    return {cpu_cursor, status};
 }
 
 }  // namespace morpheus::host

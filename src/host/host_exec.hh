@@ -62,12 +62,13 @@ struct HostExecRequest
  * Run @p req's range on host @p core starting at @p when: open()
  * syscall, first-touch faults on Y, then a chunked loop of backend
  * read -> blocking-read overhead -> prorated conversion cycles ->
- * memory traffic; X and Y are freed before return. @return the
- * completion tick. Records a "host_exec" span under req.trace while a
- * trace sink is attached.
+ * memory traffic; X and Y are freed before return. A read that fails
+ * ends the loop: the result then carries its status, and its tick is
+ * when the host saw the failure. @return the completion tick. Records
+ * a "host_exec" span under req.trace while a trace sink is attached.
  */
-sim::Tick hostExecute(HostSystem &sys, const HostExecRequest &req,
-                      unsigned core, sim::Tick when);
+IoResult hostExecute(HostSystem &sys, const HostExecRequest &req,
+                     unsigned core, sim::Tick when);
 
 }  // namespace morpheus::host
 

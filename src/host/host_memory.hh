@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "host/sparse_memory.hh"
+#include "obs/metrics.hh"
 #include "pcie/pcie.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
@@ -81,14 +82,13 @@ class HostMemory : public pcie::BusTarget
     }
 
     void
-    registerStats(sim::stats::StatSet &set,
-                  const std::string &prefix) const
+    writeStats(obs::MetricsRegistry &reg,
+               const std::string &prefix) const
     {
-        set.registerCounter(prefix + ".busBytesRead", &_busBytesRead);
-        set.registerCounter(prefix + ".busBytesWritten",
-                            &_busBytesWritten);
-        set.registerGauge(prefix + ".residentBytes",
-                          [this] { return _store.residentBytes(); });
+        reg.insertCounter(prefix + ".busBytesRead", _busBytesRead.value());
+        reg.insertCounter(prefix + ".busBytesWritten",
+                          _busBytesWritten.value());
+        reg.insertCounter(prefix + ".residentBytes", _store.residentBytes());
     }
 
   private:

@@ -179,22 +179,31 @@ HostSystem::fileBytes(const FileExtent &extent) const
 }
 
 void
-HostSystem::registerStats(sim::stats::StatSet &set)
+HostSystem::writeStats(obs::MetricsRegistry &reg,
+                       const std::string &prefix) const
 {
-    // Device 0 keeps the classic "ssd" prefix; fleet devices federate
+    // Device 0 keeps the classic "ssd" prefix; fleet devices write
     // under "ssd1", "ssd2", ... matching their port names.
     for (unsigned d = 0; d < numSsds(); ++d) {
-        _ssds[d]->registerStats(
-            set, d == 0 ? "ssd" : "ssd" + std::to_string(d));
+        _ssds[d]->writeStats(
+            reg, prefix + (d == 0 ? ".ssd" : ".ssd" + std::to_string(d)));
     }
-    _mem.registerStats(set, "host.mem");
-    _os.registerStats(set, "host.os");
-    _cpu.registerStats(set, "host.cpu");
-    _gpu->registerStats(set, "gpu");
-    _fabric.registerStats(set, "pcie");
-    if (auto *fi = sim::faultInjector()) {
-        // Federates into the run-wide registry as sys.faults.*.
-        fi->registerStats(set, "faults");
+    _mem.writeStats(reg, prefix + ".host.mem");
+    _os.writeStats(reg, prefix + ".host.os");
+    _cpu.writeStats(reg, prefix + ".host.cpu");
+    _gpu->writeStats(reg, prefix + ".gpu");
+    _fabric.writeStats(reg, prefix + ".pcie");
+    if (const sim::FaultInjector *fi = sim::faultInjector()) {
+        // The injector lives in sim, below obs, so its counters are
+        // read through its getters.
+        const std::string p = prefix + ".faults";
+        reg.insertCounter(p + ".mediaErrors", fi->mediaErrors());
+        reg.insertCounter(p + ".dmaFaults", fi->dmaFaults());
+        reg.insertCounter(p + ".dmaRetries", fi->dmaRetries());
+        reg.insertCounter(p + ".appCrashes", fi->appCrashes());
+        reg.insertCounter(p + ".appHangs", fi->appHangs());
+        reg.insertCounter(p + ".droppedCqes", fi->droppedCqes());
+        reg.insertCounter(p + ".watchdogKills", fi->watchdogKills());
     }
 }
 

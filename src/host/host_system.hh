@@ -143,11 +143,13 @@ class HostSystem
     }
 
     /**
-     * Register every component's statistics under conventional
-     * prefixes ("ssd.", "host.", "gpu.", "pcie."); the set's report()
-     * then dumps the whole machine deterministically.
+     * Write every component's counters into @p reg under @p prefix
+     * followed by the conventional component paths (".ssd", ".host",
+     * ".gpu", ".pcie", ".faults"), so the registry outlives the
+     * machine.
      */
-    void registerStats(sim::stats::StatSet &set);
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     /** SsdConfig for device @p d: the template, with the fleet label

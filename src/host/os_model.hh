@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "host/cpu_model.hh"
+#include "obs/metrics.hh"
 #include "sim/stats.hh"
 
 namespace morpheus::host {
@@ -110,13 +111,13 @@ class OsModel
     std::uint64_t pageFaultCount() const { return _pageFaults.value(); }
 
     void
-    registerStats(sim::stats::StatSet &set,
-                  const std::string &prefix) const
+    writeStats(obs::MetricsRegistry &reg,
+               const std::string &prefix) const
     {
-        set.registerCounter(prefix + ".contextSwitches",
-                            &_contextSwitches);
-        set.registerCounter(prefix + ".syscalls", &_syscalls);
-        set.registerCounter(prefix + ".pageFaults", &_pageFaults);
+        reg.insertCounter(prefix + ".contextSwitches",
+                          _contextSwitches.value());
+        reg.insertCounter(prefix + ".syscalls", _syscalls.value());
+        reg.insertCounter(prefix + ".pageFaults", _pageFaults.value());
     }
 
   private:

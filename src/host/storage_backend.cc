@@ -59,7 +59,7 @@ NvmeBackend::ingest(std::uint64_t offset,
     return t;
 }
 
-sim::Tick
+IoResult
 NvmeBackend::read(std::uint64_t offset, std::uint64_t len,
                   pcie::Addr dst, sim::Tick earliest)
 {
@@ -81,15 +81,17 @@ NvmeBackend::read(std::uint64_t offset, std::uint64_t len,
         cmd.nlb = static_cast<std::uint16_t>(blocks - 1);
         // The fallback serving path reads through here while faults
         // are firing: retryable failures (media, transient DMA) are
-        // absorbed by the driver's bounded retry budget.
+        // absorbed by the driver's bounded retry budget, and what
+        // outlasts it (a CQE dropped on every attempt) goes back to
+        // the caller.
         const nvme::Completion cqe =
             _driver.ioRetry(_qid, cmd, earliest);
-        MORPHEUS_ASSERT(cqe.ok(), "read command failed: status=",
-                        nvme::statusName(cqe.status));
         done = std::max(done, cqe.postedAt);
+        if (!cqe.ok())
+            return {done, cqe.status};
         off += take;
     }
-    return done;
+    return {done};
 }
 
 // -----------------------------------------------------------------HDD
@@ -104,7 +106,7 @@ HddBackend::ingest(std::uint64_t offset,
     return 0;
 }
 
-sim::Tick
+IoResult
 HddBackend::read(std::uint64_t offset, std::uint64_t len, pcie::Addr dst,
                  sim::Tick earliest)
 {
@@ -117,7 +119,7 @@ HddBackend::read(std::uint64_t offset, std::uint64_t len, pcie::Addr dst,
 
     const auto data = _platter.readVec(offset, len);
     _hostMem.busWrite(dst, data.data(), data.size());
-    return done;
+    return {done};
 }
 
 // ----------------------------------------------------------- RAM drive
@@ -135,7 +137,7 @@ RamDriveBackend::ingest(std::uint64_t offset,
     return 0;
 }
 
-sim::Tick
+IoResult
 RamDriveBackend::read(std::uint64_t offset, std::uint64_t len,
                       pcie::Addr dst, sim::Tick earliest)
 {
@@ -143,7 +145,7 @@ RamDriveBackend::read(std::uint64_t offset, std::uint64_t len,
     // both live in DRAM, so the payload crosses the memory bus twice.
     const auto data = _image.readVec(offset, len);
     _hostMem.busWrite(dst, data.data(), data.size());
-    return _hostMem.cpuAccess(len, len, earliest);
+    return {_hostMem.cpuAccess(len, len, earliest)};
 }
 
 }  // namespace morpheus::host

@@ -23,6 +23,17 @@
 
 namespace morpheus::host {
 
+/** Outcome of a backend read or a host-path execution: the tick it
+ *  ended at, and the status of the NVMe command that failed it (the
+ *  HDD and the RAM drive never fail). */
+struct IoResult
+{
+    sim::Tick done = 0;
+    nvme::Status status = nvme::Status::kSuccess;
+
+    bool ok() const { return status == nvme::Status::kSuccess; }
+};
+
 /** A device files can be read from. */
 class StorageBackend
 {
@@ -39,10 +50,11 @@ class StorageBackend
 
     /**
      * Read @p len bytes at @p offset into host memory at @p dst.
-     * @return tick at which the data is resident in host memory.
+     * @return tick at which the data is resident in host memory, or
+     * the failed command's status and completion tick.
      */
-    virtual sim::Tick read(std::uint64_t offset, std::uint64_t len,
-                           pcie::Addr dst, sim::Tick earliest) = 0;
+    virtual IoResult read(std::uint64_t offset, std::uint64_t len,
+                          pcie::Addr dst, sim::Tick earliest) = 0;
 };
 
 /** The simulated NVMe SSD behind the NVMe driver. */
@@ -55,8 +67,8 @@ class NvmeBackend : public StorageBackend
     std::string name() const override { return "nvme-ssd"; }
     sim::Tick ingest(std::uint64_t offset,
                      const std::vector<std::uint8_t> &data) override;
-    sim::Tick read(std::uint64_t offset, std::uint64_t len,
-                   pcie::Addr dst, sim::Tick earliest) override;
+    IoResult read(std::uint64_t offset, std::uint64_t len,
+                  pcie::Addr dst, sim::Tick earliest) override;
 
   private:
     nvme::NvmeDriver &_driver;
@@ -73,8 +85,8 @@ class HddBackend : public StorageBackend
     std::string name() const override { return "hdd"; }
     sim::Tick ingest(std::uint64_t offset,
                      const std::vector<std::uint8_t> &data) override;
-    sim::Tick read(std::uint64_t offset, std::uint64_t len,
-                   pcie::Addr dst, sim::Tick earliest) override;
+    IoResult read(std::uint64_t offset, std::uint64_t len,
+                  pcie::Addr dst, sim::Tick earliest) override;
 
     /** Tuning (defaults: 7200 rpm data-center disk of the era; the
      *  average seek counts settling + rotational latency). */
@@ -97,8 +109,8 @@ class RamDriveBackend : public StorageBackend
     std::string name() const override { return "ramdrive"; }
     sim::Tick ingest(std::uint64_t offset,
                      const std::vector<std::uint8_t> &data) override;
-    sim::Tick read(std::uint64_t offset, std::uint64_t len,
-                   pcie::Addr dst, sim::Tick earliest) override;
+    IoResult read(std::uint64_t offset, std::uint64_t len,
+                  pcie::Addr dst, sim::Tick earliest) override;
 
   private:
     HostMemory &_hostMem;

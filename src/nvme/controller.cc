@@ -159,13 +159,13 @@ NvmeController::ringDoorbell(std::uint16_t qid, sim::Tick now)
 }
 
 void
-NvmeController::registerStats(sim::stats::StatSet &set,
-                              const std::string &prefix) const
+NvmeController::writeStats(obs::MetricsRegistry &reg,
+                           const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".commands", &_commands);
-    set.registerCounter(prefix + ".doorbells", &_doorbells);
-    set.registerCounter(prefix + ".interrupts", &_interrupts);
-    set.registerCounter(prefix + ".cqesDropped", &_cqesDropped);
+    reg.insertCounter(prefix + ".commands", _commands.value());
+    reg.insertCounter(prefix + ".doorbells", _doorbells.value());
+    reg.insertCounter(prefix + ".interrupts", _interrupts.value());
+    reg.insertCounter(prefix + ".cqesDropped", _cqesDropped.value());
 }
 
 }  // namespace morpheus::nvme

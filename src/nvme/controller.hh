@@ -19,6 +19,7 @@
 
 #include "nvme/command.hh"
 #include "nvme/queue.hh"
+#include "obs/metrics.hh"
 #include "pcie/pcie.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
@@ -95,8 +96,8 @@ class NvmeController
 
     std::uint64_t commandsProcessed() const { return _commands.value(); }
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     struct QueuePair

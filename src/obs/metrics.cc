@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/logging.hh"
+
 namespace morpheus::obs {
 
 void
@@ -20,12 +22,10 @@ MetricsRegistry::setScalar(const std::string &name, double value)
 }
 
 void
-MetricsRegistry::absorb(const sim::stats::StatSet &set,
-                        const std::string &prefix)
+MetricsRegistry::insertCounter(const std::string &name, std::uint64_t value)
 {
-    set.visit([&](const std::string &name, std::uint64_t v) {
-        setCounter(prefix + name, v);
-    });
+    const bool inserted = _counters.emplace(name, value).second;
+    MORPHEUS_ASSERT(inserted, "duplicate counter name: ", name);
 }
 
 std::uint64_t

@@ -3,12 +3,13 @@
  * MetricsRegistry: one hierarchical, deterministically ordered view of
  * every component's counters.
  *
- * StatSets register live pointers into components, so a StatSet dies
- * with its HostSystem. The registry instead *snapshots* values (via
- * StatSet::visit) at collection time, which lets a driver hand the
- * federated metrics of a whole run — per-tenant serving quantiles next
- * to the device's admission/bounce/placement counters — back to its
- * caller after the simulated machine is gone.
+ * Components write their counters' current values in directly
+ * (HostSystem::writeStats and MorpheusDeviceRuntime::writeStats walk
+ * the whole machine at collection time), so the registry holds values,
+ * not pointers. That lets a driver hand the federated metrics of a
+ * whole run — per-tenant serving quantiles next to the device's
+ * admission/bounce/placement counters — back to its caller after the
+ * simulated machine is gone.
  *
  * Names are dot-separated paths ("ssd.sched.arbiter.instancesAdmitted");
  * report() dumps them flat in sorted order, writeJson() nests them
@@ -23,8 +24,6 @@
 #include <ostream>
 #include <string>
 
-#include "sim/stats.hh"
-
 namespace morpheus::obs {
 
 /** Value-snapshotting federation of component stats. */
@@ -37,9 +36,9 @@ class MetricsRegistry
     /** Record (or overwrite) a floating-point metric. */
     void setScalar(const std::string &name, double value);
 
-    /** Snapshot every stat of @p set under @p prefix. */
-    void absorb(const sim::stats::StatSet &set,
-                const std::string &prefix = "");
+    /** Record a component counter: @p name must be new, so two
+     *  components that claim one key panic instead of overwriting. */
+    void insertCounter(const std::string &name, std::uint64_t value);
 
     /** Look up a snapshotted counter (0 if absent). */
     std::uint64_t counter(const std::string &name) const;

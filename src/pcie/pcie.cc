@@ -53,11 +53,11 @@ PcieLink::sendToDevice(std::uint64_t bytes, sim::Tick earliest)
 }
 
 void
-PcieLink::registerStats(sim::stats::StatSet &set,
-                        const std::string &prefix) const
+PcieLink::writeStats(obs::MetricsRegistry &reg,
+                     const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".bytesToSwitch", &_bytesUp);
-    set.registerCounter(prefix + ".bytesToDevice", &_bytesDown);
+    reg.insertCounter(prefix + ".bytesToSwitch", _bytesUp.value());
+    reg.insertCounter(prefix + ".bytesToDevice", _bytesDown.value());
 }
 
 PortId
@@ -208,13 +208,13 @@ PcieSwitch::peek(Addr addr, std::uint8_t *out, std::size_t n) const
 }
 
 void
-PcieSwitch::registerStats(sim::stats::StatSet &set,
-                          const std::string &prefix) const
+PcieSwitch::writeStats(obs::MetricsRegistry &reg,
+                       const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".fabricBytes", &_fabricBytes);
-    set.registerCounter(prefix + ".p2pBytes", &_p2pBytes);
+    reg.insertCounter(prefix + ".fabricBytes", _fabricBytes.value());
+    reg.insertCounter(prefix + ".p2pBytes", _p2pBytes.value());
     for (const auto &l : _links)
-        l->registerStats(set, prefix + "." + l->name());
+        l->writeStats(reg, prefix + "." + l->name());
 }
 
 }  // namespace morpheus::pcie

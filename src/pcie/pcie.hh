@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
 #include "sim/types.hh"
@@ -91,8 +92,8 @@ class PcieLink
     const sim::Timeline &upTimeline() const { return _up; }
     const sim::Timeline &downTimeline() const { return _down; }
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     std::string _name;
@@ -204,8 +205,8 @@ class PcieSwitch
     /** Bytes that moved device-to-device without touching the host. */
     std::uint64_t p2pBytes() const { return _p2pBytes.value(); }
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     struct Window

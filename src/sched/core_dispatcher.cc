@@ -103,10 +103,10 @@ CoreDispatcher::coreOf(std::uint32_t instance) const
 }
 
 void
-CoreDispatcher::registerStats(sim::stats::StatSet &set,
-                              const std::string &prefix) const
+CoreDispatcher::writeStats(obs::MetricsRegistry &reg,
+                           const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".placements", &_placements);
+    reg.insertCounter(prefix + ".placements", _placements.value());
 }
 
 }  // namespace morpheus::sched

@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "sched/sched_config.hh"
 #include "sim/stats.hh"
 
@@ -69,8 +70,8 @@ class CoreDispatcher
 
     std::uint64_t placements() const { return _placements.value(); }
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     /** Backlog of @p core at @p now (0 when idle). */

@@ -101,12 +101,12 @@ SsdScheduler::onCommandDone(const nvme::Command &cmd, sim::Tick start,
 }
 
 void
-SsdScheduler::registerStats(sim::stats::StatSet &set,
-                            const std::string &prefix) const
+SsdScheduler::writeStats(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const
 {
-    _arbiter.registerStats(set, prefix + ".arbiter");
-    _dispatcher.registerStats(set, prefix + ".dispatcher");
-    set.registerCounter(prefix + ".dsramBounces", &_dsramBounces);
+    _arbiter.writeStats(reg, prefix + ".arbiter");
+    _dispatcher.writeStats(reg, prefix + ".dispatcher");
+    reg.insertCounter(prefix + ".dsramBounces", _dsramBounces.value());
 }
 
 }  // namespace morpheus::sched

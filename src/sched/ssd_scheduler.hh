@@ -17,6 +17,7 @@
 #include <string>
 
 #include "nvme/controller.hh"
+#include "obs/metrics.hh"
 #include "sched/core_dispatcher.hh"
 #include "sched/sched_config.hh"
 #include "sched/tenant_arbiter.hh"
@@ -69,8 +70,8 @@ class SsdScheduler
     void onCommandDone(const nvme::Command &cmd, sim::Tick start,
                        const nvme::CommandResult &result);
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
     /** MINITs bounced for lack of D-SRAM budget so far (the hybrid
      *  layer's scratchpad-pressure signal). */

@@ -130,13 +130,12 @@ TenantArbiter::onDataDone(std::uint64_t bytes, sim::Tick start,
 }
 
 void
-TenantArbiter::registerStats(sim::stats::StatSet &set,
-                             const std::string &prefix) const
+TenantArbiter::writeStats(obs::MetricsRegistry &reg,
+                          const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".instancesAdmitted", &_admitted);
-    set.registerCounter(prefix + ".instancesQueued", &_queued);
-    set.registerCounter(prefix + ".queuedDelayTicks",
-                        &_queuedDelayTicks);
+    reg.insertCounter(prefix + ".instancesAdmitted", _admitted.value());
+    reg.insertCounter(prefix + ".instancesQueued", _queued.value());
+    reg.insertCounter(prefix + ".queuedDelayTicks", _queuedDelayTicks.value());
 }
 
 }  // namespace morpheus::sched

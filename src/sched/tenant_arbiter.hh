@@ -26,6 +26,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "obs/metrics.hh"
 #include "sched/sched_config.hh"
 #include "sim/stats.hh"
 
@@ -98,8 +99,8 @@ class TenantArbiter
     std::uint64_t instancesQueued() const { return _queued.value(); }
     unsigned openInstances() const { return _openTotal; }
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     /** Forget a live instance and its declared backlog residue.

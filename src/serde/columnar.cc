@@ -4,7 +4,12 @@
 #include <cstring>
 #include <utility>
 
+#include "serde/le_bytes.hh"
+
 namespace morpheus::serde {
+
+using detail::getLe;
+using detail::putLe;
 
 namespace {
 
@@ -13,29 +18,6 @@ constexpr std::uint32_t kScanMagic = 0x32464D43;   // 'CMF2'
 constexpr std::uint32_t kDescMagic = 0x5043;       // 'PC' (pushdown)
 constexpr std::uint32_t kDescVersion = 1;
 constexpr std::size_t kFooterBytes = 28;
-
-template <typename T>
-void
-putLe(std::vector<std::uint8_t> &out, T v)
-{
-    // resize+memcpy rather than a range-insert: GCC 12's
-    // -Wstringop-overflow misfires on vector::insert of tiny
-    // stack-array ranges.
-    const std::size_t pos = out.size();
-    out.resize(pos + sizeof(T));
-    std::memcpy(out.data() + pos, &v, sizeof(T));
-}
-
-template <typename T>
-bool
-getLe(const std::uint8_t *data, std::size_t size, std::size_t *pos, T *out)
-{
-    if (size - *pos < sizeof(T))
-        return false;
-    std::memcpy(out, data + *pos, sizeof(T));
-    *pos += sizeof(T);
-    return true;
-}
 
 struct FlashHeader
 {

@@ -1,39 +1,14 @@
 #include "serde/csv.hh"
 
-#include <cstring>
 #include <utility>
 
+#include "serde/le_bytes.hh"
 #include "sim/logging.hh"
 
 namespace morpheus::serde {
 
-namespace {
-
-template <typename T>
-void
-putLe(std::vector<std::uint8_t> &out, T v)
-{
-    // Byte-wise append (vector::insert over a raw pointer range trips
-    // a GCC 12 -Wstringop-overflow false positive here).
-    std::uint8_t raw[sizeof(T)];
-    std::memcpy(raw, &v, sizeof(T));
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        out.push_back(raw[i]);
-}
-
-template <typename T>
-T
-getLe(const std::vector<std::uint8_t> &in, std::size_t &off)
-{
-    MORPHEUS_ASSERT(off + sizeof(T) <= in.size(),
-                    "CSV binary object truncated");
-    T v;
-    std::memcpy(&v, in.data() + off, sizeof(T));
-    off += sizeof(T);
-    return v;
-}
-
-}  // namespace
+using detail::getLeOrPanic;
+using detail::putLe;
 
 std::uint64_t
 CsvTableObject::objectBytes() const
@@ -65,9 +40,9 @@ CsvTableObject::fromBinary(const std::vector<std::uint8_t> &bytes)
 {
     CsvTableObject o;
     std::size_t off = 0;
-    const auto ncols = getLe<std::uint32_t>(bytes, off);
+    const auto ncols = getLeOrPanic<std::uint32_t>(bytes, off);
     for (std::uint32_t c = 0; c < ncols; ++c) {
-        const auto len = getLe<std::uint8_t>(bytes, off);
+        const auto len = getLeOrPanic<std::uint8_t>(bytes, off);
         MORPHEUS_ASSERT(off + len <= bytes.size(),
                         "CSV binary header truncated");
         o.columns.emplace_back(
@@ -81,7 +56,7 @@ CsvTableObject::fromBinary(const std::vector<std::uint8_t> &bytes)
                     "CSV binary payload is not whole rows");
     o.values.reserve(cells);
     for (std::size_t i = 0; i < cells; ++i)
-        o.values.push_back(getLe<double>(bytes, off));
+        o.values.push_back(getLeOrPanic<double>(bytes, off));
     return o;
 }
 

@@ -1,37 +1,11 @@
 #include "serde/formats.hh"
 
-#include <cstring>
-
-#include "sim/logging.hh"
-
-namespace {
-
-/** Append the little-endian bytes of @p v. */
-template <typename T>
-void
-putLe(std::vector<std::uint8_t> &out, T v)
-{
-    const std::size_t at = out.size();
-    out.resize(at + sizeof(T));
-    std::memcpy(out.data() + at, &v, sizeof(T));
-}
-
-/** Read a little-endian value at @p off, advancing it. */
-template <typename T>
-T
-getLe(const std::vector<std::uint8_t> &in, std::size_t &off)
-{
-    MORPHEUS_ASSERT(off + sizeof(T) <= in.size(),
-                    "binary object truncated");
-    T v;
-    std::memcpy(&v, in.data() + off, sizeof(T));
-    off += sizeof(T);
-    return v;
-}
-
-}  // namespace
+#include "serde/le_bytes.hh"
 
 namespace morpheus::serde {
+
+using detail::getLeOrPanic;
+using detail::putLe;
 
 std::uint64_t
 EdgeListObject::objectBytes() const
@@ -192,18 +166,18 @@ EdgeListObject::fromBinary(const std::vector<std::uint8_t> &bytes,
 {
     EdgeListObject o;
     std::size_t off = 0;
-    o.numVertices = getLe<std::uint32_t>(bytes, off);
-    const auto edges = getLe<std::uint32_t>(bytes, off);
+    o.numVertices = getLeOrPanic<std::uint32_t>(bytes, off);
+    const auto edges = getLeOrPanic<std::uint32_t>(bytes, off);
     o.weighted = with_weights;
     o.src.reserve(edges);
     o.dst.reserve(edges);
     if (with_weights)
         o.weight.reserve(edges);
     for (std::uint32_t i = 0; i < edges; ++i) {
-        o.src.push_back(getLe<std::uint32_t>(bytes, off));
-        o.dst.push_back(getLe<std::uint32_t>(bytes, off));
+        o.src.push_back(getLeOrPanic<std::uint32_t>(bytes, off));
+        o.dst.push_back(getLeOrPanic<std::uint32_t>(bytes, off));
         if (with_weights)
-            o.weight.push_back(getLe<std::int32_t>(bytes, off));
+            o.weight.push_back(getLeOrPanic<std::int32_t>(bytes, off));
     }
     return o;
 }
@@ -225,13 +199,13 @@ MatrixObject::fromBinary(const std::vector<std::uint8_t> &bytes)
 {
     MatrixObject o;
     std::size_t off = 0;
-    o.rows = getLe<std::uint32_t>(bytes, off);
-    o.cols = getLe<std::uint32_t>(bytes, off);
+    o.rows = getLeOrPanic<std::uint32_t>(bytes, off);
+    o.cols = getLeOrPanic<std::uint32_t>(bytes, off);
     const std::size_t n =
         static_cast<std::size_t>(o.rows) * o.cols;
     o.values.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        o.values.push_back(getLe<float>(bytes, off));
+        o.values.push_back(getLeOrPanic<float>(bytes, off));
     return o;
 }
 
@@ -251,10 +225,10 @@ IntArrayObject::fromBinary(const std::vector<std::uint8_t> &bytes)
 {
     IntArrayObject o;
     std::size_t off = 0;
-    const auto n = getLe<std::uint32_t>(bytes, off);
+    const auto n = getLeOrPanic<std::uint32_t>(bytes, off);
     o.values.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i)
-        o.values.push_back(getLe<std::int64_t>(bytes, off));
+        o.values.push_back(getLeOrPanic<std::int64_t>(bytes, off));
     return o;
 }
 
@@ -275,12 +249,12 @@ PointSetObject::fromBinary(const std::vector<std::uint8_t> &bytes)
 {
     PointSetObject o;
     std::size_t off = 0;
-    const auto points = getLe<std::uint32_t>(bytes, off);
-    o.dims = getLe<std::uint32_t>(bytes, off);
+    const auto points = getLeOrPanic<std::uint32_t>(bytes, off);
+    o.dims = getLeOrPanic<std::uint32_t>(bytes, off);
     const std::size_t n = static_cast<std::size_t>(points) * o.dims;
     o.coords.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        o.coords.push_back(getLe<float>(bytes, off));
+        o.coords.push_back(getLeOrPanic<float>(bytes, off));
     return o;
 }
 
@@ -305,16 +279,16 @@ CooMatrixObject::fromBinary(const std::vector<std::uint8_t> &bytes)
 {
     CooMatrixObject o;
     std::size_t off = 0;
-    o.rows = getLe<std::uint32_t>(bytes, off);
-    o.cols = getLe<std::uint32_t>(bytes, off);
-    const auto n = getLe<std::uint32_t>(bytes, off);
+    o.rows = getLeOrPanic<std::uint32_t>(bytes, off);
+    o.cols = getLeOrPanic<std::uint32_t>(bytes, off);
+    const auto n = getLeOrPanic<std::uint32_t>(bytes, off);
     o.rowIdx.reserve(n);
     o.colIdx.reserve(n);
     o.values.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-        o.rowIdx.push_back(getLe<std::uint32_t>(bytes, off));
-        o.colIdx.push_back(getLe<std::uint32_t>(bytes, off));
-        o.values.push_back(getLe<float>(bytes, off));
+        o.rowIdx.push_back(getLeOrPanic<std::uint32_t>(bytes, off));
+        o.colIdx.push_back(getLeOrPanic<std::uint32_t>(bytes, off));
+        o.values.push_back(getLeOrPanic<float>(bytes, off));
     }
     return o;
 }

@@ -1,10 +1,12 @@
 #include "serde/json.hh"
 
-#include <cstring>
-
+#include "serde/le_bytes.hh"
 #include "sim/logging.hh"
 
 namespace morpheus::serde {
+
+using detail::getLeOrPanic;
+using detail::putLe;
 
 namespace {
 
@@ -19,26 +21,6 @@ isNumberChar(std::uint8_t c)
 {
     return isDigit(c) || c == '-' || c == '+' || c == '.' || c == 'e' ||
            c == 'E';
-}
-
-template <typename T>
-void
-putLe(std::vector<std::uint8_t> &out, T v)
-{
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T
-getLe(const std::vector<std::uint8_t> &in, std::size_t &off)
-{
-    MORPHEUS_ASSERT(off + sizeof(T) <= in.size(),
-                    "JSON binary object truncated");
-    T v;
-    std::memcpy(&v, in.data() + off, sizeof(T));
-    off += sizeof(T);
-    return v;
 }
 
 /** End-of-stream marker in the record-framed binary layout. */
@@ -76,11 +58,11 @@ JsonRecordsObject::fromBinary(const std::vector<std::uint8_t> &bytes)
     JsonRecordsObject o;
     std::size_t off = 0;
     for (;;) {
-        const auto count = getLe<std::uint32_t>(bytes, off);
+        const auto count = getLeOrPanic<std::uint32_t>(bytes, off);
         if (count == kEndMarker)
             break;
         for (std::uint32_t i = 0; i < count; ++i)
-            o.values.push_back(getLe<double>(bytes, off));
+            o.values.push_back(getLeOrPanic<double>(bytes, off));
         o.recordOffsets.push_back(
             static_cast<std::uint32_t>(o.values.size()));
     }

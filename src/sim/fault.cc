@@ -158,19 +158,6 @@ FaultInjector::dropCqe()
     return true;
 }
 
-void
-FaultInjector::registerStats(stats::StatSet &set,
-                             const std::string &prefix) const
-{
-    set.registerCounter(prefix + ".mediaErrors", &_mediaErrors);
-    set.registerCounter(prefix + ".dmaFaults", &_dmaFaults);
-    set.registerCounter(prefix + ".dmaRetries", &_dmaRetries);
-    set.registerCounter(prefix + ".appCrashes", &_appCrashes);
-    set.registerCounter(prefix + ".appHangs", &_appHangs);
-    set.registerCounter(prefix + ".droppedCqes", &_droppedCqes);
-    set.registerCounter(prefix + ".watchdogKills", &_watchdogKills);
-}
-
 FaultInjector *
 faultInjector()
 {

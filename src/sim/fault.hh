@@ -115,13 +115,11 @@ class FaultInjector
 
     std::uint64_t mediaErrors() const { return _mediaErrors.value(); }
     std::uint64_t dmaFaults() const { return _dmaFaults.value(); }
+    std::uint64_t dmaRetries() const { return _dmaRetries.value(); }
     std::uint64_t appCrashes() const { return _appCrashes.value(); }
     std::uint64_t appHangs() const { return _appHangs.value(); }
     std::uint64_t droppedCqes() const { return _droppedCqes.value(); }
     std::uint64_t watchdogKills() const { return _watchdogKills.value(); }
-
-    /** Register the injected/recovered counters under @p prefix. */
-    void registerStats(stats::StatSet &set, const std::string &prefix) const;
 
   private:
     FaultPlan _plan;

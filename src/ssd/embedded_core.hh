@@ -19,7 +19,6 @@
 
 #include "obs/trace.hh"
 #include "serde/parse.hh"
-#include "sim/stats.hh"
 #include "sim/timeline.hh"
 #include "sim/types.hh"
 

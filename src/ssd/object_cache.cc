@@ -125,17 +125,16 @@ ObjectCache::clear()
 }
 
 void
-ObjectCache::registerStats(sim::stats::StatSet &set,
-                           const std::string &prefix) const
+ObjectCache::writeStats(obs::MetricsRegistry &reg,
+                        const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".hits", &_hits);
-    set.registerCounter(prefix + ".misses", &_misses);
-    set.registerCounter(prefix + ".insertions", &_insertions);
-    set.registerCounter(prefix + ".evictions", &_evictions);
-    set.registerCounter(prefix + ".invalidations", &_invalidations);
-    set.registerCounter(prefix + ".hitBytes", &_hitBytes);
-    set.registerCounter(prefix + ".rejectedTooLarge",
-                        &_rejectedTooLarge);
+    reg.insertCounter(prefix + ".hits", _hits.value());
+    reg.insertCounter(prefix + ".misses", _misses.value());
+    reg.insertCounter(prefix + ".insertions", _insertions.value());
+    reg.insertCounter(prefix + ".evictions", _evictions.value());
+    reg.insertCounter(prefix + ".invalidations", _invalidations.value());
+    reg.insertCounter(prefix + ".hitBytes", _hitBytes.value());
+    reg.insertCounter(prefix + ".rejectedTooLarge", _rejectedTooLarge.value());
 }
 
 }  // namespace morpheus::ssd

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -159,8 +160,8 @@ class ObjectCache
         return _rejectedTooLarge.value();
     }
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     /** Index of the least recently used entry. */

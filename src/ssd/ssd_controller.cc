@@ -279,19 +279,18 @@ SsdController::doWrite(const nvme::Command &cmd, sim::Tick start)
 }
 
 void
-SsdController::registerStats(sim::stats::StatSet &set,
-                             const std::string &prefix) const
+SsdController::writeStats(obs::MetricsRegistry &reg,
+                          const std::string &prefix) const
 {
-    set.registerCounter(prefix + ".readCommands", &_readCommands);
-    set.registerCounter(prefix + ".writeCommands", &_writeCommands);
-    set.registerCounter(prefix + ".morpheusCommands",
-                        &_morpheusCommands);
-    set.registerCounter(prefix + ".bytesToHost", &_bytesToHost);
-    set.registerCounter(prefix + ".bytesFromHost", &_bytesFromHost);
-    _flash->registerStats(set, prefix + ".flash");
-    _ftl->registerStats(set, prefix + ".ftl");
-    _nvme.registerStats(set, prefix + ".nvme");
-    _sched->registerStats(set, prefix + ".sched");
+    reg.insertCounter(prefix + ".readCommands", _readCommands.value());
+    reg.insertCounter(prefix + ".writeCommands", _writeCommands.value());
+    reg.insertCounter(prefix + ".morpheusCommands", _morpheusCommands.value());
+    reg.insertCounter(prefix + ".bytesToHost", _bytesToHost.value());
+    reg.insertCounter(prefix + ".bytesFromHost", _bytesFromHost.value());
+    _flash->writeStats(reg, prefix + ".flash");
+    _ftl->writeStats(reg, prefix + ".ftl");
+    _nvme.writeStats(reg, prefix + ".nvme");
+    _sched->writeStats(reg, prefix + ".sched");
 }
 
 }  // namespace morpheus::ssd

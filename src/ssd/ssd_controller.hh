@@ -20,6 +20,7 @@
 
 #include "ftl/ftl.hh"
 #include "nvme/controller.hh"
+#include "obs/metrics.hh"
 #include "pcie/pcie.hh"
 #include "sched/ssd_scheduler.hh"
 #include "ssd/embedded_core.hh"
@@ -64,8 +65,7 @@ struct SsdConfig
      *  reservation, never both in full. */
     ObjectCacheConfig cache;
 
-    /** Controller DRAM (buffers + FTL tables). */
-    std::uint64_t dramBytes = 2ULL * sim::kGiB;
+    /** Controller DRAM bandwidth (buffers + FTL tables). */
     double dramBytesPerSec = 6.4 * sim::kGBps;  // DDR3-800 x64
 
     /** Device label for a fleet ("dev1"): prefixes every span track
@@ -187,8 +187,8 @@ class SsdController
     /** Charge a pass through controller DRAM. @return completion. */
     sim::Tick dramTransfer(std::uint64_t bytes, sim::Tick earliest);
 
-    void registerStats(sim::stats::StatSet &set,
-                       const std::string &prefix) const;
+    void writeStats(obs::MetricsRegistry &reg,
+                    const std::string &prefix) const;
 
   private:
     /** Firmware dispatch (CommandHandler for the NVMe front-end). */

@@ -210,8 +210,11 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
                 .chunkBytes = app.baselineChunkBytes};
             parsed[r] = parseObject(app.object, inputs[r].text->data(),
                                     inputs[r].text->size(), &req.cost);
-            deser_done = std::max(deser_done,
-                                  host::hostExecute(sys, req, r, t0));
+            const host::IoResult res = host::hostExecute(sys, req, r, t0);
+            MORPHEUS_ASSERT(res.ok(), "host read failed: app=", app.name,
+                            " rank=", r,
+                            " status=", nvme::statusName(res.status));
+            deser_done = std::max(deser_done, res.done);
         }
         produced = mergeObjects(app.object, parsed);
     } else {
@@ -372,11 +375,9 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     m.p2pBytes = sys.fabric().p2pBytes();
 
     if (opts.metrics != nullptr) {
-        sim::stats::StatSet set;
-        sys.registerStats(set);
-        device.registerStats(set, "morpheus");
         obs::MetricsRegistry &reg = *opts.metrics;
-        reg.absorb(set, "sys.");
+        sys.writeStats(reg, "sys");
+        device.writeStats(reg, "sys.morpheus");
         reg.setCounter("run.deser_ticks", m.deserTime);
         reg.setCounter("run.gpu_copy_ticks", m.gpuCopyTime);
         reg.setCounter("run.kernel_ticks", m.kernelTime);

@@ -47,8 +47,8 @@ struct RunOptions
     std::uint64_t seed = 42;
     /** Morpheus MREAD chunk in 512 B blocks (0 = MDTS). */
     std::uint32_t chunkBlocks = 0;
-    /** Optional federation target: runWorkload() snapshots the system
-     *  StatSet ("sys.") and the phase breakdown ("run.") into it. */
+    /** Optional federation target: runWorkload() writes the machine's
+     *  counters ("sys.") and the phase breakdown ("run.") into it. */
     obs::MetricsRegistry *metrics = nullptr;
     /** System configuration overrides. */
     host::SystemConfig sys{};

@@ -23,7 +23,6 @@
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 #include "sim/timeline.hh"
 #include "workloads/generators.hh"
 #include "workloads/objects.hh"
@@ -133,7 +132,7 @@ struct Request
         kCompleted,  ///< Served by the device path.
         kFallback,   ///< Served by the host path.
         kRejected,   ///< Refused by the shed valve.
-        kLost,       ///< Device failure with no rescue.
+        kLost,       ///< Failed with no path left to serve it.
     };
 
     sim::Tick arrival = 0;
@@ -227,8 +226,9 @@ struct ActiveSession
     core::InvokeSession session;
     unsigned requestIdx = 0;
     unsigned device = 0;  ///< Which runtime the session belongs to.
-    /** kSplit: when the host half of the request finishes. */
-    sim::Tick splitHostDone = 0;
+    /** kSplit: when the host half of the request finishes, and
+     *  whether its reads failed. */
+    host::IoResult splitHost;
 };
 
 /** Event-loop entry: what happens next and when. */
@@ -615,7 +615,7 @@ class ServingLoop
           case Route::kHost:
             if (r.reason == HostExecReason::kOverload)
                 recordServingInstant("place_host", tenantId(req), when);
-            fallback(idx, when, r.reason, 0);
+            fallback(idx, when, r.reason, {});
             return;
           case Route::kShedBounce:
           case Route::kShedReject:
@@ -662,7 +662,7 @@ class ServingLoop
         noteTraces(idx, as.session.traceIds);
         _freeSlots.push_back(slot);
         if (result.failed) {
-            deviceFailure(idx, result.done, as.splitHostDone);
+            deviceFailure(idx, result.done, as.splitHost);
             releaseParked(result.done);
             return;
         }
@@ -679,15 +679,20 @@ class ServingLoop
         std::uint64_t served =
             req.write ? inst.writeSrcBytes : result.objectBytes;
         if (req.state == Request::State::kSplit) {
-            term = std::max(term, as.splitHostDone);
+            term = std::max(term, as.splitHost.done);
             served = inst.objectBytes;
         }
-        terminate(idx, Request::State::kCompleted, term, served);
+        // A split whose host half's reads failed never became whole.
+        terminate(idx,
+                  as.splitHost.ok() ? Request::State::kCompleted
+                                    : Request::State::kLost,
+                  term, served);
     }
 
     /** A device-path attempt of request @p idx failed terminally. */
     void
-    deviceFailure(unsigned idx, sim::Tick when, sim::Tick split_host_done)
+    deviceFailure(unsigned idx, sim::Tick when,
+                  const host::IoResult &split_host)
     {
         Request &req = _requests[idx];
         ++req.deviceFailures;
@@ -705,11 +710,11 @@ class ServingLoop
         fallback(idx, when,
                  req.probe ? HostExecReason::kProbe
                            : HostExecReason::kBreaker,
-                 split_host_done);
+                 split_host);
     }
 
     void fallback(unsigned idx, sim::Tick when, HostExecReason reason,
-                  sim::Tick split_host_done);
+                  const host::IoResult &split_host);
 
     /** Host-path work for the whole of request @p idx. A write's host
      *  path is the baseline serialization: the CPU formats the values
@@ -1012,7 +1017,7 @@ ServingLoop::beginSession(unsigned idx, sim::Tick when, std::uint64_t cut)
         if (s.failed) {
             // MINIT died on an injected fault with the retry budget
             // spent: a device failure, not a bounce.
-            deviceFailure(idx, s.result.done, 0);
+            deviceFailure(idx, s.result.done, {});
             return;
         }
         // Every other refusal is a bounce that clears as resident
@@ -1030,7 +1035,7 @@ ServingLoop::beginSession(unsigned idx, sim::Tick when, std::uint64_t cut)
         }
         return;
     }
-    ActiveSession as{std::move(s), idx, inst.device, 0};
+    ActiveSession as{std::move(s), idx, inst.device, {}};
     if (cut > 0) {
         // MINIT accepted the prefix: charge the host half of the split
         // now, concurrent (in simulated time) with the device stream.
@@ -1039,7 +1044,7 @@ ServingLoop::beginSession(unsigned idx, sim::Tick when, std::uint64_t cut)
         host::HostExecRequest hreq = hostRequest(idx);
         hreq.extent.startByte += cut;
         hreq.extent.sizeBytes -= cut;
-        as.splitHostDone = host::hostExecute(
+        as.splitHost = host::hostExecute(
             _sys, hreq, _sys.cpu().leastLoadedCore(), when);
     }
     transition(req, cut > 0 ? Request::State::kSplit
@@ -1057,7 +1062,8 @@ ServingLoop::beginSession(unsigned idx, sim::Tick when, std::uint64_t cut)
 
 void
 ServingLoop::fallback(unsigned idx, sim::Tick when,
-                      HostExecReason reason, sim::Tick split_host_done)
+                      HostExecReason reason,
+                      const host::IoResult &split_host)
 {
     // The paper's baseline path (Fig 1): host read()s the raw text in
     // chunks and converts on the CPU. The breaker uses it to keep
@@ -1075,13 +1081,21 @@ ServingLoop::fallback(unsigned idx, sim::Tick when,
     // the host half of the remainder already ran.
     if (split)
         hreq.extent.sizeBytes = sched::splitPrefixBytes(hreq.fileBytes);
-    sim::Tick done = host::hostExecute(_sys, hreq, core, when);
-    if (split)
-        done = std::max(done, split_host_done);
+    // A split ends when both halves have, and fails if either did.
+    host::IoResult res = host::hostExecute(_sys, hreq, core, when);
+    res.done = std::max(res.done, split_host.done);
+    if (res.ok())
+        res.status = split_host.status;
+    if (!res.ok()) {
+        // A host read failed past the driver's retry budget: no path
+        // is left to serve the request.
+        terminate(idx, Request::State::kLost, res.done, 0);
+        return;
+    }
 
     recordServingInstant("fallback", tenantId(req), when);
     req.fallbackReason = reason;
-    terminate(idx, Request::State::kFallback, done, hreq.objectBytes);
+    terminate(idx, Request::State::kFallback, res.done, hreq.objectBytes);
 }
 
 std::vector<double>
@@ -1299,24 +1313,23 @@ federateCounts(obs::MetricsRegistry &reg, const std::string &prefix,
     }
 }
 
-/** Snapshot the system StatSet (under "sys.") and the report (under
+/** Write the machine's counters (under "sys.") and the report (under
  *  "serving.", "shard." and "fleet.") into @p reg. Runs before `sys`
- *  and the device stats die. */
+ *  and the devices die. */
 void
 federate(obs::MetricsRegistry &reg, const ServingOptions &opts,
          host::HostSystem &sys, shard::ShardFabric &fabric,
          const ServingReport &report)
 {
     const unsigned num_ssds = sys.numSsds();
-    sim::stats::StatSet set;
-    sys.registerStats(set);
+    sys.writeStats(reg, "sys");
     // Device 0 keeps the classic "morpheus" prefix; fleet devices
     // federate under "morpheus1", "morpheus2", ...
     for (unsigned d = 0; d < num_ssds; ++d) {
-        fabric.deviceRuntime(d).registerStats(
-            set, d == 0 ? "morpheus" : "morpheus" + std::to_string(d));
+        fabric.deviceRuntime(d).writeStats(
+            reg, d == 0 ? "sys.morpheus"
+                        : "sys.morpheus" + std::to_string(d));
     }
-    reg.absorb(set, "sys.");
     for (const TenantReport &tr : report.tenants) {
         const std::string p =
             "serving.tenant." + std::to_string(tr.id) + ".";

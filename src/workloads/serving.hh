@@ -177,8 +177,8 @@ struct ServingOptions
      *  vs. modeled host backlog. The breaker always outranks it. */
     sched::HybridConfig hybrid{};
 
-    /** Optional federation target: runServing() snapshots the system
-     *  StatSet (under "sys.") and the report (under "serving.",
+    /** Optional federation target: runServing() writes the machine's
+     *  counters (under "sys.") and the report (under "serving.",
      *  "shard." and "fleet.") into it before the machine is torn down. */
     obs::MetricsRegistry *metrics = nullptr;
 
@@ -235,8 +235,10 @@ struct OutcomeCounts
     std::uint64_t splitRequests = 0;
     /** Hybrid shed-valve bounces (retry-after re-submissions). */
     std::uint64_t shedBounces = 0;
-    /** Requests neither completed nor terminally rejected (recovery
-     *  and fallback both off while faults fire). */
+    /** Requests neither completed nor terminally rejected: a device
+     *  failure with recovery and fallback both off, or a host-path
+     *  read (fallback or a split's host half) that failed past the
+     *  driver's retry budget. */
     std::uint64_t lost = 0;
     /** Device-path completions answered by the object cache. */
     std::uint64_t cacheHits = 0;

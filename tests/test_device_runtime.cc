@@ -665,13 +665,13 @@ TEST(DeviceRuntime, StatsCountMorpheusCommands)
     fin.instanceId = 4;
     ASSERT_TRUE(rig.io(fin).ok());
 
-    morpheus::sim::stats::StatSet set;
-    rig.device.registerStats(set, "morpheus");
-    EXPECT_EQ(set.counterValue("morpheus.minits"), 1u);
-    EXPECT_EQ(set.counterValue("morpheus.mreads"), 1u);
-    EXPECT_EQ(set.counterValue("morpheus.mdeinits"), 1u);
-    EXPECT_GT(set.counterValue("morpheus.objectBytesOut"), 0u);
-    EXPECT_EQ(set.counterValue("morpheus.rawBytesIn"), 8192u);
+    morpheus::obs::MetricsRegistry reg;
+    rig.device.writeStats(reg, "morpheus");
+    EXPECT_EQ(reg.counter("morpheus.minits"), 1u);
+    EXPECT_EQ(reg.counter("morpheus.mreads"), 1u);
+    EXPECT_EQ(reg.counter("morpheus.mdeinits"), 1u);
+    EXPECT_GT(reg.counter("morpheus.objectBytesOut"), 0u);
+    EXPECT_EQ(reg.counter("morpheus.rawBytesIn"), 8192u);
 }
 
 TEST(DeviceRuntime, MediaErrorLeavesCleanResubmission)

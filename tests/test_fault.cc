@@ -12,11 +12,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "host/host_system.hh"
+#include "obs/metrics.hh"
 #include "sim/fault.hh"
-#include "sim/stats.hh"
 
 namespace ms = morpheus::sim;
 
@@ -350,7 +352,7 @@ TEST(FaultInjector, ScopedInstallAndRestore)
     EXPECT_EQ(ms::faultInjector(), nullptr);
 }
 
-TEST(FaultInjector, RegistersCountersUnderPrefix)
+TEST(FaultInjector, HostSystemWritesCountersUnderFaults)
 {
     ms::FaultPlan plan;
     plan.mediaRate = 1.0;
@@ -359,13 +361,29 @@ TEST(FaultInjector, RegistersCountersUnderPrefix)
     fi.noteWatchdogKill();
     fi.noteDmaRetry();
 
-    ms::stats::StatSet set;
-    fi.registerStats(set, "faults");
-    EXPECT_EQ(set.counterValue("faults.mediaErrors"), 1u);
-    EXPECT_EQ(set.counterValue("faults.watchdogKills"), 1u);
-    EXPECT_EQ(set.counterValue("faults.dmaRetries"), 1u);
-    EXPECT_EQ(set.counterValue("faults.dmaFaults"), 0u);
-    EXPECT_EQ(set.counterValue("faults.appCrashes"), 0u);
-    EXPECT_EQ(set.counterValue("faults.appHangs"), 0u);
-    EXPECT_EQ(set.counterValue("faults.droppedCqes"), 0u);
+    morpheus::obs::MetricsRegistry reg;
+    {
+        ms::ScopedFaultInjector scope(&fi);
+        morpheus::host::HostSystem sys;
+        sys.writeStats(reg, "sys");
+    }
+    EXPECT_EQ(reg.counter("sys.faults.mediaErrors"), 1u);
+    EXPECT_EQ(reg.counter("sys.faults.watchdogKills"), 1u);
+    EXPECT_EQ(reg.counter("sys.faults.dmaRetries"), 1u);
+    EXPECT_EQ(reg.counter("sys.faults.dmaFaults"), 0u);
+    EXPECT_EQ(reg.counter("sys.faults.appCrashes"), 0u);
+    EXPECT_EQ(reg.counter("sys.faults.appHangs"), 0u);
+    EXPECT_EQ(reg.counter("sys.faults.droppedCqes"), 0u);
+    std::ostringstream os;
+    reg.report(os);
+    EXPECT_NE(os.str().find("sys.faults.droppedCqes 0\n"),
+              std::string::npos);
+
+    // Without an injector installed the machine writes no fault keys.
+    morpheus::obs::MetricsRegistry none;
+    morpheus::host::HostSystem sys;
+    sys.writeStats(none, "sys");
+    std::ostringstream none_os;
+    none.report(none_os);
+    EXPECT_EQ(none_os.str().find("sys.faults."), std::string::npos);
 }

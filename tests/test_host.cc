@@ -299,27 +299,34 @@ TEST(HostSystem, AllocFreeCyclesStayFlat)
     EXPECT_EQ(sys.mem().store().residentBytes(), resident);
 }
 
-TEST(HostSystem, RegisterStatsDumpsTheWholeMachine)
+TEST(HostSystem, WriteStatsDumpsTheWholeMachine)
 {
-    ho::HostSystem sys;
+    ho::SystemConfig cfg;
+    cfg.numSsds = 4;
+    ho::HostSystem sys(cfg);
     sys.createFile("f", std::vector<std::uint8_t>(100000, '7'));
-    morpheus::sim::stats::StatSet set;
-    sys.registerStats(set);
     morpheus::obs::MetricsRegistry reg;
-    reg.absorb(set);
+    sys.writeStats(reg, "sys");
+    // A few load-bearing counters must be non-zero after the ingest
+    // write.
+    EXPECT_GT(reg.counter("sys.ssd.flash.programs"), 0u);
+    EXPECT_GT(reg.counter("sys.ssd.ftl.hostWrites"), 0u);
+    EXPECT_GT(reg.counter("sys.ssd.nvme.commands"), 0u);
+    EXPECT_GT(reg.counter("sys.pcie.fabricBytes"), 0u);
+    // Every fleet device writes the same keys under its own prefix.
     std::ostringstream os;
     reg.report(os);
     const std::string report = os.str();
-    // A few load-bearing counters must be present and non-zero after
-    // the ingest write.
-    EXPECT_NE(report.find("ssd.flash.programs"), std::string::npos);
-    EXPECT_NE(report.find("ssd.ftl.hostWrites"), std::string::npos);
-    EXPECT_NE(report.find("pcie.fabricBytes"), std::string::npos);
-    EXPECT_GT(set.counterValue("ssd.flash.programs"), 0u);
-    EXPECT_GT(set.counterValue("ssd.nvme.commands"), 0u);
-    EXPECT_GT(set.counterValue("pcie.fabricBytes"), 0u);
-    // Host DRAM's resident set is a gauge read at report time.
-    EXPECT_EQ(set.counterValue("host.mem.residentBytes"),
+    for (const char *dev : {"ssd1", "ssd2", "ssd3"}) {
+        SCOPED_TRACE(dev);
+        const std::string p = std::string("sys.") + dev;
+        EXPECT_NE(report.find(p + ".flash.programs "), std::string::npos);
+        EXPECT_NE(report.find(p + ".sched.dsramBounces "),
+                  std::string::npos);
+    }
+    EXPECT_EQ(report.find("sys.ssd4."), std::string::npos);
+    // Host DRAM's resident set is its level at the write.
+    EXPECT_EQ(reg.counter("sys.host.mem.residentBytes"),
               sys.mem().store().residentBytes());
 }
 
@@ -341,14 +348,19 @@ class RecordingBackend : public ho::StorageBackend
     {
         return 0;
     }
-    ms::Tick
+    ho::IoResult
     read(std::uint64_t offset, std::uint64_t len,
          morpheus::pcie::Addr dest, ms::Tick earliest) override
     {
         reads.emplace_back(offset, len);
         dests.push_back(dest);
-        return earliest;
+        if (reads.size() == failAt)
+            return {earliest + 1000, morpheus::nvme::Status::kMediaError};
+        return {earliest};
     }
+
+    /** 1-based index of the read that fails (0 = none fails). */
+    std::size_t failAt = 0;
 };
 
 /** A whole-file host-path request for @p extent on SSD 0. */
@@ -377,7 +389,7 @@ TEST(HostExecute, SyscallsAreOpenPlusOneReadPerChunk)
                                       256 * ms::kKiB}) {
         const std::uint64_t before = sys.os().syscalls();
         const ms::Tick done = ho::hostExecute(
-            sys, wholeFile(sys, extent, chunk), 0, extent.readyAt);
+            sys, wholeFile(sys, extent, chunk), 0, extent.readyAt).done;
         EXPECT_GT(done, extent.readyAt);
         const std::uint64_t chunks = (100000 + chunk - 1) / chunk;
         EXPECT_EQ(sys.os().syscalls() - before, 1 + chunks) << chunk;
@@ -393,14 +405,14 @@ TEST(HostExecute, BuffersGoBackToTheFreeLists)
     const auto extent =
         sys.createFile("f", std::vector<std::uint8_t>(100000, '7'));
     const ho::HostExecRequest req = wholeFile(sys, extent, 32 * ms::kKiB);
-    ms::Tick t = ho::hostExecute(sys, req, 0, extent.readyAt);
+    ms::Tick t = ho::hostExecute(sys, req, 0, extent.readyAt).done;
     const std::uint64_t resident = sys.mem().store().residentBytes();
     // A buffer of a size the host path never uses comes from the bump
     // pointer, so two of them bracket the calls in between.
     const std::uint64_t probe = 9 * 4096;
     const auto top = sys.allocHost(probe);
     for (int n = 0; n < 200; ++n)
-        t = ho::hostExecute(sys, req, n % 4, t);
+        t = ho::hostExecute(sys, req, n % 4, t).done;
     EXPECT_EQ(sys.allocHost(probe), top + probe);
     EXPECT_EQ(sys.mem().store().residentBytes(), resident);
 }
@@ -448,4 +460,32 @@ TEST(HostExecute, MidBlockSuffixReadsFromTheAlignedDownBlock)
         EXPECT_EQ(backend.dests[i], backend.dests.front());
         EXPECT_LE(backend.dests[i] + len, y) << i;
     }
+}
+
+TEST(HostExecute, FailedReadEndsTheCallWithItsStatus)
+{
+    ho::HostSystem sys;
+    RecordingBackend backend;
+    ho::FileExtent file;
+    file.sizeBytes = 5 * 4096;
+    const ho::HostExecRequest req{.backend = backend,
+                                  .extent = file,
+                                  .objectBytes = 8000,
+                                  .chunkBytes = 4096};
+    const ho::IoResult clean = ho::hostExecute(sys, req, 0, 0);
+    EXPECT_TRUE(clean.ok());
+    EXPECT_EQ(backend.reads.size(), 5u);
+
+    // The second read of the next call fails past the retry budget:
+    // no further read is issued, the buffers still go back, and the
+    // failure is reported no earlier than the read completed.
+    backend.failAt = backend.reads.size() + 2;
+    const std::uint64_t probe = 9 * 4096;
+    const auto top = sys.allocHost(probe);
+    const ho::IoResult failed = ho::hostExecute(sys, req, 0, 0);
+    EXPECT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status, morpheus::nvme::Status::kMediaError);
+    EXPECT_GE(failed.done, 1000u);
+    EXPECT_EQ(backend.reads.size(), 5u + 2u);
+    EXPECT_EQ(sys.allocHost(probe), top + probe);
 }

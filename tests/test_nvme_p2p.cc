@@ -9,7 +9,6 @@
 #include "core/host_runtime.hh"
 #include "core/nvme_p2p.hh"
 #include "core/standard_apps.hh"
-#include "host/nic_model.hh"
 #include "serde/writer.hh"
 #include "workloads/generators.hh"
 #include "serde/scanner.hh"
@@ -141,52 +140,4 @@ TEST(NvmeP2p, GpuToSsdSerializationViaMwrite)
     while (back.size() < values.size() && s.nextInt64(&v))
         back.push_back(v);
     EXPECT_EQ(back, values);
-}
-
-TEST(NicP2p, SsdToNicObjectStreamBypassesHost)
-{
-    // Paper §I lists NICs as P2P endpoints alongside GPUs.
-    ho::HostSystem sys;
-    morpheus::core::MorpheusDeviceRuntime device(sys.ssd());
-    co::NvmeP2p p2p(sys);
-    morpheus::core::MorpheusRuntime runtime(sys, device, p2p);
-    const auto images = morpheus::core::StandardImages::make();
-
-    ho::Nic nic(ho::NicConfig{});
-    const auto nic_port =
-        sys.fabric().addPort("nic", morpheus::pcie::LinkConfig{3, 8});
-    const morpheus::pcie::Addr bar = 1ULL << 44;
-    sys.fabric().mapWindow(bar, nic.config().txBufferBytes, nic_port,
-                           "nic-tx", &nic);
-
-    const auto a = morpheus::workloads::genIntArray(66, 20000);
-    morpheus::serde::TextWriter w;
-    a.serialize(w);
-    const auto file = sys.createFile("a", w.bytes());
-
-    const auto host_before =
-        sys.fabric().link(sys.hostPort()).totalBytes();
-    const auto stream = runtime.streamCreate(file, file.readyAt);
-    const auto res =
-        runtime.invoke(images.intArray, stream,
-                       morpheus::core::DmaTarget{bar, false},
-                       file.readyAt);
-    EXPECT_EQ(res.returnValue, a.values.size());
-
-    // Object payload went SSD->NIC; host link carried only ring traffic.
-    EXPECT_EQ(nic.bytesDmaIn(), a.objectBytes());
-    EXPECT_LT(sys.fabric().link(sys.hostPort()).totalBytes() -
-                  host_before,
-              a.objectBytes() / 4);
-    EXPECT_GE(sys.fabric().p2pBytes(), a.objectBytes());
-
-    // Functional: the TX buffer holds the binary object; the wire
-    // model frames and transmits it.
-    const auto bin =
-        nic.txBytes(0, static_cast<std::size_t>(a.objectBytes()));
-    EXPECT_EQ(morpheus::serde::IntArrayObject::fromBinary(bin), a);
-    const auto wire_done = nic.transmitQueued(res.done);
-    EXPECT_GT(wire_done, res.done);
-    EXPECT_GT(nic.framesSent(), a.objectBytes() / 9000);
-    EXPECT_EQ(nic.queuedBytes(), 0u);
 }

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "core/device_runtime.hh"
 #include "core/host_runtime.hh"
@@ -28,7 +29,6 @@ namespace ho = morpheus::host;
 namespace nv = morpheus::nvme;
 namespace ob = morpheus::obs;
 namespace sd = morpheus::serde;
-namespace st = morpheus::sim::stats;
 namespace wk = morpheus::workloads;
 using morpheus::sim::Tick;
 
@@ -555,32 +555,33 @@ TEST(CriticalPath, RetryBackoffShapeChargesRetryWait)
 
 // ------------------------------------------------------------ metrics
 
-TEST(MetricsRegistry, AbsorbSnapshotsStatSetValues)
+TEST(MetricsRegistry, ComponentWriteOutlivesTheMachine)
 {
-    st::Counter reads;
-    std::uint64_t level = 7;
-    reads += 42;
-
     ob::MetricsRegistry reg;
+    std::uint64_t resident = 0;
     {
-        st::StatSet set;
-        set.registerCounter("reads", &reads);
-        set.registerGauge("resident", [&level] { return level; });
-        reg.absorb(set, "ssd.");
+        ho::HostMemory mem(ho::HostMemoryConfig{});
+        const std::vector<std::uint8_t> page(4096, 1);
+        mem.busWrite(0, page.data(), page.size());
+        mem.writeStats(reg, "mem");
+        resident = mem.store().residentBytes();
+        // A level is the value it had at the write.
+        mem.busWrite(1ULL << 30, page.data(), page.size());
+        EXPECT_GT(mem.store().residentBytes(), resident);
     }
-    // The StatSet (and in real use the whole system) is gone; the
-    // snapshot survives, the gauge as the value it read at absorb.
-    level = 9;
-    EXPECT_EQ(reg.counter("ssd.reads"), 42u);
-    EXPECT_EQ(reg.counter("ssd.resident"), 7u);
-    EXPECT_EQ(reg.counter("ssd.missing"), 0u);
-    EXPECT_DOUBLE_EQ(reg.scalar("ssd.missing"), 0.0);
-    EXPECT_EQ(reg.size(), 2u);
+    // The memory (and in real use the whole system) is gone; the
+    // values survive.
+    EXPECT_EQ(reg.counter("mem.busBytesWritten"), 4096u);
+    EXPECT_EQ(reg.counter("mem.residentBytes"), resident);
+    EXPECT_GT(resident, 0u);
+    EXPECT_EQ(reg.counter("mem.missing"), 0u);
+    EXPECT_DOUBLE_EQ(reg.scalar("mem.missing"), 0.0);
+    EXPECT_EQ(reg.size(), 3u);
 
-    // Later values overwrite (a second collection refreshes, not
-    // duplicates).
-    reg.setCounter("ssd.reads", 50);
-    EXPECT_EQ(reg.counter("ssd.reads"), 50u);
+    // setCounter overwrites (the driver's own keys); only component
+    // writes insist on a new key.
+    reg.setCounter("mem.busBytesWritten", 50);
+    EXPECT_EQ(reg.counter("mem.busBytesWritten"), 50u);
     reg.clear();
     EXPECT_TRUE(reg.empty());
 }

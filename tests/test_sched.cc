@@ -632,6 +632,35 @@ TEST(Serving, BreakerOpenTenantIsNotDoubleRoutedByOverload)
     }
 }
 
+TEST(Serving, HostReadFailingPastRetriesIsLostNotFatal)
+{
+    // Every CQE is dropped, so each device attempt fails and so does
+    // every host read the breaker's rescue issues, once the driver's
+    // retry budget is spent. The request is lost; the run goes on and
+    // the ledger still closes.
+    wk::ServingOptions opts;
+    wk::TenantSpec spec;
+    spec.id = 1;
+    opts.tenants.push_back(spec);
+    opts.closedLoop = true;
+    opts.closedLoopConcurrency = 1;
+    opts.closedLoopRequests = 4;
+    opts.recovery.enabled = true;
+    opts.breakerThreshold = 1;
+    sim::FaultPlan plan;
+    plan.dropRate = 1.0;
+    plan.seed = 9;
+    opts.faults = plan;
+
+    const wk::ServingReport r = wk::runServing(opts);
+    EXPECT_EQ(r.submitted, 4u);
+    EXPECT_EQ(r.lost, 4u);
+    EXPECT_EQ(r.completed, 0u);
+    EXPECT_EQ(r.submitted, r.completed + r.rejected + r.lost);
+    EXPECT_EQ(r.fallbacks, 0u);
+    EXPECT_GT(r.driverTimeouts, 0u);
+}
+
 // ------------------------------------------------ bounded host memory
 
 namespace {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/standard_apps.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serde/writer.hh"
 #include "shard/shard_fabric.hh"
@@ -234,14 +235,34 @@ TEST(FleetServing, DeterministicInTheSeed)
     spec.id = 1;
     opts.tenants.push_back(spec);
 
+    ob::MetricsRegistry reg_a, reg_b;
+    opts.metrics = &reg_a;
     const wk::ServingReport a = wk::runServing(opts);
+    opts.metrics = &reg_b;
     const wk::ServingReport b = wk::runServing(opts);
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.p99Us, b.p99Us);
+    EXPECT_EQ(reg_a, reg_b);
     ASSERT_EQ(a.shards.size(), b.shards.size());
     for (std::size_t i = 0; i < a.shards.size(); ++i) {
         EXPECT_EQ(a.shards[i].requests, b.shards[i].requests);
         EXPECT_EQ(a.shards[i].servedBytes, b.shards[i].servedBytes);
     }
+
+    // Each device federates under its own prefixes: "ssd<d>" for its
+    // controller and "morpheus<d>" for its runtime (device 0 keeps the
+    // bare names), and each one's MINITs are its own shard's.
+    std::uint64_t minits = 0;
+    for (unsigned d = 0; d < 4; ++d) {
+        const std::string n = d == 0 ? "" : std::to_string(d);
+        SCOPED_TRACE("device " + std::to_string(d));
+        const std::uint64_t dev_minits =
+            reg_a.counter("sys.morpheus" + n + ".minits");
+        EXPECT_EQ(dev_minits > 0, a.shards[d].requests > 0);
+        EXPECT_EQ(reg_a.counter("sys.ssd" + n + ".morpheusCommands") > 0,
+                  a.shards[d].requests > 0);
+        minits += dev_minits;
+    }
+    EXPECT_GE(minits, a.submitted);
 }

@@ -1,80 +1,86 @@
 /**
  * @file
- * Unit tests for the statistics package.
+ * Unit tests for the statistics package: Counter, and components
+ * writing their counters into obs::MetricsRegistry.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "host/cpu_model.hh"
+#include "host/host_memory.hh"
+#include "obs/metrics.hh"
 #include "sim/stats.hh"
 
+namespace ho = morpheus::host;
+namespace ob = morpheus::obs;
 namespace st = morpheus::sim::stats;
 
-TEST(Counter, AccumulatesAndResets)
+TEST(Counter, Accumulates)
 {
     st::Counter c;
     EXPECT_EQ(c.value(), 0u);
     ++c;
     c += 41;
     EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(StatSet, VisitIsSortedAndComplete)
+TEST(ComponentStats, WritesAreSortedAndComplete)
 {
-    st::StatSet set;
-    st::Counter b, a;
-    ++a;
-    b += 2;
-    set.registerCounter("zeta", &b);
-    set.registerCounter("alpha", &a);
+    ho::HostMemory mem(ho::HostMemoryConfig{});
+    ho::HostCpu cpu(ho::CpuConfig{});
+    (void)mem.cpuAccess(3, 5, 0);
+    (void)cpu.execute(0, 1000, 0);
+
+    // Written in either order, the registry dumps every key of both
+    // components sorted by name.
+    ob::MetricsRegistry reg;
+    mem.writeStats(reg, "zeta");
+    cpu.writeStats(reg, "alpha");
     std::ostringstream os;
-    set.visit([&](const std::string &name, std::uint64_t v) {
-        os << name << " " << v << "\n";
-    });
-    EXPECT_EQ(os.str(), "alpha 1\nzeta 2\n");
-    EXPECT_EQ(set.counterValue("zeta"), 2u);
-    EXPECT_EQ(set.counterValue("missing"), 0u);
+    reg.report(os);
+    EXPECT_EQ(os.str(), "alpha.cycles 1000\n"
+                        "zeta.busBytesRead 3\n"
+                        "zeta.busBytesWritten 5\n"
+                        "zeta.residentBytes 0\n");
+    EXPECT_EQ(reg.counter("zeta.busBytesWritten"), 5u);
+    EXPECT_EQ(reg.counter("zeta.missing"), 0u);
 }
 
-TEST(StatSet, VisitReadsLiveCountersAndGauges)
+TEST(ComponentStats, EachWriteReadsCurrentValues)
 {
-    st::StatSet set;
-    st::Counter reads;
-    std::uint64_t level = 5;
-    reads += 7;
-    set.registerCounter("reads", &reads);
-    set.registerGauge("level", [&level] { return level; });
+    ho::HostMemory mem(ho::HostMemoryConfig{});
+    const std::vector<std::uint8_t> page(4096, 1);
+    mem.busWrite(0, page.data(), page.size());
 
-    // Counters and gauges share one name-ordered walk; two walks of
-    // the same set are identical.
-    auto walk = [&set] {
-        std::vector<std::pair<std::string, std::uint64_t>> rows;
-        set.visit([&](const std::string &name, std::uint64_t v) {
-            rows.emplace_back(name, v);
-        });
-        return rows;
-    };
-    using Rows = std::vector<std::pair<std::string, std::uint64_t>>;
-    EXPECT_EQ(walk(), (Rows{{"level", 5}, {"reads", 7}}));
-    EXPECT_EQ(walk(), walk());
+    ob::MetricsRegistry first;
+    mem.writeStats(first, "mem");
+    const std::uint64_t resident = mem.store().residentBytes();
+    EXPECT_GT(resident, 0u);
+    EXPECT_EQ(first.counter("mem.residentBytes"), resident);
+    EXPECT_EQ(first.counter("mem.busBytesWritten"), 4096u);
 
-    // The set holds live readers: changes show up in the next walk.
-    reads.reset();
-    level = 9;
-    EXPECT_EQ(walk(), (Rows{{"level", 9}, {"reads", 0}}));
-    EXPECT_EQ(set.counterValue("level"), 9u);
+    // The next write sees the counters and the resident level as they
+    // are then; the first registry keeps what it read.
+    mem.busWrite(1ULL << 30, page.data(), page.size());
+    ob::MetricsRegistry second;
+    mem.writeStats(second, "mem");
+    EXPECT_GT(second.counter("mem.residentBytes"), resident);
+    EXPECT_EQ(second.counter("mem.residentBytes"),
+              mem.store().residentBytes());
+    EXPECT_EQ(second.counter("mem.busBytesWritten"), 8192u);
+    EXPECT_EQ(first.counter("mem.residentBytes"), resident);
+    EXPECT_EQ(first.counter("mem.busBytesWritten"), 4096u);
 }
 
-TEST(StatSetDeath, DuplicateNamePanics)
+TEST(ComponentStatsDeath, DuplicateKeyPanics)
 {
-    st::StatSet set;
-    st::Counter c;
-    set.registerCounter("x", &c);
-    EXPECT_DEATH(set.registerCounter("x", &c), "duplicate");
+    ho::HostMemory mem(ho::HostMemoryConfig{});
+    ob::MetricsRegistry reg;
+    mem.writeStats(reg, "mem");
+    // Two components claiming one key is a wiring bug, not a refresh.
+    EXPECT_DEATH(mem.writeStats(reg, "mem"), "duplicate");
 }

@@ -32,9 +32,10 @@ TEST(NvmeBackend, IngestThenReadDeliversBytesToHostMemory)
     EXPECT_GT(ready, 0u);
 
     const morpheus::pcie::Addr dst = sys.allocHost(data.size());
-    const ms::Tick done =
+    const ho::IoResult res =
         backend.read(1 << 20, data.size(), dst, ready);
-    EXPECT_GT(done, ready);
+    EXPECT_TRUE(res.ok());
+    EXPECT_GT(res.done, ready);
     EXPECT_EQ(sys.mem().store().readVec(dst, data.size()), data);
 }
 
@@ -45,14 +46,14 @@ TEST(HddBackend, SequentialReadsAvoidSeeks)
     hdd.ingest(0, pattern(1 << 20));
 
     const morpheus::pcie::Addr dst = sys.allocHost(1 << 20);
-    const ms::Tick first = hdd.read(0, 65536, dst, 0);
+    const ms::Tick first = hdd.read(0, 65536, dst, 0).done;
     // Sequential continuation: no seek, just transfer time.
-    const ms::Tick second = hdd.read(65536, 65536, dst, first);
+    const ms::Tick second = hdd.read(65536, 65536, dst, first).done;
     const ms::Tick seq_cost = second - first;
     EXPECT_LT(seq_cost, hdd.seekTime);
 
     // Random jump: pays a seek.
-    const ms::Tick third = hdd.read(0, 65536, dst, second);
+    const ms::Tick third = hdd.read(0, 65536, dst, second).done;
     EXPECT_GE(third - second, hdd.seekTime);
 }
 
@@ -63,7 +64,7 @@ TEST(HddBackend, ThroughputMatchesConfiguredRate)
     const std::size_t mb = 1 << 20;
     hdd.ingest(0, pattern(mb));
     const morpheus::pcie::Addr dst = sys.allocHost(mb);
-    const ms::Tick t0 = hdd.read(0, mb, dst, 0);
+    const ms::Tick t0 = hdd.read(0, mb, dst, 0).done;
     // ~1 MiB at 158 MB/s: about 6.6 ms plus the initial seek.
     const double secs = ms::ticksToSeconds(t0);
     EXPECT_GT(secs, 0.006);
@@ -89,7 +90,7 @@ TEST(RamDriveBackend, IsFastAndChargesMemoryBus)
     ram.ingest(0, pattern(mb));
     const auto bus_before = sys.mem().busBytesTotal();
     const morpheus::pcie::Addr dst = sys.allocHost(mb);
-    const ms::Tick done = ram.read(0, mb, dst, 0);
+    const ms::Tick done = ram.read(0, mb, dst, 0).done;
     // 1 MiB at DDR3 speed: well under a millisecond.
     EXPECT_LT(ms::ticksToSeconds(done), 0.001);
     // The copy crossed the memory bus (read + write + landing).
@@ -112,10 +113,10 @@ TEST(Backends, RelativeSpeedOrdering)
     const ms::Tick ingest_done = nvme.ingest(0, data);
 
     const morpheus::pcie::Addr dst = sys.allocHost(mb);
-    const ms::Tick t_ram = ram.read(0, mb, dst, 0);
-    const ms::Tick t_hdd = hdd.read(0, mb, dst, 0);
+    const ms::Tick t_ram = ram.read(0, mb, dst, 0).done;
+    const ms::Tick t_hdd = hdd.read(0, mb, dst, 0).done;
     const ms::Tick t_nvme =
-        nvme.read(0, mb, dst, ingest_done) - ingest_done;
+        nvme.read(0, mb, dst, ingest_done).done - ingest_done;
     EXPECT_LT(t_ram, t_nvme);
     EXPECT_LT(t_nvme, t_hdd);
 }
