@@ -34,19 +34,9 @@ Ftl::Ftl(flash::FlashArray &array, const FtlConfig &config)
     _logicalPages = static_cast<std::uint64_t>(
         static_cast<double>(fc.pages()) * usable);
 
-    // Populate the free pool: every block, ordered so that popping from
-    // the back yields block 0 of each plane first.
-    _freeBlocks.reserve(fc.blocks());
-    for (unsigned blk = fc.blocksPerPlane; blk-- > 0;) {
-        for (unsigned c = fc.channels; c-- > 0;) {
-            for (unsigned d = fc.diesPerChannel; d-- > 0;) {
-                for (unsigned p = fc.planesPerDie; p-- > 0;) {
-                    _freeBlocks.push_back(
-                        flash::BlockPointer{c, d, p, blk});
-                }
-            }
-        }
-    }
+    _recycled.resize(fc.planes());
+    _nextFresh.assign(fc.planes(), 0);
+    _freeBlocks = fc.blocks();
     _activeBlocks.assign(fc.planes(), kUnmapped);
 }
 
@@ -59,6 +49,19 @@ Ftl::flatBlock(const flash::BlockPointer &b) const
     idx = idx * fc.planesPerDie + b.plane;
     idx = idx * fc.blocksPerPlane + b.block;
     return idx;
+}
+
+flash::BlockPointer
+Ftl::blockAt(unsigned plane, unsigned block) const
+{
+    const auto &fc = _array.config();
+    flash::BlockPointer b;
+    b.plane = plane % fc.planesPerDie;
+    plane /= fc.planesPerDie;
+    b.die = plane % fc.diesPerChannel;
+    b.channel = plane / fc.diesPerChannel;
+    b.block = block;
+    return b;
 }
 
 bool
@@ -144,7 +147,7 @@ Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
 
     // Trigger GC before picking a block (never recursively from GC's
     // own relocation writes).
-    if (!_inGc && _freeBlocks.size() < _config.gcLowWatermark) {
+    if (!_inGc && _freeBlocks < _config.gcLowWatermark) {
         const sim::Tick t = collectGarbage(now);
         if (gc_done)
             *gc_done = std::max(*gc_done, t);
@@ -168,16 +171,19 @@ Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
             active = kUnmapped;  // block full; retire from stripe
         }
 
-        // Open a fresh block for this plane if the pool has one.
-        const auto fit = std::find_if(
-            _freeBlocks.rbegin(), _freeBlocks.rend(),
-            [&](const flash::BlockPointer &b) {
-                return planeIndex(fc, b) == plane;
-            });
-        if (fit == _freeBlocks.rend())
+        // Open a free block of this plane if the pool has one.
+        std::vector<unsigned> &recycled = _recycled[plane];
+        unsigned block = 0;
+        if (!recycled.empty()) {
+            block = recycled.back();
+            recycled.pop_back();
+        } else if (_nextFresh[plane] < fc.blocksPerPlane) {
+            block = _nextFresh[plane]++;
+        } else {
             continue;  // no free block in this plane; try the next
-        const flash::BlockPointer addr = *fit;
-        _freeBlocks.erase(std::next(fit).base());
+        }
+        --_freeBlocks;
+        const flash::BlockPointer addr = blockAt(plane, block);
 
         const std::uint64_t blk = flatBlock(addr);
         BlockState bs;
@@ -205,7 +211,7 @@ Ftl::collectGarbage(sim::Tick now)
     ++_gcRuns;
     sim::Tick done = now;
 
-    while (_freeBlocks.size() < _config.gcHighWatermark) {
+    while (_freeBlocks < _config.gcHighWatermark) {
         // Greedy victim: fewest valid pages among full, non-active
         // blocks; ties go to the least-erased block (static wear
         // levelling — cycling cold blocks back into service).
@@ -256,7 +262,9 @@ Ftl::collectGarbage(sim::Tick now)
         const sim::Tick er =
             _array.erase(victim_state.addr, reads_done);
         done = std::max(done, er);
-        _freeBlocks.push_back(victim_state.addr);
+        _recycled[planeIndex(fc, victim_state.addr)].push_back(
+            victim_state.addr.block);
+        ++_freeBlocks;
     }
 
     _inGc = false;

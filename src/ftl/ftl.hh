@@ -92,7 +92,7 @@ class Ftl
     const std::vector<std::uint8_t> &peekPage(std::uint64_t lpn) const;
 
     /** Free blocks remaining in the allocation pool. */
-    std::size_t freeBlocks() const { return _freeBlocks.size(); }
+    std::size_t freeBlocks() const { return _freeBlocks; }
 
     /** Spread between the most- and least-erased written blocks. */
     std::uint64_t maxEraseDelta() const;
@@ -125,6 +125,8 @@ class Ftl
     void invalidate(std::uint64_t lpn);
 
     std::uint64_t flatBlock(const flash::BlockPointer &b) const;
+    /** Block @p block of flat plane index @p plane. */
+    flash::BlockPointer blockAt(unsigned plane, unsigned block) const;
     /** Flash address of flat physical page index @p ppn. */
     flash::PagePointer pageAddress(std::uint64_t ppn) const;
 
@@ -139,8 +141,14 @@ class Ftl
     /** Flat physical page index -> block state + page slot. */
     std::unordered_map<std::uint64_t, BlockState> _blocks;
 
-    /** Blocks never written or erased and returned to the pool. */
-    std::vector<flash::BlockPointer> _freeBlocks;
+    /**
+     * The free pool, per plane: blocks GC erased, reopened last erased
+     * first, then the never-written blocks in ascending order, of
+     * which only the next one's index is kept.
+     */
+    std::vector<std::vector<unsigned>> _recycled;
+    std::vector<unsigned> _nextFresh;
+    std::size_t _freeBlocks = 0;  ///< Over every plane.
     /** Active write blocks, one per plane, used round-robin. */
     std::vector<std::uint64_t> _activeBlocks;
     std::size_t _nextPlane = 0;

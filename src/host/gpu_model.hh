@@ -117,15 +117,14 @@ class Gpu : public pcie::BusTarget
     }
 
     /**
-     * cudaMemcpy host->device: the GPU's copy engine reads host memory
-     * across PCIe and lands the bytes in device memory.
+     * cudaMemcpy host->device of @p n bytes at @p host_addr: the GPU's
+     * copy engine reads host memory across PCIe into device memory.
+     * Timing only: nothing reads the copied bytes (kernels run
+     * functionally in the workload code), so none are stored.
      */
     sim::Tick
-    copyFromHost(pcie::Addr host_addr, std::uint64_t dev_addr,
-                 const std::uint8_t *data, std::size_t n,
-                 sim::Tick earliest)
+    copyFromHost(pcie::Addr host_addr, std::size_t n, sim::Tick earliest)
     {
-        _mem.write(dev_addr, data, n);
         _bytesDmaIn += n;
         sim::Tick link_done =
             _fabric.dmaRead(_port, host_addr, n, earliest);

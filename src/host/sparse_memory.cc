@@ -32,23 +32,11 @@ void
 SparseMemory::read(std::uint64_t addr, std::uint8_t *out,
                    std::size_t n) const
 {
-    MORPHEUS_ASSERT(addr + n <= _size, "read past end of memory: addr=",
-                    addr, " n=", n, " size=", _size);
-    std::size_t done = 0;
-    while (done < n) {
-        const std::uint64_t a = addr + done;
-        const std::uint64_t chunk = a / kChunkBytes;
-        const std::uint64_t off = a % kChunkBytes;
-        const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(n - done, kChunkBytes - off));
-        const auto it = _chunks.find(chunk);
-        if (it == _chunks.end()) {
-            std::memset(out + done, 0, take);
-        } else {
-            std::memcpy(out + done, it->second.data() + off, take);
-        }
-        done += take;
-    }
+    forEachChunk(addr, n, [&out](const std::uint8_t *data,
+                                 std::size_t len) {
+        std::memcpy(out, data, len);
+        out += len;
+    });
 }
 
 std::vector<std::uint8_t>

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "serde/le_bytes.hh"
+#include "sim/digest.hh"
 #include "sim/logging.hh"
 
 namespace morpheus::serde {
@@ -22,18 +23,26 @@ CsvTableObject::objectBytes() const
 std::vector<std::uint8_t>
 CsvTableObject::toBinary() const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(objectBytes());
+    return detail::encodeToVector(*this);
+}
+
+template <typename Sink>
+void
+CsvTableObject::writeBinary(Sink &out) const
+{
     putLe(out, static_cast<std::uint32_t>(columns.size()));
     for (const auto &c : columns) {
         MORPHEUS_ASSERT(c.size() <= 255, "column name too long");
-        out.push_back(static_cast<std::uint8_t>(c.size()));
-        out.insert(out.end(), c.begin(), c.end());
+        putLe(out, static_cast<std::uint8_t>(c.size()));
+        detail::appendBytes(
+            out, reinterpret_cast<const std::uint8_t *>(c.data()),
+            c.size());
     }
     for (const double v : values)
         putLe(out, v);
-    return out;
 }
+template void CsvTableObject::writeBinary(std::vector<std::uint8_t> &) const;
+template void CsvTableObject::writeBinary(sim::Digester &) const;
 
 CsvTableObject
 CsvTableObject::fromBinary(const std::vector<std::uint8_t> &bytes)

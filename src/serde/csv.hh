@@ -47,6 +47,9 @@ struct CsvTableObject
      */
     std::uint64_t objectBytes() const;
     std::vector<std::uint8_t> toBinary() const;
+    /** The same bytes into @p out: a std::vector<std::uint8_t> or a
+     *  sim::Digester (the two instantiated sinks). */
+    template <typename Sink> void writeBinary(Sink &out) const;
     static CsvTableObject fromBinary(
         const std::vector<std::uint8_t> &bytes);
 

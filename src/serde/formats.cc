@@ -1,6 +1,7 @@
 #include "serde/formats.hh"
 
 #include "serde/le_bytes.hh"
+#include "sim/digest.hh"
 
 namespace morpheus::serde {
 
@@ -147,8 +148,13 @@ CooMatrixObject::serialize(TextWriter &w, int precision) const
 std::vector<std::uint8_t>
 EdgeListObject::toBinary() const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(objectBytes());
+    return detail::encodeToVector(*this);
+}
+
+template <typename Sink>
+void
+EdgeListObject::writeBinary(Sink &out) const
+{
     putLe(out, numVertices);
     putLe(out, static_cast<std::uint32_t>(numEdges()));
     for (std::size_t i = 0; i < numEdges(); ++i) {
@@ -157,8 +163,9 @@ EdgeListObject::toBinary() const
         if (weighted)
             putLe(out, weight[i]);
     }
-    return out;
 }
+template void EdgeListObject::writeBinary(std::vector<std::uint8_t> &) const;
+template void EdgeListObject::writeBinary(sim::Digester &) const;
 
 EdgeListObject
 EdgeListObject::fromBinary(const std::vector<std::uint8_t> &bytes,
@@ -185,14 +192,20 @@ EdgeListObject::fromBinary(const std::vector<std::uint8_t> &bytes,
 std::vector<std::uint8_t>
 MatrixObject::toBinary() const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(objectBytes());
+    return detail::encodeToVector(*this);
+}
+
+template <typename Sink>
+void
+MatrixObject::writeBinary(Sink &out) const
+{
     putLe(out, rows);
     putLe(out, cols);
     for (const float v : values)
         putLe(out, v);
-    return out;
 }
+template void MatrixObject::writeBinary(std::vector<std::uint8_t> &) const;
+template void MatrixObject::writeBinary(sim::Digester &) const;
 
 MatrixObject
 MatrixObject::fromBinary(const std::vector<std::uint8_t> &bytes)
@@ -212,13 +225,19 @@ MatrixObject::fromBinary(const std::vector<std::uint8_t> &bytes)
 std::vector<std::uint8_t>
 IntArrayObject::toBinary() const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(objectBytes());
+    return detail::encodeToVector(*this);
+}
+
+template <typename Sink>
+void
+IntArrayObject::writeBinary(Sink &out) const
+{
     putLe(out, static_cast<std::uint32_t>(values.size()));
     for (const std::int64_t v : values)
         putLe(out, v);
-    return out;
 }
+template void IntArrayObject::writeBinary(std::vector<std::uint8_t> &) const;
+template void IntArrayObject::writeBinary(sim::Digester &) const;
 
 IntArrayObject
 IntArrayObject::fromBinary(const std::vector<std::uint8_t> &bytes)
@@ -235,14 +254,20 @@ IntArrayObject::fromBinary(const std::vector<std::uint8_t> &bytes)
 std::vector<std::uint8_t>
 PointSetObject::toBinary() const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(objectBytes());
+    return detail::encodeToVector(*this);
+}
+
+template <typename Sink>
+void
+PointSetObject::writeBinary(Sink &out) const
+{
     putLe(out, static_cast<std::uint32_t>(numPoints()));
     putLe(out, dims);
     for (const float v : coords)
         putLe(out, v);
-    return out;
 }
+template void PointSetObject::writeBinary(std::vector<std::uint8_t> &) const;
+template void PointSetObject::writeBinary(sim::Digester &) const;
 
 PointSetObject
 PointSetObject::fromBinary(const std::vector<std::uint8_t> &bytes)
@@ -261,8 +286,13 @@ PointSetObject::fromBinary(const std::vector<std::uint8_t> &bytes)
 std::vector<std::uint8_t>
 CooMatrixObject::toBinary() const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(objectBytes());
+    return detail::encodeToVector(*this);
+}
+
+template <typename Sink>
+void
+CooMatrixObject::writeBinary(Sink &out) const
+{
     putLe(out, rows);
     putLe(out, cols);
     putLe(out, static_cast<std::uint32_t>(nnz()));
@@ -271,8 +301,9 @@ CooMatrixObject::toBinary() const
         putLe(out, colIdx[i]);
         putLe(out, static_cast<float>(values[i]));
     }
-    return out;
 }
+template void CooMatrixObject::writeBinary(std::vector<std::uint8_t> &) const;
+template void CooMatrixObject::writeBinary(sim::Digester &) const;
 
 CooMatrixObject
 CooMatrixObject::fromBinary(const std::vector<std::uint8_t> &bytes)

@@ -52,6 +52,9 @@ struct EdgeListObject
      * stream StorageApps emit over DMA.
      */
     std::vector<std::uint8_t> toBinary() const;
+    /** The same bytes into @p out: a std::vector<std::uint8_t> or a
+     *  sim::Digester (the two instantiated sinks). */
+    template <typename Sink> void writeBinary(Sink &out) const;
     static EdgeListObject fromBinary(
         const std::vector<std::uint8_t> &bytes, bool with_weights);
 
@@ -81,6 +84,9 @@ struct MatrixObject
 
     /** Binary layout: u32 rows, u32 cols, then f32 values row-major. */
     std::vector<std::uint8_t> toBinary() const;
+    /** The same bytes into @p out: a std::vector<std::uint8_t> or a
+     *  sim::Digester (the two instantiated sinks). */
+    template <typename Sink> void writeBinary(Sink &out) const;
     static MatrixObject fromBinary(const std::vector<std::uint8_t> &bytes);
 
     template <typename Scanner>
@@ -99,6 +105,9 @@ struct IntArrayObject
 
     /** Binary layout: u32 count, then i64 values. */
     std::vector<std::uint8_t> toBinary() const;
+    /** The same bytes into @p out: a std::vector<std::uint8_t> or a
+     *  sim::Digester (the two instantiated sinks). */
+    template <typename Sink> void writeBinary(Sink &out) const;
     static IntArrayObject fromBinary(
         const std::vector<std::uint8_t> &bytes);
 
@@ -124,6 +133,9 @@ struct PointSetObject
 
     /** Binary layout: u32 points, u32 dims, then f32 coords. */
     std::vector<std::uint8_t> toBinary() const;
+    /** The same bytes into @p out: a std::vector<std::uint8_t> or a
+     *  sim::Digester (the two instantiated sinks). */
+    template <typename Sink> void writeBinary(Sink &out) const;
     static PointSetObject fromBinary(
         const std::vector<std::uint8_t> &bytes);
 
@@ -150,6 +162,9 @@ struct CooMatrixObject
     /** Binary layout: u32 rows, u32 cols, u32 nnz, then per entry
      *  u32 row, u32 col, f32 value. */
     std::vector<std::uint8_t> toBinary() const;
+    /** The same bytes into @p out: a std::vector<std::uint8_t> or a
+     *  sim::Digester (the two instantiated sinks). */
+    template <typename Sink> void writeBinary(Sink &out) const;
     static CooMatrixObject fromBinary(
         const std::vector<std::uint8_t> &bytes);
 

@@ -1,6 +1,7 @@
 #include "serde/json.hh"
 
 #include "serde/le_bytes.hh"
+#include "sim/digest.hh"
 #include "sim/logging.hh"
 
 namespace morpheus::serde {
@@ -39,8 +40,13 @@ JsonRecordsObject::objectBytes() const
 std::vector<std::uint8_t>
 JsonRecordsObject::toBinary() const
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(objectBytes());
+    return detail::encodeToVector(*this);
+}
+
+template <typename Sink>
+void
+JsonRecordsObject::writeBinary(Sink &out) const
+{
     for (std::size_t r = 0; r < numRecords(); ++r) {
         const std::uint32_t begin = recordOffsets[r];
         const std::uint32_t end = recordOffsets[r + 1];
@@ -49,8 +55,10 @@ JsonRecordsObject::toBinary() const
             putLe(out, values[i]);
     }
     putLe(out, kEndMarker);
-    return out;
 }
+template void
+JsonRecordsObject::writeBinary(std::vector<std::uint8_t> &) const;
+template void JsonRecordsObject::writeBinary(sim::Digester &) const;
 
 JsonRecordsObject
 JsonRecordsObject::fromBinary(const std::vector<std::uint8_t> &bytes)

@@ -44,6 +44,9 @@ struct JsonRecordsObject
      *  f64 values[]. */
     std::uint64_t objectBytes() const;
     std::vector<std::uint8_t> toBinary() const;
+    /** The same bytes into @p out: a std::vector<std::uint8_t> or a
+     *  sim::Digester (the two instantiated sinks). */
+    template <typename Sink> void writeBinary(Sink &out) const;
     static JsonRecordsObject fromBinary(
         const std::vector<std::uint8_t> &bytes);
 

@@ -16,17 +16,49 @@
 
 namespace morpheus::serde::detail {
 
-/** Append the little-endian bytes of @p v. */
-template <typename T>
-void
-putLe(std::vector<std::uint8_t> &out, T v)
+/**
+ * Append @p n bytes to a byte sink. The binary encoders write through
+ * a sink so one encoder both builds a vector and feeds a digest
+ * (sim::Digester) without materializing the bytes.
+ */
+inline void
+appendBytes(std::vector<std::uint8_t> &out, const std::uint8_t *data,
+            std::size_t n)
 {
     // resize+memcpy rather than a range-insert: GCC 12's
     // -Wstringop-overflow misfires on vector::insert of tiny
     // stack-array ranges.
     const std::size_t pos = out.size();
-    out.resize(pos + sizeof(T));
-    std::memcpy(out.data() + pos, &v, sizeof(T));
+    out.resize(pos + n);
+    std::memcpy(out.data() + pos, data, n);
+}
+
+/** Any other sink takes its bytes through append(). */
+template <typename Sink>
+void
+appendBytes(Sink &out, const std::uint8_t *data, std::size_t n)
+{
+    out.append(data, n);
+}
+
+/** Append the little-endian bytes of @p v. */
+template <typename T, typename Sink>
+void
+putLe(Sink &out, T v)
+{
+    appendBytes(out, reinterpret_cast<const std::uint8_t *>(&v),
+                sizeof(T));
+}
+
+/** @p obj's binary encoding (its writeBinary()) as a vector. */
+template <typename Obj>
+std::vector<std::uint8_t>
+encodeToVector(const Obj &obj)
+{
+    std::vector<std::uint8_t> out;
+    out.reserve(obj.objectBytes());
+    obj.writeBinary(out);
+    return out;
 }
 
 /**

@@ -105,10 +105,12 @@ objectBytes(const AnyObject &obj)
     return std::visit([](const auto &o) { return o.objectBytes(); }, obj);
 }
 
-std::vector<std::uint8_t>
-objectToBinary(const AnyObject &obj)
+sim::Digest128
+objectDigest(const AnyObject &obj)
 {
-    return std::visit([](const auto &o) { return o.toBinary(); }, obj);
+    sim::Digester d;
+    std::visit([&d](const auto &o) { o.writeBinary(d); }, obj);
+    return d.finish();
 }
 
 const core::StorageAppImage &

@@ -16,6 +16,7 @@
 #include "serde/csv.hh"
 #include "serde/formats.hh"
 #include "serde/json.hh"
+#include "sim/digest.hh"
 
 namespace morpheus::workloads {
 
@@ -55,8 +56,9 @@ std::vector<std::uint8_t> serializeObject(const AnyObject &obj);
 /** Binary size of the object (DMA payload). */
 std::uint64_t objectBytes(const AnyObject &obj);
 
-/** Binary encoding of the object. */
-std::vector<std::uint8_t> objectToBinary(const AnyObject &obj);
+/** Digest of the object's binary encoding (its DMA payload), fed
+ *  straight from the encoder: no encoded copy is built. */
+sim::Digest128 objectDigest(const AnyObject &obj);
 
 /** StorageApp image that deserializes @p kind on the device. */
 const core::StorageAppImage &imageFor(ObjectKind kind,

@@ -1,6 +1,7 @@
 #include "workloads/partition.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -29,11 +30,15 @@ shards(std::size_t total, unsigned parts)
 }  // namespace
 
 std::vector<AnyObject>
-partitionObject(const AnyObject &obj, unsigned parts)
+partitionObject(AnyObject obj, unsigned parts)
 {
     MORPHEUS_ASSERT(parts >= 1, "partition into zero parts");
     std::vector<AnyObject> out;
     out.reserve(parts);
+    if (parts == 1) {
+        out.push_back(std::move(obj));
+        return out;
+    }
 
     if (const auto *g = std::get_if<serde::EdgeListObject>(&obj)) {
         for (const auto &[b, e] : shards(g->numEdges(), parts)) {

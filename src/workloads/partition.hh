@@ -19,9 +19,9 @@
 namespace morpheus::workloads {
 
 /** Split @p obj into @p parts sub-objects (element-wise round-robin
- *  free: contiguous shards, remainder to the front shards). */
-std::vector<AnyObject> partitionObject(const AnyObject &obj,
-                                       unsigned parts);
+ *  free: contiguous shards, remainder to the front shards). One part
+ *  is @p obj itself, moved in when the caller passes an rvalue. */
+std::vector<AnyObject> partitionObject(AnyObject obj, unsigned parts);
 
 /** Reassemble shards produced by partitionObject. */
 AnyObject mergeObjects(ObjectKind kind,

@@ -10,6 +10,7 @@
 #include "core/nvme_p2p.hh"
 #include "core/standard_apps.hh"
 #include "host/host_exec.hh"
+#include "sim/digest.hh"
 #include "sim/logging.hh"
 #include "workloads/partition.hh"
 
@@ -49,21 +50,30 @@ struct ActivitySnapshot
     }
 };
 
+/** One rank's prepared input file. */
+struct PreparedShard
+{
+    std::vector<std::uint8_t> text;  ///< The shard, serialized.
+    std::uint64_t objBytes = 0;      ///< Binary size of the shard.
+    sim::Digest128 digest;           ///< Of the shard's binary encoding.
+};
+
 /**
- * One app's mode-independent input: the ground-truth object, each
- * rank's serialized shard and the kernel's result on the truth. The
- * three modes of one app run on the same (app, seed, scale), so
- * runWorkload builds it once and reuses it until the key changes.
+ * One app's mode-independent input: each rank's text, binary size and
+ * binary digest, the object total and the kernel's result on the
+ * truth. No object is kept: a run checks what it produced against the
+ * digests. The three modes of one app run on the same (app, seed,
+ * scale), so runWorkload builds it once and reuses it until the key
+ * changes.
  */
 struct PreparedInput
 {
     const AppSpec *app = nullptr;
     std::uint64_t seed = 0;
     double scale = 0.0;
-    AnyObject truth;
-    std::vector<std::uint64_t> shardObjBytes;  ///< Binary size per rank.
-    std::vector<std::vector<std::uint8_t>> shardText;  ///< Per rank.
-    KernelResult kernel;  ///< app.kernel(truth).
+    std::vector<PreparedShard> shards;  ///< Per rank.
+    std::uint64_t objBytes = 0;         ///< objectBytes(truth).
+    KernelResult kernel;                ///< app.kernel(truth).
 };
 
 /** The prepared input of (@p app, @p seed, @p scale), from this
@@ -77,28 +87,47 @@ preparedInput(const AppSpec &app, std::uint64_t seed, double scale,
     if (slot.app == &app && slot.seed == seed && slot.scale == scale)
         return slot;
     slot = PreparedInput{};
-    slot.truth = app.generate(seed, scale);
-    std::vector<AnyObject> shards = partitionObject(slot.truth, ranks);
-    for (AnyObject &shard : shards) {
-        slot.shardObjBytes.push_back(objectBytes(shard));
-        slot.shardText.push_back(serializeObject(shard));
-        shard = AnyObject{};  // only the text is kept
+    AnyObject truth = app.generate(seed, scale);
+    slot.kernel = app.kernel(truth);
+    slot.objBytes = objectBytes(truth);
+    // The truth moves into the partition (a 1-rank app's shard is the
+    // truth itself), and each shard is freed once encoded.
+    for (AnyObject &shard : partitionObject(std::move(truth), ranks)) {
+        slot.shards.push_back({serializeObject(shard), objectBytes(shard),
+                               objectDigest(shard)});
+        shard = AnyObject{};
     }
-    slot.kernel = app.kernel(slot.truth);
     slot.app = &app;
     slot.seed = seed;
     slot.scale = scale;
     return slot;
 }
 
-/** The per-rank input files of one run. */
-struct RankInput
+/**
+ * What a run that failed validation produced, merged across ranks:
+ * each rank's object decoded from its DMA target at @p landed[r] of
+ * @p landing, or, with no @p landing (baseline), parsed again from its
+ * text.
+ */
+AnyObject
+producedObject(const AppSpec &app, const PreparedInput &input,
+               const host::SparseMemory *landing,
+               const std::vector<std::uint64_t> &landed)
 {
-    std::uint64_t objBytes = 0;  ///< Binary size of the shard.
-    /** Serialized shard, owned by the PreparedInput. */
-    const std::vector<std::uint8_t> *text = nullptr;
-    host::FileExtent extent;     ///< Where it lives on the backend.
-};
+    std::vector<AnyObject> shards;
+    for (std::size_t r = 0; r < input.shards.size(); ++r) {
+        const PreparedShard &s = input.shards[r];
+        shards.push_back(
+            landing ? objectFromBinary(
+                          app.object,
+                          landing->readVec(
+                              landed[r],
+                              static_cast<std::size_t>(s.objBytes)))
+                    : parseObject(app.object, s.text.data(),
+                                  s.text.size(), nullptr));
+    }
+    return mergeObjects(app.object, shards);
+}
 
 /** Charge the (parallel) CPU kernel across the app's ranks. */
 sim::Tick
@@ -117,6 +146,18 @@ cpuKernelPhase(host::HostSystem &sys, const AppSpec &app,
 }
 
 }  // namespace
+
+bool
+targetMatches(const host::SparseMemory &mem, std::uint64_t addr,
+              std::uint64_t bytes, const sim::Digest128 &expected)
+{
+    sim::Digester d;
+    mem.forEachChunk(addr, static_cast<std::size_t>(bytes),
+                     [&d](const std::uint8_t *data, std::size_t n) {
+                         d.append(data, n);
+                     });
+    return d.finish() == expected;
+}
 
 RunMetrics
 runWorkload(const AppSpec &app, const RunOptions &opts)
@@ -146,30 +187,27 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
             backend = alt_backend.get();
     }
 
-    std::vector<RankInput> inputs(ranks);
+    std::vector<host::FileExtent> extents(ranks);
     sim::Tick ingest_done = 0;
     std::uint64_t raw_total = 0;
     std::uint64_t backend_cursor = 0;
     for (unsigned r = 0; r < ranks; ++r) {
-        inputs[r].objBytes = input.shardObjBytes[r];
-        inputs[r].text = &input.shardText[r];
-        const std::vector<std::uint8_t> &text = *inputs[r].text;
+        const std::vector<std::uint8_t> &text = input.shards[r].text;
         raw_total += text.size();
         if (backend == &sys.ssdBackend()) {
-            inputs[r].extent = sys.createFile(
+            extents[r] = sys.createFile(
                 app.name + ".part" + std::to_string(r), text);
         } else {
-            inputs[r].extent.startByte = backend_cursor;
-            inputs[r].extent.sizeBytes = text.size();
-            inputs[r].extent.readyAt =
-                backend->ingest(backend_cursor, text);
+            extents[r].startByte = backend_cursor;
+            extents[r].sizeBytes = text.size();
+            extents[r].readyAt = backend->ingest(backend_cursor, text);
             backend_cursor +=
                 (text.size() + 4095) & ~std::uint64_t(4095);
         }
-        ingest_done = std::max(ingest_done, inputs[r].extent.readyAt);
+        ingest_done = std::max(ingest_done, extents[r].readyAt);
     }
 
-    const std::uint64_t obj_total = objectBytes(input.truth);
+    const std::uint64_t obj_total = input.objBytes;
 
     // ---------------- measured phases --------------------------------
     // Faults fire only during the measured phases, never at ingest.
@@ -193,87 +231,79 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     core::NvmeP2p p2p_module(sys);
     core::MorpheusRuntime runtime(sys, device, p2p_module);
 
-    AnyObject produced;       // object the measured path yielded
+    // Every mode must reproduce the generator's ground truth exactly:
+    // each rank's produced object encodes to its prepared digest.
+    m.validated = true;
     sim::Tick deser_done = t0;
-    std::vector<std::uint64_t> gpu_dev_addrs(ranks, 0);
+    // Where Morpheus and P2P runs landed each rank's object.
+    const host::SparseMemory *landing = nullptr;
+    std::vector<std::uint64_t> landed(ranks, 0);
 
     if (opts.mode == ExecutionMode::kBaseline) {
         // Fig 1(b) on the host path, one rank per core. The host parse
         // is the modelled CPU work: its cost drives the timing and its
         // object is what the baseline produced.
-        std::vector<AnyObject> parsed(ranks);
         for (unsigned r = 0; r < ranks; ++r) {
+            const PreparedShard &shard = input.shards[r];
             host::HostExecRequest req{
                 .backend = *backend,
-                .extent = inputs[r].extent,
-                .objectBytes = inputs[r].objBytes,
+                .extent = extents[r],
+                .objectBytes = shard.objBytes,
                 .chunkBytes = app.baselineChunkBytes};
-            parsed[r] = parseObject(app.object, inputs[r].text->data(),
-                                    inputs[r].text->size(), &req.cost);
+            const AnyObject parsed =
+                parseObject(app.object, shard.text.data(),
+                            shard.text.size(), &req.cost);
+            m.validated = m.validated && objectDigest(parsed) == shard.digest;
             const host::IoResult res = host::hostExecute(sys, req, r, t0);
             MORPHEUS_ASSERT(res.ok(), "host read failed: app=", app.name,
                             " rank=", r,
                             " status=", nvme::statusName(res.status));
             deser_done = std::max(deser_done, res.done);
         }
-        produced = mergeObjects(app.object, parsed);
     } else {
         const core::StorageAppImage &image =
             imageFor(app.object, images);
-        std::vector<core::DmaTarget> targets(ranks);
-        std::vector<core::InvokeResult> results(ranks);
+        landing = p2p ? &sys.gpu().mem() : &sys.mem().store();
         for (unsigned r = 0; r < ranks; ++r) {
+            const PreparedShard &shard = input.shards[r];
+            core::DmaTarget target;
             if (p2p) {
-                targets[r] =
-                    runtime.gpuTarget(inputs[r].objBytes, &gpu_dev_addrs[r]);
+                target = runtime.gpuTarget(shard.objBytes, &landed[r]);
             } else {
-                targets[r] = runtime.hostTarget(inputs[r].objBytes);
+                target = runtime.hostTarget(shard.objBytes);
+                landed[r] = target.addr;
             }
             core::InvokeOptions iopts;
             iopts.hostCore = r % sys.cpu().config().cores;
             iopts.arg = appArgFor(app.object);
             iopts.chunkBlocks = opts.chunkBlocks;
             const core::MsStream stream =
-                runtime.streamCreate(inputs[r].extent, t0, iopts.hostCore);
-            results[r] =
-                runtime.invoke(image, stream, targets[r], t0, iopts);
+                runtime.streamCreate(extents[r], t0, iopts.hostCore);
+            core::InvokeResult result =
+                runtime.invoke(image, stream, target, t0, iopts);
             // With recovery enabled an invocation can die on an
             // injected fault (crashed app, watchdog kill). Replay it
             // whole: the fresh instance restreams from byte 0,
             // overwriting any partial delivery. Bounded so a rate-1.0
             // plan can't loop forever.
             for (unsigned replay = 0;
-                 (results[r].failed || !results[r].accepted) &&
+                 (result.failed || !result.accepted) &&
                  opts.recovery.enabled && replay < 8;
                  ++replay) {
-                const sim::Tick at = results[r].done;
+                const sim::Tick at = result.done;
                 const core::MsStream again = runtime.streamCreate(
-                    inputs[r].extent, at, iopts.hostCore);
-                results[r] =
-                    runtime.invoke(image, again, targets[r], at, iopts);
+                    extents[r], at, iopts.hostCore);
+                result = runtime.invoke(image, again, target, at, iopts);
             }
             MORPHEUS_ASSERT(
-                results[r].accepted && !results[r].failed,
+                result.accepted && !result.failed,
                 "invocation failed beyond recovery: app=", app.name,
                 " rank=", r);
-            deser_done = std::max(deser_done, results[r].done);
+            deser_done = std::max(deser_done, result.done);
+            m.validated = m.validated && targetMatches(*landing, landed[r],
+                                                       shard.objBytes,
+                                                       shard.digest);
         }
-        // Reconstruct the produced objects from the DMA destinations.
-        std::vector<AnyObject> produced_shards(ranks);
-        for (unsigned r = 0; r < ranks; ++r) {
-            std::vector<std::uint8_t> bin;
-            if (p2p) {
-                bin = sys.gpu().mem().readVec(
-                    gpu_dev_addrs[r],
-                    static_cast<std::size_t>(inputs[r].objBytes));
-            } else {
-                bin = sys.mem().store().readVec(
-                    targets[r].addr,
-                    static_cast<std::size_t>(inputs[r].objBytes));
-            }
-            produced_shards[r] = objectFromBinary(app.object, bin);
-        }
-        produced = mergeObjects(app.object, produced_shards);
     }
 
     m.deserTime = deser_done - t0;
@@ -324,26 +354,28 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
             sys.power().energyJoules(act, m.deserTime);
     }
 
-    // Every mode must reproduce the generator's ground truth exactly.
-    m.validated = objectsEqual(produced, input.truth);
-
-    // ---------------- kernel (+ copy) phases --------------------------
     // A validated object equals the truth, so its kernel result is the
-    // prepared one; a mismatch runs the kernel on what was produced.
+    // prepared one. Only a mismatch rebuilds what the run produced, to
+    // run the kernel on it and size its GPU copy.
+    AnyObject produced;
+    if (!m.validated)
+        produced = producedObject(app, input, landing, landed);
     const KernelResult kres =
         m.validated ? input.kernel : app.kernel(produced);
     m.kernelChecksum = kres.checksum;
 
+    // ---------------- kernel (+ copy) phases --------------------------
     sim::Tick phase_cursor = deser_done;
     if (gpu_app) {
         if (!p2p) {
-            // cudaMemcpy H2D of the object buffer.
-            const auto bin = objectToBinary(produced);
-            const std::uint64_t dev = sys.gpu().alloc(bin.size());
-            const pcie::Addr host_buf = sys.allocHost(bin.size());
-            sys.mem().store().writeVec(host_buf, bin);
+            // cudaMemcpy H2D of the object buffer. It is timing only:
+            // the host staging buffer is allocated, so later addresses
+            // stay put, but nothing is written to it or to the GPU.
+            const std::uint64_t bytes =
+                m.validated ? obj_total : objectBytes(produced);
+            const pcie::Addr host_buf = sys.allocHost(bytes);
             const sim::Tick copy_done = sys.gpu().copyFromHost(
-                host_buf, dev, bin.data(), bin.size(), phase_cursor);
+                host_buf, static_cast<std::size_t>(bytes), phase_cursor);
             m.gpuCopyTime = copy_done - phase_cursor;
             phase_cursor = copy_done;
         }

@@ -11,9 +11,9 @@
  *                  device memory (GPU apps only; others fall back to
  *                  kMorpheus).
  *
- * Every run is functional: in every mode the produced objects must
- * equal the generator's ground-truth object bit for bit, so the kernel
- * checksum matches across modes. The returned metrics carry everything Figs 2, 3, 8, 9,
+ * Every run is functional: in every mode each rank's produced object
+ * must encode to the same bytes as the generator's ground truth, which
+ * is checked by digest, so the kernel checksum matches across modes. The returned metrics carry everything Figs 2, 3, 8, 9,
  * 10 and the §VII traffic/end-to-end results are built from.
  */
 
@@ -26,6 +26,7 @@
 #include "host/host_system.hh"
 #include "nvme/driver.hh"
 #include "obs/metrics.hh"
+#include "sim/digest.hh"
 #include "sim/fault.hh"
 #include "workloads/app_spec.hh"
 
@@ -103,20 +104,32 @@ struct RunMetrics
 /**
  * Run @p app once under @p opts, on a freshly built system.
  *
- * The input is prepared once per (&app, opts.seed, opts.scale): the
- * ground-truth object, each rank's serialized text and the kernel's
- * result on the truth are kept in a one-entry thread_local slot, so
+ * The input is prepared once per (&app, opts.seed, opts.scale): each
+ * rank's serialized text, binary size and binary digest, plus the
+ * kernel's result on the ground truth, are kept in a one-entry
+ * thread_local slot. The truth object itself is not kept. So
  * back-to-back calls on the same key (an app's three modes, a sweep
  * over one app) skip generate, partition, serialize and the kernel. A
  * call on another key drops the slot before it builds. Each call still
- * ingests the text into its own simulated flash and checks the
- * produced object against the truth. Reuse is invisible only because
+ * ingests the text into its own simulated flash and checks each
+ * rank's produced object against its digest: the parsed object's
+ * encoding in baseline mode, the DMA target in place (targetMatches)
+ * otherwise. Only a mismatch rebuilds the produced object, to run the
+ * kernel on it. Reuse is invisible only because
  * AppSpec::generate and AppSpec::kernel are pure functions of their
  * arguments. An app is known by its address, so an AppSpec must not
  * be changed, or replaced by another at the same address, between
  * runs.
  */
 RunMetrics runWorkload(const AppSpec &app, const RunOptions &opts);
+
+/**
+ * Whether the @p bytes at @p addr of @p mem digest to @p expected: how
+ * runWorkload validates a Morpheus or P2P rank's DMA target, read in
+ * place chunk by chunk, with no copy made.
+ */
+bool targetMatches(const host::SparseMemory &mem, std::uint64_t addr,
+                   std::uint64_t bytes, const sim::Digest128 &expected);
 
 }  // namespace morpheus::workloads
 

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "serde/formats.hh"
+#include "sim/digest.hh"
 #include "workloads/app_spec.hh"
 #include "workloads/generators.hh"
 
+namespace ms = morpheus::sim;
 namespace sd = morpheus::serde;
 namespace wk = morpheus::workloads;
 
@@ -119,6 +123,34 @@ TEST(Formats, EveryAppTextRoundTripsExactly)
             const wk::AnyObject back = wk::parseObject(
                 app->object, text.data(), text.size(), &cost);
             EXPECT_TRUE(wk::objectsEqual(back, truth))
+                << app->name << " seed " << seed;
+        }
+    }
+}
+
+TEST(Formats, EveryAppBinaryRoundTripsExactly)
+{
+    // runWorkload validates by digest of the binary encoding, which is
+    // sound only if an object's encoding decodes back to the object
+    // exactly, and if the digest the encoder feeds is the digest of
+    // the bytes it would emit.
+    std::vector<const wk::AppSpec *> apps;
+    for (const auto &app : wk::standardSuite())
+        apps.push_back(&app);
+    for (const auto &app : wk::extensionSuite())
+        apps.push_back(&app);
+    for (const wk::AppSpec *app : apps) {
+        for (const std::uint64_t seed : {42, 7}) {
+            const wk::AnyObject truth = app->generate(seed, 0.05);
+            const auto bin = std::visit(
+                [](const auto &o) { return o.toBinary(); }, truth);
+            EXPECT_EQ(bin.size(), wk::objectBytes(truth)) << app->name;
+            EXPECT_TRUE(wk::objectsEqual(
+                wk::objectFromBinary(app->object, bin), truth))
+                << app->name << " seed " << seed;
+            ms::Digester d;
+            d.append(bin.data(), bin.size());
+            EXPECT_EQ(wk::objectDigest(truth), d.finish())
                 << app->name << " seed " << seed;
         }
     }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ftl/ftl.hh"
+#include "obs/metrics.hh"
 #include "sim/fault.hh"
 #include "sim/rng.hh"
 
@@ -301,4 +302,63 @@ TEST(Ftl, WearLevellingKeepsEraseSpreadBounded)
     // With ~wear-aware victim selection the spread stays small
     // relative to the total erase count.
     EXPECT_LE(f.ftl.maxEraseDelta(), 12u);
+}
+
+TEST(Ftl, FreePoolHandsOutBlocksInItsRecordedOrder)
+{
+    // A seeded overwrite stream with tight watermarks: GC fires often,
+    // and a plane runs dry (two GC-free writes in a row land on one
+    // die, the stripe having skipped the other plane). The expected
+    // values were recorded from a build whose free pool held every
+    // block in one list: a plane's free block is the one GC erased
+    // last, else its lowest never-written block.
+    ft::FtlConfig cfg;
+    cfg.gcLowWatermark = 2;
+    cfg.gcHighWatermark = 3;
+    FtlFixture f(cfg);
+    ms::Rng rng(1);
+    const std::uint64_t span = 200;
+
+    std::uint64_t tick_hash = 14695981039346656037ULL;  // FNV-1a
+    unsigned same_die_pairs = 0;
+    int prev_die = -1;
+    std::uint64_t prev_gc = 0;
+    ms::Tick t = 0;
+    for (int op = 0; op < 600; ++op) {
+        const std::uint64_t lpn = op < static_cast<int>(span)
+                                      ? static_cast<std::uint64_t>(op)
+                                      : rng.nextBelow(span);
+        const ms::Tick die0 = f.flash.dieTimeline(0, 0).busyTicks();
+        t = f.ftl.writePages(lpn, fill(static_cast<std::uint8_t>(op), 256),
+                             t);
+        tick_hash = (tick_hash ^ t) * 1099511628211ULL;
+        if (f.ftl.gcRuns() != prev_gc) {
+            prev_gc = f.ftl.gcRuns();
+            prev_die = -1;
+            continue;
+        }
+        const int die =
+            f.flash.dieTimeline(0, 0).busyTicks() != die0 ? 0 : 1;
+        same_die_pairs += die == prev_die;
+        prev_die = die;
+    }
+
+    morpheus::obs::MetricsRegistry reg;
+    f.ftl.writeStats(reg, "ftl");
+    EXPECT_EQ(tick_hash, 3025204546272628997ULL);
+    EXPECT_EQ(t, 846784480000ULL);
+    EXPECT_EQ(f.ftl.gcRuns(), 43u);
+    EXPECT_EQ(reg.counter("ftl.gcRelocated"), 565u);
+    EXPECT_EQ(same_die_pairs, 107u);
+    EXPECT_EQ(f.ftl.freeBlocks(), 1u);
+    const std::vector<std::uint64_t> expected_erases = {
+        2, 3, 3, 4, 3, 5, 4, 4, 4, 3, 4, 3, 3, 3, 3, 4,
+        4, 5, 3, 3, 5, 5, 4, 3, 4, 4, 4, 4, 3, 3, 4, 3};
+    std::vector<std::uint64_t> erases;
+    for (unsigned ch = 0; ch < 2; ++ch) {
+        for (unsigned blk = 0; blk < 16; ++blk)
+            erases.push_back(
+                f.flash.eraseCount(fl::BlockPointer{ch, 0, 0, blk}));
+    }
+    EXPECT_EQ(erases, expected_erases);
 }

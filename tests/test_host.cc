@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "host/host_exec.hh"
 #include "host/host_system.hh"
 #include "obs/metrics.hh"
+#include "sim/digest.hh"
 
 namespace ho = morpheus::host;
 namespace ms = morpheus::sim;
@@ -38,6 +40,88 @@ TEST(SparseMemory, CrossChunkWrite)
     mem.writeVec(1000, data);
     const auto back = mem.readVec(1000, 200000);
     EXPECT_EQ(back, data);
+}
+
+namespace {
+
+constexpr std::uint64_t kChunk = 64 * 1024;  ///< SparseMemory's chunk.
+
+/** Digest of the @p n bytes at @p addr of @p mem, read in place. */
+ms::Digest128
+memDigest(const ho::SparseMemory &mem, std::uint64_t addr, std::size_t n)
+{
+    ms::Digester d;
+    mem.forEachChunk(addr, n, [&d](const std::uint8_t *p, std::size_t k) {
+        d.append(p, k);
+    });
+    return d.finish();
+}
+
+ms::Digest128
+digestOf(const std::vector<std::uint8_t> &bytes)
+{
+    ms::Digester d;
+    d.append(bytes.data(), bytes.size());
+    return d.finish();
+}
+
+std::vector<std::uint8_t>
+pattern(std::size_t n)
+{
+    std::vector<std::uint8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::uint8_t>(i * 131 + i / 251);
+    return v;
+}
+
+}  // namespace
+
+TEST(SparseMemory, ChunkedDigestEqualsContiguousDigest)
+{
+    // 200 KiB from an unaligned start touch chunks 0-4; chunk 2 is
+    // never written, so it reads (and digests) as zeros.
+    ho::SparseMemory mem(1 << 20);
+    const std::uint64_t addr = kChunk - 1000;
+    std::vector<std::uint8_t> bytes = pattern(200 * 1024);
+    const std::size_t hole = 2 * kChunk - addr;
+    std::fill(bytes.begin() + hole, bytes.begin() + hole + kChunk, 0);
+    mem.write(addr, bytes.data(), hole);
+    mem.write(addr + hole + kChunk, bytes.data() + hole + kChunk,
+              bytes.size() - hole - kChunk);
+    EXPECT_EQ(mem.residentBytes(), 4 * kChunk);
+    EXPECT_EQ(memDigest(mem, addr, bytes.size()), digestOf(bytes));
+
+    // Any split of the same bytes digests alike.
+    ms::Digester d;
+    for (std::size_t off = 0, step = 1; off < bytes.size();
+         off += step, step = step * 7 % 97 + 1) {
+        d.append(bytes.data() + off, std::min(step, bytes.size() - off));
+    }
+    EXPECT_EQ(d.finish(), digestOf(bytes));
+}
+
+TEST(SparseMemory, DigestSeesEveryByteAndTheLength)
+{
+    ho::SparseMemory mem(1 << 20);
+    const std::vector<std::uint8_t> bytes = pattern(3 * kChunk);
+    mem.writeVec(0, bytes);
+    const std::size_t n = bytes.size();
+    const ms::Digest128 base = memDigest(mem, 0, n);
+    EXPECT_EQ(base, digestOf(bytes));
+    for (const std::uint64_t at :
+         {std::uint64_t(0), kChunk - 1, kChunk, 2 * kChunk + 5,
+          std::uint64_t(n - 1)}) {
+        const std::uint8_t flipped = bytes[at] ^ 0x01;
+        mem.write(at, &flipped, 1);
+        EXPECT_NE(memDigest(mem, 0, n), base) << "byte " << at;
+        mem.write(at, &bytes[at], 1);
+    }
+    EXPECT_EQ(memDigest(mem, 0, n), base);
+    EXPECT_NE(memDigest(mem, 0, n - 1), base);
+    EXPECT_NE(memDigest(mem, 0, n + 1), base);  // one more (zero) byte
+    // Never-written bytes are zeros, so only the length tells these
+    // apart within one 32-byte stripe.
+    EXPECT_NE(memDigest(mem, n, 5), memDigest(mem, n, 6));
 }
 
 TEST(SparseMemoryDeath, OutOfBoundsPanics)

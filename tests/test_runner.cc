@@ -13,8 +13,10 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "host/sparse_memory.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "workloads/runner.hh"
@@ -393,4 +395,31 @@ TEST(Runner, InputReuseIsInvisible)
             }
         }
     }
+}
+
+TEST(Runner, TargetMatchesFlagsAFlippedByte)
+{
+    // The check runWorkload makes of a Morpheus or P2P DMA target.
+    const wk::AnyObject obj =
+        wk::findApp("hybridsort").generate(42, 0.05);
+    const auto bin =
+        std::visit([](const auto &o) { return o.toBinary(); }, obj);
+    constexpr std::uint64_t kChunk = 64 * 1024;  // SparseMemory's chunk
+    ASSERT_GT(bin.size(), 2 * kChunk);
+    morpheus::host::SparseMemory mem(4 * bin.size());
+    const std::uint64_t addr = 4096;
+    mem.writeVec(addr, bin);
+    const auto digest = wk::objectDigest(obj);
+    EXPECT_TRUE(wk::targetMatches(mem, addr, bin.size(), digest));
+
+    for (const std::uint64_t at : {addr, kChunk, addr + bin.size() - 1}) {
+        const std::uint8_t old = bin[at - addr];
+        const std::uint8_t flipped = old ^ 0x80;
+        mem.write(at, &flipped, 1);
+        EXPECT_FALSE(wk::targetMatches(mem, addr, bin.size(), digest))
+            << "byte " << at;
+        mem.write(at, &old, 1);
+    }
+    EXPECT_TRUE(wk::targetMatches(mem, addr, bin.size(), digest));
+    EXPECT_FALSE(wk::targetMatches(mem, addr, bin.size() - 1, digest));
 }
