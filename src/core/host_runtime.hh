@@ -217,9 +217,6 @@ class MorpheusRuntime
     DmaTarget gpuTarget(std::uint64_t bytes,
                         std::uint64_t *dev_addr = nullptr);
 
-    /** Instance IDs handed out so far. */
-    std::uint32_t instancesIssued() const { return _nextInstance; }
-
   private:
     /** beginInvoke body, filling @p s inside the caller's trace-id
      *  scope. */

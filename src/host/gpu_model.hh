@@ -141,8 +141,6 @@ class Gpu : public pcie::BusTarget
     }
 
     std::uint64_t kernelsLaunched() const { return _kernels.value(); }
-    std::uint64_t bytesDmaIn() const { return _bytesDmaIn.value(); }
-    const sim::Timeline &smTimeline() const { return _sm; }
 
     void
     writeStats(obs::MetricsRegistry &reg,

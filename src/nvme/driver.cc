@@ -120,7 +120,6 @@ NvmeDriver::wait(const Submitted &token)
     CompletionQueue &cq = _controller.cq(token.qid);
     while (cq.hasNew()) {
         const Completion cqe = cq.take();
-        ++_reaped;
         if (!_inflight.empty())
             noteReaped(token.qid, cqe);
         if (cqe.cid == token.cid)

@@ -144,7 +144,6 @@ class NvmeDriver
      *  high-level operation consumed (the sim is single-threaded). */
     obs::TraceId nextTraceId() const { return _nextTraceId; }
 
-    std::uint64_t completionsReaped() const { return _reaped.value(); }
     std::uint64_t retriesIssued() const { return _retries.value(); }
     std::uint64_t timeoutsSynthesized() const { return _timeouts.value(); }
 
@@ -159,7 +158,6 @@ class NvmeDriver
     std::unordered_map<std::uint16_t, std::uint16_t> _nextCid;
     /** (qid << 16 | cid) -> completion already reaped out of order. */
     std::unordered_map<std::uint32_t, Completion> _pending;
-    sim::stats::Counter _reaped;
 
     /** Next trace id to stamp (always assigned; 0 means untraced). */
     obs::TraceId _nextTraceId = 1;

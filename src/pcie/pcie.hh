@@ -89,9 +89,6 @@ class PcieLink
         return _bytesUp.value() + _bytesDown.value();
     }
 
-    const sim::Timeline &upTimeline() const { return _up; }
-    const sim::Timeline &downTimeline() const { return _down; }
-
     void writeStats(obs::MetricsRegistry &reg,
                     const std::string &prefix) const;
 
@@ -178,10 +175,6 @@ class PcieSwitch
 
     PcieLink &link(PortId port) { return *_links.at(port); }
     const PcieLink &link(PortId port) const { return *_links.at(port); }
-    unsigned numPorts() const
-    {
-        return static_cast<unsigned>(_links.size());
-    }
 
     /**
      * Fault injection: check-and-clear the transient-fault flag set by

@@ -240,9 +240,6 @@ class CircuitBreaker
     }
 
     bool open() const { return _open; }
-    unsigned consecutiveFailures() const { return _consecutive; }
-    /** Requests routed since the breaker last opened. */
-    std::uint64_t sinceOpen() const { return _sinceOpen; }
 
   private:
     unsigned _threshold = 3;

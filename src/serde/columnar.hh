@@ -219,7 +219,6 @@ class ColumnarScanner
 
     bool error() const { return _error; }
     std::uint64_t survivingRows() const { return _surviving; }
-    bool headerParsed() const { return _haveHeader; }
 
     /** Split-suffix support: mark @p rows as already scanned by the
      *  prefix half. Call right after the header bytes are fed. */

@@ -95,39 +95,13 @@ Timeline::prune(Tick floor)
     _pruneAt = std::max(kMinPruneIntervals, 2 * _busy.size());
 }
 
-TimelineBank::TimelineBank(std::string name, unsigned count)
-    : _name(std::move(name))
+TimelineBank::TimelineBank(const std::string &name, unsigned count)
 {
     MORPHEUS_ASSERT(count > 0, "TimelineBank needs at least one unit: ",
-                    _name);
+                    name);
     _units.reserve(count);
     for (unsigned i = 0; i < count; ++i)
-        _units.emplace_back(_name + "[" + std::to_string(i) + "]");
-}
-
-Tick
-TimelineBank::acquire(Tick earliest, Tick duration, unsigned *unit)
-{
-    unsigned best = 0;
-    Tick best_free = _units[0].freeAt();
-    for (unsigned i = 1; i < _units.size(); ++i) {
-        if (_units[i].freeAt() < best_free) {
-            best_free = _units[i].freeAt();
-            best = i;
-        }
-    }
-    if (unit)
-        *unit = best;
-    return _units[best].acquire(earliest, duration);
-}
-
-Tick
-TimelineBank::totalBusyTicks() const
-{
-    Tick total = 0;
-    for (const auto &u : _units)
-        total += u.busyTicks();
-    return total;
+        _units.emplace_back(name + "[" + std::to_string(i) + "]");
 }
 
 }  // namespace morpheus::sim

@@ -134,19 +134,15 @@ class ScopedReservationFloor
 };
 
 /**
- * A bank of identical serialized resources with earliest-free dispatch
- * (e.g., a pool of embedded cores or DMA channels when the requester
- * does not care which unit serves it).
+ * A bank of identical serialized resources, each reserved by index
+ * (e.g., a host CPU's cores; the caller picks the unit).
  */
 class TimelineBank
 {
   public:
-    TimelineBank(std::string name, unsigned count);
+    TimelineBank(const std::string &name, unsigned count);
 
-    /** Reserve whichever unit frees up first. @return start tick. */
-    Tick acquire(Tick earliest, Tick duration, unsigned *unit = nullptr);
-
-    /** Reserve a specific unit. */
+    /** Reserve unit @p unit. @return start tick. */
     Tick
     acquireUnit(unsigned unit, Tick earliest, Tick duration)
     {
@@ -157,11 +153,7 @@ class TimelineBank
     const Timeline &unit(unsigned i) const { return _units.at(i); }
     Timeline &unit(unsigned i) { return _units.at(i); }
 
-    /** Sum of busy ticks across units. */
-    Tick totalBusyTicks() const;
-
   private:
-    std::string _name;
     std::vector<Timeline> _units;
 };
 

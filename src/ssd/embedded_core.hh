@@ -68,19 +68,6 @@ struct EmbeddedCoreConfig
                static_cast<double>(cost.intValues) * cyclesPerIntValue +
                static_cast<double>(cost.floatOps) * cyclesPerFloatOp();
     }
-
-    /** Wall time to deserialize the counted operations. */
-    sim::Tick
-    parseTicks(const serde::ParseCost &cost) const
-    {
-        return sim::cyclesToTicks(parseCycles(cost), clockHz);
-    }
-
-    sim::Tick
-    commandTicks() const
-    {
-        return sim::cyclesToTicks(cyclesPerCommand, clockHz);
-    }
 };
 
 /**

@@ -98,7 +98,6 @@ class ObjectCache
     bool enabled() const { return _config.enabled; }
     const ObjectCacheConfig &config() const { return _config; }
     std::uint64_t capacityBytes() const { return _capacityBytes; }
-    std::uint64_t usedBytes() const { return _usedBytes; }
     std::size_t entries() const { return _entries.size(); }
 
     struct Entry

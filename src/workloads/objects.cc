@@ -67,30 +67,6 @@ parseObject(ObjectKind kind, const std::uint8_t *data, std::size_t size,
     return out;
 }
 
-AnyObject
-objectFromBinary(ObjectKind kind, const std::vector<std::uint8_t> &bytes)
-{
-    switch (kind) {
-      case ObjectKind::kEdgeList:
-        return serde::EdgeListObject::fromBinary(bytes, false);
-      case ObjectKind::kEdgeListWeighted:
-        return serde::EdgeListObject::fromBinary(bytes, true);
-      case ObjectKind::kMatrix:
-        return serde::MatrixObject::fromBinary(bytes);
-      case ObjectKind::kIntArray:
-        return serde::IntArrayObject::fromBinary(bytes);
-      case ObjectKind::kPointSet:
-        return serde::PointSetObject::fromBinary(bytes);
-      case ObjectKind::kCooMatrix:
-        return serde::CooMatrixObject::fromBinary(bytes);
-      case ObjectKind::kCsvTable:
-        return serde::CsvTableObject::fromBinary(bytes);
-      case ObjectKind::kJsonRecords:
-        return serde::JsonRecordsObject::fromBinary(bytes);
-    }
-    MORPHEUS_PANIC("unknown object kind");
-}
-
 std::vector<std::uint8_t>
 serializeObject(const AnyObject &obj)
 {
@@ -140,12 +116,6 @@ std::uint32_t
 appArgFor(ObjectKind kind)
 {
     return kind == ObjectKind::kEdgeListWeighted ? 1u : 0u;
-}
-
-bool
-objectsEqual(const AnyObject &a, const AnyObject &b)
-{
-    return a == b;
 }
 
 }  // namespace morpheus::workloads

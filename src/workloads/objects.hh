@@ -1,8 +1,9 @@
 /**
  * @file
- * Uniform handling of the five application-object kinds: a variant
- * plus dispatch helpers for parsing (host path), binary reconstruction
- * (Morpheus path), serialization, and StorageApp image selection.
+ * Uniform handling of the application-object kinds: a variant plus
+ * dispatch helpers for parsing (host path), serialization, binary
+ * size and digest (what a Morpheus run is validated against), and
+ * StorageApp image selection.
  */
 
 #ifndef MORPHEUS_WORKLOADS_OBJECTS_HH
@@ -46,10 +47,6 @@ using AnyObject =
 AnyObject parseObject(ObjectKind kind, const std::uint8_t *data,
                       std::size_t size, serde::ParseCost *cost);
 
-/** Morpheus-path reconstruction from the DMAed binary stream. */
-AnyObject objectFromBinary(ObjectKind kind,
-                           const std::vector<std::uint8_t> &bytes);
-
 /** Text-serialize (used by generators and round-trip tests). */
 std::vector<std::uint8_t> serializeObject(const AnyObject &obj);
 
@@ -66,9 +63,6 @@ const core::StorageAppImage &imageFor(ObjectKind kind,
 
 /** MINIT argument word for @p kind (bit0 = weighted edges). */
 std::uint32_t appArgFor(ObjectKind kind);
-
-/** Deep equality across the variant. */
-bool objectsEqual(const AnyObject &a, const AnyObject &b);
 
 }  // namespace morpheus::workloads
 

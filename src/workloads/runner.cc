@@ -103,32 +103,6 @@ preparedInput(const AppSpec &app, std::uint64_t seed, double scale,
     return slot;
 }
 
-/**
- * What a run that failed validation produced, merged across ranks:
- * each rank's object decoded from its DMA target at @p landed[r] of
- * @p landing, or, with no @p landing (baseline), parsed again from its
- * text.
- */
-AnyObject
-producedObject(const AppSpec &app, const PreparedInput &input,
-               const host::SparseMemory *landing,
-               const std::vector<std::uint64_t> &landed)
-{
-    std::vector<AnyObject> shards;
-    for (std::size_t r = 0; r < input.shards.size(); ++r) {
-        const PreparedShard &s = input.shards[r];
-        shards.push_back(
-            landing ? objectFromBinary(
-                          app.object,
-                          landing->readVec(
-                              landed[r],
-                              static_cast<std::size_t>(s.objBytes)))
-                    : parseObject(app.object, s.text.data(),
-                                  s.text.size(), nullptr));
-    }
-    return mergeObjects(app.object, shards);
-}
-
 /** Charge the (parallel) CPU kernel across the app's ranks. */
 sim::Tick
 cpuKernelPhase(host::HostSystem &sys, const AppSpec &app,
@@ -171,7 +145,7 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     const unsigned ranks =
         app.parallel == ParallelModel::kMpi ? app.ranks : 1;
 
-    // ------------- setup: prepared input (or a rebuild), ingest ------
+    // ---------------- setup: prepared input, ingest -------------------
     const PreparedInput &input =
         preparedInput(app, opts.seed, opts.scale, ranks);
 
@@ -235,9 +209,6 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     // each rank's produced object encodes to its prepared digest.
     m.validated = true;
     sim::Tick deser_done = t0;
-    // Where Morpheus and P2P runs landed each rank's object.
-    const host::SparseMemory *landing = nullptr;
-    std::vector<std::uint64_t> landed(ranks, 0);
 
     if (opts.mode == ExecutionMode::kBaseline) {
         // Fig 1(b) on the host path, one rank per core. The host parse
@@ -263,15 +234,18 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     } else {
         const core::StorageAppImage &image =
             imageFor(app.object, images);
-        landing = p2p ? &sys.gpu().mem() : &sys.mem().store();
+        // Where each rank's object lands: GPU memory under P2P.
+        const host::SparseMemory &landing =
+            p2p ? sys.gpu().mem() : sys.mem().store();
         for (unsigned r = 0; r < ranks; ++r) {
             const PreparedShard &shard = input.shards[r];
+            std::uint64_t landed = 0;
             core::DmaTarget target;
             if (p2p) {
-                target = runtime.gpuTarget(shard.objBytes, &landed[r]);
+                target = runtime.gpuTarget(shard.objBytes, &landed);
             } else {
                 target = runtime.hostTarget(shard.objBytes);
-                landed[r] = target.addr;
+                landed = target.addr;
             }
             core::InvokeOptions iopts;
             iopts.hostCore = r % sys.cpu().config().cores;
@@ -300,7 +274,7 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
                 "invocation failed beyond recovery: app=", app.name,
                 " rank=", r);
             deser_done = std::max(deser_done, result.done);
-            m.validated = m.validated && targetMatches(*landing, landed[r],
+            m.validated = m.validated && targetMatches(landing, landed,
                                                        shard.objBytes,
                                                        shard.digest);
         }
@@ -355,14 +329,10 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     }
 
     // A validated object equals the truth, so its kernel result is the
-    // prepared one. Only a mismatch rebuilds what the run produced, to
-    // run the kernel on it and size its GPU copy.
-    AnyObject produced;
-    if (!m.validated)
-        produced = producedObject(app, input, landing, landed);
-    const KernelResult kres =
-        m.validated ? input.kernel : app.kernel(produced);
-    m.kernelChecksum = kres.checksum;
+    // prepared one. A run that failed validation has no checksum; its
+    // later phases are timed on the prepared sizes and kernel work.
+    const KernelWork &work = input.kernel.work;
+    m.kernelChecksum = m.validated ? input.kernel.checksum : 0;
 
     // ---------------- kernel (+ copy) phases --------------------------
     sim::Tick phase_cursor = deser_done;
@@ -371,21 +341,20 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
             // cudaMemcpy H2D of the object buffer. It is timing only:
             // the host staging buffer is allocated, so later addresses
             // stay put, but nothing is written to it or to the GPU.
-            const std::uint64_t bytes =
-                m.validated ? obj_total : objectBytes(produced);
-            const pcie::Addr host_buf = sys.allocHost(bytes);
+            const pcie::Addr host_buf = sys.allocHost(obj_total);
             const sim::Tick copy_done = sys.gpu().copyFromHost(
-                host_buf, static_cast<std::size_t>(bytes), phase_cursor);
+                host_buf, static_cast<std::size_t>(obj_total),
+                phase_cursor);
             m.gpuCopyTime = copy_done - phase_cursor;
             phase_cursor = copy_done;
         }
         const sim::Tick k_done = sys.gpu().kernel(
-            kres.work.gpuFlop, kres.work.gpuMemBytes, phase_cursor);
+            work.gpuFlop, work.gpuMemBytes, phase_cursor);
         m.kernelTime = k_done - phase_cursor;
         phase_cursor = k_done;
     } else {
         const sim::Tick k_done =
-            cpuKernelPhase(sys, app, kres.work, phase_cursor);
+            cpuKernelPhase(sys, app, work, phase_cursor);
         m.kernelTime = k_done - phase_cursor;
         phase_cursor = k_done;
     }

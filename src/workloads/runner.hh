@@ -13,8 +13,10 @@
  *
  * Every run is functional: in every mode each rank's produced object
  * must encode to the same bytes as the generator's ground truth, which
- * is checked by digest, so the kernel checksum matches across modes. The returned metrics carry everything Figs 2, 3, 8, 9,
- * 10 and the §VII traffic/end-to-end results are built from.
+ * is checked by digest, so the kernel checksum matches across modes.
+ * A run that fails the check reports validated false and checksum 0.
+ * The returned metrics carry everything Figs 2, 3, 8, 9, 10 and the
+ * §VII traffic/end-to-end results are built from.
  */
 
 #ifndef MORPHEUS_WORKLOADS_RUNNER_HH
@@ -90,12 +92,13 @@ struct RunMetrics
     std::uint64_t rawTextBytes = 0;
     std::uint64_t objectBytesProduced = 0;
 
-    // Functional outcome.
+    // Functional outcome. A run that failed validation keeps checksum 0;
+    // its copy and kernel phases are timed on the prepared object sizes
+    // and kernel work, as if it had validated.
     std::uint64_t kernelChecksum = 0;
     bool validated = false;
 
     double deserSeconds() const { return sim::ticksToSeconds(deserTime); }
-    double totalSeconds() const { return sim::ticksToSeconds(totalTime); }
 
     friend bool operator==(const RunMetrics &,
                            const RunMetrics &) = default;
@@ -114,10 +117,10 @@ struct RunMetrics
  * ingests the text into its own simulated flash and checks each
  * rank's produced object against its digest: the parsed object's
  * encoding in baseline mode, the DMA target in place (targetMatches)
- * otherwise. Only a mismatch rebuilds the produced object, to run the
- * kernel on it. Reuse is invisible only because
- * AppSpec::generate and AppSpec::kernel are pure functions of their
- * arguments. An app is known by its address, so an AppSpec must not
+ * otherwise. A mismatch only clears RunMetrics::validated and the
+ * checksum: nothing is decoded or re-run. Reuse is invisible only
+ * because AppSpec::generate and AppSpec::kernel are pure functions of
+ * their arguments. An app is known by its address, so an AppSpec must not
  * be changed, or replaced by another at the same address, between
  * runs.
  */

@@ -76,13 +76,6 @@ enum class HostExecReason : std::uint8_t {
     kOverload,  ///< Hybrid placement spilled past device pressure.
 };
 
-/** Latencies (µs) of a set of served requests, in the order they were
- *  sampled. Every sample is kept: quantiles are exact ceil-rank order
- *  statistics — the same pick the per-stage summarizer makes for its
- *  p99 exemplar, so a stage decomposition sums to its reported p99
- *  exactly even when an overloaded run stretches the tail. */
-using LatencyTally = std::vector<double>;
-
 /** Index of the ceil-rank @p q quantile among @p n > 0 sorted items. */
 std::size_t
 quantileRank(double q, std::size_t n)
@@ -91,25 +84,6 @@ quantileRank(double q, std::size_t n)
                n, std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(
                                                q * static_cast<double>(n))))) -
            1;
-}
-
-/** Fill @p out from @p lat. The mean sums in sample order, then the
- *  samples are sorted for the order statistics. */
-void
-summarize(LatencyTally lat, LatencySummary *out)
-{
-    if (lat.empty())
-        return;
-    double sum = 0.0;
-    for (const double x : lat)
-        sum += x;
-    out->meanUs = sum / static_cast<double>(lat.size());
-    std::sort(lat.begin(), lat.end());
-    out->p50Us = lat[quantileRank(0.50, lat.size())];
-    out->p95Us = lat[quantileRank(0.95, lat.size())];
-    out->p99Us = lat[quantileRank(0.99, lat.size())];
-    out->p999Us = lat[quantileRank(0.999, lat.size())];
-    out->maxUs = lat.back();
 }
 
 /**
@@ -925,9 +899,10 @@ class ServingLoop
     }
 
     std::vector<double> sampleRow() const;
-    void summarizeSlo(unsigned ti, TenantReport *tr) const;
-    void summarizeStages(std::vector<unsigned> idx,
-                         StageBreakdown *out) const;
+    void summarizeSlo(const std::vector<unsigned> &idx,
+                      TenantReport *tr) const;
+    void summarize(std::vector<unsigned> idx, LatencySummary *lat,
+                   StageBreakdown *stages) const;
 
     const ServingOptions &_opts;
     host::HostSystem &_sys;
@@ -1138,32 +1113,28 @@ ServingLoop::sampleRow() const
 ServingReport
 ServingLoop::aggregate()
 {
-    // Tallies in request-index order per tenant; the overall tally is
-    // tenant-major, so every mean sums in a fixed order.
+    // One list of served request indices per tenant and per shard, in
+    // request order; the run's list is tenant-major. Each list feeds
+    // one summary pass, so every mean sums in a fixed order.
     ServingReport &rep = _report;
     const unsigned num_tenants = _opts.tenants.size();
-    std::vector<LatencyTally> lat(num_tenants), shard_lat(rep.shards.size());
-    std::vector<std::vector<unsigned>> attr(num_tenants);
+    std::vector<std::vector<unsigned>> by_tenant(num_tenants);
+    std::vector<std::vector<unsigned>> by_shard(rep.shards.size());
     for (unsigned i = 0; i < _requests.size(); ++i) {
         const Request &r = _requests[i];
         if (!r.served())
             continue;
-        lat[r.tenantIdx].push_back(ticksToUs(r.latency));
+        by_tenant[r.tenantIdx].push_back(i);
         if (!rep.shards.empty())
-            shard_lat[_corpus.of(r).device].push_back(ticksToUs(r.latency));
-        if (_recorder != nullptr)
-            attr[r.tenantIdx].push_back(i);
+            by_shard[_corpus.of(r).device].push_back(i);
     }
-    LatencyTally all_lat;
-    std::vector<unsigned> all_attr;
+    std::vector<unsigned> all;
     double sum = 0.0, sum_sq = 0.0;
     for (unsigned ti = 0; ti < num_tenants; ++ti) {
         TenantReport &tr = rep.tenants[ti];
-        all_lat.insert(all_lat.end(), lat[ti].begin(), lat[ti].end());
-        all_attr.insert(all_attr.end(), attr[ti].begin(), attr[ti].end());
-        summarize(std::move(lat[ti]), &tr);
-        summarizeSlo(ti, &tr);
-        summarizeStages(std::move(attr[ti]), &tr);
+        all.insert(all.end(), by_tenant[ti].begin(), by_tenant[ti].end());
+        summarizeSlo(by_tenant[ti], &tr);
+        summarize(std::move(by_tenant[ti]), &tr, &tr);
         tr.cacheHitRate = tr.completed
                               ? static_cast<double>(tr.cacheHits) /
                                     static_cast<double>(tr.completed)
@@ -1173,8 +1144,7 @@ ServingLoop::aggregate()
         sum += x;
         sum_sq += x * x;
     }
-    summarize(std::move(all_lat), &rep);
-    summarizeStages(std::move(all_attr), &rep);
+    summarize(std::move(all), &rep, &rep);
     // Jain index over the tenants' served bytes.
     rep.jainFairness =
         sum_sq > 0.0 ? (sum * sum) / (num_tenants * sum_sq) : 1.0;
@@ -1200,7 +1170,7 @@ ServingLoop::aggregate()
     // Name the straggler: the shard whose tail holds everyone back.
     double worst = -1.0;
     for (ShardReport &sr : rep.shards) {
-        summarize(std::move(shard_lat[sr.device]), &sr);
+        summarize(std::move(by_shard[sr.device]), &sr, nullptr);
         if (sr.p99Us > worst) {
             worst = sr.p99Us;
             rep.stragglerShard = sr.device;
@@ -1210,7 +1180,8 @@ ServingLoop::aggregate()
 }
 
 void
-ServingLoop::summarizeSlo(unsigned ti, TenantReport *tr) const
+ServingLoop::summarizeSlo(const std::vector<unsigned> &idx,
+                          TenantReport *tr) const
 {
     const SloOptions &slo = _opts.slo;
     if (!slo.enabled)
@@ -1220,9 +1191,8 @@ ServingLoop::summarizeSlo(unsigned ti, TenantReport *tr) const
     // completion time relative to the first arrival.
     std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
         windows;
-    for (const Request &r : _requests) {
-        if (r.tenantIdx != ti || !r.served())
-            continue;
+    for (const unsigned i : idx) {
+        const Request &r = _requests[i];
         const bool violated = ticksToUs(r.latency) > tr->sloTargetUs;
         tr->sloViolations += violated;
         if (slo.windowUs <= 0.0)
@@ -1249,30 +1219,52 @@ ServingLoop::summarizeSlo(unsigned ti, TenantReport *tr) const
 }
 
 void
-ServingLoop::summarizeStages(std::vector<unsigned> idx,
-                             StageBreakdown *out) const
+ServingLoop::summarize(std::vector<unsigned> idx, LatencySummary *lat,
+                       StageBreakdown *stages) const
 {
-    // Mean stage ticks over the attributed requests @p idx, and the
-    // p99-ranked request's exact decomposition (which sums to that
-    // request's latency).
-    out->attributed = idx.size();
+    // Latencies of the served requests @p idx and, with a recorder and
+    // @p stages, their mean stage ticks. The means sum over @p idx in
+    // its given order. One sort by (latency, index) then feeds every
+    // order statistic (exact ceil-rank picks; ticksToUs is monotone),
+    // so the p99 exemplar whose stages are reported is the request
+    // p99Us reads, and its decomposition sums to the reported p99.
+    const bool attributed = stages != nullptr && _recorder != nullptr;
+    if (stages != nullptr)
+        stages->attributed = attributed ? idx.size() : 0;
     if (idx.empty())
         return;
-    obs::Attribution sum;
-    for (const unsigned i : idx)
-        sum += _attr[i];
-    for (std::size_t s = 0; s < obs::kNumStages; ++s) {
-        out->stageMeanUs[s] =
-            ticksToUs(sum.ticks[s]) / static_cast<double>(idx.size());
+    const auto us = [this](unsigned i) {
+        return ticksToUs(_requests[i].latency);
+    };
+    const double n = static_cast<double>(idx.size());
+    double sum = 0.0;
+    obs::Attribution stage_sum;
+    for (const unsigned i : idx) {
+        sum += us(i);
+        if (attributed)
+            stage_sum += _attr[i];
     }
-    std::sort(idx.begin(), idx.end(), [&](unsigned a, unsigned b) {
+    lat->meanUs = sum / n;
+    std::sort(idx.begin(), idx.end(), [this](unsigned a, unsigned b) {
         if (_requests[a].latency != _requests[b].latency)
             return _requests[a].latency < _requests[b].latency;
         return a < b;
     });
-    const obs::Attribution &a = _attr[idx[quantileRank(0.99, idx.size())]];
-    for (std::size_t s = 0; s < obs::kNumStages; ++s)
-        out->stageP99Us[s] = ticksToUs(a.ticks[s]);
+    const auto pick = [&](double q) {
+        return idx[quantileRank(q, idx.size())];
+    };
+    const unsigned p99 = pick(0.99);
+    lat->p50Us = us(pick(0.50));
+    lat->p95Us = us(pick(0.95));
+    lat->p99Us = us(p99);
+    lat->p999Us = us(pick(0.999));
+    lat->maxUs = us(idx.back());
+    if (!attributed)
+        return;
+    for (std::size_t s = 0; s < obs::kNumStages; ++s) {
+        stages->stageMeanUs[s] = ticksToUs(stage_sum.ticks[s]) / n;
+        stages->stageP99Us[s] = ticksToUs(_attr[p99].ticks[s]);
+    }
 }
 
 /** Federate @p l under @p prefix; shard and fleet views omit max_us. */

@@ -158,7 +158,7 @@ TEST(Kernels, EqualInputsGiveEqualResults)
     for (const auto &app : wk::standardSuite()) {
         const wk::AnyObject a = app.generate(42, 0.05);
         const wk::AnyObject b = app.generate(42, 0.05);
-        ASSERT_TRUE(wk::objectsEqual(a, b)) << app.name;
+        ASSERT_TRUE(a == b) << app.name;
         const wk::KernelResult ra = app.kernel(a);
         const wk::KernelResult rb = app.kernel(b);
         EXPECT_EQ(ra.checksum, rb.checksum) << app.name;

@@ -19,6 +19,7 @@
 #include "host/sparse_memory.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "sim/fault.hh"
 #include "workloads/runner.hh"
 
 namespace wk = morpheus::workloads;
@@ -422,4 +423,24 @@ TEST(Runner, TargetMatchesFlagsAFlippedByte)
     }
     EXPECT_TRUE(wk::targetMatches(mem, addr, bin.size(), digest));
     EXPECT_FALSE(wk::targetMatches(mem, addr, bin.size() - 1, digest));
+}
+
+TEST(Runner, CrashedInvocationIsReplayedAndValidates)
+{
+    // With recovery on, an invocation an injected app crash kills is
+    // replayed whole; the replay restreams the rank's file, so the run
+    // still validates and its deserialization takes longer. This plan
+    // crashes one of pagerank's four invocations at this scale.
+    const auto &app = wk::findApp("pagerank");
+    const auto clean =
+        wk::runWorkload(app, opts(wk::ExecutionMode::kMorpheus, 0.05));
+    auto o = opts(wk::ExecutionMode::kMorpheus, 0.05);
+    o.recovery.enabled = true;
+    o.faults = morpheus::sim::FaultPlan::parse("crash=0.05,seed=5");
+    morpheus::obs::MetricsRegistry reg;
+    o.metrics = &reg;
+    const auto faulted = wk::runWorkload(app, o);
+    EXPECT_GE(reg.counter("sys.faults.appCrashes"), 1u);
+    EXPECT_TRUE(faulted.validated);
+    EXPECT_GT(faulted.deserTime, clean.deserTime);
 }

@@ -62,26 +62,13 @@ TEST(Timeline, ResetClearsState)
     EXPECT_EQ(t.ops(), 0u);
 }
 
-TEST(TimelineBank, DispatchesToEarliestFreeUnit)
-{
-    ms::TimelineBank bank("b", 2);
-    unsigned unit = 99;
-    EXPECT_EQ(bank.acquire(0, 100, &unit), 0u);
-    EXPECT_EQ(unit, 0u);
-    // Unit 0 busy until 100; unit 1 free: second op runs immediately.
-    EXPECT_EQ(bank.acquire(0, 100, &unit), 0u);
-    EXPECT_EQ(unit, 1u);
-    // Both busy until 100: third op waits.
-    EXPECT_EQ(bank.acquire(0, 50, &unit), 100u);
-}
-
 TEST(TimelineBank, AcquireUnitTargetsSpecificUnit)
 {
     ms::TimelineBank bank("b", 3);
     bank.acquireUnit(2, 0, 40);
     EXPECT_EQ(bank.unit(2).busyTicks(), 40u);
     EXPECT_EQ(bank.unit(0).busyTicks(), 0u);
-    EXPECT_EQ(bank.totalBusyTicks(), 40u);
+    EXPECT_EQ(bank.unit(1).busyTicks(), 0u);
 }
 
 TEST(TimelineBankDeath, ZeroUnitsPanics)

@@ -10,7 +10,7 @@ Usage:
     python3 tools/product_coverage.py build-cov
 
 Runs the product commands CI runs, each in a fresh scratch directory:
-the six gated benches, the eight `morpheus-run` lines of the CI jobs
+the six gated benches, the nine `morpheus-run` lines of the CI jobs
 and every example binary. A command's exit status is printed but does
 not fail the script: a bench's wall-clock gate can trip in an -O0
 build. Then prints, for every `.cc` file under src/, the executed and
@@ -54,6 +54,8 @@ RUNS = [
      "media=5e-3,dma=2e-3,crash=1e-3,seed=5"],
     ["pagerank", "--mode", "baseline", "--recovery", "--fault-plan",
      "media=5e-3,dma=2e-3,seed=5"],
+    ["pagerank", "--mode", "morpheus", "--scale", "0.05", "--recovery",
+     "--fault-plan", "crash=0.05,seed=5"],
 ]
 
 
