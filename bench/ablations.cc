@@ -22,20 +22,33 @@
  *     on a flash-bound and a parse-bound mix: ablation_pipeline,
  *     meanImprovement;
  *   - extension: the CSV and JSON formats §II motivates, without and
- *     with an FPU: extension_formats, fpuGeomeanSpeedup.
+ *     with an FPU: extension_formats, fpuGeomeanSpeedup;
+ *   - extension: columnar projection and predicate pushdown (DESIGN.md
+ *     §16) at 1%, 10% and 50% selectivity: extension_pushdown,
+ *     pushdown_cut_s10.
  *
- * The pipeline section self-checks: pipeline-on must cut deser time
- * by >= 20% on the flash-bound mix and >= 10% on the parse-bound one,
- * leave the kernel checksum unchanged, and pipeline-off must be
- * bit-deterministic. Exits 1 when a cell fails validation or a gate
- * fails.
+ * Two sections self-check, one "gate <claim> pass|FAIL" line each on
+ * stderr. The pipeline: pipeline-on must cut deser time by >= 20% on
+ * the flash-bound mix and >= 10% on the parse-bound one, leave the
+ * kernel checksum unchanged, and pipeline-off must be
+ * bit-deterministic. The pushdown: the full-table scan equals the
+ * reference, each selectivity's cut reaches its analytic bound with
+ * the device, the host and a split execution returning identical
+ * bytes, and 10% selectivity ships <= 0.3x the table. Exits 1 when a
+ * cell fails validation or a gate fails.
  */
 
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
+#include "core/host_runtime.hh"
+#include "core/nvme_p2p.hh"
+#include "core/standard_apps.hh"
+#include "serde/columnar.hh"
 
 using namespace morpheus;
 namespace wk = morpheus::workloads;
@@ -393,6 +406,144 @@ formats()
                           /*higher_is_better=*/true, extra);
 }
 
+/**
+ * Not a paper figure: on-device projection and predicate pushdown
+ * (DESIGN.md §16) over a columnar table, swept by selectivity. The
+ * full-table scan (no descriptor: every row and column crosses PCIe)
+ * is the baseline; the pushdown descriptor ships only the surviving
+ * rows' projected columns. The paper's own §VII-A traffic table is in
+ * fig11_end_to_end.
+ */
+void
+pushdown(bench::Gates &gate)
+{
+    bench::section("Extension: projection and predicate pushdown, PCIe "
+                   "traffic by selectivity",
+                   "pushdown PCIe bytes scale with selectivity");
+    const std::uint64_t rows = std::max<std::uint64_t>(
+        2048, static_cast<std::uint64_t>(100000.0 * bench::benchScale()));
+    const std::uint32_t cols = 6;
+    const std::uint32_t proj_cols = 2;
+    const serde::ColumnarTableObject table =
+        serde::genColumnarTable(7, rows, cols);
+    const std::vector<std::uint8_t> flash = table.toFlash();
+
+    host::HostSystem sys;
+    core::MorpheusDeviceRuntime device(sys.ssd());
+    core::NvmeP2p p2p(sys);
+    core::MorpheusRuntime rt(sys, device, p2p);
+    const core::StandardImages images = core::StandardImages::make();
+    const host::FileExtent file = sys.createFile("columnar.sweep", flash);
+    // One scan-applet invocation over @p extent with descriptor @p desc
+    // (empty: full scan); @return its result and the DMAed payload.
+    const auto scan = [&](const host::FileExtent &extent,
+                          const std::vector<std::uint32_t> &desc,
+                          std::uint64_t out_bytes) {
+        core::InvokeOptions iopts;
+        iopts.pushdown = desc;
+        const core::DmaTarget target = rt.hostTarget(out_bytes + 64);
+        const core::InvokeResult r = rt.invoke(
+            images.columnarScan,
+            rt.streamCreate(extent, file.readyAt, iopts.hostCore), target,
+            file.readyAt, iopts);
+        return std::make_pair(
+            r, sys.mem().store().readVec(
+                   target.addr, static_cast<std::size_t>(r.objectBytes)));
+    };
+
+    // Per-row bytes, for the analytic reduction bound and the split.
+    std::uint64_t row_bytes = 0, proj_row_bytes = 0;
+    for (std::uint32_t c = 0; c < cols; ++c) {
+        const std::uint32_t cb = serde::columnCellBytes(table.schema[c].type);
+        row_bytes += cb;
+        proj_row_bytes += c < proj_cols ? cb : 0;
+    }
+    const double proj_fraction = static_cast<double>(proj_row_bytes) /
+                                 static_cast<double>(row_bytes);
+
+    const serde::ScanResult ref_full =
+        serde::scanTable(flash.data(), flash.size(), serde::ScanSpec{});
+    const auto [full, full_payload] = scan(file, {}, ref_full.out.size());
+    gate(full_payload == ref_full.out,
+         "pushdown: full-table scan equals the reference");
+    const double full_bytes = static_cast<double>(full.objectBytes);
+
+    // Split geometry: the device scans the header and the first half of
+    // the row groups, the host the rest (DESIGN.md §16).
+    std::uint64_t header_bytes = 0;
+    std::memcpy(&header_bytes, flash.data() + flash.size() - 28, 8);
+    const std::uint64_t num_groups =
+        (rows + table.rowGroupRows - 1) / table.rowGroupRows;
+    const std::uint64_t prefix_groups = num_groups / 2;
+    host::FileExtent prefix = file;
+    prefix.sizeBytes =
+        header_bytes + prefix_groups * row_bytes * table.rowGroupRows;
+
+    std::printf("%llu rows x %u cols, project %u cols\n",
+                static_cast<unsigned long long>(rows), cols, proj_cols);
+    std::printf("%6s %14s %14s %10s %10s %10s %6s\n", "sel", "full(B)",
+                "pushdown(B)", "cut", "bound", "rows", "gate");
+    std::vector<bench::BenchMetric> extra;
+    double cut_s10 = 0.0, push_bytes_s10 = 0.0;
+    for (const double s : {0.01, 0.10, 0.50}) {
+        const serde::ScanSpec spec =
+            serde::makeSelectivitySpec(s, proj_cols, cols);
+        // The host fallback is this shared kernel run in one shot.
+        const serde::ScanResult ref =
+            serde::scanTable(flash.data(), flash.size(), spec);
+        const auto [push, push_payload] =
+            scan(file, spec.encode(), ref.out.size());
+        const bool dev_ok =
+            push_payload == ref.out &&
+            push.returnValue == static_cast<std::uint32_t>(ref.survivingRows);
+
+        // Split: the device prefix has no trailer, the host suffix no
+        // header and counts on from the device's surviving rows.
+        serde::ScanSpec pre = spec;
+        pre.flags |= serde::kScanNoTrailer;
+        auto [dev_pre, stitched] =
+            scan(prefix, pre.encode(), ref.out.size());
+        serde::ScanSpec suf = spec;
+        suf.flags |= serde::kScanNoHeader;
+        const serde::ScanResult host_suf =
+            serde::scanTable(flash.data(), flash.size(), suf,
+                             prefix_groups, dev_pre.returnValue);
+        stitched.insert(stitched.end(), host_suf.out.begin(),
+                        host_suf.out.end());
+        const bool split_ok = host_suf.ok && stitched == ref.out;
+
+        const double push_bytes = static_cast<double>(push.objectBytes);
+        const double cut = 1.0 - push_bytes / full_bytes;
+        // Surviving rows x projected columns are (selectivity x
+        // projected fraction) of the table; framing gets a 0.8 grace.
+        const double bound = (1.0 - s * proj_fraction) * 0.8;
+        char claim[64];
+        std::snprintf(claim, sizeof(claim),
+                      "pushdown %.0f%%: cut >= bound, 3 paths agree",
+                      s * 100);
+        const bool ok =
+            gate(cut >= bound && dev_ok && ref.ok && split_ok, claim);
+        std::printf("%5.0f%% %14.0f %14.0f %9.1f%% %9.1f%% %10llu %6s\n",
+                    s * 100, full_bytes, push_bytes, cut * 100,
+                    bound * 100,
+                    static_cast<unsigned long long>(ref.survivingRows),
+                    ok ? "pass" : "FAIL");
+        if (s == 0.10) {
+            cut_s10 = cut;
+            push_bytes_s10 = push_bytes;
+        }
+        char key[24];
+        std::snprintf(key, sizeof(key), "pushdown_cut_s%02.0f", s * 100);
+        extra.push_back({key, cut, "fraction"});
+    }
+    gate(push_bytes_s10 <= 0.3 * full_bytes,
+         "pushdown: 10% selectivity ships <= 0.3x the table");
+    extra.push_back({"full_table_bytes", full_bytes, "bytes"});
+    extra.push_back({"pushdown_bytes_s10", push_bytes_s10, "bytes"});
+    bench::writeBenchJson("extension_pushdown", "pushdown_cut_s10", cut_s10,
+                          "fraction", /*higher_is_better=*/true, extra);
+}
+
 }  // namespace
 
 int
@@ -407,5 +558,6 @@ main()
     softFloat();
     pipeline(gate);
     formats();
+    pushdown(gate);
     return gate.exitStatus();
 }

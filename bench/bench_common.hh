@@ -4,12 +4,14 @@
  *
  * Each bench binary prints the rows/series of one paper artifact,
  * except fig11_end_to_end, which prints every artifact of the paper
- * sweep, ablations, which prints every design-choice ablation, and
- * serving, which runs every serving extension whose gates are all
- * simulated (serving_tail_latency stays apart: one of its gates reads
- * host wall clock). Default scale keeps each full-suite sweep in the
- * seconds range; override with MORPHEUS_BENCH_SCALE (a double) for
- * bigger inputs. Reported quantities are ratios or rates, but they are
+ * sweep, ablations, which prints every design-choice ablation and the
+ * CSV/JSON and columnar pushdown extension studies, and serving, which
+ * runs every serving extension whose gates are all simulated
+ * (serving_tail_latency stays apart: one of its gates reads host wall
+ * clock). Every bench but fig08 reports its self-checks through
+ * Gates. Default scale keeps each full-suite sweep in the seconds
+ * range; override with MORPHEUS_BENCH_SCALE (a double) for bigger
+ * inputs. Reported quantities are ratios or rates, but they are
  * not scale-invariant: the sweep's mean Morpheus end-to-end speedup is
  * 1.24x at scale 0.05 and 1.42x at 0.25. Compare results made at one
  * scale only (the CI gates run at 0.05). Serving runs never go below

@@ -13,7 +13,9 @@
  *   - serving_fleet (§12): a 1/2/4-SSD shard fabric behind one
  *     switch; fleetSpeedup4x;
  *   - serving_overload (§15): hybrid host/device execution past
- *     device saturation; hybridThroughputGain.
+ *     device saturation; hybridThroughputGain;
+ *   - serving_pushdown (§16): a columnar pushdown tenant beside a
+ *     full-object one at equal load; pushdownP99Speedup.
  *
  * Progress and one "gate <claim> pass|FAIL" line per self-check go to
  * stderr; stdout stays empty. Exits 1 when any gate of any section
@@ -734,6 +736,80 @@ overload(bench::Gates &check)
         hy_opts.sys, runs);
 }
 
+/**
+ * Projection and predicate pushdown under serving load (DESIGN.md
+ * §16). Two columnar tenants at equal offered load over the same
+ * table geometry: tenant 1 pushes a 10%-selectivity projection of 2
+ * of 6 columns down, tenant 2 ships the full table (descriptor-less
+ * scan, the full-object posture). A CSV tenant adds read+write
+ * background traffic. Gates: the pushdown tenant's p99 beats the
+ * full-object tenant's, and the CSV tenant wrote.
+ */
+void
+pushdown(bench::Gates &gate)
+{
+    std::fprintf(stderr, "== serving_pushdown: pushdown vs full-object "
+                         "p99 at equal load ==\n");
+    // Not contendedServing(): no D-SRAM partitioning. A closed loop
+    // keeps a fixed number of requests in flight per tenant, so latency
+    // traces service time (transfer + scan), not queue position. At
+    // most 12 instances in flight, so overload queues host-side instead
+    // of failing MINITs.
+    wk::ServingOptions opts;
+    opts.seed = 42;
+    opts.closedLoop = true;
+    opts.closedLoopConcurrency = 2;
+    opts.closedLoopRequests =
+        static_cast<std::uint64_t>(64.0 * bench::servingWindows());
+    opts.sys.ssd.sched.maxInflightTotal = 12;
+    wk::TenantSpec push;
+    push.id = 1;
+    push.format = wk::TenantFormat::kColumnar;
+    push.pushdown = true;
+    push.selectivity = 0.10;
+    push.projectColumns = 2;
+    push.tableColumns = 6;
+    push.sizeClassValues = {4096, 16384};
+    push.sizeClassProb = {0.75, 0.25};
+    push.arrivalsPerSec = 3000.0;
+    wk::TenantSpec full = push;
+    full.id = 2;
+    full.pushdown = false;
+    wk::TenantSpec csv;
+    csv.id = 3;
+    csv.format = wk::TenantFormat::kCsv;
+    csv.sizeClassValues = {512, 2048};
+    csv.sizeClassProb = {0.8, 0.2};
+    csv.arrivalsPerSec = 2500.0;
+    csv.writeFraction = 0.4;
+    opts.tenants = {push, full, csv};
+
+    bench::BenchRuns runs;
+    const wk::ServingReport rep = bench::runRecorded(runs, "mix", opts);
+    const char *names[] = {"pushdown", "full-object", "csv r/w"};
+    for (std::size_t t = 0; t < rep.tenants.size(); ++t)
+        std::fprintf(stderr,
+                     "%-11s: %llu completed, %llu writes, p99 %8.1f us, "
+                     "served %.2f MB\n",
+                     names[t],
+                     static_cast<unsigned long long>(rep.tenants[t].completed),
+                     static_cast<unsigned long long>(rep.tenants[t].writes),
+                     rep.tenants[t].p99Us, rep.tenants[t].servedBytes / 1e6);
+    const double push_p99 = rep.tenants[0].p99Us;
+    const double full_p99 = rep.tenants[1].p99Us;
+    gate(push_p99 < full_p99, "pushdown p99 beats the full-object p99");
+    gate(rep.tenants[2].writes > 0, "the CSV tenant wrote");
+
+    bench::writeBenchJson(
+        "serving_pushdown", "pushdownP99Speedup",
+        push_p99 > 0.0 ? full_p99 / push_p99 : 0.0, "x",
+        /*higher_is_better=*/true,
+        {{"serving_p99_pushdown_us", push_p99, "us"},
+         {"serving_p99_fullobject_us", full_p99, "us"},
+         {"serving_writes", static_cast<double>(rep.writes), "count"}},
+        opts.sys, runs);
+}
+
 }  // namespace
 
 int
@@ -746,5 +822,6 @@ main()
     faultSoak(gate);
     fleet(gate);
     overload(gate);
+    pushdown(gate);
     return gate.exitStatus();
 }

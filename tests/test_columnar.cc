@@ -4,12 +4,15 @@
  * kernel against a naive reference, device/host bit-identity across
  * chunk sizes and pipeline settings, edge cases (empty projection,
  * all-rows-filtered, row groups straddling chunk boundaries,
- * dictionary miss, mid-scan media error), descriptor integrity, and
- * the pushdown-aware object-cache key.
+ * dictionary miss, mid-scan media error), descriptor integrity, the
+ * pushdown-aware object-cache key, and seeded mutation fuzzing of the
+ * two parsers that read untrusted bytes: the pushdown descriptor
+ * decode and the flash image scan.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/device_runtime.hh"
@@ -19,6 +22,7 @@
 #include "host/host_system.hh"
 #include "serde/columnar.hh"
 #include "sim/fault.hh"
+#include "sim/rng.hh"
 
 namespace co = morpheus::core;
 namespace ho = morpheus::host;
@@ -487,4 +491,130 @@ TEST(Columnar, ObjectCacheKeysPredicatePrograms)
                        wopts);
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.invalidations(), 2u);
+}
+
+TEST(ColumnarFuzz, DescriptorMutantsAreRejectedOrRoundTrip)
+{
+    // Flip bits of, overwrite, insert and truncate the dwords of valid
+    // pushdown descriptors. decode() must refuse a mutant or yield a
+    // spec whose own encoding decodes back to the same spec.
+    const std::vector<std::uint32_t> seeds[] = {
+        sd::ScanSpec{}.encode(),
+        sd::makeSelectivitySpec(0.10, 2, 6).encode(),
+        sd::makeSelectivitySpec(0.50, 0, 4).encode(),
+    };
+    morpheus::sim::Rng rng(34);
+    unsigned accepted = 0;
+    unsigned rejected = 0;
+    for (int round = 0; round < 20000; ++round) {
+        std::vector<std::uint32_t> dw = seeds[rng.nextBelow(std::size(seeds))];
+        for (std::uint64_t e = rng.nextBelow(3) + 1; e > 0; --e) {
+            const std::size_t at = rng.nextBelow(dw.size() + 1);
+            const auto word = static_cast<std::uint32_t>(rng.next());
+            switch (rng.nextBelow(4)) {
+              case 0:
+                if (at < dw.size())
+                    dw[at] ^= 1u << rng.nextBelow(32);
+                break;
+              case 1:
+                if (at < dw.size())
+                    dw[at] = word;
+                break;
+              case 2:
+                dw.insert(dw.begin() + static_cast<std::ptrdiff_t>(at),
+                          word);
+                break;
+              default:
+                dw.resize(at);
+                break;
+            }
+        }
+        sd::ScanSpec spec;
+        if (!sd::ScanSpec::decode(dw, &spec)) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        sd::ScanSpec again;
+        ASSERT_TRUE(sd::ScanSpec::decode(spec.encode(), &again)) << round;
+        EXPECT_TRUE(again == spec) << round;
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(ColumnarFuzz, FlashMutantsFailOrMatchTheStreamingScan)
+{
+    // Flip bits anywhere in a valid flash image, overwrite header and
+    // footer bytes, and truncate it. The one-shot scan must fail
+    // exactly when a ColumnarScanner fed the same bytes in random-size
+    // pieces fails, otherwise return the same bytes, and never emit
+    // more bytes than it read.
+    const auto table = sd::genColumnarTable(34, 700, 5, 64);
+    const std::vector<std::uint8_t> image = table.toFlash();
+    std::uint64_t header_bytes = 0;
+    std::memcpy(&header_bytes, image.data() + image.size() - 28, 8);
+    const sd::ScanSpec specs[] = {
+        sd::ScanSpec{},
+        sd::makeSelectivitySpec(0.10, 2, 5),
+        sd::makeSelectivitySpec(0.50, 0, 5),  // projects the dictionary
+    };
+    morpheus::sim::Rng rng(4000);
+    unsigned scanned = 0;
+    unsigned failed = 0;
+    for (int round = 0; round < 4000; ++round) {
+        std::vector<std::uint8_t> bytes = image;
+        for (std::uint64_t e = rng.nextBelow(3) + 1;
+             e > 0 && !bytes.empty(); --e) {
+            const auto byte = static_cast<std::uint8_t>(rng.nextBelow(256));
+            switch (rng.nextBelow(4)) {
+              case 0:
+                bytes[rng.nextBelow(bytes.size())] ^=
+                    static_cast<std::uint8_t>(1u << rng.nextBelow(8));
+                break;
+              case 1:
+                bytes[rng.nextBelow(
+                    std::min<std::uint64_t>(header_bytes, bytes.size()))] =
+                    byte;
+                break;
+              case 2:
+                bytes[bytes.size() - 1 -
+                      rng.nextBelow(
+                          std::min<std::size_t>(28, bytes.size()))] = byte;
+                break;
+              default:
+                bytes.resize(rng.nextBelow(bytes.size() + 1));
+                break;
+            }
+        }
+        const sd::ScanSpec &spec = specs[rng.nextBelow(std::size(specs))];
+        const sd::ScanResult res =
+            sd::scanTable(bytes.data(), bytes.size(), spec);
+
+        sd::ColumnarScanner scanner(spec);
+        std::vector<std::uint8_t> out;
+        for (std::size_t off = 0; off < bytes.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                rng.nextBelow(4096) + 1, bytes.size() - off);
+            scanner.feed(bytes.data() + off, n);
+            off += n;
+            const auto part = scanner.takeEmitted();
+            out.insert(out.end(), part.begin(), part.end());
+        }
+        scanner.finish();
+        const auto tail = scanner.takeEmitted();
+        out.insert(out.end(), tail.begin(), tail.end());
+
+        ASSERT_EQ(scanner.error(), !res.ok) << round;
+        if (!res.ok) {
+            ++failed;
+            continue;
+        }
+        ++scanned;
+        EXPECT_LE(res.out.size(), bytes.size()) << round;
+        EXPECT_EQ(out, res.out) << round;
+        EXPECT_EQ(scanner.survivingRows(), res.survivingRows) << round;
+    }
+    EXPECT_GT(scanned, 0u);
+    EXPECT_GT(failed, 0u);
 }

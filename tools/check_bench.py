@@ -1,41 +1,32 @@
 #!/usr/bin/env python3
 """Check BENCH_<name>.json results against the committed baselines.
 
-Usage, after running the benches that write the BENCH_*.json files
-named in BENCHES (ablations, fig08_deser_speedup, fig11_end_to_end,
-serving, serving_tail_latency and traffic_reduction) with
-MORPHEUS_BENCH_SCALE set to the scale every baseline was made at
-(0.05), from the directory that holds their BENCH_*.json (CI: the
-repository root):
+Usage, after running the benches that write BENCH_*.json files
+(ablations, fig08_deser_speedup, fig11_end_to_end, serving and
+serving_tail_latency) with MORPHEUS_BENCH_SCALE set to the scale every
+baseline was made at (0.05), from the directory that holds their
+BENCH_*.json (CI: the repository root):
 
     python3 tools/check_bench.py
 
-For each bench, the headline metric ("value") fails the check when it
-is more than 10% worse than its baseline in bench/baselines/;
-"higherIsBetter" gives the direction. Every sub-metric of the "metrics"
-block is printed with its change for information only, so a re-baseline
-shows what moved. A result and a baseline made at different scales, or
-with different "config" blocks (device count, placement, pipeline,
-cache), are refused.
+Every baseline in bench/baselines/ is compared: its headline metric
+("value") fails the check when the fresh result is more than 10% worse
+than the baseline, in the direction "higherIsBetter" gives, and a
+baseline with no fresh BENCH file in the working directory fails too.
+Every sub-metric of the "metrics" block is printed with its change for
+information only, so a re-baseline shows what moved. A result and a
+baseline made at different scales, or with different "config" blocks
+(device count, placement, pipeline, cache), are refused.
 
 Exits 0 when every bench passes, 1 otherwise.
 """
 
+import glob
 import json
 import os
 import sys
 
 TOLERANCE = 0.10
-# fig02, fig03, fig09-fig12 and sec7a all come from fig11_end_to_end;
-# the ablation_* files and extension_formats from ablations; the
-# serving_* files but serving_tail_latency from serving.
-BENCHES = ("ablation_chunk_size", "ablation_cores", "ablation_dsram",
-           "ablation_qdepth", "ablation_p2p", "ablation_softfloat",
-           "ablation_pipeline", "extension_formats", "fig02", "fig03",
-           "fig08", "fig09", "fig10", "fig11", "fig12", "sec7a",
-           "serving_fleet", "serving_cache", "serving_breakdown",
-           "serving_overload", "serving_fault_soak",
-           "serving_tail_latency", "traffic_reduction")
 BASELINES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "..", "bench", "baselines")
 
@@ -53,6 +44,9 @@ def fmt_change(delta):
 
 def check(name):
     """Print one bench's comparison; return its failure or None."""
+    if not os.path.isfile(f"BENCH_{name}.json"):
+        print(f"{name}: no BENCH_{name}.json in {os.getcwd()} [MISSING]")
+        return f"{name} (missing)"
     with open(f"BENCH_{name}.json") as f:
         cur = json.load(f)
     with open(os.path.join(BASELINES, f"BENCH_{name}.json")) as f:
@@ -92,10 +86,13 @@ def check(name):
 
 
 def main():
-    failures = [f for f in map(check, BENCHES) if f]
+    benches = sorted(os.path.basename(p)[len("BENCH_"):-len(".json")]
+                     for p in glob.glob(os.path.join(BASELINES,
+                                                     "BENCH_*.json")))
+    failures = [f for f in map(check, benches) if f]
     if failures:
-        print(f"bench check failed (>{TOLERANCE:.0%} worse, mixed scales "
-              f"or mixed config): {failures}")
+        print(f"bench check failed (>{TOLERANCE:.0%} worse, missing, mixed "
+              f"scales or mixed config): {failures}")
         return 1
     print("bench regression check OK")
     return 0
