@@ -113,15 +113,18 @@ MorpheusDeviceRuntime::doMInit(const nvme::Command &cmd, sim::Tick start)
 
     // Pushdown descriptor integrity: the staged dwords must match the
     // in-band count and digest, exactly as the staged factory stands
-    // in for the PRP1 code bytes. A mismatched program must never run
-    // (its cache entries would replay under the wrong key).
+    // in for the PRP1 code bytes, and decode as a canonical ScanSpec.
+    // A mismatched program must never run (its cache entries would
+    // replay under the wrong key).
     const std::uint32_t desc_dwords = cmd.nlb;
     std::uint32_t desc_digest = 0;
     if (desc_dwords > 0) {
         if (setup.pushdown.size() != desc_dwords)
             return {start, nvme::Status::kInvalidField, 0};
         desc_digest = serde::pushdownDigest(setup.pushdown);
-        if (desc_digest != static_cast<std::uint32_t>(cmd.prp2 >> 32))
+        serde::ScanSpec spec;
+        if (desc_digest != static_cast<std::uint32_t>(cmd.prp2 >> 32) ||
+            !serde::ScanSpec::decode(setup.pushdown, &spec))
             return {start, nvme::Status::kInvalidField, 0};
     }
     const std::uint32_t desc_bytes = desc_dwords * 4;

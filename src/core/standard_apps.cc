@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
+
 namespace morpheus::core {
 
 namespace {
@@ -416,15 +418,12 @@ ColumnarScanApp::drain(MsChunkContext &ctx)
 void
 ColumnarScanApp::processChunk(MsChunkContext &ctx)
 {
-    if (_badSpec)
-        return;
     if (!_scanner) {
         serde::ScanSpec spec;  // no descriptor == full scan
-        if (!ctx.pushdown().empty() &&
-            !serde::ScanSpec::decode(ctx.pushdown(), &spec)) {
-            _badSpec = true;
-            return;
-        }
+        // MINIT refuses a descriptor that does not decode.
+        MORPHEUS_ASSERT(ctx.pushdown().empty() ||
+                            serde::ScanSpec::decode(ctx.pushdown(), &spec),
+                        "undecodable pushdown descriptor installed");
         _scanner = std::make_unique<serde::ColumnarScanner>(spec);
     }
     std::vector<std::uint8_t> raw(ctx.msRawAvailable());
@@ -438,7 +437,7 @@ ColumnarScanApp::processChunk(MsChunkContext &ctx)
 void
 ColumnarScanApp::finish(MsChunkContext &ctx)
 {
-    if (_badSpec || !_scanner)
+    if (!_scanner)
         return;
     _scanner->finish();
     drain(ctx);
@@ -447,7 +446,7 @@ ColumnarScanApp::finish(MsChunkContext &ctx)
 std::uint32_t
 ColumnarScanApp::returnValue() const
 {
-    if (_badSpec || !_scanner || _scanner->error())
+    if (!_scanner || _scanner->error())
         return kScanError;
     return static_cast<std::uint32_t>(_scanner->survivingRows());
 }

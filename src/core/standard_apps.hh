@@ -242,8 +242,9 @@ class JsonRecordsApp : public StorageApp
  * group in D-SRAM, and emits only surviving rows x projected columns —
  * outbound DMA scales with selectivity, not file size. The program
  * arrives as the MINIT pushdown descriptor (ctx.pushdown()); no
- * descriptor means a full scan. Errors (malformed file, bad program,
- * dictionary miss) stop emission and report kScanError in MDEINIT DW0.
+ * descriptor means a full scan; MINIT refuses one that does not
+ * decode. Errors (malformed file, dictionary miss) stop emission and
+ * report kScanError in MDEINIT DW0.
  */
 class ColumnarScanApp : public StorageApp
 {
@@ -260,7 +261,6 @@ class ColumnarScanApp : public StorageApp
     void drain(MsChunkContext &ctx);
 
     std::unique_ptr<serde::ColumnarScanner> _scanner;
-    bool _badSpec = false;
 };
 
 /** Compiled images for all standard apps (compiler-packaged once). */

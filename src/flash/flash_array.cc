@@ -1,7 +1,5 @@
 #include "flash/flash_array.hh"
 
-#include <utility>
-
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 
@@ -26,15 +24,10 @@ FlashArray::FlashArray(const FlashConfig &config) : _config(config)
 }
 
 std::uint64_t
-FlashArray::flatPage(const PagePointer &addr) const
+FlashArray::pageBlock(const PagePointer &addr) const
 {
     checkPageAddr(addr);
-    std::uint64_t idx = addr.channel;
-    idx = idx * _config.diesPerChannel + addr.die;
-    idx = idx * _config.planesPerDie + addr.plane;
-    idx = idx * _config.blocksPerPlane + addr.block;
-    idx = idx * _config.pagesPerBlock + addr.page;
-    return idx;
+    return flatBlock({addr.channel, addr.die, addr.plane, addr.block});
 }
 
 std::uint64_t
@@ -106,18 +99,11 @@ FlashArray::read(const PagePointer &addr, sim::Tick earliest,
 }
 
 sim::Tick
-FlashArray::program(const PagePointer &addr,
-                    std::vector<std::uint8_t> data, sim::Tick earliest)
+FlashArray::program(const PagePointer &addr, sim::Tick earliest)
 {
-    MORPHEUS_ASSERT(data.size() <= _config.pageBytes,
-                    "programming more than a page: ", data.size());
-    const std::uint64_t idx = flatPage(addr);
-    MORPHEUS_ASSERT(_pages.find(idx) == _pages.end(),
+    unsigned &next = _nextProgramPage[pageBlock(addr)];
+    MORPHEUS_ASSERT(addr.page >= next,
                     "program to a non-erased page (write-once violated)");
-
-    const std::uint64_t blk =
-        flatBlock({addr.channel, addr.die, addr.plane, addr.block});
-    unsigned &next = _nextProgramPage[blk];
     MORPHEUS_ASSERT(addr.page == next,
                     "out-of-order program within block: page=", addr.page,
                     " expected=", next);
@@ -132,9 +118,6 @@ FlashArray::program(const PagePointer &addr,
         die(addr.channel, addr.die)
             .acquireUntil(in_done, _config.programLatency);
 
-    data.resize(_config.pageBytes, 0);
-    _pages.emplace(idx, std::move(data));
-
     ++_programs;
     _bytesProgrammed += _config.pageBytes;
     return done;
@@ -143,9 +126,7 @@ FlashArray::program(const PagePointer &addr,
 sim::Tick
 FlashArray::erase(const BlockPointer &addr, sim::Tick earliest)
 {
-    const std::uint64_t blk = flatBlock(addr);
-    for (unsigned p = 0; p < _config.pagesPerBlock; ++p)
-        _pages.erase(flatPage(addr.pageAt(p)));
+    const std::uint64_t blk = pageBlock(addr.pageAt(0));
     _nextProgramPage[blk] = 0;
     ++_eraseCounts[blk];
 
@@ -159,15 +140,8 @@ FlashArray::erase(const BlockPointer &addr, sim::Tick earliest)
 bool
 FlashArray::isProgrammed(const PagePointer &addr) const
 {
-    return _pages.find(flatPage(addr)) != _pages.end();
-}
-
-const std::vector<std::uint8_t> &
-FlashArray::peek(const PagePointer &addr) const
-{
-    const auto it = _pages.find(flatPage(addr));
-    MORPHEUS_ASSERT(it != _pages.end(), "peek at an unprogrammed page");
-    return it->second;
+    const auto it = _nextProgramPage.find(pageBlock(addr));
+    return it != _nextProgramPage.end() && addr.page < it->second;
 }
 
 std::uint64_t

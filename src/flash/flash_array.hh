@@ -1,14 +1,15 @@
 /**
  * @file
- * Functional + timed NAND flash array.
+ * Timed NAND flash array.
  *
- * The array stores real page contents (lazily allocated) and enforces
- * NAND programming rules: a page must be erased before it is
- * programmed, pages within a block are programmed in order, and erase
- * operates on whole blocks. Timing is modeled with one Timeline per die
- * (tR / tPROG / tBERS occupancy) and one per channel (data transfer
- * occupancy), so multi-channel and multi-die parallelism emerge
- * naturally.
+ * The array enforces NAND programming rules: a page must be erased
+ * before it is programmed, pages within a block are programmed in
+ * order, and erase operates on whole blocks. It holds no page bytes:
+ * those belong to the logical page the FTL maps (ftl::Ftl), so a
+ * stale physical page costs no memory. Timing is modeled with one
+ * Timeline per die (tR / tPROG / tBERS occupancy) and one per channel
+ * (data transfer occupancy), so multi-channel and multi-die
+ * parallelism emerge naturally.
  */
 
 #ifndef MORPHEUS_FLASH_FLASH_ARRAY_HH
@@ -25,7 +26,7 @@
 
 namespace morpheus::flash {
 
-/** NAND flash array: geometry, timing, and page contents. */
+/** NAND flash array: geometry, timing, wear and program order. */
 class FlashArray
 {
   public:
@@ -45,7 +46,7 @@ class FlashArray
      *                 consumes the access either way). Never written
      *                 when no injector is installed.
      * @return Completion tick (timelines reserve at issue time; the
-     *         data itself is read with peek()). This per-page tick is
+     *         FTL holds the data). This per-page tick is
      *         the contract the streaming pipeline builds on: the FTL
      *         forwards it per page (PageReads::pageTicks), so a
      *         chunk's consumer can start at the first page's arrival,
@@ -58,17 +59,13 @@ class FlashArray
      * Program one page. Enforces erase-before-program and in-order
      * programming within the block.
      */
-    sim::Tick program(const PagePointer &addr,
-                      std::vector<std::uint8_t> data, sim::Tick earliest);
+    sim::Tick program(const PagePointer &addr, sim::Tick earliest);
 
-    /** Erase one block, releasing all of its pages. */
+    /** Erase one block, making all of its pages programmable again. */
     sim::Tick erase(const BlockPointer &addr, sim::Tick earliest);
 
-    /** Whether the page currently holds programmed data. */
+    /** Whether the page was programmed since its block's last erase. */
     bool isProgrammed(const PagePointer &addr) const;
-
-    /** Zero-time page contents; the page must be programmed. */
-    const std::vector<std::uint8_t> &peek(const PagePointer &addr) const;
 
     /** Erase count of a block (wear). */
     std::uint64_t eraseCount(const BlockPointer &addr) const;
@@ -84,8 +81,9 @@ class FlashArray
     const sim::stats::Counter &erasesIssued() const { return _erases; }
 
   private:
-    std::uint64_t flatPage(const PagePointer &addr) const;
     std::uint64_t flatBlock(const BlockPointer &addr) const;
+    /** Flat index of @p addr's block; checks the page address. */
+    std::uint64_t pageBlock(const PagePointer &addr) const;
     void checkPageAddr(const PagePointer &addr) const;
 
     sim::Timeline &die(unsigned channel, unsigned die_idx);
@@ -97,9 +95,8 @@ class FlashArray
     std::vector<sim::Timeline> _dieTimelines;
     std::vector<sim::Timeline> _channelTimelines;
 
-    /** Programmed page contents, keyed by flat page index. */
-    std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> _pages;
-    /** Next in-order programmable page per block (absent => 0). */
+    /** Next in-order programmable page per block (absent => 0); the
+     *  pages below it are programmed. */
     std::unordered_map<std::uint64_t, unsigned> _nextProgramPage;
     /** Erase counts per block (absent => 0). */
     std::unordered_map<std::uint64_t, std::uint64_t> _eraseCounts;

@@ -92,9 +92,7 @@ const std::vector<std::uint8_t> &
 Ftl::peekPage(std::uint64_t lpn) const
 {
     const auto it = _map.find(lpn);
-    if (it == _map.end())
-        return _zeroPage;
-    return _array.peek(pageAddress(it->second));
+    return it == _map.end() ? _zeroPage : it->second.bytes;
 }
 
 PageReads
@@ -110,7 +108,7 @@ Ftl::readPages(std::uint64_t lpn, std::uint32_t count, sim::Tick earliest)
         sim::Tick page_done = earliest;
         const auto it = _map.find(lpn + i);
         if (it != _map.end()) {
-            page_done = _array.read(pageAddress(it->second), earliest,
+            page_done = _array.read(pageAddress(it->second.ppn), earliest,
                                     &reads.mediaError);
         }
         reads.pageTicks.push_back(page_done);
@@ -120,15 +118,13 @@ Ftl::readPages(std::uint64_t lpn, std::uint32_t count, sim::Tick earliest)
 }
 
 void
-Ftl::invalidate(std::uint64_t lpn)
+Ftl::invalidate(std::uint64_t lpn, std::uint64_t ppn)
 {
-    const auto it = _map.find(lpn);
-    if (it == _map.end())
+    if (ppn == kUnmapped)
         return;
     const auto &fc = _array.config();
-    const std::uint64_t blk = it->second / fc.pagesPerBlock;
-    const auto slot =
-        static_cast<unsigned>(it->second % fc.pagesPerBlock);
+    const std::uint64_t blk = ppn / fc.pagesPerBlock;
+    const auto slot = static_cast<unsigned>(ppn % fc.pagesPerBlock);
     auto bit = _blocks.find(blk);
     MORPHEUS_ASSERT(bit != _blocks.end(), "mapped page in unknown block");
     MORPHEUS_ASSERT(bit->second.pageLpn[slot] == lpn,
@@ -136,10 +132,9 @@ Ftl::invalidate(std::uint64_t lpn)
     bit->second.pageLpn[slot] = kUnmapped;
     MORPHEUS_ASSERT(bit->second.validPages > 0, "valid count underflow");
     --bit->second.validPages;
-    _map.erase(it);
 }
 
-flash::PagePointer
+std::uint64_t
 Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
 {
     const auto &fc = _array.config();
@@ -164,9 +159,7 @@ Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
                 const unsigned slot = bs.writtenPages++;
                 bs.pageLpn[slot] = lpn;
                 ++bs.validPages;
-                _map[lpn] =
-                    flatBlock(bs.addr) * fc.pagesPerBlock + slot;
-                return bs.addr.pageAt(slot);
+                return active * fc.pagesPerBlock + slot;
             }
             active = kUnmapped;  // block full; retire from stripe
         }
@@ -197,8 +190,7 @@ Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
         const unsigned slot = nb.writtenPages++;
         nb.pageLpn[slot] = lpn;
         ++nb.validPages;
-        _map[lpn] = blk * fc.pagesPerBlock + slot;
-        return nb.addr.pageAt(slot);
+        return blk * fc.pagesPerBlock + slot;
     }
     MORPHEUS_PANIC("FTL out of free blocks (over-provisioning exhausted)");
 }
@@ -239,21 +231,22 @@ Ftl::collectGarbage(sim::Tick now)
 
         BlockState victim_state = _blocks.at(victim);
 
-        // Relocate every valid page, then erase the victim.
+        // Relocate every valid page, then erase the victim. The bytes
+        // stay with the logical page; only its mapping moves.
         sim::Tick reads_done = now;
         for (unsigned slot = 0; slot < fc.pagesPerBlock; ++slot) {
             const std::uint64_t lpn = victim_state.pageLpn[slot];
             if (lpn == kUnmapped)
                 continue;
-            const auto addr = victim_state.addr.pageAt(slot);
-            std::vector<std::uint8_t> data = _array.peek(addr);
-            const sim::Tick rd = _array.read(addr, now);
+            const sim::Tick rd =
+                _array.read(victim_state.addr.pageAt(slot), now);
             reads_done = std::max(reads_done, rd);
 
-            invalidate(lpn);
+            LogicalPage &page = _map.at(lpn);
+            invalidate(lpn, page.ppn);
             sim::Tick unused = 0;
-            const auto dst = allocatePage(lpn, rd, &unused);
-            const sim::Tick wr = _array.program(dst, std::move(data), rd);
+            page.ppn = allocatePage(lpn, rd, &unused);
+            const sim::Tick wr = _array.program(pageAddress(page.ppn), rd);
             done = std::max(done, wr);
             ++_gcRelocated;
         }
@@ -284,18 +277,21 @@ Ftl::writePages(std::uint64_t lpn, const std::vector<std::uint8_t> &data,
 
     sim::Tick done = earliest;
     for (std::uint32_t i = 0; i < count; ++i) {
-        invalidate(lpn + i);
+        LogicalPage &page = _map[lpn + i];
+        invalidate(lpn + i, page.ppn);
         sim::Tick gc_done = earliest;
-        const auto dst = allocatePage(lpn + i, earliest, &gc_done);
+        page.ppn = allocatePage(lpn + i, earliest, &gc_done);
 
+        // Refill the page's own buffer; a short last page reads as
+        // zeros past its bytes, never as the old contents.
         const std::size_t off =
             static_cast<std::size_t>(i) * fc.pageBytes;
         const std::size_t len =
             std::min<std::size_t>(fc.pageBytes, data.size() - off);
-        std::vector<std::uint8_t> page(data.begin() + off,
-                                       data.begin() + off + len);
+        page.bytes.assign(data.begin() + off, data.begin() + off + len);
+        page.bytes.resize(fc.pageBytes, 0);
         const sim::Tick wr =
-            _array.program(dst, std::move(page), gc_done);
+            _array.program(pageAddress(page.ppn), gc_done);
         done = std::max(done, wr);
         ++_hostWrites;
     }

@@ -10,6 +10,10 @@
  * threshold, greedy GC relocates the valid pages of the
  * fewest-valid-pages victim block and erases it.
  *
+ * A logical page owns its bytes: an overwrite refills the LPN's buffer
+ * and a GC move only remaps it, so the simulator's memory follows the
+ * live logical pages, not the stale physical ones awaiting erase.
+ *
  * Morpheus-SSD deliberately leaves the FTL untouched (paper §IV-B:
  * "Morpheus-SSD performs no changes to the FTL of the baseline SSD") —
  * both the conventional and the Morpheus command paths call the same
@@ -88,7 +92,7 @@ class Ftl
     bool isMapped(std::uint64_t lpn) const;
 
     /** Zero-time page contents (unmapped => a shared zero page). The
-     *  view is valid until the next write or GC. */
+     *  view is valid until the next write. */
     const std::vector<std::uint8_t> &peekPage(std::uint64_t lpn) const;
 
     /** Free blocks remaining in the allocation pool. */
@@ -114,15 +118,24 @@ class Ftl
         unsigned writtenPages = 0;
     };
 
-    /** Pick the next page of the write stripe, opening blocks as needed. */
-    flash::PagePointer allocatePage(std::uint64_t lpn, sim::Tick now,
-                                    sim::Tick *gc_done);
+    /** A written logical page: where it lives and what it holds. */
+    struct LogicalPage
+    {
+        std::uint64_t ppn = kUnmapped;  ///< Flat physical page index.
+        std::vector<std::uint8_t> bytes;  ///< Exactly one page.
+    };
+
+    /** Pick the next page of the write stripe for @p lpn, opening
+     *  blocks as needed; returns its flat physical page index. */
+    std::uint64_t allocatePage(std::uint64_t lpn, sim::Tick now,
+                               sim::Tick *gc_done);
 
     /** Run greedy GC until the high watermark; returns finish tick. */
     sim::Tick collectGarbage(sim::Tick now);
 
-    /** Invalidate the physical page currently backing @p lpn, if any. */
-    void invalidate(std::uint64_t lpn);
+    /** Invalidate physical page @p ppn, which backs @p lpn (a no-op
+     *  for kUnmapped). */
+    void invalidate(std::uint64_t lpn, std::uint64_t ppn);
 
     std::uint64_t flatBlock(const flash::BlockPointer &b) const;
     /** Block @p block of flat plane index @p plane. */
@@ -136,8 +149,8 @@ class Ftl
     /** What an unmapped LPN reads as. */
     std::vector<std::uint8_t> _zeroPage;
 
-    /** LPN -> flat physical page index. */
-    std::unordered_map<std::uint64_t, std::uint64_t> _map;
+    /** LPN -> its physical page and bytes. */
+    std::unordered_map<std::uint64_t, LogicalPage> _map;
     /** Flat physical page index -> block state + page slot. */
     std::unordered_map<std::uint64_t, BlockState> _blocks;
 

@@ -152,14 +152,18 @@ ScanSpec::decode(const std::vector<std::uint32_t> &dwords, ScanSpec *out)
     if ((head >> 16) != kDescMagic || ((head >> 12) & 0xFu) != kDescVersion)
         return false;
     const std::uint32_t npreds = head & 0xFFu;
-    if (dwords.size() != 2 + std::size_t(npreds) * 3)
+    const std::uint32_t flags = (head >> 8) & 0xFu;
+    // Reserved bits must be zero, so an accepted descriptor is the one
+    // encoding of its spec (and of its object-cache key).
+    if (dwords.size() != 2 + std::size_t(npreds) * 3 ||
+        (flags & ~std::uint32_t(kScanNoTrailer | kScanNoHeader)) != 0)
         return false;
-    out->flags = (head >> 8) & 0xFu;
+    out->flags = flags;
     out->projectionMask = dwords[1];
     out->preds.clear();
     for (std::uint32_t i = 0; i < npreds; ++i) {
         const std::uint32_t term = dwords[2 + i * 3];
-        if (((term >> 16) & 0xFFu) > 5)
+        if ((term >> 24) != 0 || ((term >> 16) & 0xFFu) > 5)
             return false;
         Predicate p;
         p.column = term & 0xFFFFu;

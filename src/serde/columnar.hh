@@ -117,7 +117,8 @@ struct ScanSpec
      */
     std::vector<std::uint32_t> encode() const;
 
-    /** @return false on bad magic/version or truncated program. */
+    /** @return false on bad magic/version, a truncated program or a
+     *  set reserved bit; an accepted descriptor is exactly encode(). */
     static bool decode(const std::vector<std::uint32_t> &dwords,
                        ScanSpec *out);
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * CSV substrate tests: header handling (quoted names), numeric rows,
- * chunk invariance, binary round trip, error handling, and the
- * end-to-end device path (CsvTableApp == host parse).
+ * chunk invariance, binary round trip, error handling, seeded mutation
+ * fuzzing of the whole-buffer and chunked parses, and the end-to-end
+ * device path (CsvTableApp == host parse).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/standard_apps.hh"
 #include "serde/csv.hh"
 #include "sim/rng.hh"
+#include "text_mutants.hh"
 
 namespace co = morpheus::core;
 namespace ho = morpheus::host;
@@ -181,6 +183,85 @@ TEST_P(CsvChunkProperty, EventStreamInvariantUnderChunking)
 
 INSTANTIATE_TEST_SUITE_P(Chunks, CsvChunkProperty,
                          ::testing::Values(1, 3, 17, 256, 8192));
+
+namespace {
+
+/** Chunked parse of @p text by parseCsvTable's rules, in random-size
+ *  pieces; false where the parse fails. */
+bool
+parseCsvPieces(const std::vector<std::uint8_t> &text,
+               morpheus::sim::Rng &rng, sd::CsvTableObject *out)
+{
+    morpheus::test::PieceFeeder feeder(text, rng);
+    sd::CsvRowParser p;
+    sd::CsvTableObject t;
+    std::size_t row_cells = 0;
+    for (;;) {
+        using E = sd::CsvRowParser::Event;
+        switch (p.next()) {
+          case E::kColumnName:
+            t.columns.push_back(p.name());
+            break;
+          case E::kHeaderDone:
+            break;
+          case E::kNumber:
+            t.values.push_back(p.value());
+            ++row_cells;
+            break;
+          case E::kEndRow:
+            if (row_cells != t.columns.size())
+                return false;
+            row_cells = 0;
+            break;
+          case E::kEndDocument:
+            *out = std::move(t);
+            return true;
+          case E::kNeedMoreData:
+            if (!feeder.feed(p))
+                return false;
+            break;
+          case E::kError:
+            return false;
+        }
+    }
+}
+
+}  // namespace
+
+TEST(CsvFuzz, TextMutantsFailOrParseAlikeInPieces)
+{
+    // Flip bits of, overwrite bytes of, insert quotes and separators
+    // into, and truncate the text of generated tables. parseCsvTable
+    // and a CsvRowParser fed random-size pieces must both fail, or
+    // both yield the same table.
+    const std::vector<std::uint8_t> docs[] = {
+        csvText(genTable(5, 40, 4)),
+        csvText(genTable(6, 12, 9)),
+        csvText(genTable(7, 80, 1)),
+    };
+    morpheus::sim::Rng rng(35);
+    unsigned parsed = 0;
+    unsigned failed = 0;
+    for (int round = 0; round < 3000; ++round) {
+        std::vector<std::uint8_t> text = docs[rng.nextBelow(std::size(docs))];
+        morpheus::test::mutateText(text, rng, "\",\r\n");
+        sd::CsvTableObject whole;
+        const bool whole_ok =
+            sd::parseCsvTable(text.data(), text.size(), &whole, nullptr);
+        sd::CsvTableObject pieces;
+        ASSERT_EQ(parseCsvPieces(text, rng, &pieces), whole_ok) << round;
+        if (!whole_ok) {
+            ++failed;
+            continue;
+        }
+        ++parsed;
+        EXPECT_EQ(pieces.columns, whole.columns) << round;
+        EXPECT_TRUE(morpheus::test::sameBits(pieces.values, whole.values))
+            << round;
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(failed, 0u);
+}
 
 TEST(CsvEndToEnd, DeviceAppMatchesHostParse)
 {

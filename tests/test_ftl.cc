@@ -99,10 +99,67 @@ TEST(Ftl, WriteThenReadBack)
 
 TEST(Ftl, OverwriteReplacesData)
 {
+    // One three-page range rewritten many times, GC firing under it:
+    // each page reads back the last write, never an older one.
+    ft::FtlConfig cfg;
+    cfg.gcLowWatermark = 4;
+    cfg.gcHighWatermark = 6;
+    FtlFixture f(cfg);
+    ms::Tick t = 0;
+    for (int round = 0; round < 200; ++round) {
+        const auto tag = static_cast<std::uint8_t>(round * 7);
+        t = f.ftl.writePages(20, fill(tag, 3 * 256), t);
+        for (std::uint64_t lpn = 20; lpn < 23; ++lpn) {
+            const auto &page = f.ftl.peekPage(lpn);
+            const auto off = static_cast<std::ptrdiff_t>((lpn - 20) * 256);
+            const auto want = fill(tag, 3 * 256);
+            ASSERT_TRUE(std::equal(page.begin(), page.end(),
+                                   want.begin() + off))
+                << "round " << round << " lpn " << lpn;
+        }
+    }
+    EXPECT_GT(f.ftl.gcRuns(), 0u);
+}
+
+TEST(Ftl, ShortOverwriteReadsZerosPastItsBytes)
+{
+    // The page's buffer is reused: bytes past a short write's end are
+    // zero padding, not what the previous write left there.
     FtlFixture f;
-    f.ftl.writePages(2, fill(1, 256), 0);
-    f.ftl.writePages(2, fill(2, 256), 0);
-    EXPECT_EQ(f.ftl.peekPage(2), fill(2, 256));
+    f.ftl.writePages(4, fill(0xFF, 256), 0);
+    f.ftl.writePages(4, fill(3, 100), 0);
+    std::vector<std::uint8_t> want = fill(3, 100);
+    want.resize(256, 0);
+    EXPECT_EQ(f.ftl.peekPage(4), want);
+}
+
+TEST(Ftl, GcRelocationKeepsExactBytes)
+{
+    // Every LPN holds its own random bytes; a random overwrite stream
+    // makes GC relocate still-valid pages, which must read back intact.
+    ft::FtlConfig cfg;
+    cfg.gcLowWatermark = 2;
+    cfg.gcHighWatermark = 3;
+    FtlFixture f(cfg);
+    ms::Rng rng(9);
+    const std::uint64_t span = 200;
+    std::map<std::uint64_t, std::vector<std::uint8_t>> shadow;
+    ms::Tick t = 0;
+    for (int op = 0; op < 600; ++op) {
+        const std::uint64_t lpn = op < static_cast<int>(span)
+                                      ? static_cast<std::uint64_t>(op)
+                                      : rng.nextBelow(span);
+        std::vector<std::uint8_t> bytes(256);
+        for (auto &b : bytes)
+            b = static_cast<std::uint8_t>(rng.nextBelow(256));
+        t = f.ftl.writePages(lpn, bytes, t);
+        shadow[lpn] = std::move(bytes);
+    }
+    morpheus::obs::MetricsRegistry reg;
+    f.ftl.writeStats(reg, "ftl");
+    ASSERT_GT(reg.counter("ftl.gcRelocated"), 0u);
+    for (const auto &[lpn, bytes] : shadow)
+        EXPECT_EQ(f.ftl.peekPage(lpn), bytes) << "lpn " << lpn;
 }
 
 TEST(Ftl, MultiPageWriteSpansPages)

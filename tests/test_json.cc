@@ -1,7 +1,8 @@
 /**
  * @file
  * JSON record-array tests: the incremental parser's event stream, its
- * chunk-size invariance, binary/text round trips, error handling, and
+ * chunk-size invariance, binary/text round trips, error handling,
+ * seeded mutation fuzzing of the whole-buffer and chunked parses, and
  * the end-to-end device path (JsonRecordsApp == host parse).
  */
 
@@ -13,6 +14,7 @@
 #include "core/standard_apps.hh"
 #include "serde/json.hh"
 #include "sim/rng.hh"
+#include "text_mutants.hh"
 
 namespace co = morpheus::core;
 namespace ho = morpheus::host;
@@ -201,6 +203,79 @@ TEST_P(JsonChunkProperty, EventStreamInvariantUnderChunking)
 
 INSTANTIATE_TEST_SUITE_P(Chunks, JsonChunkProperty,
                          ::testing::Values(1, 2, 7, 64, 1000, 65536));
+
+namespace {
+
+/** Chunked parse of @p text by parseJsonRecords' rules, in random-size
+ *  pieces; false where the parse fails. */
+bool
+parseJsonPieces(const std::vector<std::uint8_t> &text,
+                morpheus::sim::Rng &rng, sd::JsonRecordsObject *out)
+{
+    morpheus::test::PieceFeeder feeder(text, rng);
+    sd::JsonRowParser p;
+    sd::JsonRecordsObject o;
+    for (;;) {
+        using E = sd::JsonRowParser::Event;
+        switch (p.next()) {
+          case E::kBeginRecord:
+            break;
+          case E::kNumber:
+            o.values.push_back(p.value());
+            break;
+          case E::kEndRecord:
+            o.recordOffsets.push_back(
+                static_cast<std::uint32_t>(o.values.size()));
+            break;
+          case E::kEndDocument:
+            *out = std::move(o);
+            return true;
+          case E::kNeedMoreData:
+            if (!feeder.feed(p))
+                return false;
+            break;
+          case E::kError:
+            return false;
+        }
+    }
+}
+
+}  // namespace
+
+TEST(JsonFuzz, TextMutantsFailOrParseAlikeInPieces)
+{
+    // Flip bits of, overwrite bytes of, insert quotes and separators
+    // into, and truncate the text of generated record arrays.
+    // parseJsonRecords and a JsonRowParser fed random-size pieces must
+    // both fail, or both yield the same records.
+    const std::vector<std::uint8_t> docs[] = {
+        jsonText(genRecords(5, 30)),
+        jsonText(genRecords(6, 8)),
+        jsonText(genRecords(7, 90)),
+    };
+    morpheus::sim::Rng rng(35);
+    unsigned parsed = 0;
+    unsigned failed = 0;
+    for (int round = 0; round < 3000; ++round) {
+        std::vector<std::uint8_t> text = docs[rng.nextBelow(std::size(docs))];
+        morpheus::test::mutateText(text, rng, "\",:[]{} \n");
+        sd::JsonRecordsObject whole;
+        const bool whole_ok = sd::parseJsonRecords(text.data(), text.size(),
+                                                   &whole, nullptr);
+        sd::JsonRecordsObject pieces;
+        ASSERT_EQ(parseJsonPieces(text, rng, &pieces), whole_ok) << round;
+        if (!whole_ok) {
+            ++failed;
+            continue;
+        }
+        ++parsed;
+        EXPECT_EQ(pieces.recordOffsets, whole.recordOffsets) << round;
+        EXPECT_TRUE(morpheus::test::sameBits(pieces.values, whole.values))
+            << round;
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(failed, 0u);
+}
 
 TEST(JsonRecords, CostAccountsEveryByteOnce)
 {
