@@ -1,6 +1,7 @@
 #include "ftl/ftl.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -18,11 +19,25 @@ planeIndex(const flash::FlashConfig &cfg, const flash::BlockPointer &b)
            b.plane;
 }
 
+/** Drop @p bytes' trailing zeros, a word at a time. */
+void
+trimTrailingZeros(std::vector<std::uint8_t> &bytes)
+{
+    std::size_t end = bytes.size();
+    for (std::uint64_t word; end >= sizeof word; end -= sizeof word) {
+        std::memcpy(&word, bytes.data() + end - sizeof word, sizeof word);
+        if (word != 0)
+            break;
+    }
+    while (end > 0 && bytes[end - 1] == 0)
+        --end;
+    bytes.resize(end);
+}
+
 }  // namespace
 
 Ftl::Ftl(flash::FlashArray &array, const FtlConfig &config)
-    : _array(array), _config(config),
-      _zeroPage(array.config().pageBytes, 0)
+    : _array(array), _config(config)
 {
     const auto &fc = _array.config();
     MORPHEUS_ASSERT(_config.overProvisioning > 0.0 &&
@@ -88,11 +103,12 @@ Ftl::pageAddress(std::uint64_t ppn) const
     return addr;
 }
 
-const std::vector<std::uint8_t> &
+std::span<const std::uint8_t>
 Ftl::peekPage(std::uint64_t lpn) const
 {
     const auto it = _map.find(lpn);
-    return it == _map.end() ? _zeroPage : it->second.bytes;
+    return it == _map.end() ? std::span<const std::uint8_t>()
+                            : it->second.bytes;
 }
 
 PageReads
@@ -152,45 +168,39 @@ Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
         const unsigned plane =
             static_cast<unsigned>(_nextPlane++ % planes);
         std::uint64_t &active = _activeBlocks[plane];
+        auto it = _blocks.find(active);
+        if (it != _blocks.end() && it->second.writtenPages == fc.pagesPerBlock)
+            it = _blocks.end();  // block full; retire from stripe
 
-        if (active != kUnmapped) {
-            BlockState &bs = _blocks.at(active);
-            if (bs.writtenPages < fc.pagesPerBlock) {
-                const unsigned slot = bs.writtenPages++;
-                bs.pageLpn[slot] = lpn;
-                ++bs.validPages;
-                return active * fc.pagesPerBlock + slot;
+        if (it == _blocks.end()) {
+            // Open a free block of this plane if the pool has one.
+            active = kUnmapped;
+            std::vector<unsigned> &recycled = _recycled[plane];
+            unsigned block = 0;
+            if (!recycled.empty()) {
+                block = recycled.back();
+                recycled.pop_back();
+            } else if (_nextFresh[plane] < fc.blocksPerPlane) {
+                block = _nextFresh[plane]++;
+            } else {
+                continue;  // no free block in this plane; try the next
             }
-            active = kUnmapped;  // block full; retire from stripe
+            --_freeBlocks;
+            BlockState bs;
+            bs.addr = blockAt(plane, block);
+            bs.pageLpn.assign(fc.pagesPerBlock, kUnmapped);
+            active = flatBlock(bs.addr);
+            const auto [opened, inserted] =
+                _blocks.emplace(active, std::move(bs));
+            MORPHEUS_ASSERT(inserted, "block opened twice");
+            it = opened;
         }
 
-        // Open a free block of this plane if the pool has one.
-        std::vector<unsigned> &recycled = _recycled[plane];
-        unsigned block = 0;
-        if (!recycled.empty()) {
-            block = recycled.back();
-            recycled.pop_back();
-        } else if (_nextFresh[plane] < fc.blocksPerPlane) {
-            block = _nextFresh[plane]++;
-        } else {
-            continue;  // no free block in this plane; try the next
-        }
-        --_freeBlocks;
-        const flash::BlockPointer addr = blockAt(plane, block);
-
-        const std::uint64_t blk = flatBlock(addr);
-        BlockState bs;
-        bs.addr = addr;
-        bs.pageLpn.assign(fc.pagesPerBlock, kUnmapped);
-        const auto [bit, inserted] = _blocks.emplace(blk, std::move(bs));
-        MORPHEUS_ASSERT(inserted, "block opened twice");
-        active = blk;
-
-        BlockState &nb = bit->second;
-        const unsigned slot = nb.writtenPages++;
-        nb.pageLpn[slot] = lpn;
-        ++nb.validPages;
-        return blk * fc.pagesPerBlock + slot;
+        BlockState &bs = it->second;
+        const unsigned slot = bs.writtenPages++;
+        bs.pageLpn[slot] = lpn;
+        ++bs.validPages;
+        return active * fc.pagesPerBlock + slot;
     }
     MORPHEUS_PANIC("FTL out of free blocks (over-provisioning exhausted)");
 }
@@ -265,31 +275,36 @@ Ftl::collectGarbage(sim::Tick now)
 }
 
 sim::Tick
-Ftl::writePages(std::uint64_t lpn, const std::vector<std::uint8_t> &data,
-                sim::Tick earliest)
+Ftl::writeBytes(std::uint64_t byte_offset,
+                std::span<const std::uint8_t> data, sim::Tick earliest)
 {
     MORPHEUS_ASSERT(!data.empty(), "zero-length FTL write");
-    const auto &fc = _array.config();
-    const std::uint32_t count = static_cast<std::uint32_t>(
-        (data.size() + fc.pageBytes - 1) / fc.pageBytes);
-    MORPHEUS_ASSERT(lpn + count <= _logicalPages,
+    const std::uint32_t page_bytes = pageBytes();
+    const std::uint64_t end = (byte_offset + data.size() - 1) / page_bytes + 1;
+    MORPHEUS_ASSERT(end <= _logicalPages,
                     "FTL write beyond logical capacity");
 
     sim::Tick done = earliest;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        LogicalPage &page = _map[lpn + i];
-        invalidate(lpn + i, page.ppn);
+    std::size_t lo = byte_offset % page_bytes;  // slice start in the page
+    for (auto lpn = byte_offset / page_bytes; lpn < end; ++lpn, lo = 0) {
+        LogicalPage &page = _map[lpn];
+        invalidate(lpn, page.ppn);
         sim::Tick gc_done = earliest;
-        page.ppn = allocatePage(lpn + i, earliest, &gc_done);
+        page.ppn = allocatePage(lpn, earliest, &gc_done);
 
-        // Refill the page's own buffer; a short last page reads as
-        // zeros past its bytes, never as the old contents.
-        const std::size_t off =
-            static_cast<std::size_t>(i) * fc.pageBytes;
-        const std::size_t len =
-            std::min<std::size_t>(fc.pageBytes, data.size() - off);
-        page.bytes.assign(data.begin() + off, data.begin() + off + len);
-        page.bytes.resize(fc.pageBytes, 0);
+        // Patch the slice in, growing the buffer exactly to its end.
+        const auto n = std::min<std::size_t>(page_bytes - lo, data.size());
+        std::vector<std::uint8_t> &bytes = page.bytes;
+        if (lo + n < bytes.size()) {
+            std::memcpy(bytes.data() + lo, data.data(), n);
+        } else {
+            bytes.reserve(lo + n);
+            bytes.resize(lo, 0);
+            bytes.insert(bytes.end(), data.begin(), data.begin() + n);
+        }
+        trimTrailingZeros(bytes);
+        data = data.subspan(n);
+
         const sim::Tick wr =
             _array.program(pageAddress(page.ppn), gc_done);
         done = std::max(done, wr);

@@ -10,9 +10,10 @@
  * threshold, greedy GC relocates the valid pages of the
  * fewest-valid-pages victim block and erases it.
  *
- * A logical page owns its bytes: an overwrite refills the LPN's buffer
- * and a GC move only remaps it, so the simulator's memory follows the
- * live logical pages, not the stale physical ones awaiting erase.
+ * A logical page owns its bytes, stored up to its last non-zero byte
+ * (past which it reads as zero). A write patches them in place and a GC
+ * move only remaps them, so the simulator's memory follows the bytes
+ * written to live logical pages, not stale physical ones awaiting erase.
  *
  * Morpheus-SSD deliberately leaves the FTL untouched (paper §IV-B:
  * "Morpheus-SSD performs no changes to the FTL of the baseline SSD") —
@@ -24,6 +25,7 @@
 #define MORPHEUS_FTL_FTL_HH
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -79,21 +81,21 @@ class Ftl
                         sim::Tick earliest);
 
     /**
-     * Write logical pages starting at @p lpn. @p data is padded to a
-     * whole number of pages. Overwrites invalidate prior mappings; GC
-     * runs inline when the free pool is low and its time is charged to
-     * this write.
+     * Write @p data at logical byte offset @p byte_offset: each covered
+     * page is remapped and programmed, its bytes outside @p data kept
+     * (read-modify-write). GC runs inline when the free pool is low and
+     * its time is charged to this write.
      */
-    sim::Tick writePages(std::uint64_t lpn,
-                         const std::vector<std::uint8_t> &data,
+    sim::Tick writeBytes(std::uint64_t byte_offset,
+                         std::span<const std::uint8_t> data,
                          sim::Tick earliest);
 
     /** Whether @p lpn currently maps to flash. */
     bool isMapped(std::uint64_t lpn) const;
 
-    /** Zero-time page contents (unmapped => a shared zero page). The
-     *  view is valid until the next write. */
-    const std::vector<std::uint8_t> &peekPage(std::uint64_t lpn) const;
+    /** Zero-time page contents up to the last non-zero byte (empty when
+     *  unmapped); the view is valid until the next write. */
+    std::span<const std::uint8_t> peekPage(std::uint64_t lpn) const;
 
     /** Free blocks remaining in the allocation pool. */
     std::size_t freeBlocks() const { return _freeBlocks; }
@@ -122,7 +124,7 @@ class Ftl
     struct LogicalPage
     {
         std::uint64_t ppn = kUnmapped;  ///< Flat physical page index.
-        std::vector<std::uint8_t> bytes;  ///< Exactly one page.
+        std::vector<std::uint8_t> bytes;  ///< To the last non-zero byte.
     };
 
     /** Pick the next page of the write stripe for @p lpn, opening
@@ -146,8 +148,6 @@ class Ftl
     flash::FlashArray &_array;
     FtlConfig _config;
     std::uint64_t _logicalPages;
-    /** What an unmapped LPN reads as. */
-    std::vector<std::uint8_t> _zeroPage;
 
     /** LPN -> its physical page and bytes. */
     std::unordered_map<std::uint64_t, LogicalPage> _map;

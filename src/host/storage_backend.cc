@@ -30,10 +30,6 @@ NvmeBackend::ingest(std::uint64_t offset,
             std::min<std::uint64_t>(mdts_bytes, data.size() - off);
         const std::uint64_t blocks =
             (len + nvme::kBlockBytes - 1) / nvme::kBlockBytes;
-        std::vector<std::uint8_t> chunk(
-            data.begin() + off,
-            data.begin() + off + static_cast<std::ptrdiff_t>(len));
-        chunk.resize(blocks * nvme::kBlockBytes, 0);
 
         // Stage the chunk at a scratch host address the device reads.
         // Ingest bypasses measured phases, so we use a fixed scratch
@@ -46,8 +42,13 @@ NvmeBackend::ingest(std::uint64_t offset,
         cmd.nlb = static_cast<std::uint16_t>(blocks - 1);
         // The functional payload must be visible at the scratch
         // address before the device DMA-reads it (store() directly so
-        // setup does not perturb the measured bus counters).
-        _hostMem.store().writeVec(scratch, chunk);
+        // setup does not perturb the measured bus counters). The last
+        // block's padding is zeroed: the buffer holds the previous
+        // chunk.
+        static constexpr std::uint8_t kZeros[nvme::kBlockBytes] = {};
+        _hostMem.store().write(scratch, data.data() + off, len);
+        _hostMem.store().write(scratch + len, kZeros,
+                               blocks * nvme::kBlockBytes - len);
         // ioRetry so setup survives injected transient faults; with
         // recovery disabled it is exactly io().
         const nvme::Completion cqe = _driver.ioRetry(_qid, cmd, t);

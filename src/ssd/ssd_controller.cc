@@ -66,18 +66,17 @@ SsdController::peekBytes(std::uint64_t byte_offset,
     const std::uint32_t page_bytes = _ftl->pageBytes();
     std::vector<std::uint8_t> out;
     out.reserve(len);
-    std::uint64_t off = byte_offset;
-    std::uint64_t remaining = len;
-    while (remaining > 0) {
-        const std::uint64_t lpn = off / page_bytes;
-        const std::uint64_t in_page = off % page_bytes;
-        const std::uint64_t take =
-            std::min<std::uint64_t>(remaining, page_bytes - in_page);
-        const auto &page = _ftl->peekPage(lpn);
-        out.insert(out.end(), page.begin() + in_page,
-                   page.begin() + in_page + take);
-        off += take;
-        remaining -= take;
+    while (out.size() < len) {
+        const std::uint64_t off = byte_offset + out.size();
+        const std::uint64_t lo = off % page_bytes;
+        const std::uint64_t hi =
+            std::min<std::uint64_t>(lo + len - out.size(), page_bytes);
+        const std::size_t next = out.size() + (hi - lo);
+        // The page's stored bytes in [lo, hi), then zeros past them.
+        const auto page = _ftl->peekPage(off / page_bytes);
+        out.insert(out.end(), page.begin() + std::min(lo, page.size()),
+                   page.begin() + std::min(hi, page.size()));
+        out.resize(next, 0);
     }
     return out;
 }
@@ -140,28 +139,13 @@ SsdController::retryOutboundDma(pcie::Addr dst, std::uint64_t bytes,
 
 sim::Tick
 SsdController::storeFromDram(std::uint64_t byte_offset,
-                             const std::vector<std::uint8_t> &data,
+                             std::span<const std::uint8_t> data,
                              sim::Tick earliest)
 {
     if (data.empty())
         return earliest;
-    const std::uint32_t page_bytes = _ftl->pageBytes();
-    const std::uint64_t first = byte_offset / page_bytes;
-    const std::uint64_t last =
-        (byte_offset + data.size() - 1) / page_bytes;
-
-    // Read-modify-write the covered pages.
-    std::vector<std::uint8_t> pages;
-    pages.reserve((last - first + 1) * page_bytes);
-    for (std::uint64_t lpn = first; lpn <= last; ++lpn) {
-        const auto &page = _ftl->peekPage(lpn);
-        pages.insert(pages.end(), page.begin(), page.end());
-    }
-    const std::uint64_t start_off = byte_offset - first * page_bytes;
-    std::copy(data.begin(), data.end(), pages.begin() + start_off);
-
     const sim::Tick buffered = dramTransfer(data.size(), earliest);
-    return _ftl->writePages(first, pages, buffered);
+    return _ftl->writeBytes(byte_offset, data, buffered);
 }
 
 sim::Tick

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ftl/ftl.hh"
@@ -181,7 +182,7 @@ class SsdController
      * write for partial pages). @return completion tick.
      */
     sim::Tick storeFromDram(std::uint64_t byte_offset,
-                            const std::vector<std::uint8_t> &data,
+                            std::span<const std::uint8_t> data,
                             sim::Tick earliest);
 
     /** Charge a pass through controller DRAM. @return completion. */

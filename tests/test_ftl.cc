@@ -44,6 +44,23 @@ fill(std::uint8_t seed, std::size_t n)
     return v;
 }
 
+/** Logical byte offset of @p lpn's first byte. */
+std::uint64_t
+byteOf(std::uint64_t lpn)
+{
+    return lpn * tinyFlash().pageBytes;
+}
+
+/** @p lpn's whole page: its stored bytes, then zeros. */
+std::vector<std::uint8_t>
+wholePage(const ft::Ftl &ftl, std::uint64_t lpn)
+{
+    const auto stored = ftl.peekPage(lpn);
+    std::vector<std::uint8_t> page(ftl.pageBytes(), 0);
+    std::copy(stored.begin(), stored.end(), page.begin());
+    return page;
+}
+
 /** The latest page's flash completion tick. */
 ms::Tick
 latest(const ft::PageReads &reads)
@@ -76,17 +93,15 @@ TEST(Ftl, UnmappedReadsAsZeros)
 {
     FtlFixture f;
     EXPECT_FALSE(f.ftl.isMapped(3));
-    const auto page = f.ftl.peekPage(3);
-    EXPECT_EQ(page.size(), 256u);
-    for (const auto b : page)
-        EXPECT_EQ(b, 0);
+    EXPECT_TRUE(f.ftl.peekPage(3).empty());
+    EXPECT_EQ(wholePage(f.ftl, 3), std::vector<std::uint8_t>(256, 0));
 }
 
 TEST(Ftl, WriteThenReadBack)
 {
     FtlFixture f;
     const auto data = fill(0xA5, 256);
-    const ms::Tick written = f.ftl.writePages(5, data, 0);
+    const ms::Tick written = f.ftl.writeBytes(byteOf(5), data, 0);
     ASSERT_TRUE(f.ftl.isMapped(5));
 
     const ms::Tick read = latest(f.ftl.readPages(5, 1, written));
@@ -94,7 +109,7 @@ TEST(Ftl, WriteThenReadBack)
     EXPECT_GE(read, written + cfg.readLatency +
                         ms::transferTicks(cfg.pageBytes,
                                           cfg.channelBytesPerSec));
-    EXPECT_EQ(f.ftl.peekPage(5), data);
+    EXPECT_EQ(wholePage(f.ftl, 5), data);
 }
 
 TEST(Ftl, OverwriteReplacesData)
@@ -108,29 +123,94 @@ TEST(Ftl, OverwriteReplacesData)
     ms::Tick t = 0;
     for (int round = 0; round < 200; ++round) {
         const auto tag = static_cast<std::uint8_t>(round * 7);
-        t = f.ftl.writePages(20, fill(tag, 3 * 256), t);
+        const auto want = fill(tag, 3 * 256);
+        t = f.ftl.writeBytes(byteOf(20), want, t);
         for (std::uint64_t lpn = 20; lpn < 23; ++lpn) {
-            const auto &page = f.ftl.peekPage(lpn);
             const auto off = static_cast<std::ptrdiff_t>((lpn - 20) * 256);
-            const auto want = fill(tag, 3 * 256);
-            ASSERT_TRUE(std::equal(page.begin(), page.end(),
-                                   want.begin() + off))
+            ASSERT_EQ(wholePage(f.ftl, lpn),
+                      std::vector<std::uint8_t>(want.begin() + off,
+                                                want.begin() + off + 256))
                 << "round " << round << " lpn " << lpn;
         }
     }
     EXPECT_GT(f.ftl.gcRuns(), 0u);
 }
 
-TEST(Ftl, ShortOverwriteReadsZerosPastItsBytes)
+TEST(Ftl, ShortOverwriteKeepsTheBytesPastIt)
 {
-    // The page's buffer is reused: bytes past a short write's end are
-    // zero padding, not what the previous write left there.
+    // A write is read-modify-write: bytes past a short write's end are
+    // what the previous write left there, and the buffer still ends at
+    // that write's last non-zero byte (fill(0xFF)'s last byte is 0).
     FtlFixture f;
-    f.ftl.writePages(4, fill(0xFF, 256), 0);
-    f.ftl.writePages(4, fill(3, 100), 0);
+    f.ftl.writeBytes(byteOf(4), fill(0xFF, 256), 0);
+    f.ftl.writeBytes(byteOf(4), fill(3, 100), 0);
     std::vector<std::uint8_t> want = fill(3, 100);
-    want.resize(256, 0);
-    EXPECT_EQ(f.ftl.peekPage(4), want);
+    const auto old = fill(0xFF, 255);
+    want.insert(want.end(), old.begin() + 100, old.end());
+    const auto stored = f.ftl.peekPage(4);
+    EXPECT_EQ(std::vector<std::uint8_t>(stored.begin(), stored.end()),
+              want);
+}
+
+TEST(Ftl, ShortWriteStoresItsBytesUpToTheLastNonZero)
+{
+    // Trailing zeros are not stored, whatever their count relative to
+    // the 8-byte words the trim scans; a zero inside is kept.
+    for (std::size_t keep = 0; keep <= 40; ++keep) {
+        FtlFixture f;
+        std::vector<std::uint8_t> data(40 + keep % 9, 0);
+        for (std::size_t i = 0; i < keep; ++i)
+            data[i] = static_cast<std::uint8_t>(i % 5 == 2 ? 0 : i + 1);
+        if (keep > 0)
+            data[keep - 1] = 0xAB;
+        const std::size_t lead = keep % 3;  // zeros in front of data
+        f.ftl.writeBytes(byteOf(2) + lead, data, 0);
+        const auto stored = f.ftl.peekPage(2);
+        ASSERT_EQ(stored.size(), lead + keep) << "keep " << keep;
+        EXPECT_TRUE(std::all_of(stored.begin(), stored.begin() + lead,
+                                [](std::uint8_t b) { return b == 0; }));
+        EXPECT_TRUE(std::equal(stored.begin() + lead, stored.end(),
+                               data.begin()))
+            << "keep " << keep;
+    }
+}
+
+TEST(Ftl, AllZeroWriteStoresNothingAndReadsZeros)
+{
+    // The page is still mapped and programmed (a read costs flash
+    // time), but holds no bytes; zeros over a written page clear it.
+    FtlFixture f;
+    const ms::Tick t =
+        f.ftl.writeBytes(byteOf(7), std::vector<std::uint8_t>(256, 0), 0);
+    EXPECT_GT(t, 0u);
+    EXPECT_TRUE(f.ftl.isMapped(7));
+    EXPECT_TRUE(f.ftl.peekPage(7).empty());
+    EXPECT_GT(latest(f.ftl.readPages(7, 1, t)), t);
+
+    f.ftl.writeBytes(byteOf(8), fill(4, 256), t);
+    ASSERT_EQ(f.ftl.peekPage(8).size(), 256u);
+    f.ftl.writeBytes(byteOf(8), std::vector<std::uint8_t>(256, 0), t);
+    EXPECT_TRUE(f.ftl.peekPage(8).empty());
+    EXPECT_EQ(wholePage(f.ftl, 8), std::vector<std::uint8_t>(256, 0));
+}
+
+TEST(Ftl, MidPagePatchKeepsBothSides)
+{
+    FtlFixture f;
+    auto want = fill(1, 256);
+    f.ftl.writeBytes(byteOf(6), want, 0);
+    const auto patch = fill(9, 40);
+    f.ftl.writeBytes(byteOf(6) + 100, patch, 0);
+    std::copy(patch.begin(), patch.end(), want.begin() + 100);
+    EXPECT_EQ(wholePage(f.ftl, 6), want);
+    EXPECT_EQ(f.ftl.peekPage(6).size(), 256u);
+
+    // Zeros over the tail shorten the stored prefix to the last
+    // non-zero byte before them; the head stays.
+    f.ftl.writeBytes(byteOf(6) + 200, std::vector<std::uint8_t>(56, 0), 0);
+    std::fill(want.begin() + 200, want.end(), 0);
+    EXPECT_EQ(wholePage(f.ftl, 6), want);
+    EXPECT_EQ(f.ftl.peekPage(6).size(), 200u);
 }
 
 TEST(Ftl, GcRelocationKeepsExactBytes)
@@ -152,33 +232,76 @@ TEST(Ftl, GcRelocationKeepsExactBytes)
         std::vector<std::uint8_t> bytes(256);
         for (auto &b : bytes)
             b = static_cast<std::uint8_t>(rng.nextBelow(256));
-        t = f.ftl.writePages(lpn, bytes, t);
+        t = f.ftl.writeBytes(byteOf(lpn), bytes, t);
         shadow[lpn] = std::move(bytes);
     }
     morpheus::obs::MetricsRegistry reg;
     f.ftl.writeStats(reg, "ftl");
     ASSERT_GT(reg.counter("ftl.gcRelocated"), 0u);
     for (const auto &[lpn, bytes] : shadow)
-        EXPECT_EQ(f.ftl.peekPage(lpn), bytes) << "lpn " << lpn;
+        EXPECT_EQ(wholePage(f.ftl, lpn), bytes) << "lpn " << lpn;
+}
+
+TEST(Ftl, GcRelocationKeepsShortPagesExact)
+{
+    // Random slices, often ending in zeros, patched into random pages
+    // while GC relocates them: each page's stored bytes stay exactly
+    // its image up to the last non-zero byte.
+    ft::FtlConfig cfg;
+    cfg.gcLowWatermark = 2;
+    cfg.gcHighWatermark = 3;
+    FtlFixture f(cfg);
+    ms::Rng rng(17);
+    const std::uint64_t span = 200;
+    std::map<std::uint64_t, std::vector<std::uint8_t>> shadow;
+    ms::Tick t = 0;
+    for (int op = 0; op < 800; ++op) {
+        const std::uint64_t lpn = op < static_cast<int>(span)
+                                      ? static_cast<std::uint64_t>(op)
+                                      : rng.nextBelow(span);
+        const std::size_t lo = rng.nextBelow(256);
+        const std::size_t n = 1 + rng.nextBelow(256 - lo);
+        const std::size_t zeros = rng.nextBelow(n + 1);
+        std::vector<std::uint8_t> bytes(n, 0);
+        for (std::size_t i = 0; i + zeros < n; ++i)
+            bytes[i] = static_cast<std::uint8_t>(rng.nextBelow(256));
+        t = f.ftl.writeBytes(byteOf(lpn) + lo, bytes, t);
+        auto &image = shadow[lpn];
+        image.resize(256, 0);
+        std::copy(bytes.begin(), bytes.end(), image.begin() + lo);
+    }
+    morpheus::obs::MetricsRegistry reg;
+    f.ftl.writeStats(reg, "ftl");
+    ASSERT_GT(reg.counter("ftl.gcRelocated"), 0u);
+    for (auto [lpn, image] : shadow) {
+        while (!image.empty() && image.back() == 0)
+            image.pop_back();
+        const auto stored = f.ftl.peekPage(lpn);
+        EXPECT_EQ(std::vector<std::uint8_t>(stored.begin(), stored.end()),
+                  image)
+            << "lpn " << lpn;
+    }
 }
 
 TEST(Ftl, MultiPageWriteSpansPages)
 {
+    // An unaligned write over five pages: its first and last pages keep
+    // the bytes around it, the three between hold only its bytes.
     FtlFixture f;
-    const auto data = fill(7, 256 * 3 + 100);  // 4 pages, padded
-    f.ftl.writePages(10, data, 0);
-    for (std::uint64_t lpn = 10; lpn < 14; ++lpn)
+    const auto old = fill(0x5A, 256 * 5);
+    f.ftl.writeBytes(byteOf(10), old, 0);
+    const auto data = fill(7, 256 * 3 + 100);
+    f.ftl.writeBytes(byteOf(10) + 60, data, 0);
+    for (std::uint64_t lpn = 10; lpn < 15; ++lpn)
         EXPECT_TRUE(f.ftl.isMapped(lpn));
-    // Concatenated read-back equals the data (plus zero padding).
+    auto want = old;
+    std::copy(data.begin(), data.end(), want.begin() + 60);
     std::vector<std::uint8_t> all;
-    for (std::uint64_t lpn = 10; lpn < 14; ++lpn) {
-        const auto p = f.ftl.peekPage(lpn);
+    for (std::uint64_t lpn = 10; lpn < 15; ++lpn) {
+        const auto p = wholePage(f.ftl, lpn);
         all.insert(all.end(), p.begin(), p.end());
     }
-    for (std::size_t i = 0; i < data.size(); ++i)
-        EXPECT_EQ(all[i], data[i]);
-    for (std::size_t i = data.size(); i < all.size(); ++i)
-        EXPECT_EQ(all[i], 0);
+    EXPECT_EQ(all, want);
 }
 
 TEST(Ftl, WritesStripeAcrossPlanes)
@@ -187,12 +310,12 @@ TEST(Ftl, WritesStripeAcrossPlanes)
     // Two single-page writes should land on different planes
     // (different channels in this geometry), so their program phases
     // overlap.
-    const ms::Tick d0 = f.ftl.writePages(0, fill(1, 256), 0);
+    const ms::Tick d0 = f.ftl.writeBytes(byteOf(0), fill(1, 256), 0);
     (void)d0;
     EXPECT_GT(f.flash.dieTimeline(0, 0).busyTicks() +
                   f.flash.dieTimeline(1, 0).busyTicks(),
               0u);
-    f.ftl.writePages(1, fill(2, 256), 0);
+    f.ftl.writeBytes(byteOf(1), fill(2, 256), 0);
     EXPECT_GT(f.flash.dieTimeline(0, 0).busyTicks(), 0u);
     EXPECT_GT(f.flash.dieTimeline(1, 0).busyTicks(), 0u);
 }
@@ -209,14 +332,14 @@ TEST(Ftl, GarbageCollectionReclaimsSpace)
     ms::Tick t = 0;
     for (int round = 0; round < 40; ++round) {
         for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
-            t = f.ftl.writePages(lpn, fill(
+            t = f.ftl.writeBytes(byteOf(lpn), fill(
                 static_cast<std::uint8_t>(round), 256), t);
     }
     EXPECT_GT(f.ftl.gcRuns(), 0u);
     EXPECT_GT(f.flash.erasesIssued().value(), 0u);
     // Data integrity survives GC.
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn)
-        EXPECT_EQ(f.ftl.peekPage(lpn), fill(39, 256));
+        EXPECT_EQ(wholePage(f.ftl, lpn), fill(39, 256));
     EXPECT_GE(f.ftl.freeBlocks(), cfg.gcLowWatermark);
 }
 
@@ -239,17 +362,17 @@ TEST_P(FtlRandomProperty, ReadAfterWriteUnderChurn)
     for (int op = 0; op < 300; ++op) {
         const std::uint64_t lpn = rng.nextBelow(logical_span);
         const auto tag = static_cast<std::uint8_t>(rng.nextBelow(256));
-        t = f.ftl.writePages(lpn, fill(tag, 256), t);
+        t = f.ftl.writeBytes(byteOf(lpn), fill(tag, 256), t);
         shadow[lpn] = tag;
         if (op % 7 == 0) {
             // Spot check a random previously written page.
             const auto it = shadow.begin();
-            EXPECT_EQ(f.ftl.peekPage(it->first),
+            EXPECT_EQ(wholePage(f.ftl, it->first),
                       fill(it->second, 256));
         }
     }
     for (const auto &[lpn, tag] : shadow)
-        EXPECT_EQ(f.ftl.peekPage(lpn), fill(tag, 256));
+        EXPECT_EQ(wholePage(f.ftl, lpn), fill(tag, 256));
     // Every shadowed page is still mapped, so reading it charges
     // flash time past t.
     for (const auto &[lpn, tag] : shadow)
@@ -264,7 +387,7 @@ TEST(Ftl, ParallelReadsAcrossDiesOverlap)
     FtlFixture f;
     ms::Tick t = 0;
     for (std::uint64_t lpn = 0; lpn < 4; ++lpn)
-        t = f.ftl.writePages(lpn, fill(9, 256), t);
+        t = f.ftl.writeBytes(byteOf(lpn), fill(9, 256), t);
     // A 4-page read touches pages striped over 2 channels; the total
     // time is below 4 sequential die reads.
     const ms::Tick start = t;
@@ -288,12 +411,12 @@ TEST(Ftl, ReadPagesReportsOneTickPerPageInLpnOrder)
         ms::transferTicks(cfg.pageBytes, cfg.channelBytesPerSec);
     ms::Tick t = 0;
     for (const std::uint64_t lpn : {0, 1, 3})
-        t = f.ftl.writePages(lpn, fill(static_cast<std::uint8_t>(lpn), 256),
-                             t);
+        t = f.ftl.writeBytes(byteOf(lpn),
+                             fill(static_cast<std::uint8_t>(lpn), 256), t);
     const ms::Tick earliest = t;
     // Keep channel 1's die programming past earliest, so LPN 1 lands
     // after LPN 3 although it comes first in LPN order.
-    f.ftl.writePages(5, fill(5, 256), earliest);
+    f.ftl.writeBytes(byteOf(5), fill(5, 256), earliest);
 
     const ft::PageReads reads = f.ftl.readPages(0, 4, earliest);
     const std::vector<ms::Tick> &ticks = reads.pageTicks;
@@ -313,7 +436,7 @@ TEST(Ftl, ReadPagesReportsOneTickPerPageInLpnOrder)
 TEST(Ftl, ReadPagesFlagsInjectedMediaErrors)
 {
     FtlFixture f;
-    const ms::Tick t = f.ftl.writePages(0, fill(1, 256), 0);
+    const ms::Tick t = f.ftl.writeBytes(byteOf(0), fill(1, 256), 0);
     ms::FaultPlan plan;
     plan.mediaRate = 1.0;
     ms::FaultInjector fi(plan);
@@ -329,7 +452,7 @@ TEST(Ftl, ReadPagesFlagsInjectedMediaErrors)
     EXPECT_EQ(fi.mediaErrors(), 1u);
     EXPECT_EQ(reads.pageTicks.size(), 2u);
     EXPECT_GT(latest(reads), t);
-    EXPECT_EQ(f.ftl.peekPage(0), fill(1, 256));
+    EXPECT_EQ(wholePage(f.ftl, 0), fill(1, 256));
 }
 
 TEST(FtlDeath, ReadBeyondCapacityPanics)
@@ -350,9 +473,9 @@ TEST(Ftl, WearLevellingKeepsEraseSpreadBounded)
     // tie-break keeps wear from concentrating.
     for (int round = 0; round < 120; ++round) {
         for (std::uint64_t lpn = 0; lpn < 8; ++lpn) {
-            t = f.ftl.writePages(
-                lpn, fill(static_cast<std::uint8_t>(round + lpn), 256),
-                t);
+            t = f.ftl.writeBytes(
+                byteOf(lpn),
+                fill(static_cast<std::uint8_t>(round + lpn), 256), t);
         }
     }
     EXPECT_GT(f.ftl.gcRuns(), 10u);
@@ -386,8 +509,8 @@ TEST(Ftl, FreePoolHandsOutBlocksInItsRecordedOrder)
                                       ? static_cast<std::uint64_t>(op)
                                       : rng.nextBelow(span);
         const ms::Tick die0 = f.flash.dieTimeline(0, 0).busyTicks();
-        t = f.ftl.writePages(lpn, fill(static_cast<std::uint8_t>(op), 256),
-                             t);
+        t = f.ftl.writeBytes(byteOf(lpn),
+                             fill(static_cast<std::uint8_t>(op), 256), t);
         tick_hash = (tick_hash ^ t) * 1099511628211ULL;
         if (f.ftl.gcRuns() != prev_gc) {
             prev_gc = f.ftl.gcRuns();

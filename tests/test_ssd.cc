@@ -85,6 +85,23 @@ pattern(std::size_t n)
     return v;
 }
 
+/** NVMe WRITE of @p data (whole blocks) at @p slba, staged at 0x10000;
+ *  mirrors it into @p image, the expected logical contents. */
+void
+writeAt(Rig &rig, std::uint64_t slba, const std::vector<std::uint8_t> &data,
+        std::vector<std::uint8_t> &image)
+{
+    std::copy(data.begin(), data.end(), rig.host_mem.mem.begin() + 0x10000);
+    nv::Command wr;
+    wr.opcode = nv::Opcode::kWrite;
+    wr.prp1 = 0x10000;
+    wr.slba = slba;
+    wr.nlb = static_cast<std::uint16_t>(data.size() / nv::kBlockBytes - 1);
+    ASSERT_TRUE(rig.driver.io(rig.qid, wr, 0).ok());
+    std::copy(data.begin(), data.end(),
+              image.begin() + slba * nv::kBlockBytes);
+}
+
 }  // namespace
 
 TEST(SsdController, WriteThenReadRoundTripsThroughFlash)
@@ -144,6 +161,52 @@ TEST(SsdController, SubPageWritePreservesNeighbours)
         ASSERT_EQ(bytes[i], a[i]);
     for (std::size_t i = 512; i < 1024; ++i)
         ASSERT_EQ(bytes[i], 0xEE);
+}
+
+TEST(SsdController, SubPageWriteInFrontKeepsLaterBytes)
+{
+    Rig rig;
+    std::vector<std::uint8_t> image(4096, 0);
+    writeAt(rig, 5, pattern(512), image);
+    writeAt(rig, 1, std::vector<std::uint8_t>(512, 0xEE), image);
+    EXPECT_EQ(rig.ssd.peekBytes(0, 4096), image);
+}
+
+TEST(SsdController, ZeroWriteOverAPageTailReadsZeros)
+{
+    // The READ path returns the zeros too, and so does the next page.
+    Rig rig;
+    std::vector<std::uint8_t> image(8192, 0);
+    writeAt(rig, 0, pattern(4096), image);
+    writeAt(rig, 6, std::vector<std::uint8_t>(1024, 0), image);
+    EXPECT_EQ(rig.ssd.peekBytes(0, 8192), image);
+
+    std::fill(rig.host_mem.mem.begin() + 0x40000,
+              rig.host_mem.mem.begin() + 0x40000 + 8192, 0xCC);
+    nv::Command rd;
+    rd.opcode = nv::Opcode::kRead;
+    rd.prp1 = 0x40000;
+    rd.slba = 0;
+    rd.nlb = 15;
+    ASSERT_TRUE(rig.driver.io(rig.qid, rd, 0).ok());
+    EXPECT_TRUE(std::equal(image.begin(), image.end(),
+                           rig.host_mem.mem.begin() + 0x40000));
+}
+
+TEST(SsdController, PeekBytesZeroFillsAcrossAShortPage)
+{
+    // Page 0 stores bytes up to 1,435 (the block's last 100 are zero),
+    // page 1 is unmapped and page 2 holds one block; an unaligned peek
+    // across all three reads zeros wherever nothing was written.
+    Rig rig;
+    std::vector<std::uint8_t> image(3 * 4096, 0);
+    auto block = pattern(512);
+    std::fill(block.end() - 100, block.end(), 0);
+    writeAt(rig, 2, block, image);
+    writeAt(rig, 16, pattern(512), image);
+    const auto bytes = rig.ssd.peekBytes(1000, 8000);
+    EXPECT_EQ(bytes, std::vector<std::uint8_t>(image.begin() + 1000,
+                                               image.begin() + 9000));
 }
 
 TEST(SsdController, MultiPageReadBuffersPageByPageLikeMRead)
