@@ -1,7 +1,6 @@
 #include "ftl/ftl.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -17,21 +16,6 @@ planeIndex(const flash::FlashConfig &cfg, const flash::BlockPointer &b)
 {
     return (b.channel * cfg.diesPerChannel + b.die) * cfg.planesPerDie +
            b.plane;
-}
-
-/** Drop @p bytes' trailing zeros, a word at a time. */
-void
-trimTrailingZeros(std::vector<std::uint8_t> &bytes)
-{
-    std::size_t end = bytes.size();
-    for (std::uint64_t word; end >= sizeof word; end -= sizeof word) {
-        std::memcpy(&word, bytes.data() + end - sizeof word, sizeof word);
-        if (word != 0)
-            break;
-    }
-    while (end > 0 && bytes[end - 1] == 0)
-        --end;
-    bytes.resize(end);
 }
 
 }  // namespace
@@ -168,39 +152,45 @@ Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
         const unsigned plane =
             static_cast<unsigned>(_nextPlane++ % planes);
         std::uint64_t &active = _activeBlocks[plane];
-        auto it = _blocks.find(active);
-        if (it != _blocks.end() && it->second.writtenPages == fc.pagesPerBlock)
-            it = _blocks.end();  // block full; retire from stripe
 
-        if (it == _blocks.end()) {
-            // Open a free block of this plane if the pool has one.
-            active = kUnmapped;
-            std::vector<unsigned> &recycled = _recycled[plane];
-            unsigned block = 0;
-            if (!recycled.empty()) {
-                block = recycled.back();
-                recycled.pop_back();
-            } else if (_nextFresh[plane] < fc.blocksPerPlane) {
-                block = _nextFresh[plane]++;
-            } else {
-                continue;  // no free block in this plane; try the next
+        if (active != kUnmapped) {
+            BlockState &bs = _blocks.at(active);
+            if (bs.writtenPages < fc.pagesPerBlock) {
+                const unsigned slot = bs.writtenPages++;
+                bs.pageLpn[slot] = lpn;
+                ++bs.validPages;
+                return active * fc.pagesPerBlock + slot;
             }
-            --_freeBlocks;
-            BlockState bs;
-            bs.addr = blockAt(plane, block);
-            bs.pageLpn.assign(fc.pagesPerBlock, kUnmapped);
-            active = flatBlock(bs.addr);
-            const auto [opened, inserted] =
-                _blocks.emplace(active, std::move(bs));
-            MORPHEUS_ASSERT(inserted, "block opened twice");
-            it = opened;
+            active = kUnmapped;  // block full; retire from stripe
         }
 
-        BlockState &bs = it->second;
-        const unsigned slot = bs.writtenPages++;
-        bs.pageLpn[slot] = lpn;
-        ++bs.validPages;
-        return active * fc.pagesPerBlock + slot;
+        // Open a free block of this plane if the pool has one.
+        std::vector<unsigned> &recycled = _recycled[plane];
+        unsigned block = 0;
+        if (!recycled.empty()) {
+            block = recycled.back();
+            recycled.pop_back();
+        } else if (_nextFresh[plane] < fc.blocksPerPlane) {
+            block = _nextFresh[plane]++;
+        } else {
+            continue;  // no free block in this plane; try the next
+        }
+        --_freeBlocks;
+        const flash::BlockPointer addr = blockAt(plane, block);
+
+        const std::uint64_t blk = flatBlock(addr);
+        BlockState bs;
+        bs.addr = addr;
+        bs.pageLpn.assign(fc.pagesPerBlock, kUnmapped);
+        const auto [bit, inserted] = _blocks.emplace(blk, std::move(bs));
+        MORPHEUS_ASSERT(inserted, "block opened twice");
+        active = blk;
+
+        BlockState &nb = bit->second;
+        const unsigned slot = nb.writtenPages++;
+        nb.pageLpn[slot] = lpn;
+        ++nb.validPages;
+        return blk * fc.pagesPerBlock + slot;
     }
     MORPHEUS_PANIC("FTL out of free blocks (over-provisioning exhausted)");
 }
@@ -292,17 +282,12 @@ Ftl::writeBytes(std::uint64_t byte_offset,
         sim::Tick gc_done = earliest;
         page.ppn = allocatePage(lpn, earliest, &gc_done);
 
-        // Patch the slice in, growing the buffer exactly to its end.
+        // Patch the slice in: the buffer grows to the slice's end if it
+        // was shorter, and the bytes on both sides of the slice stay.
         const auto n = std::min<std::size_t>(page_bytes - lo, data.size());
-        std::vector<std::uint8_t> &bytes = page.bytes;
-        if (lo + n < bytes.size()) {
-            std::memcpy(bytes.data() + lo, data.data(), n);
-        } else {
-            bytes.reserve(lo + n);
-            bytes.resize(lo, 0);
-            bytes.insert(bytes.end(), data.begin(), data.begin() + n);
-        }
-        trimTrailingZeros(bytes);
+        if (page.bytes.size() < lo + n)
+            page.bytes.resize(lo + n);
+        std::copy_n(data.begin(), n, page.bytes.begin() + lo);
         data = data.subspan(n);
 
         const sim::Tick wr =

@@ -10,8 +10,8 @@
  * threshold, greedy GC relocates the valid pages of the
  * fewest-valid-pages victim block and erases it.
  *
- * A logical page owns its bytes, stored up to its last non-zero byte
- * (past which it reads as zero). A write patches them in place and a GC
+ * A logical page owns its bytes, stored up to the highest byte written
+ * to it (past which it reads as zero). A write patches them in place and a GC
  * move only remaps them, so the simulator's memory follows the bytes
  * written to live logical pages, not stale physical ones awaiting erase.
  *
@@ -93,8 +93,8 @@ class Ftl
     /** Whether @p lpn currently maps to flash. */
     bool isMapped(std::uint64_t lpn) const;
 
-    /** Zero-time page contents up to the last non-zero byte (empty when
-     *  unmapped); the view is valid until the next write. */
+    /** Zero-time page contents up to the highest byte written (empty
+     *  when unmapped); the view is valid until the next write. */
     std::span<const std::uint8_t> peekPage(std::uint64_t lpn) const;
 
     /** Free blocks remaining in the allocation pool. */
@@ -124,7 +124,7 @@ class Ftl
     struct LogicalPage
     {
         std::uint64_t ppn = kUnmapped;  ///< Flat physical page index.
-        std::vector<std::uint8_t> bytes;  ///< To the last non-zero byte.
+        std::vector<std::uint8_t> bytes;  ///< To the highest byte written.
     };
 
     /** Pick the next page of the write stripe for @p lpn, opening

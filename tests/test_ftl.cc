@@ -139,59 +139,49 @@ TEST(Ftl, OverwriteReplacesData)
 TEST(Ftl, ShortOverwriteKeepsTheBytesPastIt)
 {
     // A write is read-modify-write: bytes past a short write's end are
-    // what the previous write left there, and the buffer still ends at
-    // that write's last non-zero byte (fill(0xFF)'s last byte is 0).
+    // what the previous write left there.
     FtlFixture f;
     f.ftl.writeBytes(byteOf(4), fill(0xFF, 256), 0);
     f.ftl.writeBytes(byteOf(4), fill(3, 100), 0);
     std::vector<std::uint8_t> want = fill(3, 100);
-    const auto old = fill(0xFF, 255);
+    const auto old = fill(0xFF, 256);
     want.insert(want.end(), old.begin() + 100, old.end());
-    const auto stored = f.ftl.peekPage(4);
-    EXPECT_EQ(std::vector<std::uint8_t>(stored.begin(), stored.end()),
-              want);
+    EXPECT_EQ(wholePage(f.ftl, 4), want);
 }
 
-TEST(Ftl, ShortWriteStoresItsBytesUpToTheLastNonZero)
+TEST(Ftl, ShortWriteStoresItsBytesUpToItsEnd)
 {
-    // Trailing zeros are not stored, whatever their count relative to
-    // the 8-byte words the trim scans; a zero inside is kept.
-    for (std::size_t keep = 0; keep <= 40; ++keep) {
+    // No padding: a page holds the bytes up to the highest one written,
+    // zeros in front of a write that starts mid-page, and nothing past.
+    for (const std::size_t lead : {0u, 1u, 100u}) {
         FtlFixture f;
-        std::vector<std::uint8_t> data(40 + keep % 9, 0);
-        for (std::size_t i = 0; i < keep; ++i)
-            data[i] = static_cast<std::uint8_t>(i % 5 == 2 ? 0 : i + 1);
-        if (keep > 0)
-            data[keep - 1] = 0xAB;
-        const std::size_t lead = keep % 3;  // zeros in front of data
+        auto data = fill(6, 90);
+        std::fill(data.end() - 10, data.end(), 0);  // written zeros stay
         f.ftl.writeBytes(byteOf(2) + lead, data, 0);
+        std::vector<std::uint8_t> want(lead, 0);
+        want.insert(want.end(), data.begin(), data.end());
         const auto stored = f.ftl.peekPage(2);
-        ASSERT_EQ(stored.size(), lead + keep) << "keep " << keep;
-        EXPECT_TRUE(std::all_of(stored.begin(), stored.begin() + lead,
-                                [](std::uint8_t b) { return b == 0; }));
-        EXPECT_TRUE(std::equal(stored.begin() + lead, stored.end(),
-                               data.begin()))
-            << "keep " << keep;
+        EXPECT_EQ(std::vector<std::uint8_t>(stored.begin(), stored.end()),
+                  want)
+            << "lead " << lead;
     }
 }
 
-TEST(Ftl, AllZeroWriteStoresNothingAndReadsZeros)
+TEST(Ftl, AllZeroWriteReadsZeros)
 {
-    // The page is still mapped and programmed (a read costs flash
-    // time), but holds no bytes; zeros over a written page clear it.
+    // The page is mapped and programmed (a read costs flash time) and
+    // reads as zeros; zeros over a written page clear it.
     FtlFixture f;
-    const ms::Tick t =
-        f.ftl.writeBytes(byteOf(7), std::vector<std::uint8_t>(256, 0), 0);
+    const std::vector<std::uint8_t> zeros(256, 0);
+    const ms::Tick t = f.ftl.writeBytes(byteOf(7), zeros, 0);
     EXPECT_GT(t, 0u);
     EXPECT_TRUE(f.ftl.isMapped(7));
-    EXPECT_TRUE(f.ftl.peekPage(7).empty());
+    EXPECT_EQ(wholePage(f.ftl, 7), zeros);
     EXPECT_GT(latest(f.ftl.readPages(7, 1, t)), t);
 
     f.ftl.writeBytes(byteOf(8), fill(4, 256), t);
-    ASSERT_EQ(f.ftl.peekPage(8).size(), 256u);
-    f.ftl.writeBytes(byteOf(8), std::vector<std::uint8_t>(256, 0), t);
-    EXPECT_TRUE(f.ftl.peekPage(8).empty());
-    EXPECT_EQ(wholePage(f.ftl, 8), std::vector<std::uint8_t>(256, 0));
+    f.ftl.writeBytes(byteOf(8), zeros, t);
+    EXPECT_EQ(wholePage(f.ftl, 8), zeros);
 }
 
 TEST(Ftl, MidPagePatchKeepsBothSides)
@@ -203,14 +193,11 @@ TEST(Ftl, MidPagePatchKeepsBothSides)
     f.ftl.writeBytes(byteOf(6) + 100, patch, 0);
     std::copy(patch.begin(), patch.end(), want.begin() + 100);
     EXPECT_EQ(wholePage(f.ftl, 6), want);
-    EXPECT_EQ(f.ftl.peekPage(6).size(), 256u);
 
-    // Zeros over the tail shorten the stored prefix to the last
-    // non-zero byte before them; the head stays.
+    // Zeros over the tail read as zeros; the head stays.
     f.ftl.writeBytes(byteOf(6) + 200, std::vector<std::uint8_t>(56, 0), 0);
     std::fill(want.begin() + 200, want.end(), 0);
     EXPECT_EQ(wholePage(f.ftl, 6), want);
-    EXPECT_EQ(f.ftl.peekPage(6).size(), 200u);
 }
 
 TEST(Ftl, GcRelocationKeepsExactBytes)
@@ -246,7 +233,7 @@ TEST(Ftl, GcRelocationKeepsShortPagesExact)
 {
     // Random slices, often ending in zeros, patched into random pages
     // while GC relocates them: each page's stored bytes stay exactly
-    // its image up to the last non-zero byte.
+    // its image up to the highest byte written.
     ft::FtlConfig cfg;
     cfg.gcLowWatermark = 2;
     cfg.gcHighWatermark = 3;
@@ -267,15 +254,13 @@ TEST(Ftl, GcRelocationKeepsShortPagesExact)
             bytes[i] = static_cast<std::uint8_t>(rng.nextBelow(256));
         t = f.ftl.writeBytes(byteOf(lpn) + lo, bytes, t);
         auto &image = shadow[lpn];
-        image.resize(256, 0);
+        image.resize(std::max(image.size(), lo + n), 0);
         std::copy(bytes.begin(), bytes.end(), image.begin() + lo);
     }
     morpheus::obs::MetricsRegistry reg;
     f.ftl.writeStats(reg, "ftl");
     ASSERT_GT(reg.counter("ftl.gcRelocated"), 0u);
-    for (auto [lpn, image] : shadow) {
-        while (!image.empty() && image.back() == 0)
-            image.pop_back();
+    for (const auto &[lpn, image] : shadow) {
         const auto stored = f.ftl.peekPage(lpn);
         EXPECT_EQ(std::vector<std::uint8_t>(stored.begin(), stored.end()),
                   image)

@@ -195,14 +195,12 @@ TEST(SsdController, ZeroWriteOverAPageTailReadsZeros)
 
 TEST(SsdController, PeekBytesZeroFillsAcrossAShortPage)
 {
-    // Page 0 stores bytes up to 1,435 (the block's last 100 are zero),
-    // page 1 is unmapped and page 2 holds one block; an unaligned peek
-    // across all three reads zeros wherever nothing was written.
+    // Page 0 stores bytes up to 1,536 (one block at byte 1,024), page 1
+    // is unmapped and page 2 holds one block; an unaligned peek across
+    // all three reads zeros wherever nothing was written.
     Rig rig;
     std::vector<std::uint8_t> image(3 * 4096, 0);
-    auto block = pattern(512);
-    std::fill(block.end() - 100, block.end(), 0);
-    writeAt(rig, 2, block, image);
+    writeAt(rig, 2, pattern(512), image);
     writeAt(rig, 16, pattern(512), image);
     const auto bytes = rig.ssd.peekBytes(1000, 8000);
     EXPECT_EQ(bytes, std::vector<std::uint8_t>(image.begin() + 1000,
