@@ -2,10 +2,10 @@
  * @file
  * The design-choice ablations: one knob swept per section, each cell
  * one app under one RunOptions, run once through bench::runCell
- * (which exits 1 naming a cell whose object differs from the
- * generator's ground truth). Sections, in print order, each under its
- * own banner and each writing one BENCH_<name>.json that
- * tools/check_bench.py gates:
+ * (which exits 1, printing the line that replays the cell, when its
+ * object differs from the generator's ground truth). Sections, in
+ * print order, each under its own banner and each writing one
+ * BENCH_<name>.json that tools/check_bench.py gates:
  *   - MREAD chunk size, hybridsort (§V-B): per-command overhead vs
  *     amortization; ablation_chunk_size, mdtsSpeedup;
  *   - embedded core count, pagerank's 4 ranks: ablation_cores,
@@ -87,8 +87,8 @@ chunkSize()
     const wk::AppSpec &app = wk::findApp("hybridsort");
     std::printf("%-12s %14s %10s %12s\n", "chunk", "deser(ms)",
                 "speedup", "mreads");
-    const auto base = bench::runCell(
-        app, cellOptions(wk::ExecutionMode::kBaseline), "baseline");
+    const auto base =
+        bench::runCell(app, cellOptions(wk::ExecutionMode::kBaseline));
 
     std::vector<bench::BenchMetric> extra;
     bench::BenchRuns runs;
@@ -100,7 +100,7 @@ chunkSize()
         wk::RunOptions o = cellOptions(wk::ExecutionMode::kMorpheus);
         o.chunkBlocks = blocks;
         o.metrics = &runs.emplace_back(name, obs::MetricsRegistry{}).second;
-        const auto m = bench::runCell(app, o, name);
+        const auto m = bench::runCell(app, o);
         mdts = ratio(base.deserTime, m.deserTime);
         std::printf("%9u KiB %14.2f %9.2fx %12llu\n", blocks * 512 / 1024,
                     ms(m.deserTime), mdts,
@@ -127,7 +127,7 @@ cores()
         const std::string name = "cores" + std::to_string(n);
         wk::RunOptions o = cellOptions(wk::ExecutionMode::kMorpheus);
         o.sys.ssd.numCores = n;
-        const double t = ms(bench::runCell(app, o, name).deserTime);
+        const double t = ms(bench::runCell(app, o).deserTime);
         if (first == 0.0)
             first = t;
         std::printf("%-8u %14.2f %9.2fx\n", n, t, first / t);
@@ -158,7 +158,7 @@ dsram()
         // Thread the flush threshold through the embedded-core D-SRAM
         // size: the device default threshold is D-SRAM / 4.
         o.sys.ssd.core.dsramBytes = threshold * 4;
-        const sim::Tick t = bench::runCell(app, o, name).deserTime;
+        const sim::Tick t = bench::runCell(app, o).deserTime;
         std::printf("%9u KiB %14.2f\n", threshold / 1024, ms(t));
         extra.push_back({name + ".deserMs", ms(t), "ms"});
         t2k = threshold == 2 * 1024 ? t : t2k;
@@ -187,7 +187,7 @@ queueDepth()
         wk::RunOptions o = cellOptions(wk::ExecutionMode::kMorpheus);
         o.chunkBlocks = 32;  // 16 KiB chunks -> many commands
         o.sys.queueEntries = depth;
-        const auto m = bench::runCell(app, o, name);
+        const auto m = bench::runCell(app, o);
         std::printf("%-8u %14.2f %14llu %14.0f\n", depth,
                     ms(m.deserTime),
                     static_cast<unsigned long long>(
@@ -224,9 +224,9 @@ p2p()
         std::snprintf(name, sizeof(name), "scale%gx", factor);
         wk::RunOptions o = cellOptions(wk::ExecutionMode::kMorpheus);
         o.scale = factor * bench::benchScale();
-        const auto m = bench::runCell(app, o, name);
+        const auto m = bench::runCell(app, o);
         o.mode = wk::ExecutionMode::kMorpheusP2p;
-        const auto p = bench::runCell(app, o, name);
+        const auto p = bench::runCell(app, o);
         gains.push_back(ratio(m.totalTime, p.totalTime));
         std::printf("%-10.2f %12.1f %12.2f %12.2f %9.2fx\n", o.scale,
                     m.objectBytesProduced / 1e6, ms(m.totalTime),
@@ -244,8 +244,8 @@ softFloat()
                    "SpMV ~1.1x without an FPU; future FPU-equipped "
                    "cores recover the gain (design choice #3)");
     const wk::AppSpec &app = wk::findApp("spmv");
-    const auto base = bench::runCell(
-        app, cellOptions(wk::ExecutionMode::kBaseline), "baseline");
+    const auto base =
+        bench::runCell(app, cellOptions(wk::ExecutionMode::kBaseline));
 
     std::printf("%-24s %14s %10s\n", "config", "deser(ms)", "speedup");
     std::vector<bench::BenchMetric> extra;
@@ -255,7 +255,7 @@ softFloat()
         wk::RunOptions o = cellOptions(wk::ExecutionMode::kMorpheus);
         o.sys.ssd.core.hasFpu = false;
         o.sys.ssd.core.cyclesPerFloatOpSoft = penalty;
-        const auto m = bench::runCell(app, o, name);
+        const auto m = bench::runCell(app, o);
         const double x = ratio(base.deserTime, m.deserTime);
         std::printf("soft-float %4.0f cyc/op  %14.2f %9.2fx\n", penalty,
                     ms(m.deserTime), x);
@@ -263,7 +263,7 @@ softFloat()
     }
     wk::RunOptions o = cellOptions(wk::ExecutionMode::kMorpheus);
     o.sys.ssd.core.hasFpu = true;
-    const auto m = bench::runCell(app, o, "hardware FPU");
+    const auto m = bench::runCell(app, o);
     const double fpu = ratio(base.deserTime, m.deserTime);
     std::printf("%-24s %14.2f %9.2fx\n", "hardware FPU", ms(m.deserTime),
                 fpu);
@@ -329,12 +329,9 @@ pipeline(bench::Gates &gate)
     for (const Mix &mix : mixes) {
         const wk::AppSpec &app = wk::findApp(mix.app);
         const std::string name = mix.name;
-        const auto off = bench::runCell(app, mixOptions(mix, false),
-                                        name + " pipeline off");
-        const auto off2 = bench::runCell(app, mixOptions(mix, false),
-                                         name + " pipeline off");
-        const auto on = bench::runCell(app, mixOptions(mix, true),
-                                       name + " pipeline on");
+        const auto off = bench::runCell(app, mixOptions(mix, false));
+        const auto off2 = bench::runCell(app, mixOptions(mix, false));
+        const auto on = bench::runCell(app, mixOptions(mix, true));
         gate(off == off2,
              (name + ": pipeline-off is bit-deterministic").c_str());
         gate(on.kernelChecksum == off.kernelChecksum,
@@ -387,11 +384,11 @@ formats()
     std::vector<double> fpu_speedups;
     for (const auto &app : wk::extensionSuite()) {
         wk::RunOptions o = cellOptions(wk::ExecutionMode::kBaseline);
-        const auto b = bench::runCell(app, o, "baseline");
+        const auto b = bench::runCell(app, o);
         o.mode = wk::ExecutionMode::kMorpheus;
-        const auto soft = bench::runCell(app, o, "no FPU");
+        const auto soft = bench::runCell(app, o);
         o.sys.ssd.core.hasFpu = true;
-        const auto fpu = bench::runCell(app, o, "with FPU");
+        const auto fpu = bench::runCell(app, o);
         const double soft_x = ratio(b.deserTime, soft.deserTime);
         fpu_speedups.push_back(ratio(b.deserTime, fpu.deserTime));
         std::printf("%-12s %6u %14.2f %11.2fx %11.2fx\n",

@@ -38,6 +38,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/parse_number.hh"
+#include "workloads/run_line.hh"
 #include "workloads/runner.hh"
 #include "workloads/serving.hh"
 
@@ -55,8 +56,8 @@ benchScale()
     if (!env)
         return 0.25;
     double scale = 0.0;
-    if (!sim::parseNumber(env, &scale) || scale < 0.001 ||
-        scale > 1000.0) {
+    if (!sim::parseNumber(env, &scale) || scale < workloads::kMinScale ||
+        scale > workloads::kMaxScale) {
         std::fprintf(stderr,
                      "MORPHEUS_BENCH_SCALE needs a number in "
                      "[0.001, 1000]: %s\n",
@@ -132,25 +133,22 @@ struct SuiteRow
 };
 
 /**
- * Run one bench cell: @p app under @p o; @p cell names the knob
- * setting in the bench's own terms (e.g. "4 cores"). Exits 1, naming
- * the cell, when the object the run produced differs from the
- * generator's ground truth, so no bench prints a number from a wrong
- * object.
+ * Run one bench cell: @p app under @p o. Exits 1, printing the
+ * morpheus-run line that replays the cell, when the object the run
+ * produced differs from the generator's ground truth, so no bench
+ * prints a number from a wrong object.
  */
 inline workloads::RunMetrics
-runCell(const workloads::AppSpec &app, const workloads::RunOptions &o,
-        const std::string &cell = "")
+runCell(const workloads::AppSpec &app, const workloads::RunOptions &o)
 {
     workloads::RunMetrics m = workloads::runWorkload(app, o);
     if (!m.validated) {
+        workloads::AppLine line;
+        line.app = app.name;
+        line.opts = o;
         std::fprintf(stderr,
-                     "VALIDATION FAILED: %s%s%s (mode %d, backend %d, "
-                     "%g GHz, scale %g)\n",
-                     app.name.c_str(), cell.empty() ? "" : " ",
-                     cell.c_str(), static_cast<int>(o.mode),
-                     static_cast<int>(o.backend), o.cpuFreqHz / 1e9,
-                     o.scale);
+                     "VALIDATION FAILED: replay with morpheus-run %s\n",
+                     workloads::printLine(line).c_str());
         std::exit(1);
     }
     return m;
@@ -274,21 +272,6 @@ contendedServing()
     opts.sys.ssd.sched.dsramPartitioning = true;
     opts.flushThreshold = 60 * sim::kKiB;
     return opts;
-}
-
-/**
- * Offer @p total_per_sec open-loop arrivals split skew:1:...:1 across
- * @p opts' tenants: the first gets @p skew times each other's rate.
- */
-inline void
-setSkewedLoad(workloads::ServingOptions &opts, double total_per_sec,
-              double skew)
-{
-    const double base =
-        total_per_sec /
-        (skew + static_cast<double>(opts.tenants.size()) - 1.0);
-    for (std::size_t t = 0; t < opts.tenants.size(); ++t)
-        opts.tenants[t].arrivalsPerSec = t == 0 ? skew * base : base;
 }
 
 /** Git revision for BENCH_*.json: MORPHEUS_GIT_REV, then the CI's

@@ -85,7 +85,7 @@ breakdown(bench::Gates &check)
                          "attribution + flight recorder ==\n");
     wk::ServingOptions opts = bench::contendedServing();
     opts.durationSec = 0.02 * bench::servingWindows();
-    bench::setSkewedLoad(opts, 24000.0, 4.0);
+    wk::setSkewedLoad(opts, 24000.0, 4.0);
     opts.sys.ssd.sched.placement = sched::PlacementPolicy::kLoadAware;
 
     const wk::ServingReport plain = wk::runServing(opts);
@@ -277,7 +277,7 @@ soakOptions(bool faults, bool recover)
 {
     wk::ServingOptions opts = bench::contendedServing();
     opts.durationSec = 0.02 * bench::servingWindows();
-    bench::setSkewedLoad(opts, 12000.0, 1.0);
+    wk::setSkewedLoad(opts, 12000.0, 1.0);
     opts.sys.ssd.sched.placement = sched::PlacementPolicy::kLoadAware;
     if (faults) {
         // Rates tuned so every class fires at least once inside the
@@ -630,7 +630,7 @@ overload(bench::Gates &check)
         wk::ServingOptions opts = bench::contendedServing();
         opts.durationSec = 0.02 * bench::servingWindows();
         opts.sys.ssd.sched.placement = sched::PlacementPolicy::kLoadAware;
-        bench::setSkewedLoad(opts, total_rate, 1.0);
+        wk::setSkewedLoad(opts, total_rate, 1.0);
         return opts;
     };
 

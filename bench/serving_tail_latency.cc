@@ -40,7 +40,7 @@ makeOptions(const Point &p, sched::PlacementPolicy placement)
 {
     wk::ServingOptions opts = bench::contendedServing();
     opts.durationSec = 0.02 * bench::servingWindows();
-    bench::setSkewedLoad(opts, p.totalPerSec, p.skew);
+    wk::setSkewedLoad(opts, p.totalPerSec, p.skew);
     opts.sys.ssd.sched.placement = placement;
     return opts;
 }

@@ -1,6 +1,6 @@
 #include "sim/fault.hh"
 
-#include <cstdlib>
+#include <charconv>
 #include <string>
 
 #include "sim/logging.hh"
@@ -74,23 +74,29 @@ FaultPlan::tryParse(const std::string &spec, FaultPlan *out,
     return true;
 }
 
-FaultPlan
-FaultPlan::parse(const std::string &spec)
+std::string
+FaultPlan::spec() const
 {
-    FaultPlan plan;
-    std::string error;
-    if (!tryParse(spec, &plan, &error))
-        MORPHEUS_FATAL(error);
-    return plan;
-}
-
-FaultPlan
-FaultPlan::fromEnv()
-{
-    const char *env = std::getenv("MORPHEUS_FAULTS");
-    if (env == nullptr || *env == '\0')
-        return FaultPlan{};
-    return parse(env);
+    const FaultPlan d;
+    std::string out;
+    const auto add = [&out](const char *key, auto v, auto dv) {
+        if (v == dv)
+            return;
+        char num[32];
+        char *end = std::to_chars(num, num + sizeof(num), v).ptr;
+        if (!out.empty())
+            out += ',';
+        out.append(key).append("=").append(num, end);
+    };
+    add("media", mediaRate, d.mediaRate);
+    add("dma", dmaRate, d.dmaRate);
+    add("crash", crashRate, d.crashRate);
+    add("hang", hangRate, d.hangRate);
+    add("drop", dropRate, d.dropRate);
+    add("dma_min", dmaMinBytes, d.dmaMinBytes);
+    add("watchdog_us", watchdogTicks / kPsPerUs, d.watchdogTicks / kPsPerUs);
+    add("seed", seed, d.seed);
+    return out;
 }
 
 FaultInjector::FaultInjector(const FaultPlan &plan)

@@ -69,12 +69,10 @@ struct FaultPlan
     static bool tryParse(const std::string &spec, FaultPlan *out,
                          std::string *error);
 
-    /** tryParse() that exits fatally on a malformed spec. */
-    static FaultPlan parse(const std::string &spec);
-
-    /** Plan from the MORPHEUS_FAULTS environment variable (parse()
-     *  syntax); an inactive default plan when the variable is unset. */
-    static FaultPlan fromEnv();
+    /** The tryParse() spec of this plan: the keys whose values differ
+     *  from a default plan's, in the order above ("" for the default
+     *  plan). watchdog_us is in whole microseconds. */
+    std::string spec() const;
 };
 
 /**

@@ -316,8 +316,12 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
                 1.0, flash_busy /
                          (dur * sys.ssd().flash().config().dies()));
             act.ssdCoresActive = cores_busy / dur;
-            act.hddActive =
-                opts.backend == BackendKind::kHdd ? 1.0 : 0.0;
+            // Only a baseline reads from opts.backend; Morpheus and
+            // P2P runs read the SSD whatever it names.
+            act.hddActive = opts.mode == ExecutionMode::kBaseline &&
+                                    opts.backend == BackendKind::kHdd
+                                ? 1.0
+                                : 0.0;
             act.dramStreaming = std::min(
                 1.0, static_cast<double>(m.membusBytesDeser) /
                          (sys.mem().config().bytesPerSec *

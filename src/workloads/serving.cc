@@ -31,9 +31,6 @@ namespace morpheus::workloads {
 
 namespace {
 constexpr unsigned kBothScopes = kTenantScope | kTotalScope;
-/** Indexed by TenantFormat. */
-constexpr std::array<const char *, 4> kFormatNames{"intarray", "csv", "json",
-                                                   "columnar"};
 }  // namespace
 
 const std::array<OutcomeField, 17> kOutcomeFields{{
@@ -1376,23 +1373,14 @@ federate(obs::MetricsRegistry &reg, const ServingOptions &opts,
 
 }  // namespace
 
-const char *
-tenantFormatName(TenantFormat f)
+void
+setSkewedLoad(ServingOptions &opts, double total_per_sec, double skew)
 {
-    const auto i = static_cast<std::size_t>(f);
-    return i < kFormatNames.size() ? kFormatNames[i] : "?";
-}
-
-bool
-tenantFormatFromName(const std::string &name, TenantFormat *out)
-{
-    for (std::size_t i = 0; i < kFormatNames.size(); ++i) {
-        if (name == kFormatNames[i] || (i == 0 && name == "int")) {
-            *out = static_cast<TenantFormat>(i);
-            return true;
-        }
-    }
-    return false;
+    const double base =
+        total_per_sec /
+        (skew + static_cast<double>(opts.tenants.size() - 1));
+    for (std::size_t t = 0; t < opts.tenants.size(); ++t)
+        opts.tenants[t].arrivalsPerSec = t == 0 ? skew * base : base;
 }
 
 ServingReport

@@ -56,11 +56,6 @@ enum class TenantFormat : std::uint8_t {
                     ///< pushdown when TenantSpec::pushdown is set).
 };
 
-/** "intarray" / "csv" / "json" / "columnar". */
-const char *tenantFormatName(TenantFormat f);
-/** Inverse of tenantFormatName(); @return false on junk. */
-bool tenantFormatFromName(const std::string &name, TenantFormat *out);
-
 /** While a tenant's circuit breaker is open, every Nth request is a
  *  half-open probe down the device path; success closes the breaker. */
 inline constexpr unsigned kBreakerProbeEvery = 8;
@@ -346,6 +341,10 @@ struct ServingReport : OutcomeCounts, LatencySummary, StageBreakdown
     /** Fleet runs: device whose shard p99 is worst (0 otherwise). */
     unsigned stragglerShard = 0;
 };
+
+/** Offer @p total_per_sec open-loop arrivals split skew:1:...:1 across
+ *  @p opts' tenants: the first gets @p skew times each other's rate. */
+void setSkewedLoad(ServingOptions &opts, double total_per_sec, double skew);
 
 /** Run one serving experiment — open-loop Poisson by default,
  *  fixed-concurrency closed loop with ServingOptions::closedLoop.

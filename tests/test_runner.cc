@@ -261,6 +261,20 @@ TEST(Runner, RamDriveBaselineNoFasterThanNvmeByMuch)
               0.7 * static_cast<double>(mn.deserTime));
 }
 
+TEST(Runner, BackendIsBaselineOnly)
+{
+    // A Morpheus or P2P run reads the SSD whatever the backend names,
+    // so an HDD backend must not charge HDD power to it either.
+    const auto &app = wk::findApp("kmeans");
+    for (const auto mode :
+         {wk::ExecutionMode::kMorpheus, wk::ExecutionMode::kMorpheusP2p}) {
+        auto nvme = opts(mode);
+        auto hdd = nvme;
+        hdd.backend = wk::BackendKind::kHdd;
+        EXPECT_EQ(wk::runWorkload(app, hdd), wk::runWorkload(app, nvme));
+    }
+}
+
 TEST(Runner, DeterministicAcrossRepeatedRuns)
 {
     const auto &app = wk::findApp("spmv");
@@ -436,7 +450,8 @@ TEST(Runner, CrashedInvocationIsReplayedAndValidates)
         wk::runWorkload(app, opts(wk::ExecutionMode::kMorpheus, 0.05));
     auto o = opts(wk::ExecutionMode::kMorpheus, 0.05);
     o.recovery.enabled = true;
-    o.faults = morpheus::sim::FaultPlan::parse("crash=0.05,seed=5");
+    o.faults.crashRate = 0.05;
+    o.faults.seed = 5;
     morpheus::obs::MetricsRegistry reg;
     o.metrics = &reg;
     const auto faulted = wk::runWorkload(app, o);

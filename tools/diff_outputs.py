@@ -13,7 +13,9 @@ the same list of commands, each command in a fresh scratch directory:
     MORPHEUS_BENCH_SCALE=S (default 0.05);
   - `morpheus-run serve` with the CI telemetry flags (breakdown, SLO,
     slow traces, full trace, timeline JSON/CSV, stats JSON), plus a
-    hybrid 4-SSD run and a closed-loop run with writes.
+    hybrid 4-SSD run and a closed-loop run with writes;
+  - one `morpheus-run <app>` run per execution mode at --scale S,
+    between them setting every paper-run knob of the CLI.
 
 For every command the exit status, stdout and every file the command
 wrote (BENCH_*.json, traces, timelines, stats JSON) must be byte for
@@ -59,7 +61,24 @@ SERVE_RUNS = {
 }
 
 
-def commands(build):
+# One app run per mode; each gets `--scale S` appended.
+APP_RUNS = {
+    "app_baseline": [
+        "pagerank", "--mode", "baseline", "--backend", "ram", "--freq",
+        "1.2", "--recovery", "--fault-plan", "media=5e-3,dma=2e-3,seed=5",
+        "--stats"],
+    "app_morpheus": [
+        "kmeans", "--mode", "morpheus", "--freq", "1.2", "--chunk-blocks",
+        "64", "--pipeline", "--cache", "--cache-bytes", "33554432", "--ssds",
+        "2", "--stats-json", "app_stats.json"],
+    "app_p2p": [
+        "bfs", "--mode", "p2p", "--recovery", "--fault-plan",
+        "crash=0.05,seed=5", "--ssds", "4", "--stats", "--stats-json",
+        "app_stats.json"],
+}
+
+
+def commands(build, scale):
     """(name, argv) of every command to run from @p build."""
     out = []
     bench_dir = os.path.join(build, "bench")
@@ -72,6 +91,8 @@ def commands(build):
     run = os.path.abspath(os.path.join(build, "tools", "morpheus-run"))
     for name, args in SERVE_RUNS.items():
         out.append((name, [run] + args))
+    for name, args in APP_RUNS.items():
+        out.append((name, [run] + args + ["--scale", str(scale)]))
     return out
 
 
@@ -130,8 +151,8 @@ def main():
                     help="MORPHEUS_BENCH_SCALE for the benches")
     args = ap.parse_args()
 
-    cmds_a = dict(commands(args.build_a))
-    cmds_b = dict(commands(args.build_b))
+    cmds_a = dict(commands(args.build_a, args.scale))
+    cmds_b = dict(commands(args.build_b, args.scale))
     failed = False
     for name in sorted(set(cmds_a) ^ set(cmds_b)):
         print(f"{name}: only in {'A' if name in cmds_a else 'B'}")
